@@ -1,6 +1,7 @@
 #include "core/database.h"
 
 #include <algorithm>
+#include <functional>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -52,6 +53,34 @@ Result<std::vector<exec::PartialAggGroup>> CombineShardPartials(
   return out;
 }
 
+/// Runs one execution `attempt` on `device` — an inline leg, a scatter
+/// leg, or the gather — with no-leak fault recovery. Under the padded
+/// volume modes an injected fault must be invisible on the wire, because
+/// whether it fired depends on the flash-op count — hidden data. So a
+/// failed attempt's recorded span is erased and the attempt replays with
+/// the device's injector masked: the replay is a deterministic function of
+/// visible inputs, so the surviving transcript and padded volume are
+/// exactly the fault-free ones. Only execution replays; planning happened
+/// before the span opened. The caller holds `device`'s admission (no other
+/// session touches its channel), and `attempt` resets its own outputs and
+/// measures from a baseline that predates the fault, so faults_injected /
+/// flash_retries still record what really happened. Without padding, or
+/// on a genuine error, the failure stands.
+Result<exec::QueryResult> RecoverUnderMask(
+    device::SecureDevice* device, bool padded,
+    const std::function<Result<exec::QueryResult>()>& attempt) {
+  device::Channel& channel = device->channel();
+  const size_t span_begin = channel.transcript_size();
+  Result<exec::QueryResult> r = attempt();
+  if (r.ok() || !padded ||
+      !device::FaultInjector::IsInjectedFault(r.status())) {
+    return r;
+  }
+  channel.EraseTranscript(span_begin, channel.transcript_size() - span_begin);
+  device::FaultInjector::MaskScope mask(&device->fault_injector());
+  return attempt();
+}
+
 }  // namespace
 
 uint32_t DeclaredShapeWeight(const sql::BoundQuery& query) {
@@ -77,8 +106,10 @@ GhostDB::GhostDB(GhostDBConfig config)
   // same fault schedule; Build() reseeds each onto its own lane and arms
   // them once loading is done.
   config_.device.fault = config_.fault_config;
-  device_ = std::make_unique<device::SecureDevice>(config_.device);
-  allocator_ = std::make_unique<storage::PageAllocator>(&device_->flash());
+  shards_.resize(1);
+  shards_[0].device = std::make_unique<device::SecureDevice>(config_.device);
+  shards_[0].allocator =
+      std::make_unique<storage::PageAllocator>(&shards_[0].device->flash());
 }
 
 GhostDB::~GhostDB() = default;
@@ -165,9 +196,6 @@ Status GhostDB::Build() {
       staged_.emplace_back(&schema_, t);
     }
   }
-  untrusted_ = std::make_unique<untrusted::UntrustedEngine>(
-      &schema_, &device_->channel());
-  untrusted_->set_pool(pool_.get());
   if (config_.indexed_attrs_by_name.has_value()) {
     std::map<TableId, std::vector<catalog::ColumnId>> resolved;
     for (const auto& [table_name, columns] :
@@ -189,58 +217,44 @@ Status GhostDB::Build() {
   // (every other table replicates) and install each shard's local→global
   // id map on both sides of its channel — Secure renders global anchor
   // ids, Untrusted evaluates id predicates against them.
+  const bool partitioned = config_.shard_count > 1 && schema_.table_count() > 0;
   ShardedStaging parts;
-  const std::vector<TableData>* shard0_staged = &staged_;
-  if (config_.shard_count > 1) {
+  if (partitioned) {
     GHOSTDB_ASSIGN_OR_RETURN(
         parts,
         PartitionStagedByRoot(schema_, staged_, config_.shard_count));
-    shard0_staged = &parts.shards[0];
-    if (schema_.table_count() > 0) {
-      fleet_anchor_rows_ = staged_[schema_.root()].row_count();
+    fleet_anchor_rows_ = staged_[schema_.root()].row_count();
+  }
+  shards_.resize(config_.shard_count);
+  for (uint32_t s = 0; s < config_.shard_count; ++s) {
+    Shard& shard = shards_[s];
+    if (shard.device == nullptr) {
+      shard.device = std::make_unique<device::SecureDevice>(config_.device);
+      shard.allocator =
+          std::make_unique<storage::PageAllocator>(&shard.device->flash());
     }
-  }
-  {
-    Loader loader(&schema_, device_.get(), allocator_.get(),
-                  untrusted_.get(), config_.loader);
-    GHOSTDB_ASSIGN_OR_RETURN(store_, loader.Load(*shard0_staged));
-  }
-  if (config_.shard_count > 1 && schema_.table_count() > 0) {
-    TableId root = schema_.root();
-    store_.tables[root].global_ids = parts.root_global_ids[0];
-    GHOSTDB_RETURN_NOT_OK(untrusted_->store().SetGlobalIds(
-        root, parts.root_global_ids[0]));
-  }
-  executor_ = std::make_unique<exec::SecureExecutor>(
-      device_.get(), allocator_.get(), &schema_, &store_, untrusted_.get(),
-      config_.exec, pool_.get());
-  for (uint32_t s = 1; s < config_.shard_count; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->device = std::make_unique<device::SecureDevice>(config_.device);
-    shard->allocator =
-        std::make_unique<storage::PageAllocator>(&shard->device->flash());
-    shard->untrusted = std::make_unique<untrusted::UntrustedEngine>(
-        &schema_, &shard->device->channel());
-    shard->untrusted->set_pool(pool_.get());
-    Loader loader(&schema_, shard->device.get(), shard->allocator.get(),
-                  shard->untrusted.get(), config_.loader);
-    GHOSTDB_ASSIGN_OR_RETURN(shard->store, loader.Load(parts.shards[s]));
-    if (schema_.table_count() > 0) {
+    shard.untrusted = std::make_unique<untrusted::UntrustedEngine>(
+        &schema_, &shard.device->channel());
+    shard.untrusted->set_pool(pool_.get());
+    Loader loader(&schema_, shard.device.get(), shard.allocator.get(),
+                  shard.untrusted.get(), config_.loader);
+    GHOSTDB_ASSIGN_OR_RETURN(
+        shard.store, loader.Load(partitioned ? parts.shards[s] : staged_));
+    if (partitioned) {
       TableId root = schema_.root();
-      shard->store.tables[root].global_ids = parts.root_global_ids[s];
-      GHOSTDB_RETURN_NOT_OK(shard->untrusted->store().SetGlobalIds(
+      shard.store.tables[root].global_ids = parts.root_global_ids[s];
+      GHOSTDB_RETURN_NOT_OK(shard.untrusted->store().SetGlobalIds(
           root, parts.root_global_ids[s]));
     }
-    shard->executor = std::make_unique<exec::SecureExecutor>(
-        shard->device.get(), shard->allocator.get(), &schema_,
-        &shard->store, shard->untrusted.get(), config_.exec, pool_.get());
-    extra_shards_.push_back(std::move(shard));
+    shard.executor = std::make_unique<exec::SecureExecutor>(
+        shard.device.get(), shard.allocator.get(), &schema_, &shard.store,
+        shard.untrusted.get(), config_.exec, pool_.get());
   }
   // The planner reads shard 0's store (statistics differ per shard only in
   // their samples; the plan is shared fleet-wide through the plan cache).
   config_.planner.shard_count = config_.shard_count;
-  planner_ =
-      std::make_unique<plan::Planner>(&schema_, &store_, config_.planner);
+  planner_ = std::make_unique<plan::Planner>(&schema_, &shards_[0].store,
+                                             config_.planner);
   if (!config_.retain_staged_data) {
     staged_.clear();
     staged_.shrink_to_fit();
@@ -273,7 +287,7 @@ Result<std::unique_ptr<Session>> GhostDB::OpenSession(
       options.name.empty() ? "s" + std::to_string(id) : options.name;
   uint32_t quota = options.ram_quota_buffers;
   if (quota == SessionOptions::kDefaultRamQuota) {
-    quota = std::max<uint32_t>(1, device_->ram().total_buffers() / 4);
+    quota = std::max<uint32_t>(1, device().ram().total_buffers() / 4);
   }
   // A session spans the fleet: the same quota is pledged on every shard's
   // RAM manager and the session registers with every shard's arbiter, so
@@ -345,7 +359,7 @@ Status GhostDB::ServeVisCounts(const sql::BoundQuery& query,
   for (TableId t : query.tables) {
     if (!query.HasVisiblePredicateOn(t)) continue;
     GHOSTDB_ASSIGN_OR_RETURN(
-        uint64_t count, untrusted_->ServeVisibleCount(query, t, prefetch));
+        uint64_t count, untrusted().ServeVisibleCount(query, t, prefetch));
     (*out)[t] = count;
   }
   return Status::OK();
@@ -377,22 +391,12 @@ Result<std::shared_ptr<const PreparedQuery>> GhostDB::Prepare(
     return Status::InvalidArgument("call Build() before Prepare()");
   }
   GHOSTDB_ASSIGN_OR_RETURN(sql::BoundQuery query, BindSelect(sql, nullptr));
-  device::AdmissionGuard admission(&device_->arbiter(), -1,
-                                              DeclaredShapeWeight(query));
+  device::AdmissionGuard admission(&device().arbiter(), -1,
+                                   DeclaredShapeWeight(query));
   // Planning consults Untrusted's visible counts, so the statement is
   // announced exactly as at execution time.
-  untrusted_->ReceiveQuery(query.sql);
+  untrusted().ReceiveQuery(query.sql);
   return PrepareBound(query, nullptr, nullptr);
-}
-
-bool GhostDB::ShardFanout(const sql::BoundQuery& query) const {
-  // Visible inputs only (fleet size, anchor table, EXPLAIN flag): whether
-  // a statement scatters is as observable as the statement itself. A
-  // non-root anchor reads only fully replicated tables, so shard 0 alone
-  // holds the complete answer; EXPLAIN renders the plan without touching
-  // data.
-  return !extra_shards_.empty() && !query.explain &&
-         schema_.table_count() > 0 && query.anchor == schema_.root();
 }
 
 Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
@@ -401,272 +405,148 @@ Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
   if (!built_) {
     return Status::InvalidArgument("call Build() before querying");
   }
-  if (ShardFanout(query)) return RunSelectSharded(query, pinned, session);
   static const exec::SessionBinding kMainSession;
-  const exec::SessionBinding* binding =
-      session != nullptr ? &session->bindings_[0] : &kMainSession;
-  exec::EncodedRows deferred;
-  PlanCache::Outcome outcome;
-  bool cached_path = pinned == nullptr;
-  // PC-side speculation, before asking for the device: the visible
-  // answers this query will request are pure functions of the (already
-  // announced-to-be) visible statement, so the PC evaluates them while
-  // the key is still serving other sessions. Channel messages are
-  // recorded when the key requests them, unchanged in every byte.
-  untrusted::VisPrefetch prefetch;
+  auto binding = [&](uint32_t s) -> const exec::SessionBinding& {
+    return session != nullptr ? session->bindings_[s] : kMainSession;
+  };
+  // Visible inputs only (fleet size, anchor table, EXPLAIN flag): whether a
+  // statement scatters is as observable as the statement itself. EXPLAIN
+  // renders the plan without touching data.
+  const bool fanout = !query.explain && planner_->FansOut(query);
+  const uint32_t legs = fanout ? shard_count() : 1;
+  const uint32_t weight = DeclaredShapeWeight(query);
+  const bool padded =
+      config_.exec.volume_padding != exec::VolumePadding::kOff;
+
+  // PC-side speculation, before asking for any device: the visible answers
+  // each leg's key will request are pure functions of the (already
+  // announced-to-be) visible statement, so each shard's Untrusted
+  // evaluates them over its own slice while the keys are still serving
+  // other sessions. Channel messages are recorded when a key requests
+  // them, unchanged in every byte.
+  std::vector<untrusted::VisPrefetch> prefetch(legs);
   if (!query.explain) {
-    GHOSTDB_ASSIGN_OR_RETURN(prefetch,
-                             untrusted_->PrefetchVisible(query));
-  }
-  Result<exec::QueryResult> result = [&]() -> Result<exec::QueryResult> {
-    // Admission = the device. Everything in this scope — baseline
-    // snapshot, announcement, planning round-trips, execution — runs with
-    // exclusive device access under this session's transcript tag.
-    device::AdmissionGuard admission(&device_->arbiter(),
-                                                binding->id,
-                                                DeclaredShapeWeight(query));
-    exec::MetricSnapshot baseline =
-        exec::MetricSnapshot::Take(device_.get());
-    // The query text is the only information that leaves the key.
-    untrusted_->ReceiveQuery(query.sql);
-
-    if (query.explain) {
-      // EXPLAIN always plans afresh (never touches the cache): a cached
-      // tree would render the literals and selectivities of the statement
-      // that populated it, not this one.
-      std::map<TableId, uint64_t> vis_counts;
-      GHOSTDB_RETURN_NOT_OK(ServeVisCounts(query, nullptr, &vis_counts));
-      plan::PhysicalPlan plan;
-      if (pinned != nullptr) {
-        plan = plan::BuildPhysicalPlan(query, *pinned,
-                                       config_.exec.topk_fusion);
-      } else {
-        GHOSTDB_ASSIGN_OR_RETURN(
-            plan, planner_->PlanQuery(query, vis_counts, config_.exec));
-      }
-      exec::QueryResult result;
-      result.columns = {"plan"};
-      result.rows = {{catalog::Value::String(
-          planner_->Explain(query, plan, vis_counts))}};
-      result.total_rows = 1;
-      return result;
+    for (uint32_t s = 0; s < legs; ++s) {
+      GHOSTDB_ASSIGN_OR_RETURN(prefetch[s],
+                               shards_[s].untrusted->PrefetchVisible(query));
     }
+  }
 
-    // Messages before this index (the announcement) survive a fault
-    // recovery; everything after belongs to the attempt being replayed.
-    const size_t transcript0 = device_->channel().transcript_size();
+  PlanCache::Outcome outcome;
+  std::shared_ptr<const PreparedQuery> prepared;  // keeps a cached plan alive
+  exec::EncodedRows deferred;  // the answer's rendering surface
+  Result<exec::QueryResult> result = [&]() -> Result<exec::QueryResult> {
+    // Admission = the device. Shard 0 is the coordinator: one admission
+    // covers the baseline snapshot, the announcement, the planning
+    // round-trips, its own leg, and the gather pass, so its transcript is
+    // a single deterministic block under this session's tag.
+    Shard& coordinator = shards_[0];
+    device::AdmissionGuard admission(&coordinator.device->arbiter(),
+                                     binding(0).id, weight);
+    const exec::MetricSnapshot baseline =
+        exec::MetricSnapshot::Take(coordinator.device.get());
+    // The query text is the only information that leaves the key.
+    coordinator.untrusted->ReceiveQuery(query.sql);
 
-    auto attempt = [&](bool replay) -> Result<exec::QueryResult> {
-      plan::PhysicalPlan local_plan;
-      std::shared_ptr<const PreparedQuery> prepared;
-      const plan::PhysicalPlan* plan = nullptr;
+    // Planning happens once, here, outside every span a fault recovery
+    // erases: a recovery replays execution only.
+    std::map<TableId, uint64_t> vis_counts;
+    plan::PhysicalPlan local_plan;
+    const plan::PhysicalPlan* plan = &local_plan;
+    if (pinned != nullptr || query.explain) {
+      // Pinned runs serve the Vis counts like a planner run would, so their
+      // transcripts and metrics stay comparable across strategies. EXPLAIN
+      // always plans afresh (never touches the cache): a cached tree would
+      // render the literals and selectivities of the statement that
+      // populated it, not this one.
+      GHOSTDB_RETURN_NOT_OK(ServeVisCounts(query, &prefetch[0], &vis_counts));
       if (pinned != nullptr) {
-        // Pinned runs serve the Vis counts like a planner run would, so
-        // their transcripts and metrics stay comparable across strategies.
-        std::map<TableId, uint64_t> vis_counts;
-        GHOSTDB_RETURN_NOT_OK(ServeVisCounts(query, &prefetch, &vis_counts));
-        local_plan = plan::BuildPhysicalPlan(query, *pinned,
-                                             config_.exec.topk_fusion);
-        plan = &local_plan;
-      } else if (replay && !outcome.hit) {
-        // The failed attempt already filled (miss) or re-stamped (replan)
-        // the plan cache, so a plain re-Prepare would hit and skip the
-        // vis-count exchange the fault-free transcript contains. Serve the
-        // counts and plan directly, bypassing the cache, to re-emit the
-        // exact wire sequence of the first attempt.
-        std::map<TableId, uint64_t> vis_counts;
-        GHOSTDB_RETURN_NOT_OK(ServeVisCounts(query, &prefetch, &vis_counts));
+        local_plan = planner_->LowerPlan(query, *pinned, config_.exec);
+      } else {
         GHOSTDB_ASSIGN_OR_RETURN(
             local_plan, planner_->PlanQuery(query, vis_counts, config_.exec));
-        plan = &local_plan;
-      } else {
-        GHOSTDB_ASSIGN_OR_RETURN(
-            prepared,
-            PrepareBound(query, &prefetch, replay ? nullptr : &outcome));
-        plan = &prepared->plan;  // the held snapshot keeps the plan alive
       }
-      return executor_->Execute(query, *plan, &baseline, binding, &deferred,
-                                &prefetch);
-    };
-
-    Result<exec::QueryResult> r = attempt(false);
-    if (!r.ok() &&
-        config_.exec.volume_padding != exec::VolumePadding::kOff &&
-        device::FaultInjector::IsInjectedFault(r.status())) {
-      // No-leak recovery: under the padded volume modes an injected fault
-      // must be invisible on the wire, because whether it fired depends on
-      // the flash-op count — hidden data. Erase the failed attempt's
-      // recorded span and replay with the injector masked: the replay is a
-      // deterministic function of visible inputs, so the surviving
-      // transcript and padded volume are exactly the fault-free ones. The
-      // metrics baseline predates the fault, so faults_injected /
-      // flash_retries still record what really happened.
-      device::Channel& channel = device_->channel();
-      channel.EraseTranscript(transcript0,
-                              channel.transcript_size() - transcript0);
-      deferred = exec::EncodedRows{};
-      device::FaultInjector::MaskScope mask(&device_->fault_injector());
-      r = attempt(true);
-    }
-    return r;
-  }();
-  if (!result.ok() || query.explain) return result;
-  // The rendering half of the surface: decode the captured cells to
-  // Values *after* the admission released, so one session's rendering
-  // overlaps the next session's device work. Purely local — the decode
-  // can touch nothing observable.
-  deferred.DecodeInto(&result.ValueUnsafe());
-  if (cached_path) {
-    result.ValueUnsafe().metrics.plan_cache_hits = outcome.hit ? 1 : 0;
-    result.ValueUnsafe().metrics.plan_cache_replans =
-        outcome.replanned ? 1 : 0;
-    result.ValueUnsafe().metrics.plan_cache_misses =
-        outcome.hit || outcome.replanned ? 0 : 1;
-  }
-  return result;
-}
-
-Result<exec::QueryResult> GhostDB::RunSelectSharded(
-    const sql::BoundQuery& query, const plan::PlanChoice* pinned,
-    const Session* session) {
-  static const exec::SessionBinding kMainSession;
-  const uint32_t shards = shard_count();
-  auto binding_for = [&](uint32_t s) -> const exec::SessionBinding* {
-    return session != nullptr ? &session->bindings_[s] : &kMainSession;
-  };
-  auto executor_for = [&](uint32_t s) -> exec::SecureExecutor* {
-    return s == 0 ? executor_.get() : extra_shards_[s - 1]->executor.get();
-  };
-  const uint32_t weight = DeclaredShapeWeight(query);
-  PlanCache::Outcome outcome;
-  bool cached_path = pinned == nullptr;
-
-  // PC-side speculation, per shard: each Untrusted holds its own visible
-  // slice, so each one pre-evaluates the visible answers its device will
-  // request — before any admission, exactly like the single-device path.
-  std::vector<untrusted::VisPrefetch> prefetch(shards);
-  for (uint32_t s = 0; s < shards; ++s) {
-    GHOSTDB_ASSIGN_OR_RETURN(prefetch[s],
-                             shard_untrusted(s).PrefetchVisible(query));
-  }
-
-  std::vector<std::vector<exec::PartialAggGroup>> shard_partials(shards);
-  std::vector<exec::EncodedRows> shard_rows(shards);
-  exec::EncodedRows deferred;  // the gather pass's rendering surface
-  Result<exec::QueryResult> result = [&]() -> Result<exec::QueryResult> {
-    // Shard 0 is the coordinator: one admission covers its announcement,
-    // the (shared) planning round-trips, its own scatter leg, and the
-    // gather pass, so its transcript is a single deterministic block.
-    device::AdmissionGuard admission(&device_->arbiter(),
-                                                binding_for(0)->id, weight);
-    exec::MetricSnapshot baseline0 =
-        exec::MetricSnapshot::Take(device_.get());
-    untrusted_->ReceiveQuery(query.sql);
-
-    plan::PhysicalPlan pinned_plan;
-    std::shared_ptr<const PreparedQuery> prepared;
-    const plan::PhysicalPlan* plan = nullptr;
-    if (pinned != nullptr) {
-      std::map<TableId, uint64_t> vis_counts;
-      GHOSTDB_RETURN_NOT_OK(ServeVisCounts(query, &prefetch[0],
-                                           &vis_counts));
-      pinned_plan = plan::BuildPhysicalPlan(
-          query, *pinned, config_.exec.topk_fusion,
-          config_.exec.volume_padding != exec::VolumePadding::kOff);
-      pinned_plan.shard_fanout = true;
-      plan = &pinned_plan;
     } else {
       GHOSTDB_ASSIGN_OR_RETURN(prepared,
                                PrepareBound(query, &prefetch[0], &outcome));
       plan = &prepared->plan;
     }
-    int boundary = exec::FindFanoutBoundary(*plan);
-    if (boundary < 0) {
-      return Status::Internal("sharded plan has no fan-out boundary");
+    if (query.explain) {
+      exec::QueryResult explained;
+      explained.columns = {"plan"};
+      explained.rows = {{catalog::Value::String(
+          planner_->Explain(query, *plan, vis_counts))}};
+      explained.total_rows = 1;
+      return explained;
     }
-    bool agg_boundary =
-        plan->nodes[boundary].op == plan::PhysicalOp::kAggregate ||
-        plan->nodes[boundary].op == plan::PhysicalOp::kGroupAggregate;
 
-    // Scatter: every shard runs the plan's subtree at/below the boundary
-    // over its own slice. Shards 1..N-1 go on their own threads under
-    // their own arbiters (independent devices admit independently); the
-    // coordinator runs shard 0's leg on this thread under the admission
-    // already held.
-    std::vector<Result<exec::QueryResult>> legs(
-        shards,
-        Result<exec::QueryResult>(Status::Internal("scatter leg unset")));
-    // Per-leg recovery state: the metrics baseline a masked re-run reuses
-    // (so the fault counters and clock still cover the failed attempt) and
-    // the [first, end) span of the leg's messages in its shard's
-    // transcript (what a recovery erases).
-    std::vector<exec::MetricSnapshot> leg_base(shards);
-    std::vector<std::pair<size_t, size_t>> leg_span(shards, {0, 0});
-    auto run_leg = [&](uint32_t s, bool masked) {
-      exec::FanoutParams params;
-      params.role = exec::FanoutParams::Role::kScatter;
-      if (agg_boundary) params.partials_out = &shard_partials[s];
-      exec::EncodedRows* rows_out =
-          agg_boundary ? nullptr : &shard_rows[s];
-      device::SecureDevice& dev = shard_device(s);
+    // The legs. A fan-out statement runs the plan's subtree at/below the
+    // fan-out boundary on every shard over its own slice: shards 1..N-1 on
+    // their own threads under their own arbiters (independent devices
+    // admit independently), the coordinator's leg on this thread under the
+    // admission already held. Any other statement — and every statement on
+    // a fleet of one — is a single inline leg running the whole plan on the
+    // coordinator: no scatter, no thread, no gather.
+    bool agg_boundary = false;
+    if (fanout) {
+      int boundary = exec::FindFanoutBoundary(*plan);
+      if (boundary < 0) {
+        return Status::Internal("sharded plan has no fan-out boundary");
+      }
+      agg_boundary =
+          plan->nodes[boundary].op == plan::PhysicalOp::kAggregate ||
+          plan->nodes[boundary].op == plan::PhysicalOp::kGroupAggregate;
+    }
+    std::vector<Result<exec::QueryResult>> leg_results(
+        legs, Result<exec::QueryResult>(Status::Internal("leg unset")));
+    std::vector<exec::EncodedRows> leg_rows(legs);
+    std::vector<std::vector<exec::PartialAggGroup>> leg_partials(legs);
+    auto run_leg = [&](uint32_t s) {
+      Shard& shard = shards_[s];
       std::optional<device::AdmissionGuard> leg_admission;
       if (s != 0) {
-        leg_admission.emplace(&dev.arbiter(), binding_for(s)->id, weight);
+        leg_admission.emplace(&shard.device->arbiter(), binding(s).id,
+                              weight);
       }
-      std::optional<device::FaultInjector::MaskScope> mask;
-      if (masked) {
-        // Masked recovery re-run (sequential, on the coordinator thread):
-        // wipe the failed attempt's wire image first — under the
-        // admission, so no other session can be touching the channel —
-        // then replay with the schedule suppressed.
-        dev.channel().EraseTranscript(
-            leg_span[s].first, leg_span[s].second - leg_span[s].first);
-        mask.emplace(&dev.fault_injector());
-      } else {
-        leg_base[s] = s == 0 ? baseline0 : exec::MetricSnapshot::Take(&dev);
-      }
-      leg_span[s].first = dev.channel().transcript_size();
-      // Whole-shard reset: the device drops out before a byte moves — the
-      // leg dies with an empty transcript span and a tagged error while
-      // its neighbors keep running.
-      if (dev.fault_injector().DrawShardReset()) {
-        leg_span[s].second = leg_span[s].first;
-        legs[s] = Status::IOError(std::string(device::FaultInjector::kTag) +
-                                  " shard " + std::to_string(s) +
-                                  " reset during scatter");
-        return;
-      }
-      if (s != 0) shard_untrusted(s).ReceiveQuery(query.sql);
-      legs[s] = executor_for(s)->Execute(query, *plan, &leg_base[s],
-                                         binding_for(s), rows_out,
-                                         &prefetch[s], &params);
-      leg_span[s].second = dev.channel().transcript_size();
+      // Taken once per leg, so a recovery re-run still reports the failed
+      // attempt's fault counters and clock.
+      const exec::MetricSnapshot leg_base =
+          s == 0 ? baseline : exec::MetricSnapshot::Take(shard.device.get());
+      exec::FanoutParams scatter;
+      if (agg_boundary) scatter.partials_out = &leg_partials[s];
+      leg_results[s] = RecoverUnderMask(
+          shard.device.get(), padded, [&]() -> Result<exec::QueryResult> {
+            leg_rows[s] = exec::EncodedRows{};
+            leg_partials[s].clear();
+            if (fanout) {
+              // Whole-shard reset: the device drops out before a byte
+              // moves — the leg dies with an empty transcript span and a
+              // tagged error while its neighbors keep running.
+              if (shard.device->fault_injector().DrawShardReset()) {
+                return Status::IOError(
+                    std::string(device::FaultInjector::kTag) + " shard " +
+                    std::to_string(s) + " reset during scatter");
+              }
+              if (s != 0) shard.untrusted->ReceiveQuery(query.sql);
+            }
+            return shard.executor->Execute(query, *plan, leg_base,
+                                           binding(s), &leg_rows[s],
+                                           &prefetch[s],
+                                           fanout ? &scatter : nullptr);
+          });
     };
     std::vector<std::thread> threads;
-    threads.reserve(shards - 1);
-    for (uint32_t s = 1; s < shards; ++s) {
-      threads.emplace_back(run_leg, s, /*masked=*/false);
-    }
-    run_leg(0, /*masked=*/false);
+    threads.reserve(legs - 1);
+    for (uint32_t s = 1; s < legs; ++s) threads.emplace_back(run_leg, s);
+    run_leg(0);
     for (auto& t : threads) t.join();
-    for (uint32_t s = 0; s < shards; ++s) {
-      if (legs[s].ok()) continue;
-      if (config_.exec.volume_padding == exec::VolumePadding::kOff ||
-          !device::FaultInjector::IsInjectedFault(legs[s].status())) {
-        // Graceful degradation without padding (or on a genuine error):
-        // the query fails with the leg's clean per-session Status; every
-        // other leg already finished, and nothing below holds resources.
-        return legs[s].status();
-      }
-      // Under padded modes a dead leg must be invisible: only this shard
-      // re-runs, masked, re-emitting its deterministic fault-free span.
-      if (agg_boundary) {
-        shard_partials[s].clear();
-      } else {
-        shard_rows[s] = exec::EncodedRows{};
-      }
-      run_leg(s, /*masked=*/true);
-      GHOSTDB_RETURN_NOT_OK(legs[s].status());
+    // A leg that failed even after recovery fails the query with its clean
+    // per-session Status; every other leg already finished, and nothing
+    // below holds resources.
+    for (const auto& r : leg_results) GHOSTDB_RETURN_NOT_OK(r.status());
+    if (!fanout) {
+      deferred = std::move(leg_rows[0]);
+      return std::move(leg_results[0]);
     }
 
     // Combine the shard outputs into the gather pass's input.
@@ -676,43 +556,31 @@ Result<exec::QueryResult> GhostDB::RunSelectSharded(
     std::vector<exec::PartialAggGroup> combined;
     exec::GatherInput gather_input;
     if (agg_boundary) {
-      GHOSTDB_ASSIGN_OR_RETURN(combined,
-                               CombineShardPartials(&shard_partials));
+      GHOSTDB_ASSIGN_OR_RETURN(combined, CombineShardPartials(&leg_partials));
       gparams.gather_partials = &combined;
     } else {
-      uint64_t skipped = 0;
-      for (uint32_t s = 0; s < shards; ++s) {
-        skipped += legs[s]->total_rows - shard_rows[s].row_count;
+      for (uint32_t s = 0; s < legs; ++s) {
+        gather_input.skipped_rows +=
+            leg_results[s]->total_rows - leg_rows[s].row_count;
       }
-      gather_input.rows = exec::MergeEncodedRowsBySeq(std::move(shard_rows));
-      gather_input.skipped_rows = skipped;
+      gather_input.rows = exec::MergeEncodedRowsBySeq(std::move(leg_rows));
       gparams.gather_rows = &gather_input;
     }
 
     // Gather on the coordinator: the plan's tail over the combined
-    // stream, measured from its own baseline. The baseline is taken once
-    // so a masked recovery re-run still reports the failed attempt's
-    // fault counters and clock; the gather inputs are const, so the tail
-    // is re-runnable after erasing the failed span.
-    exec::MetricSnapshot gather_base =
-        exec::MetricSnapshot::Take(device_.get());
-    const size_t gather0 = device_->channel().transcript_size();
-    Result<exec::QueryResult> gathered_r =
-        executor_->Execute(query, *plan, &gather_base, binding_for(0),
-                           &deferred, nullptr, &gparams);
-    if (!gathered_r.ok() &&
-        config_.exec.volume_padding != exec::VolumePadding::kOff &&
-        device::FaultInjector::IsInjectedFault(gathered_r.status())) {
-      device_->channel().EraseTranscript(
-          gather0, device_->channel().transcript_size() - gather0);
-      deferred = exec::EncodedRows{};
-      device::FaultInjector::MaskScope mask(&device_->fault_injector());
-      gathered_r =
-          executor_->Execute(query, *plan, &gather_base, binding_for(0),
-                             &deferred, nullptr, &gparams);
-    }
-    GHOSTDB_ASSIGN_OR_RETURN(exec::QueryResult gathered,
-                             std::move(gathered_r));
+    // stream, measured from its own baseline (taken once, like a leg's).
+    // The gather inputs are const, so the tail is re-runnable after a
+    // recovery erases the failed span.
+    const exec::MetricSnapshot gather_base =
+        exec::MetricSnapshot::Take(coordinator.device.get());
+    GHOSTDB_ASSIGN_OR_RETURN(
+        exec::QueryResult gathered,
+        RecoverUnderMask(coordinator.device.get(), padded, [&] {
+          deferred = exec::EncodedRows{};
+          return coordinator.executor->Execute(query, *plan, gather_base,
+                                               binding(0), &deferred, nullptr,
+                                               &gparams);
+        }));
 
     // Fleet metrics: channel/flash/QEP counters sum over every leg;
     // wall-clock is the slowest scatter leg plus the gather tail (the
@@ -720,9 +588,9 @@ Result<exec::QueryResult> GhostDB::RunSelectSharded(
     // are the gather's alone — scatter outputs are intermediate.
     exec::QueryMetrics total;
     SimNanos slowest_leg = 0;
-    for (uint32_t s = 0; s < shards; ++s) {
-      total.Accumulate(legs[s]->metrics);
-      slowest_leg = std::max(slowest_leg, legs[s]->metrics.total_ns);
+    for (const auto& r : leg_results) {
+      total.Accumulate(r->metrics);
+      slowest_leg = std::max(slowest_leg, r->metrics.total_ns);
     }
     total.Accumulate(gathered.metrics);
     total.total_ns = slowest_leg + gathered.metrics.total_ns;
@@ -733,13 +601,16 @@ Result<exec::QueryResult> GhostDB::RunSelectSharded(
     return gathered;
   }();
   if (!result.ok()) return result;
+  // The rendering half of the surface: decode the captured cells to
+  // Values *after* the admission released, so one session's rendering
+  // overlaps the next session's device work. Purely local — the decode
+  // can touch nothing observable.
   deferred.DecodeInto(&result.ValueUnsafe());
-  if (cached_path) {
-    result.ValueUnsafe().metrics.plan_cache_hits = outcome.hit ? 1 : 0;
-    result.ValueUnsafe().metrics.plan_cache_replans =
-        outcome.replanned ? 1 : 0;
-    result.ValueUnsafe().metrics.plan_cache_misses =
-        outcome.hit || outcome.replanned ? 0 : 1;
+  if (prepared != nullptr) {
+    exec::QueryMetrics& metrics = result.ValueUnsafe().metrics;
+    metrics.plan_cache_hits = outcome.hit ? 1 : 0;
+    metrics.plan_cache_replans = outcome.replanned ? 1 : 0;
+    metrics.plan_cache_misses = outcome.hit || outcome.replanned ? 0 : 1;
   }
   return result;
 }
@@ -768,7 +639,7 @@ Result<uint64_t> GhostDB::DrainSessions(
     // device; in fail-fast mode they end the drain like any other error.
     if (stop_on_error && any_error()) break;
     if (pending.empty()) break;
-    int32_t pick = device_->arbiter().PickNext(pending);
+    int32_t pick = device().arbiter().PickNext(pending);
     for (Session* s : sessions) {
       if (s->id() == pick) {
         s->RunHead();
@@ -785,9 +656,6 @@ Result<BatchResult> GhostDB::QueryBatch(const std::vector<std::string>& sqls) {
   if (!built_) {
     return Status::InvalidArgument("call Build() before querying");
   }
-  // One baseline spans the whole batch: `total` reports the batch-wide
-  // costs (statements still carry their own per-query metrics).
-  exec::MetricSnapshot baseline = exec::MetricSnapshot::Take(device_.get());
   // The degenerate scheduler case: one ephemeral session holding the whole
   // stream, no dedicated RAM partition (the batch runs from the shared
   // reserve, exactly like the sessionless path did).
@@ -806,17 +674,11 @@ Result<BatchResult> GhostDB::QueryBatch(const std::vector<std::string>& sqls) {
   batch.results.reserve(results.size());
   for (Result<exec::QueryResult>& r : results) {
     GHOSTDB_RETURN_NOT_OK(r.status());
-    // Statement counters sum; baseline.Delta overwrites the device-derived
-    // fields with the batch-wide deltas below.
+    // The batch totals are the statement sums: every device cost of the
+    // batch falls inside some statement, and each statement's metrics
+    // already fold in all of its legs, so this holds at every fleet size.
     batch.total.Accumulate(r->metrics);
     batch.results.push_back(std::move(*r));
-  }
-  // Device-derived batch totals come from the baseline delta on a single
-  // device. A sharded fleet has N independent clocks and channels, so the
-  // per-statement sums (already fleet-wide: every leg's counters fold into
-  // its statement's metrics) stand as the batch totals instead.
-  if (extra_shards_.empty()) {
-    baseline.Delta(device_.get(), &batch.total);
   }
   return batch;
 }
@@ -845,13 +707,14 @@ Result<std::string> GhostDB::Explain(const std::string& sql) {
 
 std::string GhostDB::StorageReport() const {
   std::string out = "flash pages by structure:\n";
-  for (const auto& [tag, pages] : allocator_->usage_by_tag()) {
+  const storage::PageAllocator& allocator = *shards_[0].allocator;
+  for (const auto& [tag, pages] : allocator.usage_by_tag()) {
     if (pages == 0) continue;
     out += "  " + tag + ": " + std::to_string(pages) + "\n";
   }
-  out += "total used: " + std::to_string(allocator_->used_pages()) +
+  out += "total used: " + std::to_string(allocator.used_pages()) +
          " pages (" +
-         std::to_string(allocator_->used_pages() * 2048 / 1024 / 1024) +
+         std::to_string(allocator.used_pages() * 2048 / 1024 / 1024) +
          " MiB)\n";
   return out;
 }

@@ -90,10 +90,10 @@ struct GhostDBConfig {
 };
 
 /// \brief Result of QueryBatch(): per-statement answers plus batch-level
-/// costs measured from a single MetricSnapshot baseline.
+/// costs.
 struct BatchResult {
   std::vector<exec::QueryResult> results;
-  exec::QueryMetrics total;  ///< deltas over the whole batch
+  exec::QueryMetrics total;  ///< sum of the statements' metrics
 };
 
 /// \brief The GhostDB engine.
@@ -147,13 +147,11 @@ class GhostDB {
   Result<std::shared_ptr<const PreparedQuery>> Prepare(
       const std::string& sql);
 
-  /// Executes many statements against one MetricSnapshot baseline — the
-  /// throughput surface. Per-statement answers come back in order;
-  /// `total` carries the batch-wide costs and plan-cache hit counts.
+  /// Executes many statements — the throughput surface. Per-statement
+  /// answers come back in order; `total` sums their metrics: the
+  /// batch-wide costs and plan-cache hit counts.
   /// Implemented as the degenerate single-session case of the scheduler:
-  /// one ephemeral session, every statement queued to it, drained. Must
-  /// not run concurrently with live sessions (its batch-wide baseline
-  /// reads device counters outside any admission).
+  /// one ephemeral session, every statement queued to it, drained.
   Result<BatchResult> QueryBatch(const std::vector<std::string>& sqls);
 
   /// Runs a SELECT under a pinned plan (benches compare strategies);
@@ -169,25 +167,24 @@ class GhostDB {
   /// worker_threads == 1).
   exec::ThreadPool* worker_pool() { return pool_.get(); }
   const catalog::Schema& schema() const { return schema_; }
-  device::SecureDevice& device() { return *device_; }
-  storage::PageAllocator& allocator() { return *allocator_; }
-  untrusted::UntrustedEngine& untrusted() { return *untrusted_; }
-  const SecureStore& store() const { return store_; }
+  /// Shard 0's stack: the whole database on a single device.
+  device::SecureDevice& device() { return shard_device(0); }
+  storage::PageAllocator& allocator() { return *shards_[0].allocator; }
+  untrusted::UntrustedEngine& untrusted() { return shard_untrusted(0); }
+  const SecureStore& store() const { return shard_store(0); }
 
   /// Devices in the fleet (1 until Build() under a sharded config).
   uint32_t shard_count() const {
-    return static_cast<uint32_t>(1 + extra_shards_.size());
+    return static_cast<uint32_t>(shards_.size());
   }
-  /// Shard s's device / store / engine (shard 0 is the primary device the
+  /// Shard s's device / store / engine (shard 0 is the coordinator the
   /// unsharded accessors above return).
-  device::SecureDevice& shard_device(uint32_t s) {
-    return s == 0 ? *device_ : *extra_shards_[s - 1]->device;
-  }
+  device::SecureDevice& shard_device(uint32_t s) { return *shards_[s].device; }
   const SecureStore& shard_store(uint32_t s) const {
-    return s == 0 ? store_ : extra_shards_[s - 1]->store;
+    return shards_[s].store;
   }
   untrusted::UntrustedEngine& shard_untrusted(uint32_t s) {
-    return s == 0 ? *untrusted_ : *extra_shards_[s - 1]->untrusted;
+    return *shards_[s].untrusted;
   }
   /// Staged data (only if retain_staged_data).
   const std::vector<TableData>& staged() const { return staged_; }
@@ -213,10 +210,10 @@ class GhostDB {
  private:
   friend class Session;
 
-  /// One non-primary device of a sharded fleet: a full vertical stack —
-  /// device, allocator, Untrusted engine over its visible slice, Secure
-  /// store, executor. (Shard 0 lives in the primary members so the
-  /// unsharded accessors and single-device paths are untouched.)
+  /// One device of the fleet and the full vertical stack over it: device,
+  /// allocator, Untrusted engine over its visible slice, Secure store,
+  /// executor. Shard 0 is the coordinator — it announces, plans, and
+  /// gathers — and a single-device database is a fleet of one.
   struct Shard {
     std::unique_ptr<device::SecureDevice> device;
     std::unique_ptr<storage::PageAllocator> allocator;
@@ -226,25 +223,18 @@ class GhostDB {
   };
 
   Result<sql::BoundQuery> BindSelect(const std::string& sql, bool* explain);
-  /// True when `query` must scatter-gather across the fleet: only
-  /// root-anchored statements read the partitioned table (a pure function
-  /// of the visible query shape, mirrored by PhysicalPlan::shard_fanout).
-  bool ShardFanout(const sql::BoundQuery& query) const;
-  /// Full arbitrated execution of a bound SELECT: admission, baseline,
-  /// announcement, plan-cache consult (unless `pinned`), execution under
-  /// `session`'s identity (nullptr = the "main" pseudo-session).
+  /// Full arbitrated execution of a bound SELECT under `session`'s identity
+  /// (nullptr = the "main" pseudo-session): per-shard prefetch; then, under
+  /// the coordinator's admission, announcement and planning (the plan
+  /// cache, unless `pinned`); then the legs — one per shard when the
+  /// statement fans out (Planner::FansOut), shards 1..N-1 concurrently
+  /// under their own arbiters, else a single inline leg running the whole
+  /// plan on shard 0; then, for a fan-out, the gather pass, which runs the
+  /// plan's tail on the coordinator over the combined leg outputs
+  /// (seq-merged rows or key-merged partial aggregates).
   Result<exec::QueryResult> RunSelect(const sql::BoundQuery& query,
                                       const plan::PlanChoice* pinned,
                                       const Session* session);
-  /// The scatter-gather orchestration of RunSelect for sharded fleets:
-  /// shard 0 (the coordinator) announces, plans, and runs its scatter leg
-  /// under one admission while shards 1..N-1 run theirs concurrently under
-  /// their own arbiters; the combined outputs (seq-merged rows or
-  /// key-merged partial aggregates) then drive the plan's tail on the
-  /// coordinator as the gather pass.
-  Result<exec::QueryResult> RunSelectSharded(const sql::BoundQuery& query,
-                                             const plan::PlanChoice* pinned,
-                                             const Session* session);
   /// Plan-cache lookup / fill for an already-bound (and announced) query.
   /// Caller holds the channel admission. `outcome` reports hit/replan.
   Result<std::shared_ptr<const PreparedQuery>> PrepareBound(
@@ -262,13 +252,10 @@ class GhostDB {
   GhostDBConfig config_;
   catalog::Schema schema_;
   std::vector<TableData> staged_;
-  std::unique_ptr<device::SecureDevice> device_;
-  std::unique_ptr<storage::PageAllocator> allocator_;
-  std::unique_ptr<exec::ThreadPool> pool_;  ///< outlives untrusted_/executor_
-  std::unique_ptr<untrusted::UntrustedEngine> untrusted_;
-  SecureStore store_;
-  std::unique_ptr<exec::SecureExecutor> executor_;
-  std::vector<std::unique_ptr<Shard>> extra_shards_;  ///< shards 1..N-1
+  std::unique_ptr<exec::ThreadPool> pool_;  ///< outlives the shards' stacks
+  /// The fleet, shard 0 first. Shard 0's device and allocator exist from
+  /// construction; Build() adds the other devices and every shard's stack.
+  std::vector<Shard> shards_;
   /// Fleet-wide root-table row count: the gather pass's volume-padding
   /// bound (each shard's local store only knows its own slice).
   uint64_t fleet_anchor_rows_ = 0;

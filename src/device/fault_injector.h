@@ -52,7 +52,7 @@ enum class FaultSite : uint8_t {
   kRunWrite,        ///< storage::RunWriter page flush (torn run write)
   kChannelStall,    ///< Channel::Transfer (simulated-time stall, no error)
   kRamAcquire,      ///< RamManager::Acquire
-  kShardReset,      ///< scatter leg entry in RunSelectSharded
+  kShardReset,      ///< scatter leg entry in GhostDB::RunSelect (fan-out)
 };
 inline constexpr size_t kFaultSiteCount = 7;
 

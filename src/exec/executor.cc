@@ -85,43 +85,30 @@ void EncodedRows::DecodeInto(QueryResult* out) const {
 }
 
 Result<QueryResult> SecureExecutor::Execute(const BoundQuery& query,
-                                            const plan::PlanChoice& choice,
-                                            const MetricSnapshot* baseline,
-                                            const SessionBinding* session) {
-  return Execute(
-      query,
-      plan::BuildPhysicalPlan(query, choice, config_.topk_fusion,
-                              config_.volume_padding != VolumePadding::kOff),
-      baseline, session);
-}
-
-Result<QueryResult> SecureExecutor::Execute(const BoundQuery& query,
                                             const plan::PhysicalPlan& plan,
-                                            const MetricSnapshot* baseline,
-                                            const SessionBinding* session,
-                                            EncodedRows* deferred,
+                                            const MetricSnapshot& baseline,
+                                            const SessionBinding& session,
+                                            EncodedRows* out,
                                             untrusted::VisPrefetch* prefetch,
                                             const FanoutParams* fanout) {
-  static const SessionBinding kMainSession;
-  if (session == nullptr) session = &kMainSession;
   auto& ram = device_->ram();
   // Context-switch the RAM budget onto the session's partition: every
   // operator acquisition below is charged against the session's quota, and
   // the adaptive operators see only the session's headroom.
   device::RamManager::PartitionScope partition_scope(&ram,
-                                                     session->ram_partition);
+                                                     session.ram_partition);
   Result<QueryResult> result =
-      ExecuteTree(query, plan, baseline, session, deferred, prefetch, fanout);
+      ExecuteTree(query, plan, baseline, session, out, prefetch, fanout);
   if (!result.ok() && result.status().IsResourceExhausted()) {
     // Out-of-RAM is a per-session condition under partitioning: annotate
     // the operator's error with whose budget ran dry and what it was, so
     // "zero buffers free" becomes actionable.
     return Status::ResourceExhausted(
-        result.status().message() + " [session '" + session->name +
-        "', RAM partition '" + ram.partition_name(session->ram_partition) +
-        "': " + std::to_string(ram.partition_used(session->ram_partition)) +
+        result.status().message() + " [session '" + session.name +
+        "', RAM partition '" + ram.partition_name(session.ram_partition) +
+        "': " + std::to_string(ram.partition_used(session.ram_partition)) +
         " used of quota " +
-        std::to_string(ram.partition_quota(session->ram_partition)) +
+        std::to_string(ram.partition_quota(session.ram_partition)) +
         ", shared reserve " +
         std::to_string(ram.reserve_free_buffers()) + " free]");
   }
@@ -130,16 +117,14 @@ Result<QueryResult> SecureExecutor::Execute(const BoundQuery& query,
 
 Result<QueryResult> SecureExecutor::ExecuteTree(
     const BoundQuery& query, const plan::PhysicalPlan& plan,
-    const MetricSnapshot* baseline, const SessionBinding* session,
-    EncodedRows* deferred, untrusted::VisPrefetch* prefetch,
+    const MetricSnapshot& baseline, const SessionBinding& session,
+    EncodedRows* out, untrusted::VisPrefetch* prefetch,
     const FanoutParams* fanout) {
   bool scatter =
       fanout != nullptr && fanout->role == FanoutParams::Role::kScatter;
   bool gather =
       fanout != nullptr && fanout->role == FanoutParams::Role::kGather;
   auto& ram = device_->ram();
-  MetricSnapshot snap =
-      baseline != nullptr ? *baseline : MetricSnapshot::Take(device_);
   uint32_t pages0 = allocator_->used_pages();
   {
     // Pre-flight probe against the session's RAM partition: a session whose
@@ -163,7 +148,7 @@ Result<QueryResult> SecureExecutor::ExecuteTree(
   ctx.config = &config_;
   ctx.query = &query;
   ctx.choice = &plan.choice;
-  ctx.session = session;
+  ctx.session = &session;
   ctx.vis_prefetch = prefetch;
   ctx.metrics = &metrics;
   // Morsel parallelism: the plan may clamp the degree (0 = use the pool's
@@ -199,18 +184,9 @@ Result<QueryResult> SecureExecutor::ExecuteTree(
     ctx.gather_partials = fanout->gather_partials;
     ctx.gather_rows = fanout->gather_rows;
   }
-  // Planner-sized batches + cached layout; pinned plans lowered without a
-  // planner fall back to computing both here (same pure function of the
-  // visible shape).
-  BatchLayout pinned_layout;
-  if (plan.batch_rows != 0) {
-    ctx.value_layout = &plan.value_layout;
-    ctx.batch_rows = plan.batch_rows;
-  } else {
-    pinned_layout = BatchLayout::Projection(*schema_, query);
-    ctx.value_layout = &pinned_layout;
-    ctx.batch_rows = SizeBatchRows(pinned_layout, config_);
-  }
+  // Planner-sized batches + cached layout.
+  ctx.value_layout = &plan.value_layout;
+  ctx.batch_rows = plan.batch_rows;
   // Relational-tail budget: the working set Sort/Distinct/top-K may hold
   // in secure memory before spilling. Config override, else the session's
   // RAM partition — both visible inputs, so two databases differing only
@@ -220,7 +196,7 @@ Result<QueryResult> SecureExecutor::ExecuteTree(
     uint32_t budget_buffers =
         config_.sort_budget_buffers != 0
             ? config_.sort_budget_buffers
-            : ram.partition_budget_buffers(session->ram_partition);
+            : ram.partition_budget_buffers(session.ram_partition);
     ctx.sort_budget_bytes =
         static_cast<size_t>(std::max<uint32_t>(1, budget_buffers)) *
         ram.buffer_size();
@@ -288,24 +264,12 @@ Result<QueryResult> SecureExecutor::ExecuteTree(
         continue;
       }
       result.total_rows += batch.live() + batch.skipped_rows;
-      // The secure rendering surface. In deferred mode only the encoded
-      // cells are captured (memcpy) — the caller decodes after releasing
-      // its channel admission, off the device's critical section.
-      for (size_t i = 0; i < batch.live(); ++i) {
-        uint64_t materialized =
-            deferred != nullptr ? deferred->row_count : result.rows.size();
-        if (materialized >= materialize_cap) break;
-        uint32_t r = batch.row_at(i);
-        if (deferred != nullptr) {
-          deferred->AppendRow(batch, r);
-          continue;
-        }
-        std::vector<catalog::Value> row;
-        row.reserve(batch.layout->cols.size());
-        for (size_t c = 0; c < batch.layout->cols.size(); ++c) {
-          row.push_back(batch.DecodeCell(c, r));
-        }
-        result.rows.push_back(std::move(row));
+      // The secure rendering surface: only the encoded cells are captured
+      // (memcpy) — the caller decodes after releasing its channel
+      // admission, off the device's critical section.
+      for (size_t i = 0; i < batch.live() && out->row_count < materialize_cap;
+           ++i) {
+        out->AppendRow(batch, batch.row_at(i));
       }
     }
     return Status::OK();
@@ -340,7 +304,7 @@ Result<QueryResult> SecureExecutor::ExecuteTree(
     GHOSTDB_RETURN_NOT_OK(free_status);
   }
 
-  snap.Delta(device_, &metrics);
+  baseline.Delta(device_, &metrics);
   metrics.peak_ram_buffers = ram.peak_used_buffers();
   metrics.result_rows = result.total_rows;
   metrics.observed_volume = result.total_rows + metrics.padding_rows;
@@ -352,7 +316,7 @@ Result<QueryResult> SecureExecutor::ExecuteTree(
   if (allocator_->used_pages() != pages0) {
     std::string leak = "query leaked " +
                        std::to_string(allocator_->used_pages() - pages0) +
-                       " flash pages (session '" + session->name + "')";
+                       " flash pages (session '" + session.name + "')";
     if (!run_status.ok()) {
       leak += " while failing with: " + run_status.ToString();
     }

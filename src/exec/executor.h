@@ -35,8 +35,8 @@ struct EncodedRows {
   /// Copies the live physical row `r` of `batch` (binding the layout on
   /// first use).
   void AppendRow(const ColumnBatch& batch, uint32_t physical_row);
-  /// Decodes everything into `out->rows` (the one place cells become
-  /// Values on this path).
+  /// Decodes everything into `out->rows` (the one place result cells
+  /// become Values).
   void DecodeInto(QueryResult* out) const;
 };
 
@@ -72,8 +72,9 @@ int FindFanoutBoundary(const plan::PhysicalPlan& plan);
 /// GhostDB (core/database.cc) orchestrates: each shard executes the plan
 /// re-rooted at the fan-out boundary (kScatter), then the gather device
 /// executes the full plan with the per-shard outputs substituted for the
-/// subtree below the boundary (kGather). A null FanoutParams is the
-/// ordinary single-device run.
+/// subtree below the boundary (kGather). A null FanoutParams runs the whole
+/// plan on one device: a statement that does not fan out, or any
+/// statement on a fleet of one.
 struct FanoutParams {
   enum class Role : uint8_t { kScatter, kGather };
   Role role = Role::kScatter;
@@ -112,44 +113,34 @@ class SecureExecutor {
         pool_(pool) {}
 
   /// Runs `query` under `plan`. The query text must already have been
-  /// announced to Untrusted by the caller, and — in multi-session serving —
-  /// the caller must hold the channel arbiter's admission for `session`.
-  /// `baseline`, when given, extends the cost accounting back to before
-  /// the announcement. `session` (optional) scopes the run: RAM comes from
-  /// the session's partition, and the page-leak check reports against the
-  /// session. `deferred` (optional) switches the rendering surface to the
-  /// two-phase mode: the result comes back with `rows` empty and the
-  /// encoded cells in `deferred`, for the caller to DecodeInto() once it
+  /// announced to Untrusted by the caller, and the caller must hold the
+  /// channel arbiter's admission for `session`. `baseline` extends the cost
+  /// accounting back to before the announcement. `session` scopes the run:
+  /// RAM comes from the session's partition, and the page-leak check
+  /// reports against the session. The result comes back with `rows` empty
+  /// and the encoded cells in `out`, for the caller to DecodeInto() once it
   /// has released its channel admission. `prefetch` (optional) carries the
   /// PC's speculatively evaluated visible answers into the operators.
   /// `fanout` (optional) runs this call as one leg of a sharded
   /// scatter-gather: kScatter executes the plan re-rooted at the fan-out
-  /// boundary and emits seq-stamped rows (into `deferred`) or partial
+  /// boundary and emits seq-stamped rows (into `out`) or partial
   /// aggregates; kGather executes the tail of the plan over the combined
   /// shard outputs.
   Result<QueryResult> Execute(const sql::BoundQuery& query,
                               const plan::PhysicalPlan& plan,
-                              const MetricSnapshot* baseline = nullptr,
-                              const SessionBinding* session = nullptr,
-                              EncodedRows* deferred = nullptr,
-                              untrusted::VisPrefetch* prefetch = nullptr,
-                              const FanoutParams* fanout = nullptr);
-
-  /// Convenience overload: lowers a bare PlanChoice first (benches and
-  /// tests pin strategy choices without building trees by hand).
-  Result<QueryResult> Execute(const sql::BoundQuery& query,
-                              const plan::PlanChoice& choice,
-                              const MetricSnapshot* baseline = nullptr,
-                              const SessionBinding* session = nullptr);
+                              const MetricSnapshot& baseline,
+                              const SessionBinding& session, EncodedRows* out,
+                              untrusted::VisPrefetch* prefetch,
+                              const FanoutParams* fanout);
 
  private:
   /// The tree-driving body of Execute(); runs with the RAM partition
   /// already switched to the session's.
   Result<QueryResult> ExecuteTree(const sql::BoundQuery& query,
                                   const plan::PhysicalPlan& plan,
-                                  const MetricSnapshot* baseline,
-                                  const SessionBinding* session,
-                                  EncodedRows* deferred,
+                                  const MetricSnapshot& baseline,
+                                  const SessionBinding& session,
+                                  EncodedRows* out,
                                   untrusted::VisPrefetch* prefetch,
                                   const FanoutParams* fanout);
 

@@ -305,8 +305,7 @@ struct ExecContext {
   QueryMetrics* metrics = nullptr;
   PipelineState pipeline;
   /// Column layout of the projection output (one column per SELECT item).
-  /// Points at the cached plan's layout (or driver-owned storage for
-  /// pinned plans); outlives every batch of the query.
+  /// Points at the plan's layout; outlives every batch of the query.
   const BatchLayout* value_layout = nullptr;
   /// Rows per ColumnBatch through the value-level operators, sized by the
   /// planner (SizeBatchRows) from the output row width.

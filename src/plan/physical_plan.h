@@ -64,42 +64,34 @@ struct PhysicalPlan {
   /// Rows per ColumnBatch through the value-space operators, sized by the
   /// planner from the output row width (exec::SizeBatchRows). Derived from
   /// schema widths and the visible query shape only, so caching it is as
-  /// safe as caching the tree. 0 = let the executor size it.
+  /// safe as caching the tree.
   uint32_t batch_rows = 0;
   /// The projection-output column layout the sizing was computed from,
-  /// kept so cached executions don't rebuild it per statement. Empty when
-  /// the plan was lowered without a planner (pinned benches).
+  /// kept so cached executions don't rebuild it per statement.
   exec::BatchLayout value_layout;
   /// Morsel-parallelism degree for host-side value work, stamped by the
   /// planner from ExecConfig::worker_threads. Derived from visible config
   /// only; the executor clamps it to the live pool's width. 0 = use the
   /// pool's full width.
   uint32_t parallelism = 0;
-  /// Scatter-gather root: on a sharded fleet (PlannerConfig::shard_count
-  /// > 1) the subtree at/below the fan-out boundary runs once per shard
-  /// and the tail runs on the gather device over the combined streams.
-  /// Stamped only for queries anchored at the partitioned (root) table —
-  /// every other anchor reads fully replicated tables, so a single shard
-  /// already holds the complete answer. Pure function of the visible query
-  /// shape and config, so it caches with the plan.
-  bool shard_fanout = false;
 
   /// Indented tree rendering (EXPLAIN).
   std::string ToString(const catalog::Schema& schema) const;
 };
 
 /// Lowers `choice` into the operator tree for `query`. Pure function of the
-/// bound query's visible shape and the choice. With `fuse_topk` (the
-/// default; ExecConfig::topk_fusion), a Sort -> Limit k tail becomes one
-/// fused TopKSort node — O(k) secure memory instead of a full materialized
-/// sort. The fusion keys on the *presence* of ORDER BY and LIMIT (shape
+/// bound query's visible shape and the choice. With `fuse_topk`
+/// (ExecConfig::topk_fusion), a Sort -> Limit k tail becomes one fused
+/// TopKSort node — O(k) secure memory instead of a full materialized sort.
+/// The fusion keys on the *presence* of ORDER BY and LIMIT (shape
 /// information); k itself stays a literal the executor re-binds.
 ///
 /// With `pad_volume` (ExecConfig::volume_padding != kOff) a VolumePad node
 /// caps the tree: config is visible information, so padded plans cache
-/// like any other.
+/// like any other. Called only through Planner::LowerPlan, which derives
+/// both flags from the one ExecConfig every plan is lowered under.
 PhysicalPlan BuildPhysicalPlan(const sql::BoundQuery& query,
-                               PlanChoice choice, bool fuse_topk = true,
-                               bool pad_volume = false);
+                               PlanChoice choice, bool fuse_topk,
+                               bool pad_volume);
 
 }  // namespace ghostdb::plan

@@ -116,6 +116,12 @@ Result<PhysicalPlan> Planner::PlanQuery(
     const exec::ExecConfig& exec_config) const {
   GHOSTDB_ASSIGN_OR_RETURN(PlanChoice choice,
                            Choose(query, vis_counts, exec_config));
+  return LowerPlan(query, std::move(choice), exec_config);
+}
+
+PhysicalPlan Planner::LowerPlan(const sql::BoundQuery& query,
+                                PlanChoice choice,
+                                const exec::ExecConfig& exec_config) const {
   PhysicalPlan plan = BuildPhysicalPlan(
       query, std::move(choice), exec_config.topk_fusion,
       exec_config.volume_padding != exec::VolumePadding::kOff);
@@ -126,20 +132,18 @@ Result<PhysicalPlan> Planner::PlanQuery(
   plan.batch_rows = exec::SizeBatchRows(plan.value_layout, exec_config);
   // Parallelism degree: visible config only, so it caches with the plan.
   plan.parallelism = exec_config.worker_threads;
-  // Fleet fan-out: only root-anchored queries read the partitioned table;
-  // every other anchor resolves entirely within one shard's replica.
-  plan.shard_fanout =
-      config_.shard_count > 1 && query.anchor == schema_->root();
   return plan;
+}
+
+bool Planner::FansOut(const sql::BoundQuery& query) const {
+  return config_.shard_count > 1 && query.anchor == schema_->root();
 }
 
 std::string Planner::Explain(
     const sql::BoundQuery& query, const PhysicalPlan& plan,
     const std::map<TableId, uint64_t>& vis_counts) const {
   std::string out = Explain(query, plan.choice, vis_counts);
-  if (plan.batch_rows != 0) {
-    out += "  batch: " + std::to_string(plan.batch_rows) + " rows\n";
-  }
+  out += "  batch: " + std::to_string(plan.batch_rows) + " rows\n";
   out += "  pipeline:\n";
   std::istringstream tree(plan.ToString(*schema_));
   for (std::string line; std::getline(tree, line);) {

@@ -28,8 +28,8 @@ struct PlannerConfig {
   /// (the paper's crossover sits near 0.1; Fig 9/10).
   double pre_filter_threshold = 0.1;
   /// Devices in the fleet (GhostDBConfig::shard_count, stamped by
-  /// core::GhostDB::Build). > 1 makes the planner annotate root-anchored
-  /// plans with a scatter-gather fan-out root (PhysicalPlan::shard_fanout).
+  /// core::GhostDB::Build). > 1 makes root-anchored statements fan out
+  /// (Planner::FansOut).
   uint32_t shard_count = 1;
 };
 
@@ -54,6 +54,22 @@ class Planner {
                                  const std::map<catalog::TableId, uint64_t>&
                                      vis_counts,
                                  const exec::ExecConfig& exec_config) const;
+
+  /// Lowers a decided `choice` (the planner's own, or one a caller pins)
+  /// into the executable plan: the operator tree with top-K fusion and
+  /// volume padding as `exec_config` sets them, the batch layout and
+  /// size, and the parallelism degree. Every plan the engine runs comes
+  /// from here, so a pinned plan is padded exactly like a planned one.
+  PhysicalPlan LowerPlan(const sql::BoundQuery& query, PlanChoice choice,
+                         const exec::ExecConfig& exec_config) const;
+
+  /// True when `query` scatter-gathers across the fleet: the subtree at or
+  /// below the plan's fan-out boundary runs once per shard and the tail
+  /// runs on the coordinator over the combined streams. Only statements
+  /// anchored at the partitioned (root) table fan out — every other anchor
+  /// reads fully replicated tables, so shard 0 alone holds the answer. A
+  /// pure function of the visible query shape and the fleet size.
+  bool FansOut(const sql::BoundQuery& query) const;
 
   /// Estimated combined selectivity of the hidden predicates on tables in
   /// `subtree_root`'s subtree (1.0 when none).

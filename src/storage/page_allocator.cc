@@ -49,7 +49,30 @@ Status PageAllocator::Free(uint32_t first, uint32_t count,
   for (uint32_t p = first; p < first + count; ++p) {
     GHOSTDB_RETURN_NOT_OK(device_->Trim(p));
   }
-  free_list_.emplace_back(first, count);
+  // Keep the free list sorted and coalesced, and hand an extent that ends
+  // at the bump pointer back to fresh space: freed pages must stay usable
+  // by requests larger than the piece that happened to be freed.
+  auto it = free_list_.insert(
+      std::lower_bound(free_list_.begin(), free_list_.end(),
+                       std::make_pair(first, count)),
+      {first, count});
+  auto next = it + 1;
+  if (next != free_list_.end() && it->first + it->second == next->first) {
+    it->second += next->second;
+    free_list_.erase(next);
+  }
+  if (it != free_list_.begin()) {
+    auto prev = it - 1;
+    if (prev->first + prev->second == it->first) {
+      prev->second += it->second;
+      free_list_.erase(it);
+    }
+  }
+  if (!free_list_.empty() &&
+      free_list_.back().first + free_list_.back().second == next_) {
+    next_ = free_list_.back().first;
+    free_list_.pop_back();
+  }
   used_pages_ -= count;
   usage_by_tag_[tag] -= count;
   return Status::OK();

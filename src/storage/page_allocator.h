@@ -47,7 +47,9 @@ class PageAllocator {
   flash::FlashDevice* device_;
   uint32_t limit_;
   uint32_t next_ = 0;  // bump pointer; freed ranges go to the free list
-  std::vector<std::pair<uint32_t, uint32_t>> free_list_;  // (first, count)
+  /// (first, count), sorted by first, no two extents adjacent, none ending
+  /// at next_.
+  std::vector<std::pair<uint32_t, uint32_t>> free_list_;
   uint32_t used_pages_ = 0;
   uint32_t high_water_ = 0;
   std::map<std::string, int64_t> usage_by_tag_;

@@ -683,6 +683,38 @@ TEST(LeakTest, InjectedFaultsAreTranscriptInvariantUnderPaddedModes) {
             0u);
 }
 
+TEST(LeakTest, PinnedPlansArePaddedLikePlannedOnes) {
+  // The volume channel through QueryWithPlan: a pinned plan must be lowered
+  // with the same padding as a planner-chosen one. Under worst-case
+  // padding the observed volume is the visible anchor-row bound — equal
+  // across hidden variants, across fleet sizes, and to the planner's run.
+  const char* sql =
+      "SELECT Fact.id, Dim.v FROM Fact, Dim WHERE Fact.fk = Dim.id AND "
+      "Fact.v < 60 AND Dim.h < 70";
+  for (uint32_t shards : {1u, 2u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    GhostDBConfig cfg = Config();
+    cfg.shard_count = shards;
+    cfg.exec.volume_padding = exec::VolumePadding::kWorstCase;
+    GhostDB db1(cfg), db2(cfg);
+    BuildDb(&db1, /*hidden_seed=*/111);
+    BuildDb(&db2, /*hidden_seed=*/999);
+    auto fact = db1.schema().FindTable("Fact");
+    ASSERT_TRUE(fact.ok());
+    plan::PlanChoice pinned;
+    pinned.vis[*fact] = plan::VisStrategy::kPreFilter;
+    auto p1 = db1.QueryWithPlan(sql, pinned);
+    auto p2 = db2.QueryWithPlan(sql, pinned);
+    auto planned = db1.Query(sql);
+    ASSERT_TRUE(p1.ok()) << p1.status().ToString();
+    ASSERT_TRUE(p2.ok()) << p2.status().ToString();
+    ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+    EXPECT_EQ(p1->metrics.observed_volume, p2->metrics.observed_volume);
+    EXPECT_EQ(p1->metrics.observed_volume, planned->metrics.observed_volume);
+    EXPECT_EQ(p1->metrics.observed_volume, 3000u);  // Fact's row count
+  }
+}
+
 TEST(LeakTest, PerStrategyTranscriptsAreHiddenIndependent) {
   // Pin each strategy explicitly; the property must hold for all of them.
   for (auto strategy :

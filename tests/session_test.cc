@@ -359,10 +359,31 @@ TEST(SessionTest, QueryBatchIsADegenerateSingleSessionSchedule) {
                    std::to_string(4 * i) + " ORDER BY Fact.v LIMIT 3");
   }
   db1.device().channel().ClearTranscript();
+  exec::MetricSnapshot before = exec::MetricSnapshot::Take(&db1.device());
   auto batch = db1.QueryBatch(sqls);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   ASSERT_EQ(batch->results.size(), sqls.size());
   EXPECT_GT(batch->total.plan_cache_hits, 0u);
+  // The batch total is the per-statement sum, and on one device that sum
+  // is exactly the device's own delta over the batch: no device work
+  // happens outside a statement.
+  exec::QueryMetrics device_delta;
+  before.Delta(&db1.device(), &device_delta);
+  EXPECT_EQ(batch->total.total_ns, device_delta.total_ns);
+  EXPECT_EQ(batch->total.categories, device_delta.categories);
+  EXPECT_EQ(batch->total.bytes_to_secure, device_delta.bytes_to_secure);
+  EXPECT_EQ(batch->total.bytes_to_untrusted,
+            device_delta.bytes_to_untrusted);
+  EXPECT_EQ(batch->total.flash.pages_read, device_delta.flash.pages_read);
+  EXPECT_EQ(batch->total.flash.pages_written,
+            device_delta.flash.pages_written);
+  EXPECT_EQ(batch->total.flash.bytes_transferred,
+            device_delta.flash.bytes_transferred);
+  EXPECT_EQ(batch->total.flash.blocks_erased,
+            device_delta.flash.blocks_erased);
+  EXPECT_EQ(batch->total.flash.gc_page_copies,
+            device_delta.flash.gc_page_copies);
+  EXPECT_EQ(batch->total.flash.trims, device_delta.flash.trims);
   // Statement-for-statement identical to the one-at-a-time path.
   for (size_t i = 0; i < sqls.size(); ++i) {
     auto r = db2.Query(sqls[i]);

@@ -66,6 +66,46 @@ TEST_F(StorageTest, AllocatorExhaustion) {
   EXPECT_TRUE(allocator_->Alloc(1, "more").status().IsResourceExhausted());
 }
 
+TEST_F(StorageTest, AllocatorCoalescesFreedNeighbours) {
+  // Fill the device with one-page extents, free them all (out of order),
+  // then ask for the whole device at once: the freed pieces must merge
+  // back into one extent, or the space is lost to fragmentation even
+  // though nothing is live.
+  const uint32_t pages = allocator_->capacity_pages();
+  std::vector<uint32_t> firsts;
+  for (uint32_t i = 0; i < pages; ++i) {
+    auto p = allocator_->Alloc(1, "t");
+    ASSERT_TRUE(p.ok());
+    firsts.push_back(*p);
+  }
+  Rng rng(3);
+  for (size_t i = firsts.size(); i > 1; --i) {
+    std::swap(firsts[i - 1], firsts[rng.Uniform(i)]);
+  }
+  for (uint32_t first : firsts) {
+    ASSERT_TRUE(allocator_->Free(first, 1, "t").ok());
+  }
+  EXPECT_EQ(allocator_->used_pages(), 0u);
+  auto all = allocator_->Alloc(pages, "t");
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_EQ(*all, 0u);
+}
+
+TEST_F(StorageTest, AllocatorReturnsTailToBumpPointer) {
+  // A freed extent that ends at the bump pointer (here, after its interior
+  // neighbour was freed first) folds back into fresh space, so a request
+  // larger than any hole still fits.
+  auto a = allocator_->Alloc(8, "t");
+  auto b = allocator_->Alloc(8, "t");
+  auto c = allocator_->Alloc(8, "t");
+  ASSERT_TRUE(a.ok() && b.ok() && c.ok());
+  ASSERT_TRUE(allocator_->Free(*b, 8, "t").ok());
+  ASSERT_TRUE(allocator_->Free(*c, 8, "t").ok());
+  auto big = allocator_->Alloc(allocator_->capacity_pages() - 8, "t");
+  ASSERT_TRUE(big.ok()) << big.status().ToString();
+  EXPECT_EQ(*big, 8u);
+}
+
 TEST_F(StorageTest, AllocatorFreeTrimsFlash) {
   auto a = allocator_->Alloc(4, "t");
   ASSERT_TRUE(a.ok());
