@@ -1,7 +1,8 @@
 // Wall-clock micro-benchmarks (google-benchmark) of the hot primitives:
-// crypto (AES block, ChaCha20 page, SHA-256), Bloom insert/probe, encoded
-// key comparison, B+-tree page search, RNG, and the SIMD scan kernels
-// against their scalar references. These measure the host implementation,
+// crypto (AES block; ChaCha20, AES-CTR and SHA-256 over a page, each
+// against its crypto::scalar reference), Bloom insert/probe, encoded key
+// comparison, B+-tree page search, RNG, and the SIMD scan kernels against
+// their scalar references. These measure the host implementation,
 // not the simulated device.
 #include <benchmark/benchmark.h>
 
@@ -34,28 +35,69 @@ void BM_AesEncryptBlock(benchmark::State& state) {
 }
 BENCHMARK(BM_AesEncryptBlock);
 
+// The page-sized crypto kernels, dispatched (kSimd) against the
+// crypto::scalar reference bodies. On a build without the extensions both
+// rows run the scalar body.
+constexpr size_t kPageBytes = 2048;
+
+template <bool kSimd>
 void BM_ChaCha20Page(benchmark::State& state) {
   uint8_t key[32] = {7};
   uint8_t nonce[12] = {9};
   crypto::ChaCha20 cipher(key, nonce);
-  std::vector<uint8_t> page(2048, 0xAB);
+  std::vector<uint8_t> page(kPageBytes, 0xAB);
   for (auto _ : state) {
-    cipher.Crypt(page.data(), page.size());
+    if constexpr (kSimd) {
+      cipher.Crypt(page.data(), page.size());
+    } else {
+      crypto::scalar::Crypt(cipher, page.data(), page.size(), 0);
+    }
     benchmark::DoNotOptimize(page.data());
+    benchmark::ClobberMemory();
   }
-  state.SetBytesProcessed(state.iterations() * 2048);
+  state.SetBytesProcessed(state.iterations() * kPageBytes);
 }
-BENCHMARK(BM_ChaCha20Page);
+BENCHMARK(BM_ChaCha20Page<false>)->Name("BM_ChaCha20Page_scalar");
+BENCHMARK(BM_ChaCha20Page<true>)->Name("BM_ChaCha20Page_simd");
 
-void BM_Sha256Page(benchmark::State& state) {
-  std::vector<uint8_t> page(2048, 0x5C);
+template <bool kSimd>
+void BM_AesCtrPage(benchmark::State& state) {
+  uint8_t key[16] = {1, 2, 3};
+  uint8_t nonce[12] = {4, 5, 6};
+  crypto::Aes128Ctr ctr(key, nonce);
+  std::vector<uint8_t> page(kPageBytes, 0x3C);
   for (auto _ : state) {
-    auto digest = crypto::Sha256::Hash(page.data(), page.size());
+    if constexpr (kSimd) {
+      ctr.Crypt(page.data(), page.size());
+    } else {
+      crypto::scalar::Crypt(ctr, page.data(), page.size(), 0);
+    }
+    benchmark::DoNotOptimize(page.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * kPageBytes);
+}
+BENCHMARK(BM_AesCtrPage<false>)->Name("BM_AesCtrPage_scalar");
+BENCHMARK(BM_AesCtrPage<true>)->Name("BM_AesCtrPage_simd");
+
+// The compression function over a page's 32 blocks (Sha256::Hash adds one
+// padding block to this).
+template <bool kSimd>
+void BM_Sha256Page(benchmark::State& state) {
+  std::vector<uint8_t> page(kPageBytes, 0x5C);
+  uint32_t digest[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+  for (auto _ : state) {
+    if constexpr (kSimd) {
+      crypto::Sha256Compress(digest, page.data(), kPageBytes / 64);
+    } else {
+      crypto::scalar::Sha256Compress(digest, page.data(), kPageBytes / 64);
+    }
     benchmark::DoNotOptimize(digest);
   }
-  state.SetBytesProcessed(state.iterations() * 2048);
+  state.SetBytesProcessed(state.iterations() * kPageBytes);
 }
-BENCHMARK(BM_Sha256Page);
+BENCHMARK(BM_Sha256Page<false>)->Name("BM_Sha256Page_scalar");
+BENCHMARK(BM_Sha256Page<true>)->Name("BM_Sha256Page_simd");
 
 void BM_BloomInsert(benchmark::State& state) {
   device::RamManager ram(64 * 1024, 2048);

@@ -1,6 +1,11 @@
 #include "crypto/aes.h"
 
+#include <algorithm>
 #include <cstring>
+
+#if defined(__AES__)
+#include <immintrin.h>
+#endif
 
 namespace ghostdb::crypto {
 
@@ -194,19 +199,85 @@ Aes128Ctr::Aes128Ctr(const uint8_t key[Aes128::kKeySize],
 }
 
 void Aes128Ctr::Crypt(uint8_t* data, size_t len, uint64_t offset) const {
+#if defined(__AES__)
+  __m128i round_keys[Aes128::kRounds + 1];
+  for (int r = 0; r <= Aes128::kRounds; ++r) {
+    round_keys[r] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+        cipher_.round_keys_.data() + r * Aes128::kBlockSize));
+  }
+  int nonce_words[3];
+  std::memcpy(nonce_words, nonce_.data(), sizeof(nonce_words));
+  // Keystream of counter blocks index .. index+N-1 (nonce || 32-bit
+  // big-endian index); the N independent blocks go through the rounds
+  // interleaved, which hides the aesenc latency.
+  auto encrypt = [&]<size_t N>(uint32_t index, __m128i(&b)[N]) {
+#pragma GCC unroll 8
+    for (size_t k = 0; k < N; ++k) {
+      auto counter = __builtin_bswap32(index + static_cast<uint32_t>(k));
+      b[k] = _mm_xor_si128(
+          _mm_set_epi32(static_cast<int>(counter), nonce_words[2],
+                        nonce_words[1], nonce_words[0]),
+          round_keys[0]);
+    }
+#pragma GCC unroll 9
+    for (int r = 1; r < Aes128::kRounds; ++r) {
+#pragma GCC unroll 8
+      for (size_t k = 0; k < N; ++k) {
+        b[k] = _mm_aesenc_si128(b[k], round_keys[r]);
+      }
+    }
+#pragma GCC unroll 8
+    for (size_t k = 0; k < N; ++k) {
+      b[k] = _mm_aesenclast_si128(b[k], round_keys[Aes128::kRounds]);
+    }
+  };
+  constexpr size_t kLanes = 8;
+  constexpr size_t kGroupBytes = kLanes * Aes128::kBlockSize;
+  while (len > 0) {
+    auto index = static_cast<uint32_t>(offset / Aes128::kBlockSize);
+    size_t skip = offset % Aes128::kBlockSize;
+    size_t take;
+    if (skip == 0 && len >= kGroupBytes) {
+      __m128i keystream[kLanes];
+      encrypt(index, keystream);
+      for (size_t k = 0; k < kLanes; ++k) {
+        auto* p = reinterpret_cast<__m128i*>(data + k * Aes128::kBlockSize);
+        _mm_storeu_si128(p, _mm_xor_si128(_mm_loadu_si128(p), keystream[k]));
+      }
+      take = kGroupBytes;
+    } else {
+      __m128i block[1];
+      encrypt(index, block);
+      uint8_t keystream[Aes128::kBlockSize];
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(keystream), block[0]);
+      take = std::min(len, Aes128::kBlockSize - skip);
+      for (size_t i = 0; i < take; ++i) data[i] ^= keystream[skip + i];
+    }
+    data += take;
+    len -= take;
+    offset += take;
+  }
+#else
+  scalar::Crypt(*this, data, len, offset);
+#endif
+}
+
+namespace scalar {
+
+void Crypt(const Aes128Ctr& ctr, uint8_t* data, size_t len, uint64_t offset) {
   uint8_t counter_block[16];
   uint8_t keystream[16];
   uint64_t block_index = offset / 16;
   size_t in_block = offset % 16;
   size_t produced = 0;
   while (produced < len) {
-    std::memcpy(counter_block, nonce_.data(), 12);
+    std::memcpy(counter_block, ctr.nonce_.data(), 12);
     // 32-bit big-endian block counter (NIST SP 800-38A convention).
     counter_block[12] = static_cast<uint8_t>(block_index >> 24);
     counter_block[13] = static_cast<uint8_t>(block_index >> 16);
     counter_block[14] = static_cast<uint8_t>(block_index >> 8);
     counter_block[15] = static_cast<uint8_t>(block_index);
-    cipher_.EncryptBlock(counter_block, keystream);
+    ctr.cipher_.EncryptBlock(counter_block, keystream);
     for (; in_block < 16 && produced < len; ++in_block, ++produced) {
       data[produced] ^= keystream[in_block];
     }
@@ -214,5 +285,7 @@ void Aes128Ctr::Crypt(uint8_t* data, size_t len, uint64_t offset) const {
     ++block_index;
   }
 }
+
+}  // namespace scalar
 
 }  // namespace ghostdb::crypto

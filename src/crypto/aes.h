@@ -5,8 +5,13 @@
 // flash must be encrypted, and Hidden data arrives on the key through a
 // sealed channel (paper section 2.1).
 //
-// This is a straightforward table-free software implementation: clarity and
-// testability over raw speed (the paper's cost model neglects CPU anyway).
+// The block cipher is a straightforward software implementation whose
+// SubBytes step indexes a 256-byte S-box, so its timing depends on the data
+// through the cache. Aes128Ctr, which carries all bulk traffic, dispatches at
+// compile time (see ARCHITECTURE.md, "Crypto kernels"): with __AES__ it runs
+// eight counter blocks interleaved through AES-NI, which is table-free and
+// constant-time; otherwise scalar::Crypt, the portable reference body built
+// on Aes128::EncryptBlock. Both produce the same bytes.
 #pragma once
 
 #include <array>
@@ -16,6 +21,16 @@
 #include "common/status.h"
 
 namespace ghostdb::crypto {
+
+class Aes128Ctr;
+
+namespace scalar {
+
+/// Portable reference body of Aes128Ctr::Crypt: one Aes128::EncryptBlock per
+/// 16-byte counter block.
+void Crypt(const Aes128Ctr& ctr, uint8_t* data, size_t len, uint64_t offset);
+
+}  // namespace scalar
 
 /// \brief AES-128 block cipher. Encrypts/decrypts single 16-byte blocks.
 class Aes128 {
@@ -36,7 +51,9 @@ class Aes128 {
                     uint8_t out[kBlockSize]) const;
 
  private:
-  // Round keys: (kRounds + 1) x 16 bytes.
+  friend class Aes128Ctr;
+
+  // Round keys: (kRounds + 1) x 16 bytes, expanded once in the constructor.
   std::array<uint8_t, (kRounds + 1) * kBlockSize> round_keys_{};
 };
 
@@ -51,9 +68,13 @@ class Aes128Ctr {
 
   /// XORs `len` bytes of keystream into `data` in place, starting at
   /// keystream offset `offset` (so pages can be (de)ciphered independently).
+  /// Byte `offset` lies in counter block `offset / 16`; the 32-bit counter
+  /// wraps.
   void Crypt(uint8_t* data, size_t len, uint64_t offset = 0) const;
 
  private:
+  friend void scalar::Crypt(const Aes128Ctr&, uint8_t*, size_t, uint64_t);
+
   Aes128 cipher_;
   std::array<uint8_t, 12> nonce_{};
 };

@@ -1,6 +1,11 @@
 // SHA-256 (FIPS-180-4) and HMAC-SHA-256 (RFC 2104), from scratch.
-// Used to seal Hidden-data downloads onto the key and to derive the
-// independent hash functions of the Bloom filters.
+// Used to authenticate sealed Hidden-data downloads onto the key and to
+// derive the at-rest flash key.
+//
+// The compression function dispatches at compile time (see ARCHITECTURE.md,
+// "Crypto kernels"): with __SHA__ it runs on the SHA-NI instructions,
+// otherwise on scalar::Sha256Compress, the portable reference body. Both
+// produce the same state.
 #pragma once
 
 #include <array>
@@ -9,6 +14,17 @@
 #include <string>
 
 namespace ghostdb::crypto {
+
+/// FIPS 180-4 compression function: folds `n` consecutive 64-byte `blocks`
+/// into the chaining `state`. Dispatched (SHA-NI when compiled in).
+void Sha256Compress(uint32_t state[8], const uint8_t* blocks, size_t n);
+
+namespace scalar {
+
+/// Portable reference body of Sha256Compress.
+void Sha256Compress(uint32_t state[8], const uint8_t* blocks, size_t n);
+
+}  // namespace scalar
 
 /// \brief Incremental SHA-256 hasher.
 class Sha256 {
@@ -35,8 +51,6 @@ class Sha256 {
   static std::string ToHex(const uint8_t digest[kDigestSize]);
 
  private:
-  void ProcessBlock(const uint8_t block[64]);
-
   uint32_t h_[8];
   uint8_t buffer_[64];
   size_t buffered_ = 0;

@@ -40,7 +40,6 @@ struct FlashDevice::Impl {
   uint32_t frontier_block = kUnmapped;   // block currently being filled
   uint32_t frontier_next = 0;            // next page index within frontier
   uint32_t total_blocks = 0;
-  std::optional<crypto::ChaCha20> cipher;  // built lazily per page via key
   std::optional<std::array<uint8_t, 32>> cipher_key;
 
   uint32_t PagesPerBlock(const FlashConfig& c) const {
@@ -74,6 +73,14 @@ FlashDevice::FlashDevice(FlashConfig config, SimClock* clock)
 }
 
 FlashDevice::~FlashDevice() = default;
+
+const uint8_t* FlashDevice::StoredPage(uint32_t lpn) const {
+  if (lpn >= config_.logical_pages || impl_->l2p[lpn] == kUnmapped) {
+    return nullptr;
+  }
+  return impl_->cells.data() +
+         static_cast<uint64_t>(impl_->l2p[lpn]) * config_.page_size;
+}
 
 uint32_t FlashDevice::max_block_erases() const {
   uint32_t max_erases = 0;
@@ -110,7 +117,7 @@ Status FlashDevice::ReadPage(uint32_t lpn, uint8_t* dst, uint32_t offset,
     return Status::OutOfRange("flash read: logical page " +
                               std::to_string(lpn) + " out of range");
   }
-  if (offset + len > config_.page_size) {
+  if (offset > config_.page_size || len > config_.page_size - offset) {
     return Status::InvalidArgument("flash read crosses page boundary");
   }
   if (injector_ != nullptr) {
@@ -126,36 +133,15 @@ Status FlashDevice::ReadPage(uint32_t lpn, uint8_t* dst, uint32_t offset,
     std::memset(dst, 0, len);
     return Status::OK();
   }
+  std::memcpy(dst,
+              impl_->cells.data() +
+                  static_cast<uint64_t>(ppn) * config_.page_size + offset,
+              len);
   if (impl_->cipher_key.has_value()) {
-    // Decrypt the needed slice only (CTR gives random access).
+    // Decrypt the needed slice only (the stream cipher gives random access).
     uint8_t nonce[12];
     PageNonce(ppn, impl_->page_epoch[ppn], nonce);
-    crypto::ChaCha20 cipher(impl_->cipher_key->data(), nonce);
-    std::memcpy(dst,
-                impl_->cells.data() +
-                    static_cast<uint64_t>(ppn) * config_.page_size + offset,
-                len);
-    // Align to the 64-byte keystream blocks covering [offset, offset+len).
-    uint32_t first_block = offset / crypto::ChaCha20::kBlockSize;
-    uint32_t pre = offset - first_block * crypto::ChaCha20::kBlockSize;
-    if (pre == 0) {
-      cipher.Crypt(dst, len, first_block);
-    } else {
-      // Decrypt a widened window into a scratch buffer.
-      std::vector<uint8_t> scratch(pre + len);
-      std::memcpy(scratch.data(),
-                  impl_->cells.data() +
-                      static_cast<uint64_t>(ppn) * config_.page_size +
-                      first_block * crypto::ChaCha20::kBlockSize,
-                  scratch.size());
-      cipher.Crypt(scratch.data(), scratch.size(), first_block);
-      std::memcpy(dst, scratch.data() + pre, len);
-    }
-  } else {
-    std::memcpy(dst,
-                impl_->cells.data() +
-                    static_cast<uint64_t>(ppn) * config_.page_size + offset,
-                len);
+    crypto::ChaCha20(impl_->cipher_key->data(), nonce).Crypt(dst, len, offset);
   }
   return Status::OK();
 }
@@ -311,8 +297,8 @@ Status FlashDevice::WritePage(uint32_t lpn, const uint8_t* src) {
   if (impl_->cipher_key.has_value()) {
     uint8_t nonce[12];
     PageNonce(ppn, impl_->page_epoch[ppn], nonce);
-    crypto::ChaCha20 cipher(impl_->cipher_key->data(), nonce);
-    cipher.Crypt(cell, config_.page_size, 0);
+    crypto::ChaCha20(impl_->cipher_key->data(), nonce)
+        .Crypt(cell, config_.page_size);
   }
   impl_->page_state[ppn] = PageState::kValid;
   impl_->p2l[ppn] = lpn;

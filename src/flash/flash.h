@@ -92,6 +92,11 @@ class FlashDevice {
   const FlashStats& stats() const { return stats_; }
   SimClock* clock() const { return clock_; }
 
+  /// The bytes logical page `lpn` occupies on the NAND cells (ciphertext when
+  /// a key is configured): what a probe outside the secure perimeter reads.
+  /// Null for an unmapped page. Charges nothing.
+  const uint8_t* StoredPage(uint32_t lpn) const;
+
   /// Number of physical erases of the most-erased block (wear indicator).
   uint32_t max_block_erases() const;
   /// Number of live (mapped) logical pages.

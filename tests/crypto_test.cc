@@ -1,5 +1,7 @@
 // Crypto substrate tests: FIPS-197 / SP 800-38A / FIPS-180-4 / RFC 4231 /
-// RFC 8439 known-answer vectors plus roundtrip and tamper properties.
+// RFC 8439 known-answer vectors, roundtrip and tamper properties, and the
+// dispatched (vector) kernels cross-checked against the crypto::scalar
+// reference bodies on random data.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -205,7 +207,8 @@ TEST(HmacSha256Test, LongKeyIsHashed) {
 // --- ChaCha20 (RFC 8439) ---
 
 TEST(ChaCha20Test, Rfc8439Section231KeystreamViaZeroPlaintext) {
-  // RFC 8439 2.4.2 test vector: sunscreen plaintext, counter starts at 1.
+  // RFC 8439 2.4.2 test vector: sunscreen plaintext, counter starts at 1,
+  // i.e. keystream byte 64.
   auto key = FromHex(
       "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f");
   auto nonce = FromHex("000000000000004a00000000");
@@ -214,7 +217,7 @@ TEST(ChaCha20Test, Rfc8439Section231KeystreamViaZeroPlaintext) {
       "only one tip for the future, sunscreen would be it.";
   std::vector<uint8_t> data(plaintext.begin(), plaintext.end());
   ChaCha20 cipher(key.data(), nonce.data());
-  cipher.Crypt(data.data(), data.size(), /*counter=*/1);
+  cipher.Crypt(data.data(), data.size(), /*offset=*/64);
   EXPECT_EQ(ToHex(std::vector<uint8_t>(data.begin(), data.begin() + 16)),
             "6e2e359a2568f98041ba0728dd0d6981");
   EXPECT_EQ(ToHex(std::vector<uint8_t>(data.end() - 8, data.end())),
@@ -245,6 +248,112 @@ TEST(ChaCha20Test, DistinctNoncesGiveDistinctStreams) {
   ChaCha20(key.data(), n1.data()).Crypt(a.data(), a.size());
   ChaCha20(key.data(), n2.data()).Crypt(b.data(), b.size());
   EXPECT_NE(a, b);
+}
+
+// --- Dispatched kernels vs the crypto::scalar reference bodies ---
+//
+// The known-answer vectors above are at most 114 bytes, so they never reach
+// an 8-block vector step; these sweeps do, at every length and alignment.
+
+std::vector<uint8_t> RandomBytes(Rng& rng, size_t n) {
+  std::vector<uint8_t> out(n);
+  for (auto& b : out) b = static_cast<uint8_t>(rng.Next());
+  return out;
+}
+
+// Lengths 0..1100 plus page multiples up to 8 KiB (and one byte either side).
+std::vector<size_t> SweepLengths() {
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 1100; ++n) lengths.push_back(n);
+  for (size_t n = 2048; n <= 8192; n += 2048) {
+    lengths.insert(lengths.end(), {n - 1, n, n + 1});
+  }
+  return lengths;
+}
+
+// Runs `kernel` and `reference` over the same random bytes at `offset` and
+// expects identical output.
+template <typename Kernel, typename Reference>
+void ExpectSameStream(Kernel kernel, Reference reference, Rng& rng,
+                      size_t len, uint64_t offset) {
+  auto got = RandomBytes(rng, len);
+  auto want = got;
+  kernel(got.data(), got.size(), offset);
+  reference(want.data(), want.size(), offset);
+  ASSERT_EQ(got, want) << "len " << len << " offset " << offset;
+}
+
+TEST(KernelCrossCheckTest, ChaCha20MatchesScalarAtEveryLengthAndOffset) {
+  Rng rng(2024);
+  auto key = RandomBytes(rng, ChaCha20::kKeySize);
+  auto nonce = RandomBytes(rng, ChaCha20::kNonceSize);
+  ChaCha20 cipher(key.data(), nonce.data());
+  auto kernel = [&](uint8_t* d, size_t n, uint64_t off) {
+    cipher.Crypt(d, n, off);
+  };
+  auto reference = [&](uint8_t* d, size_t n, uint64_t off) {
+    scalar::Crypt(cipher, d, n, off);
+  };
+  for (size_t len : SweepLengths()) {
+    ExpectSameStream(kernel, reference, rng, len, 0);
+    ExpectSameStream(kernel, reference, rng, len, rng.Next() % 4096);
+  }
+  // Block counters across the 2^32 wrap, aligned and unaligned.
+  const uint64_t near_wrap = (uint64_t{1} << 32) - 3;
+  for (uint64_t skip : {0, 1, 63}) {
+    ExpectSameStream(kernel, reference, rng, 2048,
+                     near_wrap * ChaCha20::kBlockSize + skip);
+  }
+}
+
+TEST(KernelCrossCheckTest, AesCtrMatchesScalarAtEveryLengthAndOffset) {
+  Rng rng(2025);
+  auto key = RandomBytes(rng, Aes128::kKeySize);
+  auto nonce = RandomBytes(rng, 12);
+  Aes128Ctr ctr(key.data(), nonce.data());
+  auto kernel = [&](uint8_t* d, size_t n, uint64_t off) {
+    ctr.Crypt(d, n, off);
+  };
+  auto reference = [&](uint8_t* d, size_t n, uint64_t off) {
+    scalar::Crypt(ctr, d, n, off);
+  };
+  for (size_t len : SweepLengths()) {
+    ExpectSameStream(kernel, reference, rng, len, 0);
+    ExpectSameStream(kernel, reference, rng, len, rng.Next() % 4096);
+  }
+  const uint64_t near_wrap = (uint64_t{1} << 32) - 3;
+  for (uint64_t skip : {0, 1, 15}) {
+    ExpectSameStream(kernel, reference, rng, 2048,
+                     near_wrap * Aes128::kBlockSize + skip);
+  }
+}
+
+TEST(KernelCrossCheckTest, Sha256CompressMatchesScalar) {
+  Rng rng(2026);
+  for (size_t blocks = 0; blocks <= 33; ++blocks) {
+    auto data = RandomBytes(rng, blocks * 64);
+    uint32_t got[8], want[8];
+    for (int i = 0; i < 8; ++i) got[i] = want[i] = static_cast<uint32_t>(rng.Next());
+    Sha256Compress(got, data.data(), blocks);
+    scalar::Sha256Compress(want, data.data(), blocks);
+    ASSERT_EQ(std::memcmp(got, want, sizeof(got)), 0) << blocks << " blocks";
+  }
+}
+
+TEST(KernelCrossCheckTest, Sha256OneShotMatchesBytewiseAtEveryLength) {
+  // One-shot Update hashes whole blocks straight from the input; feeding
+  // single bytes goes through the buffer every time.
+  Rng rng(2027);
+  for (size_t len : SweepLengths()) {
+    auto data = RandomBytes(rng, len);
+    auto oneshot = Sha256::Hash(data.data(), data.size());
+    Sha256 bytewise;
+    for (uint8_t b : data) bytewise.Update(&b, 1);
+    uint8_t digest[Sha256::kDigestSize];
+    bytewise.Finish(digest);
+    ASSERT_EQ(std::memcmp(digest, oneshot.data(), sizeof(digest)), 0)
+        << "len " << len;
+  }
 }
 
 // --- Sealed channel ---

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/sim_clock.h"
+#include "crypto/chacha20.h"
 #include "flash/flash.h"
 
 namespace ghostdb::flash {
@@ -125,6 +126,20 @@ TEST(FlashTest, OutOfRangeAccessFails) {
   EXPECT_TRUE(dev.ReadFullPage(64, buf.data()).IsOutOfRange());
   EXPECT_TRUE(dev.WritePage(1000, buf.data()).IsOutOfRange());
   EXPECT_TRUE(dev.ReadPage(0, buf.data(), 2000, 100).IsInvalidArgument());
+}
+
+TEST(FlashTest, ReadBoundsCheckDoesNotWrap) {
+  SimClock clock;
+  FlashDevice dev(SmallConfig(), &clock);
+  auto page = PatternPage(2048, 8);
+  ASSERT_TRUE(dev.WritePage(0, page.data()).ok());
+  std::vector<uint8_t> buf(64);
+  // offset + len wraps to 0x10 in 32 bits; the read must still be refused.
+  EXPECT_TRUE(
+      dev.ReadPage(0, buf.data(), 0xFFFFFFF0u, 0x20).IsInvalidArgument());
+  EXPECT_TRUE(dev.ReadPage(0, buf.data(), 2049, 0).IsInvalidArgument());
+  EXPECT_TRUE(dev.ReadPage(0, buf.data(), 2048, 0).ok());
+  EXPECT_EQ(dev.stats().pages_read, 1u);
 }
 
 TEST(FlashTest, GarbageCollectionReclaimsDeadPages) {
@@ -253,6 +268,26 @@ TEST(FlashTest, EncryptedPartialReadsAlign) {
   std::vector<uint8_t> slice(333);
   ASSERT_TRUE(dev.ReadPage(2, slice.data(), 1001, 333).ok());
   EXPECT_EQ(std::memcmp(slice.data(), page.data() + 1001, 333), 0);
+}
+
+TEST(FlashTest, StoredCiphertextMatchesScalarReference) {
+  SimClock clock;
+  auto cfg = SmallConfig();
+  std::array<uint8_t, 32> key{{5, 6, 7, 8}};
+  cfg.cipher_key = key;
+  FlashDevice dev(cfg, &clock);
+  auto page = PatternPage(2048, 77);
+  EXPECT_EQ(dev.StoredPage(0), nullptr);
+  ASSERT_TRUE(dev.WritePage(0, page.data()).ok());
+  // A fresh device programs physical page 0 first, at write epoch 1; the
+  // nonce is ppn (LE32) || epoch (LE32) || 0x67 || 0 0 0.
+  const uint8_t nonce[12] = {0, 0, 0, 0, 1, 0, 0, 0, 0x67, 0, 0, 0};
+  auto expected = page;
+  crypto::scalar::Crypt(crypto::ChaCha20(key.data(), nonce), expected.data(),
+                        expected.size(), 0);
+  ASSERT_NE(dev.StoredPage(0), nullptr);
+  EXPECT_EQ(std::memcmp(dev.StoredPage(0), expected.data(), 2048), 0);
+  EXPECT_NE(expected, page);
 }
 
 TEST(FlashTest, EncryptedDataSurvivesGc) {
