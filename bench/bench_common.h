@@ -122,8 +122,8 @@ class JsonReporter {
   bool enabled() const { return !path_.empty(); }
 
   /// One measurement: wall-clock, simulated cost, and the observable
-  /// flash/spill counters of `m`. `status` is "ok" unless the run was
-  /// expected to fail (e.g. the no-spill baseline hitting its budget).
+  /// flash/spill counters of `m`. `status` is "ok" unless the run failed
+  /// (the bench then records empty metrics).
   void Record(const std::string& name, double wall_ms, double sim_seconds,
               const exec::QueryMetrics& m,
               const std::string& status = "ok") {

@@ -1,22 +1,21 @@
-// Grouped aggregation, measured across the GroupAggregateOp regimes over
-// the same data and GROUP BY workload:
+// Grouped aggregation, measured across the HashGroupOp regimes over the
+// same data and GROUP BY workload:
 //
 //   hash         — the group table fits the relational-tail budget (the
 //                  streaming hash path end to end)
 //   spilling     — a 1-buffer budget freezes the hash table almost
 //                  immediately; new groups reroute through sort-based
 //                  grouping on flash
-//   no-spill     — the same tiny budget with spilling disabled: can only
-//                  fail (ResourceExhausted) where the reroute completes
 //   grouped topk — ORDER BY SUM(..) DESC LIMIT k over the grouped output
 //                  (group spill feeding the fused top-K)
-//   whole-result — the ungrouped Aggregate baseline over the same rows
+//   whole-result — the keyless aggregate baseline over the same rows
 //
 // Wall-clock is real host time (grouping is host-side secure compute);
 // simulated seconds add the device I/O model (group-spill flash traffic
 // shows up here). `--smoke` shrinks the data for CI; `--json FILE` emits
 // the machine-readable results CI uploads as a BENCH_*.json trajectory
-// artifact.
+// artifact. Every case must succeed: a failed one is recorded as "error"
+// and the bench exits nonzero.
 #include <chrono>
 #include <cstdio>
 
@@ -30,11 +29,10 @@ using ghostdb::catalog::Value;
 using ghostdb::core::GhostDB;
 using ghostdb::core::GhostDBConfig;
 
-GhostDBConfig MakeConfig(uint32_t budget_buffers, bool spill_enabled) {
+GhostDBConfig MakeConfig(uint32_t budget_buffers) {
   GhostDBConfig cfg;
   cfg.device.flash.logical_pages = 64 * 1024;
   cfg.exec.sort_budget_buffers = budget_buffers;
-  cfg.exec.spill_enabled = spill_enabled;
   cfg.exec.result_row_limit = 4;  // results stay on the secure display
   return cfg;
 }
@@ -103,32 +101,30 @@ int main(int argc, char** argv) {
   struct Case {
     const char* name;
     uint32_t budget;
-    bool spill;
     const std::string* sql;
   };
   const Case cases[] = {
-      {"group_hash", 4096, true, &kGroupSql},
-      {"group_spilling_1buf", 1, true, &kGroupSql},
-      {"group_no_spill_1buf", 1, false, &kGroupSql},
-      {"group_topk_sum_desc", 4096, true, &kTopKSql},
-      {"group_topk_spilling_1buf", 1, true, &kTopKSql},
-      {"whole_result_aggregate", 4096, true, &kUngroupedSql},
+      {"group_hash", 4096, &kGroupSql},
+      {"group_spilling_1buf", 1, &kGroupSql},
+      {"group_topk_sum_desc", 4096, &kTopKSql},
+      {"group_topk_spilling_1buf", 1, &kTopKSql},
+      {"whole_result_aggregate", 4096, &kUngroupedSql},
   };
 
   std::printf("%-26s %12s %12s %10s %10s\n", "case", "wall_ms", "sim_s",
               "groups", "spills");
   double hash_ms = 0, spill_ms = 0;
+  int failed = 0;
   for (const Case& c : cases) {
-    GhostDB db(MakeConfig(c.budget, c.spill));
+    GhostDB db(MakeConfig(c.budget));
     BuildTable(&db, rows, groups);
     Timed t = Run(&db, *c.sql);
     if (!t.result.ok()) {
       std::printf("%-26s %12.2f %12s %10s %10s  (%s)\n", c.name, t.wall_ms,
                   "-", "-", "-", t.result.status().ToString().c_str());
       json.Record(c.name, t.wall_ms, 0.0, ghostdb::exec::QueryMetrics{},
-                  t.result.status().IsResourceExhausted()
-                      ? "resource_exhausted"
-                      : "error");
+                  "error");
+      failed += 1;
       continue;
     }
     const auto& m = t.result->metrics;
@@ -141,8 +137,12 @@ int main(int argc, char** argv) {
     if (std::string(c.name) == "group_spilling_1buf") spill_ms = t.wall_ms;
   }
   if (hash_ms > 0 && spill_ms > 0) {
-    std::printf("\nhash vs forced-spill wall-clock: %.2fx (spill completes "
-                "where no-spill fails)\n", spill_ms / hash_ms);
+    std::printf("\nhash vs forced-spill wall-clock: %.2fx\n",
+                spill_ms / hash_ms);
+  }
+  if (failed > 0) {
+    std::fprintf(stderr, "%d case(s) failed\n", failed);
+    return 1;
   }
   json.Write();
   return 0;

@@ -28,7 +28,7 @@ std::string_view AggFuncName(AggFunc f);
 /// (SUM/AVG/MIN/MAX). GhostDB has no NULLs, so instead of SQL's NULL row
 /// an aggregate query whose input is empty yields an *empty result* when
 /// any such aggregate is selected; COUNT-only selects still yield their
-/// zero row. The engine (AggregateOp / GroupAggregateOp) and the reference
+/// zero row. The engine (HashGroupOp, per group) and the reference
 /// oracle both enforce this through the check here.
 bool AggRequiresInput(AggFunc f);
 

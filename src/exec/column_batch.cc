@@ -48,14 +48,6 @@ void ColumnBatch::AppendCellKey(size_t c, uint32_t physical_row,
   out->append(reinterpret_cast<const char*>(src), layout->cols[c].width);
 }
 
-void ColumnBatch::RowKey(uint32_t physical_row, std::string* out) const {
-  out->clear();
-  out->reserve(layout->row_width);
-  for (size_t c = 0; c < layout->cols.size(); ++c) {
-    AppendCellKey(c, physical_row, out);
-  }
-}
-
 uint32_t SizeBatchRows(const BatchLayout& layout, const ExecConfig& config) {
   uint32_t width = std::max<uint32_t>(layout.row_width, 1);
   uint64_t rows = config.batch_bytes / width;

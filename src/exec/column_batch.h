@@ -2,8 +2,8 @@
 // (Project upward). A ColumnBatch holds one fixed-width encoded byte
 // column per output column — the same encodings catalog::Value::Encode
 // produces on flash — plus a selection vector, so filtering operators
-// (Distinct, Limit) drop rows without copying and comparison-heavy
-// operators (Sort, Distinct) work on encoded bytes via
+// (HashGroup, Limit) drop rows without copying and comparison-heavy
+// operators (Sort, HashGroup) work on encoded bytes via
 // catalog::CompareEncoded instead of materializing a Value per cell.
 //
 // Values are decoded exactly once, at the secure rendering surface
@@ -34,7 +34,7 @@ struct BatchColumn {
 
 /// \brief The column layout of one value-operator edge. Layouts are owned
 /// by whoever defines the edge (ExecContext for the projection output,
-/// AggregateOp for its aggregate row) and outlive the batches that point
+/// HashGroupOp for its group rows) and outlive the batches that point
 /// at them.
 struct BatchLayout {
   std::vector<BatchColumn> cols;
@@ -47,7 +47,7 @@ struct BatchLayout {
 
   /// Layout of the projection output: one column per SELECT item, carrying
   /// the item's source column encoding (aggregate items carry their input
-  /// column; AggregateOp re-layouts above). Surrogate ids are INT/4.
+  /// column; HashGroupOp re-layouts above). Surrogate ids are INT/4.
   static BatchLayout Projection(const catalog::Schema& schema,
                                 const sql::BoundQuery& query);
 };
@@ -57,7 +57,7 @@ struct BatchLayout {
 /// `rows` physical rows are stored per column; the live rows — the ones the
 /// batch logically carries, in stream order — are all physical rows unless
 /// `has_selection`, in which case `selection` lists their physical indexes
-/// (Sort emits a sorted permutation this way; Distinct/Limit emit subsets).
+/// (streamed groups and Limit emit subsets this way).
 /// A batch carrying neither live nor skipped rows signals end of stream.
 struct ColumnBatch {
   const BatchLayout* layout = nullptr;
@@ -120,11 +120,8 @@ struct ColumnBatch {
   /// equality of the appended bytes coincides with Value equality: strings
   /// are space-padded, integers are bijective, and double zeros are
   /// canonicalized here (-0.0 == 0.0 with distinct bit patterns). The
-  /// building block of RowKey and GroupAggregateOp's group keys.
+  /// building block of HashGroupOp's group keys.
   void AppendCellKey(size_t c, uint32_t physical_row, std::string* out) const;
-  /// Concatenated canonical encoded bytes of one physical row — the
-  /// DISTINCT key.
-  void RowKey(uint32_t physical_row, std::string* out) const;
 };
 
 /// Rows per ColumnBatch for `layout` under `config`: the byte budget

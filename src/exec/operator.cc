@@ -155,16 +155,12 @@ Result<std::unique_ptr<Operator>> BuildNode(ExecContext* ctx,
        node.op == plan::PhysicalOp::kBruteForceProject)) {
     return std::unique_ptr<Operator>(std::make_unique<GatherSourceOp>(ctx));
   }
-  bool gather_agg_leaf = ctx->gather_partials != nullptr &&
-                         (node.op == plan::PhysicalOp::kAggregate ||
-                          node.op == plan::PhysicalOp::kGroupAggregate);
-  std::vector<std::unique_ptr<Operator>> kids;
-  if (gather_agg_leaf) {
-    if (node.op == plan::PhysicalOp::kAggregate) {
-      return std::unique_ptr<Operator>(std::make_unique<AggregateOp>(ctx));
-    }
-    return std::unique_ptr<Operator>(std::make_unique<GroupAggregateOp>(ctx));
+  if (ctx->gather_partials != nullptr &&
+      (node.op == plan::PhysicalOp::kAggregate ||
+       node.op == plan::PhysicalOp::kGroupAggregate)) {
+    return std::unique_ptr<Operator>(std::make_unique<HashGroupOp>(ctx));
   }
+  std::vector<std::unique_ptr<Operator>> kids;
   for (int c : node.children) {
     GHOSTDB_ASSIGN_OR_RETURN(std::unique_ptr<Operator> kid,
                              BuildNode(ctx, plan, c));
@@ -204,21 +200,19 @@ Result<std::unique_ptr<Operator>> BuildNode(ExecContext* ctx,
       op = std::make_unique<BruteForceProjectOp>(ctx);
       break;
     case plan::PhysicalOp::kAggregate:
-      op = std::make_unique<AggregateOp>(ctx);
-      break;
     case plan::PhysicalOp::kGroupAggregate:
-      op = std::make_unique<GroupAggregateOp>(ctx);
-      break;
     case plan::PhysicalOp::kDistinct:
-      op = std::make_unique<DistinctOp>(ctx);
+      // One grouping operator: the select items' agg markers decide keys
+      // versus aggregates (DISTINCT: all keys; whole-result: no keys).
+      op = std::make_unique<HashGroupOp>(ctx);
       break;
     case plan::PhysicalOp::kSort:
-      op = std::make_unique<SortOp>(ctx);
+      op = std::make_unique<SortOp>(ctx, std::nullopt);
       break;
     case plan::PhysicalOp::kTopKSort:
       // Like kLimit, k is a literal the cached (shape-keyed) plan
       // normalizes away — take it from the live bound query.
-      op = std::make_unique<TopKSortOp>(
+      op = std::make_unique<SortOp>(
           ctx, ctx->query->limit.value_or(node.limit));
       break;
     case plan::PhysicalOp::kLimit:

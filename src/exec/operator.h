@@ -12,8 +12,8 @@
 //    it multiple times, so it cannot be pulled value-at-a-time. Merge
 //    pushes ids into SJoin through a sink, exactly the paper's pipelined
 //    Merge -> SJoin -> ProbeBF -> Store composition.
-//  * From the projection upward (Project/BruteForceProject, Aggregate,
-//    Distinct, Sort, Limit) operators exchange columnar ColumnBatches
+//  * From the projection upward (Project/BruteForceProject, HashGroup,
+//    Sort, Limit) operators exchange columnar ColumnBatches
 //    (column_batch.h) via pull (Next()), which is where ORDER BY / LIMIT /
 //    DISTINCT and aggregation plug in. Cells stay in their fixed-width
 //    flash encodings end to end; Values are decoded once, at the secure
@@ -102,18 +102,13 @@ struct ExecConfig {
   size_t batch_bytes = 64 * 1024;
   uint32_t min_batch_rows = 16;
   uint32_t max_batch_rows = 4096;
-  /// Working-set budget of the blocking relational tail (Sort, Distinct,
-  /// top-K), in device buffers. 0 = derive from the session's RAM
+  /// Working-set budget of the blocking relational tail (grouping and
+  /// sort), in device buffers. 0 = derive from the session's RAM
   /// partition (its pledged quota, or the shared reserve when the session
   /// pledged none) — visible inputs only, so the budget is cacheable.
+  /// Past it the tail spills sorted runs to flash and streams the merge.
   /// Tests and benches set tiny values to force the spill paths.
   uint32_t sort_budget_buffers = 0;
-  /// Past the budget: spill sorted runs to flash and stream the merge
-  /// (true), or fail with ResourceExhausted (false — the pre-spill
-  /// behavior, kept for comparison benches and tests).
-  bool spill_enabled = true;
-  /// Planner rewrite: fuse Sort -> Limit k into a bounded top-K heap.
-  bool topk_fusion = true;
   /// Parallelism degree for morsel-driven host-side work (visible scans,
   /// spill-generation sorts, batch key extraction). 0 = inherit the
   /// database-wide GhostDBConfig::worker_threads (stamped by
@@ -311,9 +306,9 @@ struct ExecContext {
   /// planner (SizeBatchRows) from the output row width.
   uint32_t batch_rows = 256;
   /// Byte budget for the blocking relational tail's secure working set
-  /// (Sort/Distinct/top-K). Derived by the executor from ExecConfig and
+  /// (HashGroupOp, SortOp). Derived by the executor from ExecConfig and
   /// the session's RAM partition — a pure function of visible inputs.
-  /// Exceeding it spills (spill_enabled) or fails.
+  /// Exceeding it spills sorted runs to flash.
   size_t sort_budget_bytes = SIZE_MAX;
   /// How many materialized rows the consumer can use. When the plan has no
   /// value-level operators above the projection, the driver caps this at
@@ -339,12 +334,12 @@ struct ExecContext {
   /// gather phase can k-way merge per-shard streams back into the exact
   /// single-device global order.
   bool emit_row_seq = false;
-  /// Scatter-shard aggregate mode: the (Group)Aggregate operator dumps its
-  /// local groups here instead of rendering output rows (set only on
-  /// scatter runs of aggregate plans).
+  /// Scatter-shard aggregate mode: the grouping operator (HashGroupOp)
+  /// dumps its local groups here instead of rendering output rows (set
+  /// only on scatter runs of aggregate plans).
   std::vector<PartialAggGroup>* partials_out = nullptr;
   /// Gather mode, aggregate plans: combined cross-shard partial groups
-  /// (ordered by first_seq) that seed the (Group)Aggregate operator in
+  /// (ordered by first_seq) that seed the grouping operator in
   /// place of child input — no children are built below it.
   const std::vector<PartialAggGroup>* gather_partials = nullptr;
   /// Gather mode, row plans: the seq-merged union of per-shard projection

@@ -277,9 +277,10 @@ Status ProjectOp::Open() {
     if (!anchor_hid_cols_.empty()) needed += 1;
     if (needed > ram.free_buffers()) {
       for (auto& mt : mjoin_) {
-        GHOSTDB_RETURN_NOT_OK(MergeRowRuns(
+        GHOSTDB_RETURN_NOT_OK(MergeRowRunsBy(
             &ctx_->flash(), &ram, ctx_->allocator, &mt.pass_runs,
-            mt.out_width, 1, "project-out"));
+            mt.out_width, 1, "project-out", RowComparator::LeadingU32(),
+            /*drop_key_duplicates=*/false));
       }
     }
   }

@@ -65,16 +65,16 @@ void AppendSpillRow(ColumnBatch* out, const std::vector<uint32_t>& offsets,
   out->CommitRow();
 }
 
-/// Morsel-parallel canonical-key extraction for the hash phases of
-/// Distinct/GroupAggregate: keys of every live row land in index-addressed
-/// slots of `keys` (reused across batches), computed across the pool.
-/// `key_items` selects the key columns (null = whole row). The fold loop
-/// that consumes the keys stays sequential — the spill-trip row, the
-/// first-arrival group order, and the FP accumulation order are observable
-/// contract, so only this pure per-row compute may fan out.
+/// Morsel-parallel canonical-key extraction for HashGroupOp's hash phase:
+/// the concatenated canonical key cells (`key_items`) of every live row
+/// land in index-addressed slots of `keys` (reused across batches),
+/// computed across the pool. The fold loop that consumes the keys stays
+/// sequential — the spill-trip row, the first-arrival group order, and the
+/// FP accumulation order are observable contract, so only this pure
+/// per-row compute may fan out.
 GHOSTDB_HOST_COMPUTE void ExtractKeys(ExecContext* ctx,
                                       const ColumnBatch& batch,
-                                      const std::vector<size_t>* key_items,
+                                      const std::vector<size_t>& key_items,
                                       std::vector<std::string>* keys) {
   size_t n = batch.live();
   keys->resize(n);
@@ -83,11 +83,7 @@ GHOSTDB_HOST_COMPUTE void ExtractKeys(ExecContext* ctx,
       std::string& key = (*keys)[r];
       key.clear();
       uint32_t row = batch.row_at(r);
-      if (key_items == nullptr) {
-        batch.RowKey(row, &key);
-      } else {
-        for (size_t i : *key_items) batch.AppendCellKey(i, row, &key);
-      }
+      for (size_t i : key_items) batch.AppendCellKey(i, row, &key);
     }
   };
   constexpr uint64_t kKeyGrain = 256;
@@ -111,30 +107,6 @@ void AppendCanonicalCellKey(catalog::DataType type, uint32_t width,
     return;
   }
   out->append(reinterpret_cast<const char*>(src), width);
-}
-
-/// Row width of the batches a tail operator (Sort/Distinct/TopK) consumes:
-/// the (group-)aggregate output width when the plan aggregates below the
-/// tail, else the projection's value layout. A pure function of the
-/// visible query shape — the strict spill-run padding passes must size
-/// their dummy rows from this, never from a live batch, or the padding
-/// itself would become hidden-dependent (an empty hidden-filtered stream
-/// binds no live layout).
-uint32_t TailInputRowWidth(const ExecContext* ctx) {
-  const sql::BoundQuery& q = *ctx->query;
-  if (!q.HasAggregates()) return ctx->value_layout->row_width;
-  uint32_t width = 0;
-  for (size_t i = 0; i < q.select.size(); ++i) {
-    const BatchColumn& in = ctx->value_layout->cols[i];
-    if (q.select[i].agg == AggFunc::kNone) {
-      width += in.width;
-      continue;
-    }
-    Aggregator probe(q.select[i].agg, in.type, in.width);
-    catalog::DataType out_type = probe.OutputType();
-    width += out_type == in.type ? in.width : catalog::FixedWidth(out_type);
-  }
-  return width;
 }
 
 }  // namespace
@@ -175,89 +147,12 @@ Result<ColumnBatch> GatherSourceOp::Next() {
 }
 
 // ---------------------------------------------------------------------------
-// AggregateOp
-// ---------------------------------------------------------------------------
-
-Status AggregateOp::Open() {
-  GHOSTDB_RETURN_NOT_OK(Operator::Open());
-  const BatchLayout& in = *ctx_->value_layout;
-  for (size_t i = 0; i < ctx_->query->select.size(); ++i) {
-    const auto& item = ctx_->query->select[i];
-    aggregators_.emplace_back(item.agg, in.cols[i].type, in.cols[i].width);
-    catalog::DataType out_type = aggregators_.back().OutputType();
-    // MIN/MAX keep the input encoding (strings keep their declared width);
-    // COUNT/SUM/AVG emit fixed numerics.
-    uint32_t out_width = out_type == in.cols[i].type
-                             ? in.cols[i].width
-                             : catalog::FixedWidth(out_type);
-    out_layout_.Add(out_type, out_width);
-  }
-  return Status::OK();
-}
-
-Result<ColumnBatch> AggregateOp::Next() {
-  if (done_) return ColumnBatch{};
-  const auto& select = ctx_->query->select;
-  if (ctx_->gather_partials != nullptr) {
-    // Gather leg of a sharded aggregate: this op was built childless; its
-    // input is the shard accumulators, merged exactly (ExactDoubleSum
-    // makes double sums independent of the partition).
-    for (const PartialAggGroup& pg : *ctx_->gather_partials) {
-      for (size_t i = 0; i < aggregators_.size(); ++i) {
-        GHOSTDB_RETURN_NOT_OK(aggregators_[i].MergeFrom(pg.aggs[i]));
-      }
-    }
-  } else {
-    while (true) {
-      GHOSTDB_ASSIGN_OR_RETURN(ColumnBatch batch, child()->Next());
-      if (batch.empty()) break;
-      for (size_t r = 0; r < batch.live(); ++r) {
-        uint32_t row = batch.row_at(r);
-        for (size_t i = 0; i < select.size(); ++i) {
-          if (select[i].agg == AggFunc::kCountStar) {
-            aggregators_[i].AccumulateRow();
-          } else {
-            GHOSTDB_RETURN_NOT_OK(
-                aggregators_[i].AccumulateEncoded(batch.cell(i, row)));
-          }
-        }
-      }
-    }
-  }
-  done_ = true;
-  if (ctx_->partials_out != nullptr) {
-    // Scatter leg: ship the local accumulators; the empty-input rule below
-    // must apply to the *merged* count at gather, never to one shard's.
-    PartialAggGroup pg;
-    pg.aggs = std::move(aggregators_);
-    ctx_->partials_out->push_back(std::move(pg));
-    return ColumnBatch{};
-  }
-  // GhostDB has no NULLs, so SQL's "one row of NULLs" for value aggregates
-  // over an empty input becomes an empty result instead: SUM/AVG/MIN/MAX
-  // with nothing to fold emit no row (COUNT-only selects keep their zero
-  // row). The reference oracle enforces the same rule.
-  for (size_t i = 0; i < aggregators_.size(); ++i) {
-    if (AggRequiresInput(select[i].agg) && !aggregators_[i].has_input()) {
-      return ColumnBatch{};
-    }
-  }
-  ColumnBatch out = ColumnBatch::Make(&out_layout_, 1);
-  for (size_t i = 0; i < aggregators_.size(); ++i) {
-    GHOSTDB_ASSIGN_OR_RETURN(Value v, aggregators_[i].Finish());
-    v.Encode(out.AppendCell(i), out_layout_.cols[i].width);
-  }
-  out.CommitRow();
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// GroupAggregateOp
+// HashGroupOp
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// Budget estimate for one resident hash group: the canonical map key plus
+/// Budget estimate for one held hash group: the canonical map key plus
 /// the raw key cells (both key_width bytes), the accumulators, and a fixed
 /// container overhead. A pure function of the visible query shape.
 size_t GroupBytes(size_t key_width, size_t agg_count) {
@@ -266,25 +161,31 @@ size_t GroupBytes(size_t key_width, size_t agg_count) {
 
 }  // namespace
 
-Status GroupAggregateOp::Open() {
+BatchLayout HashGroupOp::OutputLayout(const sql::BoundQuery& query,
+                                      const BatchLayout& in) {
+  BatchLayout out;
+  for (size_t i = 0; i < query.select.size(); ++i) {
+    const BatchColumn& col = in.cols[i];
+    if (query.select[i].agg == AggFunc::kNone) {
+      out.Add(col.type, col.width);
+      continue;
+    }
+    catalog::DataType type =
+        Aggregator(query.select[i].agg, col.type, col.width).OutputType();
+    out.Add(type, type == col.type ? col.width : catalog::FixedWidth(type));
+  }
+  return out;
+}
+
+Status HashGroupOp::Open() {
   GHOSTDB_RETURN_NOT_OK(Operator::Open());
   in_layout_ = ctx_->value_layout;
-  in_offsets_ = ColumnOffsets(*in_layout_);
   const auto& select = ctx_->query->select;
   for (size_t i = 0; i < select.size(); ++i) {
-    const BatchColumn& in = in_layout_->cols[i];
-    if (select[i].agg == AggFunc::kNone) {
-      key_items_.push_back(i);
-      out_layout_.Add(in.type, in.width);
-    } else {
-      agg_items_.push_back(i);
-      Aggregator probe(select[i].agg, in.type, in.width);
-      catalog::DataType out_type = probe.OutputType();
-      uint32_t out_width = out_type == in.type ? in.width
-                                               : catalog::FixedWidth(out_type);
-      out_layout_.Add(out_type, out_width);
-    }
+    (select[i].agg == AggFunc::kNone ? key_items_ : agg_items_).push_back(i);
   }
+  streaming_ = agg_items_.empty() && ctx_->partials_out == nullptr;
+  out_layout_ = OutputLayout(*ctx_->query, *in_layout_);
   out_offsets_ = ColumnOffsets(out_layout_);
   // Partial spill-row layout: key cells, then each aggregate's encoded
   // partial state, then the arrival sequence. All widths are pure
@@ -310,10 +211,17 @@ Status GroupAggregateOp::Open() {
                     in_layout_->cols[i].width, false});
   }
   key_cmp_ = RowComparator::ByKeys(std::move(keys), spill_seq_offset_);
+  // No keys: the one group exists from the start, so rows fold straight
+  // into it and an empty input still has a group to judge.
+  if (key_items_.empty()) {
+    Group g;
+    g.aggs = MakeAggregators();
+    groups_.push_back(std::move(g));
+  }
   return Status::OK();
 }
 
-std::vector<Aggregator> GroupAggregateOp::MakeAggregators() const {
+std::vector<Aggregator> HashGroupOp::MakeAggregators() const {
   std::vector<Aggregator> aggs;
   aggs.reserve(agg_items_.size());
   for (size_t i : agg_items_) {
@@ -323,8 +231,8 @@ std::vector<Aggregator> GroupAggregateOp::MakeAggregators() const {
   return aggs;
 }
 
-Status GroupAggregateOp::AccumulateInto(Group* g, const ColumnBatch& batch,
-                                        uint32_t row) {
+Status HashGroupOp::AccumulateInto(Group* g, const ColumnBatch& batch,
+                                   uint32_t row) {
   for (size_t j = 0; j < agg_items_.size(); ++j) {
     size_t i = agg_items_[j];
     if (ctx_->query->select[i].agg == AggFunc::kCountStar) {
@@ -336,26 +244,85 @@ Status GroupAggregateOp::AccumulateInto(Group* g, const ColumnBatch& batch,
   return Status::OK();
 }
 
-Status GroupAggregateOp::StartSpill() {
+Status HashGroupOp::Absorb(const ColumnBatch& batch,
+                           std::vector<uint32_t>* fresh) {
+  // Keys precomputed morsel-parallel; the fold below is sequential so the
+  // budget trips at the exact same row for every thread count.
+  ExtractKeys(ctx_, batch, key_items_, &key_scratch_);
+  for (size_t r = 0; r < batch.live(); ++r) {
+    uint32_t row = batch.row_at(r);
+    // Scatter runs stamp the global anchor id per row; it replaces the
+    // local counter so group first-arrival order merges globally.
+    uint64_t seq = !batch.seqs.empty() ? batch.seqs[row] : seq_++;
+    const std::string& key = key_scratch_[r];
+    // Known groups — frozen or not — keep folding in place: no new memory
+    // either way. A streamed group has nothing left to fold.
+    auto it = index_.find(std::string_view(key));
+    if (it != index_.end()) {
+      if (!streaming_) {
+        GHOSTDB_RETURN_NOT_OK(
+            AccumulateInto(&groups_[it->second], batch, row));
+      }
+      continue;
+    }
+    if (!spilling_) {
+      size_t bytes = streaming_ ? key.size()
+                                : GroupBytes(key.size(), agg_items_.size());
+      if (table_bytes_ + bytes <= ctx_->sort_budget_bytes) {
+        table_bytes_ += bytes;
+        index_.emplace(key, groups_.size());  // only new keys allocate
+        if (streaming_) {
+          // The group is complete: its first row leaves now, only its key
+          // stays resident.
+          fresh->push_back(row);
+          continue;
+        }
+        Group g;
+        g.key_cells.reserve(key.size());
+        for (size_t i : key_items_) {
+          const uint8_t* src = batch.cell(i, row);
+          g.key_cells.insert(g.key_cells.end(), src,
+                             src + in_layout_->cols[i].width);
+        }
+        g.aggs = MakeAggregators();
+        g.first_seq = seq;
+        GHOSTDB_RETURN_NOT_OK(AccumulateInto(&g, batch, row));
+        groups_.push_back(std::move(g));
+        continue;
+      }
+      StartSpill();
+    }
+    // A new group past the budget: reroute the row through sort-based
+    // grouping as a single-row partial.
+    GHOSTDB_RETURN_NOT_OK(PackPartialRow(batch, row, seq));
+    GHOSTDB_RETURN_NOT_OK(by_key_->Add(row_buf_.data()));
+  }
+  return Status::OK();
+}
+
+void HashGroupOp::StartSpill() {
   // Phase A clusters rows of one group adjacently (key cells ascending;
   // CompareEncoded makes ±0.0 doubles one group, matching the canonical
   // hash key) with arrival ties, so each group's partials fold in arrival
   // order and the group's first row (whose raw key cells the output shows,
-  // and whose sequence the group keeps) pops first. The sorter folds
-  // key-equal rows at run-write time, so each spill run holds at most one
-  // partial row per group — spill volume scales with distinct groups, not
-  // input rows.
+  // and whose sequence the group keeps) pops first. The sorter collapses
+  // key-equal rows at run-write time — dropping later arrivals when there
+  // is no aggregate state, folding their partials otherwise — so each
+  // spill run holds at most one row per group: spill volume scales with
+  // distinct groups, not input rows.
   by_key_ = std::make_unique<ExternalRowSorter>(
       ctx_, spill_stride_, key_cmp_, BudgetRows(ctx_, spill_stride_),
-      /*drop_key_duplicates=*/false, "group-spill");
-  by_key_->set_fold([this](uint8_t* acc, const uint8_t* row) {
-    return FoldPartialRow(acc, row);
-  });
-  return Status::OK();
+      /*drop_key_duplicates=*/agg_items_.empty(), "group-spill");
+  if (!agg_items_.empty()) {
+    by_key_->set_fold([this](uint8_t* acc, const uint8_t* row) {
+      return FoldPartialRow(acc, row);
+    });
+  }
+  spilling_ = true;
 }
 
-Status GroupAggregateOp::PackPartialRow(const ColumnBatch& batch,
-                                        uint32_t row, uint64_t seq) {
+Status HashGroupOp::PackPartialRow(const ColumnBatch& batch, uint32_t row,
+                                   uint64_t seq) {
   for (size_t k = 0; k < key_items_.size(); ++k) {
     size_t i = key_items_[k];
     std::memcpy(row_buf_.data() + spill_key_offsets_[k], batch.cell(i, row),
@@ -376,7 +343,7 @@ Status GroupAggregateOp::PackPartialRow(const ColumnBatch& batch,
   return Status::OK();
 }
 
-Status GroupAggregateOp::FoldPartialRow(uint8_t* acc, const uint8_t* row) {
+Status HashGroupOp::FoldPartialRow(uint8_t* acc, const uint8_t* row) {
   for (size_t j = 0; j < agg_items_.size(); ++j) {
     size_t i = agg_items_[j];
     Aggregator a(ctx_->query->select[i].agg, in_layout_->cols[i].type,
@@ -388,7 +355,27 @@ Status GroupAggregateOp::FoldPartialRow(uint8_t* acc, const uint8_t* row) {
   return Status::OK();
 }
 
-Status GroupAggregateOp::FlushSpillGroup(const uint8_t* partial) {
+Status HashGroupOp::DrainSpill(
+    const std::function<Status(const uint8_t*)>& sink) {
+  GHOSTDB_RETURN_NOT_OK(by_key_->Finish());
+  // Cross-run duplicates emerge key-adjacent (each run was collapsed at
+  // write time, so at most one partial per group per run remains).
+  std::vector<uint8_t> acc;  // current group's folded partial row
+  while (true) {
+    GHOSTDB_ASSIGN_OR_RETURN(const uint8_t* row, by_key_->Next());
+    if (row == nullptr) break;
+    if (!acc.empty() && key_cmp_.CompareKeys(row, acc.data()) == 0) {
+      GHOSTDB_RETURN_NOT_OK(FoldPartialRow(acc.data(), row));
+      continue;
+    }
+    if (!acc.empty()) GHOSTDB_RETURN_NOT_OK(sink(acc.data()));
+    acc.assign(row, row + spill_stride_);
+  }
+  if (!acc.empty()) GHOSTDB_RETURN_NOT_OK(sink(acc.data()));
+  return by_key_->Close();  // phase A flash freed here
+}
+
+Status HashGroupOp::FlushSpillGroup(const uint8_t* partial) {
   size_t key_idx = 0, agg_idx = 0;
   for (size_t i = 0; i < out_layout_.cols.size(); ++i) {
     if (ctx_->query->select[i].agg == AggFunc::kNone) {
@@ -413,81 +400,21 @@ Status GroupAggregateOp::FlushSpillGroup(const uint8_t* partial) {
   return by_arrival_->Add(out_buf_.data());
 }
 
-Status GroupAggregateOp::FinishSpill() {
-  GHOSTDB_RETURN_NOT_OK(by_key_->Finish());
+Status HashGroupOp::FinishSpill() {
   uint32_t out_stride = out_layout_.row_width + kSpillSeqWidth;
   by_arrival_ = std::make_unique<ExternalRowSorter>(
       ctx_, out_stride, RowComparator::ByKeys({}, out_layout_.row_width),
       BudgetRows(ctx_, out_stride), /*drop_key_duplicates=*/false,
       "group-arrival");
-  // Cross-run duplicates emerge key-adjacent (each run was folded at
-  // write time, so at most one partial per group per run remains).
-  std::vector<uint8_t> acc;  // current group's folded partial row
-  while (true) {
-    GHOSTDB_ASSIGN_OR_RETURN(const uint8_t* row, by_key_->Next());
-    if (row == nullptr) break;
-    if (!acc.empty() && key_cmp_.CompareKeys(row, acc.data()) == 0) {
-      GHOSTDB_RETURN_NOT_OK(FoldPartialRow(acc.data(), row));
-      continue;
-    }
-    if (!acc.empty()) GHOSTDB_RETURN_NOT_OK(FlushSpillGroup(acc.data()));
-    acc.assign(row, row + spill_stride_);
-  }
-  if (!acc.empty()) GHOSTDB_RETURN_NOT_OK(FlushSpillGroup(acc.data()));
-  ctx_->metrics->sort_spill_runs += by_key_->stats().runs_written;
-  ctx_->metrics->sort_spill_pages += by_key_->stats().pages_written;
-  ctx_->metrics->padding_spill_runs += by_key_->stats().padding_runs_written;
-  GHOSTDB_RETURN_NOT_OK(by_key_->Close());  // phase A flash freed here
-  by_key_.reset();
+  GHOSTDB_RETURN_NOT_OK(DrainSpill(
+      [this](const uint8_t* partial) { return FlushSpillGroup(partial); }));
   return by_arrival_->Finish();
 }
 
-Status GroupAggregateOp::FinishSpillPartials() {
-  GHOSTDB_RETURN_NOT_OK(by_key_->Finish());
-  std::vector<uint8_t> acc;  // current group's folded partial row
-  auto flush = [&]() -> Status {
-    if (acc.empty()) return Status::OK();
-    PartialAggGroup pg;
-    pg.first_seq = DecodeFixed64(acc.data() + spill_seq_offset_);
-    pg.aggs = MakeAggregators();
-    for (size_t j = 0; j < agg_items_.size(); ++j) {
-      GHOSTDB_RETURN_NOT_OK(
-          pg.aggs[j].AccumulatePartial(acc.data() + spill_agg_offsets_[j]));
-    }
-    for (size_t k = 0; k < key_items_.size(); ++k) {
-      size_t i = key_items_[k];
-      const uint8_t* src = acc.data() + spill_key_offsets_[k];
-      pg.key_cells.insert(pg.key_cells.end(), src,
-                          src + in_layout_->cols[i].width);
-      AppendCanonicalCellKey(in_layout_->cols[i].type,
-                             in_layout_->cols[i].width, src, &pg.key);
-    }
-    ctx_->partials_out->push_back(std::move(pg));
-    return Status::OK();
-  };
-  while (true) {
-    GHOSTDB_ASSIGN_OR_RETURN(const uint8_t* row, by_key_->Next());
-    if (row == nullptr) break;
-    if (!acc.empty() && key_cmp_.CompareKeys(row, acc.data()) == 0) {
-      GHOSTDB_RETURN_NOT_OK(FoldPartialRow(acc.data(), row));
-      continue;
-    }
-    GHOSTDB_RETURN_NOT_OK(flush());
-    acc.assign(row, row + spill_stride_);
-  }
-  GHOSTDB_RETURN_NOT_OK(flush());
-  ctx_->metrics->sort_spill_runs += by_key_->stats().runs_written;
-  ctx_->metrics->sort_spill_pages += by_key_->stats().pages_written;
-  ctx_->metrics->padding_spill_runs += by_key_->stats().padding_runs_written;
-  GHOSTDB_RETURN_NOT_OK(by_key_->Close());
-  by_key_.reset();
-  return Status::OK();
-}
-
-Status GroupAggregateOp::DumpPartials() {
+Status HashGroupOp::DumpPartials() {
   // Hash groups first: recover each group's canonical key from the index
   // (groups_ order is first arrival, but the combiner re-orders by
-  // first_seq anyway).
+  // first_seq anyway). The keyless group has no index entry: key "".
   std::vector<const std::string*> keys(groups_.size(), nullptr);
   for (const auto& [key, idx] : index_) keys[idx] = &key;
   for (size_t gi = 0; gi < groups_.size(); ++gi) {
@@ -501,19 +428,74 @@ Status GroupAggregateOp::DumpPartials() {
   }
   groups_.clear();
   index_.clear();
-  if (spilling_) GHOSTDB_RETURN_NOT_OK(FinishSpillPartials());
+  if (!spilling_) return Status::OK();
+  // Spilled groups: phase B never runs — the gather combiner orders
+  // globally.
+  return DrainSpill([this](const uint8_t* acc) -> Status {
+    PartialAggGroup pg;
+    pg.first_seq = DecodeFixed64(acc + spill_seq_offset_);
+    pg.aggs = MakeAggregators();
+    for (size_t j = 0; j < agg_items_.size(); ++j) {
+      GHOSTDB_RETURN_NOT_OK(
+          pg.aggs[j].AccumulatePartial(acc + spill_agg_offsets_[j]));
+    }
+    for (size_t k = 0; k < key_items_.size(); ++k) {
+      size_t i = key_items_[k];
+      const uint8_t* src = acc + spill_key_offsets_[k];
+      pg.key_cells.insert(pg.key_cells.end(), src,
+                          src + in_layout_->cols[i].width);
+      AppendCanonicalCellKey(in_layout_->cols[i].type,
+                             in_layout_->cols[i].width, src, &pg.key);
+    }
+    ctx_->partials_out->push_back(std::move(pg));
+    return Status::OK();
+  });
+}
+
+Status HashGroupOp::SeedFromPartials() {
+  // Gather leg of a sharded fleet: this op was built childless; its input
+  // is the combined shard partials, merged by key and ordered by first
+  // global arrival. The keyless group merges them exactly (ExactDoubleSum
+  // makes double sums independent of the partition); keyed groups are
+  // taken as they are. Budget bookkeeping is skipped — the combined set is
+  // exactly the single-device group set, whose emission the budget already
+  // sized.
+  for (const PartialAggGroup& pg : *ctx_->gather_partials) {
+    if (key_items_.empty()) {
+      for (size_t j = 0; j < agg_items_.size(); ++j) {
+        GHOSTDB_RETURN_NOT_OK(groups_[0].aggs[j].MergeFrom(pg.aggs[j]));
+      }
+      continue;
+    }
+    Group g;
+    g.key_cells = pg.key_cells;
+    g.aggs = pg.aggs;
+    g.first_seq = pg.first_seq;
+    groups_.push_back(std::move(g));
+  }
   return Status::OK();
 }
 
-Result<ColumnBatch> GroupAggregateOp::Emit() {
+Result<ColumnBatch> HashGroupOp::Emit() {
+  const auto& select = ctx_->query->select;
   ColumnBatch out = ColumnBatch::Make(
       &out_layout_, std::min<uint64_t>(ctx_->batch_rows, 256));
   while (out.rows < ctx_->batch_rows) {
     if (emit_group_ < groups_.size()) {
       Group& g = groups_[emit_group_++];
+      // GhostDB has no NULLs, so SQL's "row of NULLs" for a value
+      // aggregate with nothing to fold becomes no row (COUNT-only groups
+      // keep their zero row). Only the keyless group can be empty. The
+      // reference oracle enforces the same rule.
+      bool renders = true;
+      for (size_t j = 0; j < agg_items_.size(); ++j) {
+        renders &= !AggRequiresInput(select[agg_items_[j]].agg) ||
+                   g.aggs[j].has_input();
+      }
+      if (!renders) continue;
       size_t key_off = 0, agg_idx = 0;
       for (size_t i = 0; i < out_layout_.cols.size(); ++i) {
-        if (ctx_->query->select[i].agg == AggFunc::kNone) {
+        if (select[i].agg == AggFunc::kNone) {
           out.AppendBytes(i, g.key_cells.data() + key_off);
           key_off += in_layout_->cols[i].width;
         } else {
@@ -527,87 +509,40 @@ Result<ColumnBatch> GroupAggregateOp::Emit() {
     if (by_arrival_ == nullptr) break;
     GHOSTDB_ASSIGN_OR_RETURN(const uint8_t* row, by_arrival_->Next());
     if (row == nullptr) break;
-    for (size_t c = 0; c < out_layout_.cols.size(); ++c) {
-      out.AppendBytes(c, row + out_offsets_[c]);
-    }
-    out.CommitRow();
+    AppendSpillRow(&out, out_offsets_, row);
   }
   if (out.rows == 0) done_ = true;
   return out;
 }
 
-Result<ColumnBatch> GroupAggregateOp::Next() {
+Result<ColumnBatch> HashGroupOp::Next() {
   if (done_) return ColumnBatch{};
   if (emitting_) return Emit();
   if (ctx_->gather_partials != nullptr) {
-    // Gather leg of a sharded fleet: this op was built childless; seed the
-    // group table from the combined shard partials, already merged by key
-    // and ordered by first global arrival. Budget bookkeeping is skipped —
-    // the combined set is exactly the single-device group set, whose
-    // emission the budget already sized.
-    groups_.reserve(ctx_->gather_partials->size());
-    for (const PartialAggGroup& pg : *ctx_->gather_partials) {
-      Group g;
-      g.key_cells = pg.key_cells;
-      g.aggs = pg.aggs;
-      g.first_seq = pg.first_seq;
-      groups_.push_back(std::move(g));
-    }
+    GHOSTDB_RETURN_NOT_OK(SeedFromPartials());
     emitting_ = true;
     return Emit();
   }
   while (true) {
     GHOSTDB_ASSIGN_OR_RETURN(ColumnBatch batch, child()->Next());
     if (batch.empty()) break;
-    // Keys precomputed morsel-parallel; the fold below is sequential so
-    // the budget trips at the exact same row for every thread count.
-    ExtractKeys(ctx_, batch, &key_items_, &key_scratch_);
-    for (size_t r = 0; r < batch.live(); ++r) {
-      uint32_t row = batch.row_at(r);
-      // Scatter runs stamp the global anchor id per row; it replaces the
-      // local counter so group first-arrival order merges globally.
-      uint64_t seq = !batch.seqs.empty() ? batch.seqs[row] : seq_++;
-      const std::string& key = key_scratch_[r];
-      // Known groups — frozen or not — keep folding in place: no new
-      // memory either way.
-      auto it = index_.find(std::string_view(key));
-      if (it != index_.end()) {
+    if (key_items_.empty()) {
+      for (size_t r = 0; r < batch.live(); ++r) {
         GHOSTDB_RETURN_NOT_OK(
-            AccumulateInto(&groups_[it->second], batch, row));
-        continue;
+            AccumulateInto(&groups_[0], batch, batch.row_at(r)));
       }
-      if (!spilling_) {
-        size_t group_bytes = GroupBytes(key.size(), agg_items_.size());
-        if (table_bytes_ + group_bytes > ctx_->sort_budget_bytes) {
-          if (!ctx_->config->spill_enabled) {
-            return Status::ResourceExhausted(
-                "group table exceeds the relational-tail budget (" +
-                std::to_string(ctx_->sort_budget_bytes) +
-                " bytes) and spilling is disabled");
-          }
-          GHOSTDB_RETURN_NOT_OK(StartSpill());
-          spilling_ = true;
-        } else {
-          Group g;
-          g.key_cells.reserve(key.size());
-          for (size_t i : key_items_) {
-            const uint8_t* src = batch.cell(i, row);
-            g.key_cells.insert(g.key_cells.end(), src,
-                               src + in_layout_->cols[i].width);
-          }
-          g.aggs = MakeAggregators();
-          g.first_seq = seq;
-          GHOSTDB_RETURN_NOT_OK(AccumulateInto(&g, batch, row));
-          index_.emplace(key, groups_.size());
-          groups_.push_back(std::move(g));
-          table_bytes_ += group_bytes;
-          continue;
-        }
-      }
-      // A new group past the budget: reroute the row through sort-based
-      // grouping as a single-row partial.
-      GHOSTDB_RETURN_NOT_OK(PackPartialRow(batch, row, seq));
-      GHOSTDB_RETURN_NOT_OK(by_key_->Add(row_buf_.data()));
+      continue;
+    }
+    std::vector<uint32_t> fresh;
+    GHOSTDB_RETURN_NOT_OK(Absorb(batch, &fresh));
+    if (!fresh.empty()) {
+      // Streamed groups leave as a selection over the same batch,
+      // copy-free. All-known batches loop: an empty batch would end the
+      // stream.
+      batch.selection = std::move(fresh);
+      batch.has_selection = true;
+      batch.skipped_rows = 0;
+      return batch;
     }
   }
   if (ctx_->partials_out != nullptr) {
@@ -621,193 +556,26 @@ Result<ColumnBatch> GroupAggregateOp::Next() {
   return Emit();
 }
 
-Status GroupAggregateOp::Close() {
-  // by_key_ outlives FinishSpill only when the stream was abandoned early;
-  // fold whatever spill work actually happened either way. A failing step
-  // must not strand the other phase's runs or the children's resources, so
-  // the first error is deferred rather than returned.
+Status HashGroupOp::Close() {
+  // Whether this operator spills — and whether a LIMIT above abandons it
+  // mid-spill — depends on the hidden-filtered group count, so under
+  // spill-run padding each phase that did not reach Finish() writes its
+  // padded dummy-run signature (CloseSorterPhase). The keyless group is
+  // never charged to the budget, so it never pads; a scatter leg skips
+  // phase B for every variant (a visible, structural property), so only
+  // phase A pads there. A failing step must not strand the other phase's
+  // runs or the children's resources, so the first error is deferred.
   Status first;
   auto keep = [&first](Status s) {
     if (first.ok() && !s.ok()) first = std::move(s);
   };
-  for (auto* sorter : {by_key_.get(), by_arrival_.get()}) {
-    if (sorter == nullptr) continue;
-    ctx_->metrics->sort_spill_runs += sorter->stats().runs_written;
-    ctx_->metrics->sort_spill_pages += sorter->stats().pages_written;
-    ctx_->metrics->padding_spill_runs += sorter->stats().padding_runs_written;
-    keep(sorter->Close());
-  }
-  // Strict spill-run padding: whether this operator spills depends on the
-  // hidden-filtered group count, so a never-spilled run must still write
-  // both phases' padded dummy-run signatures (a scatter leg skips phase B
-  // for every variant — a visible, structural property — so only phase A
-  // pads there).
-  if (first.ok() && !spilling_ && ctx_->config->pad_spill_runs &&
-      spill_stride_ != 0) {
-    keep(PadUnspilledSorter(ctx_, spill_stride_, "group-spill"));
-    if (first.ok() && ctx_->partials_out == nullptr) {
-      keep(PadUnspilledSorter(
-          ctx_, out_layout_.row_width + kSpillSeqWidth, "group-arrival"));
-    }
-  }
-  keep(Operator::Close());
-  return first;
-}
-
-// ---------------------------------------------------------------------------
-// DistinctOp
-// ---------------------------------------------------------------------------
-
-void DistinctOp::BindLayout(const ColumnBatch& batch) {
-  layout_ = batch.layout;
-  offsets_ = ColumnOffsets(*layout_);
-  row_buf_.resize(layout_->row_width + kSpillSeqWidth);
-}
-
-Status DistinctOp::StartSpill() {
-  // Phase A orders by every output column ascending (any total order over
-  // the row value works — it only has to cluster duplicates), ties by
-  // arrival so the earliest occurrence of each value pops first.
-  uint32_t stride = layout_->row_width + kSpillSeqWidth;
-  std::vector<RowComparator::Key> keys;
-  for (size_t c = 0; c < layout_->cols.size(); ++c) {
-    keys.push_back(
-        {offsets_[c], layout_->cols[c].type, layout_->cols[c].width, false});
-  }
-  by_value_ = std::make_unique<ExternalRowSorter>(
-      ctx_, stride, RowComparator::ByKeys(std::move(keys), layout_->row_width),
-      BudgetRows(ctx_, stride), /*drop_key_duplicates=*/true,
-      "distinct-spill");
-  return Status::OK();
-}
-
-Status DistinctOp::SpillRow(const ColumnBatch& batch, uint32_t row,
-                            const std::string& key) {
-  uint64_t seq = seq_++;
-  // Keys emitted by the hash phase stay authoritative: anything already in
-  // the frozen set is a duplicate of a row that already left the operator.
-  if (seen_.find(std::string_view(key)) != seen_.end()) return Status::OK();
-  PackRow(batch, row, offsets_, seq, row_buf_.data());
-  return by_value_->Add(row_buf_.data());
-}
-
-Status DistinctOp::FinishSpill() {
-  GHOSTDB_RETURN_NOT_OK(by_value_->Finish());
-  // Phase B restores arrival order over the surviving (unique) rows, so
-  // the output is exactly the hash path's: first occurrences, in order.
-  uint32_t stride = layout_->row_width + kSpillSeqWidth;
-  by_arrival_ = std::make_unique<ExternalRowSorter>(
-      ctx_, stride, RowComparator::ByKeys({}, layout_->row_width),
-      BudgetRows(ctx_, stride), /*drop_key_duplicates=*/false,
-      "distinct-arrival");
-  while (true) {
-    GHOSTDB_ASSIGN_OR_RETURN(const uint8_t* row, by_value_->Next());
-    if (row == nullptr) break;
-    GHOSTDB_RETURN_NOT_OK(by_arrival_->Add(row));
-  }
-  ctx_->metrics->sort_spill_runs += by_value_->stats().runs_written;
-  ctx_->metrics->sort_spill_pages += by_value_->stats().pages_written;
-  ctx_->metrics->padding_spill_runs += by_value_->stats().padding_runs_written;
-  GHOSTDB_RETURN_NOT_OK(by_value_->Close());  // phase A flash freed here
-  by_value_.reset();
-  return by_arrival_->Finish();
-}
-
-Result<ColumnBatch> DistinctOp::EmitSpilled() {
-  ColumnBatch out = ColumnBatch::Make(
-      layout_, std::min<uint64_t>(ctx_->batch_rows, 256));
-  while (out.rows < ctx_->batch_rows) {
-    GHOSTDB_ASSIGN_OR_RETURN(const uint8_t* row, by_arrival_->Next());
-    if (row == nullptr) break;
-    AppendSpillRow(&out, offsets_, row);
-  }
-  return out;  // empty batch = end of stream
-}
-
-Result<ColumnBatch> DistinctOp::Next() {
-  if (emitting_) return EmitSpilled();
-  // Streaming hash phase: per child batch, keep the live rows whose encoded
-  // bytes are new, as a selection over the same batch (RowKey keeps byte
-  // equality aligned with value equality). Loop past all-duplicate batches
-  // — an empty batch would end the stream.
-  while (!child_done_) {
-    GHOSTDB_ASSIGN_OR_RETURN(ColumnBatch batch, child()->Next());
-    if (batch.empty()) {
-      child_done_ = true;
-      break;
-    }
-    if (layout_ == nullptr) BindLayout(batch);
-    // Keys precomputed morsel-parallel; the sequential pass below keeps
-    // the budget trip and output order identical for every thread count.
-    ExtractKeys(ctx_, batch, nullptr, &key_scratch_);
-    std::vector<uint32_t> keep;
-    for (size_t r = 0; r < batch.live(); ++r) {
-      uint32_t row = batch.row_at(r);
-      const std::string& key = key_scratch_[r];
-      if (spilling_) {
-        GHOSTDB_RETURN_NOT_OK(SpillRow(batch, row, key));
-        continue;
-      }
-      if (seen_.find(std::string_view(key)) != seen_.end()) {
-        seq_ += 1;
-        continue;
-      }
-      if (seen_bytes_ + key.size() > ctx_->sort_budget_bytes) {
-        if (!ctx_->config->spill_enabled) {
-          return Status::ResourceExhausted(
-              "distinct set exceeds the relational-tail budget (" +
-              std::to_string(ctx_->sort_budget_bytes) +
-              " bytes) and spilling is disabled");
-        }
-        GHOSTDB_RETURN_NOT_OK(StartSpill());
-        spilling_ = true;
-        GHOSTDB_RETURN_NOT_OK(SpillRow(batch, row, key));
-        continue;
-      }
-      seen_.insert(key);  // only genuinely new keys allocate
-      seen_bytes_ += key.size();
-      keep.push_back(row);
-      seq_ += 1;
-    }
-    batch.skipped_rows = 0;
-    if (!keep.empty()) {
-      batch.selection = std::move(keep);
-      batch.has_selection = true;
-      return batch;
-    }
-  }
-  if (!spilling_) return ColumnBatch{};
-  GHOSTDB_RETURN_NOT_OK(FinishSpill());
-  emitting_ = true;
-  return EmitSpilled();
-}
-
-Status DistinctOp::Close() {
-  // by_value_ outlives FinishSpill only when the stream was abandoned
-  // early; fold whatever spill work actually happened either way. Defer
-  // the first error so a failing phase cannot strand the other phase's
-  // runs or skip the children's Close.
-  Status first;
-  auto keep = [&first](Status s) {
-    if (first.ok() && !s.ok()) first = std::move(s);
-  };
-  for (auto* sorter : {by_value_.get(), by_arrival_.get()}) {
-    if (sorter == nullptr) continue;
-    ctx_->metrics->sort_spill_runs += sorter->stats().runs_written;
-    ctx_->metrics->sort_spill_pages += sorter->stats().pages_written;
-    ctx_->metrics->padding_spill_runs += sorter->stats().padding_runs_written;
-    keep(sorter->Close());
-  }
-  // Strict spill-run padding: the distinct set tripping the budget is
-  // hidden-dependent, so a run that never spilled still writes both
-  // phases' padded dummy-run signatures.
-  if (first.ok() && !spilling_ && ctx_->config->pad_spill_runs) {
-    uint32_t stride = TailInputRowWidth(ctx_) + kSpillSeqWidth;
-    keep(PadUnspilledSorter(ctx_, stride, "distinct-spill"));
-    if (first.ok()) {
-      keep(PadUnspilledSorter(ctx_, stride, "distinct-arrival"));
-    }
-  }
+  bool pad = !key_items_.empty();
+  keep(CloseSorterPhase(ctx_, by_key_.get(), pad, spill_stride_,
+                        "group-spill"));
+  keep(CloseSorterPhase(ctx_, by_arrival_.get(),
+                        pad && first.ok() && ctx_->partials_out == nullptr,
+                        out_layout_.row_width + kSpillSeqWidth,
+                        "group-arrival"));
   keep(Operator::Close());
   return first;
 }
@@ -816,195 +584,106 @@ Status DistinctOp::Close() {
 // SortOp
 // ---------------------------------------------------------------------------
 
-Status SortOp::Gather() {
-  while (true) {
-    GHOSTDB_ASSIGN_OR_RETURN(ColumnBatch batch, child()->Next());
-    if (batch.empty()) break;
-    if (layout_ == nullptr) {
-      layout_ = batch.layout;
-      offsets_ = ColumnOffsets(*layout_);
-      uint32_t stride = layout_->row_width + kSpillSeqWidth;
-      row_buf_.resize(stride);
-      sorter_ = std::make_unique<ExternalRowSorter>(
-          ctx_, stride,
-          OrderByComparator(*layout_, offsets_, ctx_->query->order_by),
-          BudgetRows(ctx_, stride), /*drop_key_duplicates=*/false,
-          "sort-spill");
-    }
-    for (size_t r = 0; r < batch.live(); ++r) {
-      PackRow(batch, batch.row_at(r), offsets_, seq_++, row_buf_.data());
-      GHOSTDB_RETURN_NOT_OK(sorter_->Add(row_buf_.data()));
-    }
-  }
-  if (sorter_ != nullptr) GHOSTDB_RETURN_NOT_OK(sorter_->Finish());
+Status SortOp::Open() {
+  GHOSTDB_RETURN_NOT_OK(Operator::Open());
+  layout_ = HashGroupOp::OutputLayout(*ctx_->query, *ctx_->value_layout);
+  offsets_ = ColumnOffsets(layout_);
+  stride_ = layout_.row_width + kSpillSeqWidth;
+  row_buf_.resize(stride_);
+  cmp_ = OrderByComparator(layout_, offsets_, ctx_->query->order_by);
+  heap_mode_ = limit_ <= BudgetRows(ctx_, stride_);
   return Status::OK();
 }
 
-Result<ColumnBatch> SortOp::Next() {
-  if (done_) return ColumnBatch{};
-  if (!gathered_) {
-    GHOSTDB_RETURN_NOT_OK(Gather());
-    gathered_ = true;
-  }
-  if (layout_ == nullptr) {  // empty input stream
-    done_ = true;
-    return ColumnBatch{};
-  }
-  ColumnBatch out = ColumnBatch::Make(
-      layout_, std::min<uint64_t>(ctx_->batch_rows, 256));
-  while (out.rows < ctx_->batch_rows) {
-    GHOSTDB_ASSIGN_OR_RETURN(const uint8_t* row, sorter_->Next());
-    if (row == nullptr) {
-      done_ = true;
-      break;
-    }
-    AppendSpillRow(&out, offsets_, row);
-  }
-  return out;
-}
-
-Status SortOp::Close() {
-  Status first;
-  if (sorter_ != nullptr) {
-    ctx_->metrics->sort_spill_runs += sorter_->stats().runs_written;
-    ctx_->metrics->sort_spill_pages += sorter_->stats().pages_written;
-    ctx_->metrics->padding_spill_runs += sorter_->stats().padding_runs_written;
-    first = sorter_->Close();
-  } else if (ctx_->config->pad_spill_runs) {
-    // Strict spill-run padding: an empty (hidden-filtered) input never
-    // instantiated the sorter; write the padded dummy-run signature a real
-    // sorter over zero rows would have.
-    first = PadUnspilledSorter(
-        ctx_, TailInputRowWidth(ctx_) + kSpillSeqWidth, "sort-spill");
-  }
-  // Children close even when the sorter's teardown failed.
-  Status children = Operator::Close();
-  return first.ok() ? children : first;
-}
-
-// ---------------------------------------------------------------------------
-// TopKSortOp
-// ---------------------------------------------------------------------------
-
-Status TopKSortOp::Offer(const uint8_t* row) {
+void SortOp::Offer(const uint8_t* row) {
   auto heap_less = [this](uint32_t a, uint32_t b) {
     return cmp_.Compare(Slot(a), Slot(b)) < 0;
   };
-  if (heap_.size() < k_) {
+  if (heap_.size() < limit_) {
     uint32_t slot = static_cast<uint32_t>(heap_.size());
     arena_.insert(arena_.end(), row, row + stride_);
     heap_.push_back(slot);
     std::push_heap(heap_.begin(), heap_.end(), heap_less);
-    return Status::OK();
+    return;
   }
   // Heap top = the worst kept row. A later arrival with equal keys
   // compares greater (arrival tie-break), so it is rejected — exactly the
   // stable Sort -> Limit semantics.
   if (cmp_.Compare(row, Slot(heap_.front())) >= 0) {
     short_circuits_ += 1;
-    return Status::OK();
+    return;
   }
   std::pop_heap(heap_.begin(), heap_.end(), heap_less);
   uint32_t slot = heap_.back();
   std::copy(row, row + stride_,
             arena_.begin() + static_cast<size_t>(slot) * stride_);
   std::push_heap(heap_.begin(), heap_.end(), heap_less);
-  return Status::OK();
 }
 
-Status TopKSortOp::Gather() {
+Status SortOp::Gather() {
   while (true) {
     GHOSTDB_ASSIGN_OR_RETURN(ColumnBatch batch, child()->Next());
     if (batch.empty()) break;
-    if (layout_ == nullptr) {
-      layout_ = batch.layout;
-      offsets_ = ColumnOffsets(*layout_);
-      stride_ = layout_->row_width + kSpillSeqWidth;
-      row_buf_.resize(stride_);
-      cmp_ = OrderByComparator(*layout_, offsets_, ctx_->query->order_by);
-      if (k_ > BudgetRows(ctx_, stride_)) {
-        // The heap itself would exceed the budget: degrade to the spilling
-        // sort, truncated at k rows on the way out.
-        sorter_ = std::make_unique<ExternalRowSorter>(
-            ctx_, stride_, cmp_, BudgetRows(ctx_, stride_),
-            /*drop_key_duplicates=*/false, "topk-spill");
-      } else {
-        arena_.reserve(static_cast<size_t>(k_) * stride_);
-      }
+    if (heap_mode_ && arena_.empty()) {
+      arena_.reserve(static_cast<size_t>(limit_) * stride_);
+    } else if (!heap_mode_ && sorter_ == nullptr) {
+      sorter_ = std::make_unique<ExternalRowSorter>(
+          ctx_, stride_, cmp_, BudgetRows(ctx_, stride_),
+          /*drop_key_duplicates=*/false, "sort-spill");
     }
     for (size_t r = 0; r < batch.live(); ++r) {
       PackRow(batch, batch.row_at(r), offsets_, seq_++, row_buf_.data());
-      if (sorter_ != nullptr) {
-        GHOSTDB_RETURN_NOT_OK(sorter_->Add(row_buf_.data()));
+      if (heap_mode_) {
+        Offer(row_buf_.data());
       } else {
-        GHOSTDB_RETURN_NOT_OK(Offer(row_buf_.data()));
+        GHOSTDB_RETURN_NOT_OK(sorter_->Add(row_buf_.data()));
       }
     }
   }
-  if (sorter_ != nullptr) {
-    GHOSTDB_RETURN_NOT_OK(sorter_->Finish());
-  } else {
-    order_ = heap_;
-    std::sort(order_.begin(), order_.end(), [this](uint32_t a, uint32_t b) {
-      return cmp_.Compare(Slot(a), Slot(b)) < 0;
-    });
-  }
+  if (sorter_ != nullptr) return sorter_->Finish();
+  order_ = heap_;
+  std::sort(order_.begin(), order_.end(), [this](uint32_t a, uint32_t b) {
+    return cmp_.Compare(Slot(a), Slot(b)) < 0;
+  });
   return Status::OK();
 }
 
-Result<ColumnBatch> TopKSortOp::Next() {
-  if (done_) return ColumnBatch{};
-  if (k_ == 0) {  // LIMIT 0 never pulls the child, like LimitOp
-    done_ = true;
-    return ColumnBatch{};
-  }
+Result<ColumnBatch> SortOp::Next() {
+  // LIMIT 0 never pulls the child, like LimitOp.
+  if (done_ || limit_ == 0) return ColumnBatch{};
   if (!gathered_) {
     GHOSTDB_RETURN_NOT_OK(Gather());
     gathered_ = true;
   }
-  if (layout_ == nullptr) {
-    done_ = true;
-    return ColumnBatch{};
-  }
   ColumnBatch out = ColumnBatch::Make(
-      layout_, std::min<uint64_t>(std::min<uint64_t>(ctx_->batch_rows, k_),
-                                  256));
-  if (sorter_ != nullptr) {
-    while (out.rows < ctx_->batch_rows && emitted_ < k_) {
-      GHOSTDB_ASSIGN_OR_RETURN(const uint8_t* row, sorter_->Next());
-      if (row == nullptr) break;
-      AppendSpillRow(&out, offsets_, row);
-      emitted_ += 1;
+      &layout_, std::min<uint64_t>({ctx_->batch_rows, limit_, 256}));
+  while (out.rows < ctx_->batch_rows && emitted_ < limit_) {
+    const uint8_t* row = nullptr;
+    if (sorter_ != nullptr) {
+      GHOSTDB_ASSIGN_OR_RETURN(row, sorter_->Next());
+    } else if (emit_pos_ < order_.size()) {
+      row = Slot(order_[emit_pos_++]);
     }
-    if (out.rows == 0 || emitted_ >= k_) done_ = true;
-  } else {
-    while (out.rows < ctx_->batch_rows && emit_pos_ < order_.size()) {
-      AppendSpillRow(&out, offsets_, Slot(order_[emit_pos_]));
-      emit_pos_ += 1;
+    if (row == nullptr) {
+      done_ = true;
+      break;
     }
-    if (emit_pos_ >= order_.size()) done_ = true;
+    AppendSpillRow(&out, offsets_, row);
+    emitted_ += 1;
   }
+  if (emitted_ >= limit_) done_ = true;
   return out;
 }
 
-Status TopKSortOp::Close() {
+Status SortOp::Close() {
   ctx_->metrics->topk_short_circuits += short_circuits_;
-  Status first;
-  if (sorter_ != nullptr) {
-    ctx_->metrics->sort_spill_runs += sorter_->stats().runs_written;
-    ctx_->metrics->sort_spill_pages += sorter_->stats().pages_written;
-    ctx_->metrics->padding_spill_runs += sorter_->stats().padding_runs_written;
-    first = sorter_->Close();
-  } else if (ctx_->config->pad_spill_runs && k_ > 0) {
-    // Strict spill-run padding for the visible spilling-sort fallback
-    // (k past the budget — both visible): an empty input never
-    // instantiated the sorter. The in-budget heap mode uses no sorter for
-    // any variant, so it pads nothing.
-    uint32_t stride = TailInputRowWidth(ctx_) + kSpillSeqWidth;
-    if (k_ > BudgetRows(ctx_, stride)) {
-      first = PadUnspilledSorter(ctx_, stride, "topk-spill");
-    }
-  }
+  // Only sort mode has a sorter, a visible decision (k against the
+  // budget); an empty hidden-filtered input never created it, so it pads
+  // here under spill-run padding. Children close even when the sorter's
+  // teardown failed.
+  Status first = CloseSorterPhase(ctx_, sorter_.get(),
+                                  !heap_mode_ && stride_ != 0, stride_,
+                                  "sort-spill");
   Status children = Operator::Close();
   return first.ok() ? children : first;
 }

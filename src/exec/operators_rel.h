@@ -1,24 +1,26 @@
-// Value-space operators above the projection: aggregation, DISTINCT,
-// ORDER BY, LIMIT, and the fused top-K sort. These run entirely on the
-// Secure side — result rows never cross the channel — so they add no
-// observable behavior that could depend on Hidden data. All of them work
-// on the encoded columns of ColumnBatch: DISTINCT hashes encoded row
-// bytes, Sort compares encoded sort keys (catalog::CompareEncoded), Limit
-// and Distinct drop rows through the selection vector without copying
-// cells.
+// Value-space operators above the projection: grouping (HashGroupOp:
+// DISTINCT, GROUP BY, whole-result aggregates), ORDER BY with optional
+// fused LIMIT (SortOp), LIMIT, and the volume-padding root. These run
+// entirely on the Secure side — result rows never cross the channel — so
+// they add no observable behavior that could depend on Hidden data. All of
+// them work on the encoded columns of ColumnBatch: grouping hashes
+// canonical encoded key bytes, Sort compares encoded sort keys
+// (catalog::CompareEncoded), Limit and streamed groups drop rows through
+// the selection vector without copying cells.
 //
-// The blocking operators (Sort, Distinct, TopKSort) are memory-bounded:
-// their working set is capped by the relational-tail budget the executor
-// derives from the session's RAM partition (ExecContext::sort_budget_*).
-// Past the budget they spill sorted runs to flash and stream the result
-// back through ExternalRowSorter — secure memory stays O(budget) no
-// matter how many rows the hidden predicates let through.
+// The blocking operators (HashGroupOp, SortOp) are memory-bounded: their
+// working set is capped by the relational-tail budget the executor derives
+// from the session's RAM partition (ExecContext::sort_budget_bytes). Past
+// the budget they spill sorted runs to flash and stream the result back
+// through ExternalRowSorter — secure memory stays O(budget) no matter how
+// many rows the hidden predicates let through.
 #pragma once
 
+#include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "exec/aggregate.h"
@@ -56,47 +58,29 @@ class GatherSourceOp final : public Operator {
   bool done_ = false;
 };
 
-/// \brief Folds the child stream into one row of aggregate values.
-/// Per-row data never leaves the key; only the final aggregate values reach
-/// the secure display. Inputs are accumulated from their encoded cells;
-/// the single output row uses this operator's own aggregate layout.
-///
-/// Sharded fleets: on a scatter leg (ExecContext::partials_out) the folded
-/// accumulators ship as one keyless PartialAggGroup instead of rendering a
-/// row; on the gather leg (ExecContext::gather_partials, built childless)
-/// the shard partials merge via Aggregator::MergeFrom and the empty-input
-/// rule applies to the *merged* count — so an empty shard never decides it.
-class AggregateOp final : public Operator {
- public:
-  explicit AggregateOp(ExecContext* ctx) : Operator(ctx) {}
-  std::string_view name() const override { return "Aggregate"; }
-  Status Open() override;
-  Result<ColumnBatch> Next() override;
-
- private:
-  std::vector<Aggregator> aggregators_;
-  BatchLayout out_layout_;  ///< aggregate result types (COUNT -> BIGINT...)
-  bool done_ = false;
-};
-
-/// \brief Grouped aggregation (`SELECT k1, k2, AGG(x) ... GROUP BY k1,
-/// k2`): one output row per distinct combination of the plain (group-key)
-/// select items, aggregates folded per group, groups emitted in
-/// first-arrival order. Everything happens on the Secure side after the
-/// projection, so grouping adds no observable behavior.
+/// \brief The one grouping operator: DISTINCT, GROUP BY, and whole-result
+/// aggregates. The binder rejects DISTINCT combined with aggregates or
+/// GROUP BY, so every grouping node consumes the projection's value layout
+/// and splits it without a mode: key columns are the select items with
+/// agg == kNone, every other item is an aggregate. DISTINCT is "all keys,
+/// no aggregates", a whole-result aggregate is "no keys", GROUP BY is
+/// mixed. Groups are emitted in first-arrival order. Everything happens on
+/// the Secure side after the projection, so grouping adds no observable
+/// behavior.
 ///
 /// While the group table fits the relational-tail budget this is a
-/// streaming hash phase exactly like DistinctOp's: groups are keyed by the
-/// concatenated canonical encoded bytes of the key cells (heterogeneous
-/// string_view lookup — only genuinely new groups allocate), and rows of
-/// known groups fold into their Aggregators in O(1) extra memory. Past the
-/// budget the group table freezes: rows of frozen groups keep folding in
-/// place, rows of new groups reroute through ExternalRowSorter sort-based
-/// grouping — packed as single-row *partial-aggregate* spill rows (key
-/// cells + per-aggregate encoded partial state + arrival seq) that the
-/// sorter folds key-adjacent at run-write time (set_fold), so each spill
-/// run carries at most one row per group; the drain folds the per-run
-/// partials again, renders each group, and re-sorts by first-arrival
+/// streaming hash phase: groups are keyed by the concatenated canonical
+/// encoded bytes of the key cells (heterogeneous string_view lookup — only
+/// genuinely new groups allocate), and rows of known groups fold into their
+/// Aggregators in O(1) extra memory. Past the budget the group table
+/// freezes: rows of frozen groups keep folding in place, rows of new groups
+/// reroute through ExternalRowSorter sort-based grouping — packed as
+/// single-row *partial-aggregate* spill rows (key cells + per-aggregate
+/// encoded partial state + arrival seq). Phase A sorts them by key and
+/// collapses key-equal rows at run-write time (set_fold, or
+/// drop_key_duplicates when there is no aggregate state), so each spill run
+/// carries at most one row per group; the drain folds the per-run partials
+/// again, renders each group, and phase B re-sorts by first-arrival
 /// sequence. Every frozen group's first arrival precedes every rerouted
 /// group's, so the concatenated output (frozen groups, then rerouted ones)
 /// is byte-identical to the pure hash path's. (Integer-SUM overflow is
@@ -104,25 +88,47 @@ class AggregateOp final : public Operator {
 /// mid-group overflow that cancels within one spill segment no longer
 /// errors — the same granularity the sharded partial combine has.)
 ///
+/// Two rules follow from the split:
+///  * No keys: the one group exists from Open(); rows fold straight into
+///    it with no key extraction or hash lookup. It is never charged to the
+///    budget, so it never spills or pads.
+///  * No aggregates, rendering rows: a new group is complete when its
+///    first row arrives, which leaves at once as a copy-free selection on
+///    the input batch; only its index key stays resident, charged at its
+///    key bytes. So DISTINCT and GROUP BY without aggregates stream.
+/// A group is emitted unless an input-requiring aggregate (SUM/AVG/MIN/MAX)
+/// saw no input — GhostDB has no NULLs; only a keyless group can be empty.
+///
 /// Sharded fleets: a scatter leg (ExecContext::partials_out) dumps every
 /// local group — hash and spilled — as PartialAggGroups (canonical key,
 /// raw key cells, accumulators, smallest global arrival seq) instead of
 /// rendering rows; the gather leg (ExecContext::gather_partials, built
 /// childless) seeds its group table from the combined partials, already in
-/// global first-arrival order, and just emits.
-class GroupAggregateOp final : public Operator {
+/// global first-arrival order, and just emits. The empty-input rule then
+/// applies to the *merged* counts, so an empty shard never decides it.
+class HashGroupOp final : public Operator {
  public:
-  explicit GroupAggregateOp(ExecContext* ctx) : Operator(ctx) {}
-  std::string_view name() const override { return "GroupAggregate"; }
+  explicit HashGroupOp(ExecContext* ctx) : Operator(ctx) {}
+  std::string_view name() const override { return "HashGroup"; }
   Status Open() override;
   Result<ColumnBatch> Next() override;
   Status Close() override;
 
+  /// The grouping output layout over projection layout `in`: key cells
+  /// keep their input encoding; MIN/MAX keep the input encoding too
+  /// (strings keep their declared width) and COUNT/SUM/AVG emit fixed
+  /// numerics. Equals `in` for a query without aggregates. A pure function
+  /// of the visible query shape, so it also sizes the spill-run padding of
+  /// a sort above — never a live batch, which an empty hidden-filtered
+  /// stream would not bind.
+  static BatchLayout OutputLayout(const sql::BoundQuery& query,
+                                  const BatchLayout& in);
+
  private:
-  /// One group of the hash phase: the raw key cells of its first-arrival
-  /// row (what the group's output row shows), one accumulator per
-  /// aggregate select item, and the first-arrival sequence (the smallest
-  /// global anchor id under sharding — the gather combiner's order key).
+  /// One held group: the raw key cells of its first-arrival row (what the
+  /// group's output row shows), one accumulator per aggregate select item,
+  /// and the first-arrival sequence (the smallest global anchor id under
+  /// sharding — the gather combiner's order key).
   struct Group {
     std::vector<uint8_t> key_cells;
     std::vector<Aggregator> aggs;
@@ -133,16 +139,22 @@ class GroupAggregateOp final : public Operator {
   std::vector<Aggregator> MakeAggregators() const;
   /// Folds one live input row into a group's accumulators.
   Status AccumulateInto(Group* g, const ColumnBatch& batch, uint32_t row);
+  /// The hash phase over one keyed input batch. In streaming mode the rows
+  /// that open a new group are appended to `fresh`.
+  Status Absorb(const ColumnBatch& batch, std::vector<uint32_t>* fresh);
   /// Enters spill mode: new-group rows flow through sort-based grouping.
-  Status StartSpill();
+  void StartSpill();
   /// Packs one input row as a single-row partial spill row into row_buf_:
   /// key cells, per-aggregate EncodePartial state, arrival sequence.
   Status PackPartialRow(const ColumnBatch& batch, uint32_t row, uint64_t seq);
   /// ExternalRowSorter fold hook: merges `row`'s per-item partial state
   /// into `acc`'s (keys equal; acc keeps its own smaller sequence).
   Status FoldPartialRow(uint8_t* acc, const uint8_t* row);
-  /// Drains phase A (key order, folding key-adjacent partials) into phase
-  /// B (first-arrival order) and seals it.
+  /// Seals phase A and drains it in key order, folding key-adjacent
+  /// partials; hands each fully folded group's partial row to `sink`.
+  /// Phase A's flash is freed before returning.
+  Status DrainSpill(const std::function<Status(const uint8_t*)>& sink);
+  /// Drains phase A into phase B (first-arrival order) and seals it.
   Status FinishSpill();
   /// Renders one fully folded partial spill row as an output-layout row +
   /// first-arrival sequence and hands it to phase B.
@@ -150,20 +162,19 @@ class GroupAggregateOp final : public Operator {
   /// Scatter-shard mode: dumps every local group (hash table + spilled) as
   /// PartialAggGroups into ctx->partials_out instead of rendering rows.
   Status DumpPartials();
-  /// DumpPartials' spill side: drains phase A, folds key-adjacent
-  /// partials, and emits each folded group as a PartialAggGroup (phase B
-  /// never runs — the gather combiner orders globally).
-  Status FinishSpillPartials();
-  /// Streams the grouped output: hash groups first, then spilled ones.
+  /// Seeds the group table from the combined shard partials (gather leg).
+  Status SeedFromPartials();
+  /// Streams the held output: hash groups first, then spilled ones.
   Result<ColumnBatch> Emit();
 
   std::vector<size_t> key_items_;  ///< select indexes with agg == kNone
   std::vector<size_t> agg_items_;  ///< select indexes with an aggregate
-  BatchLayout out_layout_;  ///< key cells keep their input encoding;
-                            ///< aggregates their result encoding
+  /// No aggregates and not a scatter leg: groups stream out at first
+  /// arrival instead of being held.
+  bool streaming_ = false;
+  BatchLayout out_layout_;  ///< OutputLayout(query, *in_layout_)
   std::vector<uint32_t> out_offsets_;
   const BatchLayout* in_layout_ = nullptr;
-  std::vector<uint32_t> in_offsets_;
   // Partial spill-row layout: [key cells | per-aggregate partial state |
   // u64 seq]. A pure function of the visible query shape.
   std::vector<uint32_t> spill_key_offsets_;  ///< per key_items_ entry
@@ -179,7 +190,7 @@ class GroupAggregateOp final : public Operator {
   std::vector<std::string> key_scratch_;
 
   /// Hash phase: canonical key bytes -> index into groups_ (first-arrival
-  /// order).
+  /// order; unused for streamed groups, which are not held).
   std::unordered_map<std::string, size_t, TransparentStringHash,
                      std::equal_to<>>
       index_;
@@ -194,111 +205,45 @@ class GroupAggregateOp final : public Operator {
   bool done_ = false;
 };
 
-/// \brief Drops duplicate rows; the first occurrence (in anchor-id order)
-/// survives.
-///
-/// While the distinct set fits the relational-tail budget this is the
-/// streaming hash path: a set over concatenated encoded row bytes
-/// (heterogeneous string_view lookup, so only genuinely new keys
-/// allocate), survivors forwarded as selections, copy-free. Past the
-/// budget the operator switches to sort-based dedup: remaining rows are
-/// filtered against the frozen hash set, externally sorted by value with
-/// duplicates dropped, then re-sorted by arrival sequence so the output
-/// order (first occurrences, arrival order) is unchanged.
-class DistinctOp final : public Operator {
- public:
-  explicit DistinctOp(ExecContext* ctx) : Operator(ctx) {}
-  std::string_view name() const override { return "Distinct"; }
-  Result<ColumnBatch> Next() override;
-  Status Close() override;
-
- private:
-  /// Lazily binds layout-derived state to the first child batch.
-  void BindLayout(const ColumnBatch& batch);
-  /// Enters spill mode: remaining input flows through value-sorted dedup.
-  Status StartSpill();
-  /// Routes one live row into the spill sorter (unless its key is in the
-  /// frozen hash set). `key` is the row's precomputed canonical key.
-  Status SpillRow(const ColumnBatch& batch, uint32_t row,
-                  const std::string& key);
-  /// Drains phase A (value order, deduped) into phase B (arrival order)
-  /// and starts emitting.
-  Status FinishSpill();
-  Result<ColumnBatch> EmitSpilled();
-
-  std::unordered_set<std::string, TransparentStringHash, std::equal_to<>>
-      seen_;
-  size_t seen_bytes_ = 0;   ///< key bytes held by seen_ (budget accounting)
-  uint64_t seq_ = 0;        ///< arrival sequence across all input rows
-  const BatchLayout* layout_ = nullptr;
-  std::vector<uint32_t> offsets_;  ///< per-column byte offsets in a row
-  std::vector<uint8_t> row_buf_;   ///< one spill row (cells + sequence)
-  /// Per-batch row keys, extracted morsel-parallel before the sequential
-  /// dedup pass (reused across batches).
-  std::vector<std::string> key_scratch_;
-  std::unique_ptr<ExternalRowSorter> by_value_;    ///< spill phase A
-  std::unique_ptr<ExternalRowSorter> by_arrival_;  ///< spill phase B
-  bool child_done_ = false;
-  bool spilling_ = false;
-  bool emitting_ = false;
-};
-
-/// \brief ORDER BY over select-list columns: a blocking sort — keys are
-/// compared in their encodings, ties keep anchor-id (arrival) order —
-/// bounded by the relational-tail budget; larger inputs spill sorted runs
-/// to flash and stream the merge back in planner-sized batches.
+/// \brief ORDER BY over select-list columns — keys compared in their
+/// encodings, ties keep anchor-id (arrival) order — optionally fused with
+/// `LIMIT k` (kTopKSort). k = 0 never pulls the child. When k fits the
+/// relational-tail budget the operator keeps a bounded k-row heap of
+/// encoded rows: O(n log k) compares, O(k) secure memory, no spill.
+/// Otherwise it is a blocking sort bounded by the budget — larger inputs
+/// spill sorted runs to flash and stream the merge back in planner-sized
+/// batches — truncated at k when there is one.
 class SortOp final : public Operator {
  public:
-  explicit SortOp(ExecContext* ctx) : Operator(ctx) {}
+  SortOp(ExecContext* ctx, std::optional<uint64_t> k)
+      : Operator(ctx), limit_(k.value_or(UINT64_MAX)) {}
   std::string_view name() const override { return "Sort"; }
+  Status Open() override;
   Result<ColumnBatch> Next() override;
   Status Close() override;
 
  private:
   Status Gather();
-
-  const BatchLayout* layout_ = nullptr;
-  std::vector<uint32_t> offsets_;
-  std::vector<uint8_t> row_buf_;
-  std::unique_ptr<ExternalRowSorter> sorter_;
-  uint64_t seq_ = 0;
-  bool gathered_ = false;
-  bool done_ = false;
-};
-
-/// \brief The fused `ORDER BY ... LIMIT k` operator: a bounded k-row heap
-/// of encoded rows instead of materializing and sorting everything —
-/// O(n log k) compares, O(k) secure memory, no spill needed. Ties keep
-/// the stable arrival-order semantics of Sort → Limit. When k itself
-/// exceeds the relational-tail budget the operator degrades to the
-/// spilling sort truncated at k rows, so memory stays bounded either way.
-class TopKSortOp final : public Operator {
- public:
-  TopKSortOp(ExecContext* ctx, uint64_t k) : Operator(ctx), k_(k) {}
-  std::string_view name() const override { return "TopKSort"; }
-  Result<ColumnBatch> Next() override;
-  Status Close() override;
-
- private:
-  Status Gather();
-  Status Offer(const uint8_t* row);
+  /// Heap mode: offers one packed row to the k-row heap.
+  void Offer(const uint8_t* row);
   const uint8_t* Slot(uint32_t slot) const {
     return arena_.data() + static_cast<size_t>(slot) * stride_;
   }
 
-  uint64_t k_;
-  const BatchLayout* layout_ = nullptr;
+  uint64_t limit_;  ///< k, or unbounded without one
+  BatchLayout layout_;  ///< input (= output) layout
   std::vector<uint32_t> offsets_;
-  uint32_t stride_ = 0;
+  uint32_t stride_ = 0;  ///< packed row: cells + arrival sequence
   RowComparator cmp_;
   std::vector<uint8_t> row_buf_;
-  /// Heap mode (k within budget): k row slots, max-heap with the worst
-  /// kept row on top.
+  /// Heap mode (k within budget — visible): k row slots, max-heap with the
+  /// worst kept row on top.
+  bool heap_mode_ = false;
   std::vector<uint8_t> arena_;
   std::vector<uint32_t> heap_;
   std::vector<uint32_t> order_;  ///< final ascending order of the slots
   size_t emit_pos_ = 0;
-  /// Fallback (k past budget): full external sort, truncated at k.
+  /// Sort mode: the external sorter, created at the first input batch.
   std::unique_ptr<ExternalRowSorter> sorter_;
   uint64_t emitted_ = 0;
   uint64_t seq_ = 0;

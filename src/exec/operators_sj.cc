@@ -612,9 +612,9 @@ Result<SjState> PostSelectOp::Filter(const SjState& sj, uint32_t probe_offset,
   }
   chunk_buf.Release();
   io_bufs.Release();
-  GHOSTDB_RETURN_NOT_OK(MergeRowRuns(&ctx_->flash(), &ram, ctx_->allocator,
-                                     &chunk_runs, sj.row_width, 1,
-                                     "fprime"));
+  GHOSTDB_RETURN_NOT_OK(MergeRowRunsBy(
+      &ctx_->flash(), &ram, ctx_->allocator, &chunk_runs, sj.row_width, 1,
+      "fprime", RowComparator::LeadingU32(), /*drop_key_duplicates=*/false));
   SjState out;
   out.fprime = chunk_runs.empty() ? storage::RunRef{} : chunk_runs[0];
   out.rows = kept;

@@ -123,13 +123,4 @@ Status MergeRowRunsBy(flash::FlashDevice* device, device::RamManager* ram,
   return Status::OK();
 }
 
-Status MergeRowRuns(flash::FlashDevice* device, device::RamManager* ram,
-                    storage::PageAllocator* allocator,
-                    std::vector<storage::RunRef>* runs, uint32_t width,
-                    size_t target_count, const std::string& tag) {
-  return MergeRowRunsBy(device, ram, allocator, runs, width, target_count,
-                        tag, RowComparator::LeadingU32(),
-                        /*drop_key_duplicates=*/false);
-}
-
 }  // namespace ghostdb::exec

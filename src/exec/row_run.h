@@ -1,7 +1,7 @@
 // Fixed-stride row runs on flash: materialized intermediate results such as
 // the SJoin output F' (<id_anchor, id_Ti, ...> rows) and the per-table
 // projection outputs (<pos, vlist, hlist> rows), plus the sorted spill runs
-// of the memory-bounded relational tail (Sort/Distinct/top-K). Rows are
+// of the memory-bounded relational tail (SortOp, HashGroupOp). Rows are
 // packed back-to-back across page boundaries (streamed sequentially, never
 // random-accessed). Id-space runs lead with a 4-byte sort key (anchor id or
 // position); spill runs order by a RowComparator over encoded value cells.
@@ -30,7 +30,8 @@ inline constexpr uint32_t kSpillSeqWidth = 8;
 /// cells (compared via catalog::CompareEncoded, each ASC or DESC) plus an
 /// optional trailing arrival-sequence field (u64, always ascending) that
 /// makes the order total and keeps ties stable across spill generations.
-/// The legacy id-space runs order by their leading u32 instead.
+/// The id-space runs (SJoin output, projection position lists) order by
+/// their leading u32 instead.
 class RowComparator {
  public:
   struct Key {
@@ -117,20 +118,12 @@ class RowRunReader {
 /// pages rewritten per round are as few as possible. Consumed runs are
 /// freed under `tag`. With `drop_key_duplicates`, rows comparing equal on the
 /// declared keys collapse to the earliest (smallest tie-break) one — the
-/// sort-based DISTINCT. `stats` (optional) accumulates the flash work.
+/// sort-based grouping of rows with no aggregate state. `stats` (optional) accumulates the flash work.
 Status MergeRowRunsBy(flash::FlashDevice* device, device::RamManager* ram,
                       storage::PageAllocator* allocator,
                       std::vector<storage::RunRef>* runs, uint32_t width,
                       size_t target_count, const std::string& tag,
                       const RowComparator& cmp, bool drop_key_duplicates,
                       SpillStats* stats = nullptr);
-
-/// Merges row runs (sorted, disjoint leading-u32 keys) down to at most
-/// `target_count` runs — the id-space shape (SJoin output, projection
-/// position lists).
-Status MergeRowRuns(flash::FlashDevice* device, device::RamManager* ram,
-                    storage::PageAllocator* allocator,
-                    std::vector<storage::RunRef>* runs, uint32_t width,
-                    size_t target_count, const std::string& tag);
 
 }  // namespace ghostdb::exec

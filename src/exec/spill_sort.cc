@@ -27,15 +27,7 @@ ExternalRowSorter::~ExternalRowSorter() {
 
 Status ExternalRowSorter::Add(const uint8_t* row) {
   if (finished_) return Status::Internal("Add() after Finish()");
-  if (gen_rows_ >= budget_rows_) {
-    if (!ctx_->config->spill_enabled) {
-      return Status::ResourceExhausted(
-          tag_ + " working set exceeds the relational-tail budget (" +
-          std::to_string(budget_rows_) +
-          " rows) and spilling is disabled");
-    }
-    GHOSTDB_RETURN_NOT_OK(SpillGeneration());
-  }
+  if (gen_rows_ >= budget_rows_) GHOSTDB_RETURN_NOT_OK(SpillGeneration());
   arena_.insert(arena_.end(), row, row + row_width_);
   gen_rows_ += 1;
   return Status::OK();
@@ -191,8 +183,8 @@ Status ExternalRowSorter::Finish() {
   // reserved buffer forces extra merge-down rounds (each rewrites the
   // merged pages once at row_width_ stride), so the reserve is exactly
   // what the stream's consumer needs while the reader set stays pinned —
-  // one generation-spill buffer (the arrival-order phase of Distinct /
-  // GroupAggregate keeps absorbing this stream and may itself spill) plus
+  // one generation-spill buffer (HashGroupOp's arrival-order phase keeps
+  // absorbing this stream and may itself spill) plus
   // one run-writer buffer for its merge or padding writes. Everything
   // else becomes merge width; with MergeRowRunsBy's minimal-merge policy,
   // wider fan-in strictly reduces rewritten pages. All inputs (budget,
@@ -285,12 +277,18 @@ Status ExternalRowSorter::Close() {
   return status;
 }
 
+Status ExternalRowSorter::PadUnfinished() {
+  if (finished_) return Status::Internal("PadUnfinished() after Finish()");
+  finished_ = true;
+  return PadSpillRuns();
+}
+
+namespace {
+
+/// The padded-mode dummy-run signature of a sorter that never
+/// materialized, folded into ctx->metrics.
 Status PadUnspilledSorter(ExecContext* ctx, uint32_t stride,
                           const std::string& tag) {
-  const ExecConfig& cfg = *ctx->config;
-  if (!cfg.pad_spill_runs || cfg.volume_padding == VolumePadding::kOff) {
-    return Status::OK();
-  }
   uint64_t budget_rows = std::max<uint64_t>(
       1, ctx->sort_budget_bytes / std::max<uint32_t>(1, stride));
   // A zero-row sorter: Finish() writes only the padding mode's dummy-run
@@ -304,6 +302,27 @@ Status PadUnspilledSorter(ExecContext* ctx, uint32_t stride,
   ctx->metrics->sort_spill_pages += sorter.stats().pages_written;
   ctx->metrics->padding_spill_runs += sorter.stats().padding_runs_written;
   return sorter.Close();
+}
+
+}  // namespace
+
+Status CloseSorterPhase(ExecContext* ctx, ExternalRowSorter* sorter,
+                        bool may_pad, uint32_t stride,
+                        const std::string& tag) {
+  Status status;
+  if (may_pad && ctx->config->pad_spill_runs) {
+    if (sorter == nullptr) {
+      status = PadUnspilledSorter(ctx, stride, tag);
+    } else if (!sorter->finished()) {
+      status = sorter->PadUnfinished();
+    }
+  }
+  if (sorter == nullptr) return status;
+  ctx->metrics->sort_spill_runs += sorter->stats().runs_written;
+  ctx->metrics->sort_spill_pages += sorter->stats().pages_written;
+  ctx->metrics->padding_spill_runs += sorter->stats().padding_runs_written;
+  Status closed = sorter->Close();
+  return status.ok() ? closed : status;
 }
 
 }  // namespace ghostdb::exec

@@ -1,5 +1,5 @@
-// The memory-bounded sorting core behind the relational tail (SortOp,
-// DistinctOp's sort-based overflow path, TopKSortOp's large-k fallback).
+// The memory-bounded sorting core behind the relational tail (SortOp's
+// sort mode, HashGroupOp's sort-based overflow phases).
 //
 // Rows are fixed-width encoded cells with a trailing u64 arrival sequence
 // (kSpillSeqWidth) that makes every RowComparator order total, so plain
@@ -66,7 +66,7 @@ class ExternalRowSorter {
   void set_fold(FoldFn fold) { fold_ = std::move(fold); }
 
   /// Appends one row (row_width bytes). Past the budget: spills the
-  /// current generation (spill_enabled) or fails with ResourceExhausted.
+  /// current generation as one sorted run.
   Status Add(const uint8_t* row);
 
   /// Seals the input: sorts the tail generation and, if the sorter
@@ -80,7 +80,14 @@ class ExternalRowSorter {
   /// Releases reader buffers and frees all remaining spill runs.
   Status Close();
 
+  /// Seals a sorter abandoned before Finish() (a LIMIT above stopped
+  /// pulling) and writes the dummy runs Finish() would have padded its
+  /// real run count with. Buffered rows are dropped, never written.
+  Status PadUnfinished();
+
   bool spilled() const { return !runs_.empty(); }
+  /// True once Finish() ran (or PadUnfinished() sealed the sorter).
+  bool finished() const { return finished_; }
   uint64_t budget_rows() const { return budget_rows_; }
   const SpillStats& stats() const { return stats_; }
 
@@ -95,9 +102,10 @@ class ExternalRowSorter {
   /// worst-case generation count ceil(padding_row_bound / budget_rows)
   /// (kWorstCase). Dummies are never read or merged and are freed in
   /// Close(); they reduce the resolution of the per-sorter spill-count
-  /// side channel (exact invariance would need every operator to
-  /// instantiate its sorters unconditionally — the volume channel, not
-  /// this one, carries the strict guarantee).
+  /// side channel (CloseSorterPhase pads phases that never finished too;
+  /// a real count past the worst-case target — merge-down runs — still
+  /// shows, so the volume channel, not this one, carries the strict
+  /// guarantee).
   Status PadSpillRuns();
   const uint8_t* GenRow(uint32_t index) const {
     return arena_.data() + static_cast<size_t>(index) * row_width_;
@@ -129,15 +137,19 @@ class ExternalRowSorter {
   bool have_last_ = false;
 };
 
-/// Strict spill-run padding (ExecConfig::pad_spill_runs): writes the
-/// padded-mode dummy-run signature of a sorter that never materialized —
-/// an operator whose plan *could* spill but whose live input never tripped
-/// the budget (or was empty), which would otherwise distinguish itself on
-/// flash from an input that spilled and padded. `stride` must be the row
-/// width the real sorter would have used — a pure function of the visible
-/// plan, never of the live row count. No-op unless pad_spill_runs is on.
-/// Folds the dummy-run stats into ctx->metrics.
-Status PadUnspilledSorter(ExecContext* ctx, uint32_t stride,
-                          const std::string& tag);
+/// Close-time end of one sorter phase of a relational-tail operator, and
+/// the one spill-run padding rule (ExecConfig::pad_spill_runs): with
+/// `may_pad`, a phase that did not reach Finish() — never created
+/// (`sorter` null: the live input never tripped the budget, or was empty)
+/// or abandoned by a LIMIT above — first writes the padded dummy-run
+/// signature a finished sorter would have, which would otherwise
+/// distinguish it on flash from an input that spilled and padded. `stride`
+/// must be the row width the real sorter uses — a pure function of the
+/// visible plan, never of the live row count. Then folds the sorter's
+/// spill work into ctx->metrics and frees its runs. Called only from
+/// Operator::Close(), never from a destructor.
+Status CloseSorterPhase(ExecContext* ctx, ExternalRowSorter* sorter,
+                        bool may_pad, uint32_t stride,
+                        const std::string& tag);
 
 }  // namespace ghostdb::exec

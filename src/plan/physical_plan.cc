@@ -26,8 +26,7 @@ std::string_view PhysicalOpName(PhysicalOp op) {
 }
 
 PhysicalPlan BuildPhysicalPlan(const sql::BoundQuery& query,
-                               PlanChoice choice, bool fuse_topk,
-                               bool pad_volume) {
+                               PlanChoice choice, bool pad_volume) {
   PhysicalPlan plan;
   plan.choice = std::move(choice);
   auto add = [&](PhysicalOp op, int child) {
@@ -64,7 +63,7 @@ PhysicalPlan BuildPhysicalPlan(const sql::BoundQuery& query,
     node = add(PhysicalOp::kAggregate, node);
   }
   if (query.distinct) node = add(PhysicalOp::kDistinct, node);
-  if (fuse_topk && !query.order_by.empty() && query.limit.has_value()) {
+  if (!query.order_by.empty() && query.limit.has_value()) {
     // Sort -> Limit k fuses into a bounded top-K heap. The decision keys
     // on shape only (both clauses present), so fused plans cache like any
     // other; k is re-bound from the live query at build time.

@@ -5,7 +5,12 @@
 //
 //   VisSelect -> BloomBuild -> Merge -> SJoin [-> PostSelect]
 //     -> Project | BruteForceProject
-//     [-> Aggregate | GroupAggregate] [-> Distinct] [-> Sort] [-> Limit]
+//     [-> Aggregate | GroupAggregate | Distinct]
+//     [-> TopKSort | [-> Sort] [-> Limit]] [-> VolumePad]
+//
+// Aggregate, GroupAggregate and Distinct all run as exec::HashGroupOp;
+// Sort and TopKSort (Sort -> Limit k, always fused) as exec::SortOp. The
+// kinds stay distinct for EXPLAIN and for the fan-out boundary search.
 //
 // Nodes are stored flat (children by index) so plans are cheap to copy and
 // cache: the plan cache in core::GhostDB keys them by query shape.
@@ -26,7 +31,8 @@
 
 namespace ghostdb::plan {
 
-/// Physical operator kinds, one per exec-layer Operator class.
+/// Physical operator kinds (the grouping and sort kinds share one
+/// exec-layer Operator class each).
 enum class PhysicalOp : uint8_t {
   kVisSelect,          ///< serve Vis ids, apply per-table strategy prep
   kBloomBuild,         ///< BuildBF for (Cross)Post-Filter tables
@@ -80,18 +86,17 @@ struct PhysicalPlan {
 };
 
 /// Lowers `choice` into the operator tree for `query`. Pure function of the
-/// bound query's visible shape and the choice. With `fuse_topk`
-/// (ExecConfig::topk_fusion), a Sort -> Limit k tail becomes one fused
-/// TopKSort node — O(k) secure memory instead of a full materialized sort.
-/// The fusion keys on the *presence* of ORDER BY and LIMIT (shape
-/// information); k itself stays a literal the executor re-binds.
+/// bound query's visible shape and the choice. A Sort -> Limit k tail is
+/// always one fused TopKSort node — O(k) secure memory instead of a full
+/// materialized sort when k fits the budget. The fusion keys on the
+/// *presence* of ORDER BY and LIMIT (shape information); k itself stays a
+/// literal the executor re-binds.
 ///
 /// With `pad_volume` (ExecConfig::volume_padding != kOff) a VolumePad node
 /// caps the tree: config is visible information, so padded plans cache
 /// like any other. Called only through Planner::LowerPlan, which derives
-/// both flags from the one ExecConfig every plan is lowered under.
+/// the flag from the one ExecConfig every plan is lowered under.
 PhysicalPlan BuildPhysicalPlan(const sql::BoundQuery& query,
-                               PlanChoice choice, bool fuse_topk,
-                               bool pad_volume);
+                               PlanChoice choice, bool pad_volume);
 
 }  // namespace ghostdb::plan

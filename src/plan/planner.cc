@@ -123,7 +123,7 @@ PhysicalPlan Planner::LowerPlan(const sql::BoundQuery& query,
                                 PlanChoice choice,
                                 const exec::ExecConfig& exec_config) const {
   PhysicalPlan plan = BuildPhysicalPlan(
-      query, std::move(choice), exec_config.topk_fusion,
+      query, std::move(choice),
       exec_config.volume_padding != exec::VolumePadding::kOff);
   // Batch sizing: a byte budget over the output row width. Widths are
   // schema metadata (visible), so the sized plan (and the layout it was

@@ -91,7 +91,7 @@ Result<std::vector<std::vector<Value>>> Evaluate(
     // GROUP BY: partition the per-row values by the plain (key) select
     // items, fold aggregates per group, emit one row per group in
     // first-arrival order showing the group's first-row key values —
-    // exactly GroupAggregateOp's semantics. Empty input: zero groups.
+    // exactly HashGroupOp's semantics. Empty input: zero groups.
     std::map<std::vector<Value>, size_t> index;
     std::vector<std::vector<Value>> first_rows;
     std::vector<std::vector<exec::Aggregator>> groups;
@@ -127,7 +127,7 @@ Result<std::vector<std::vector<Value>>> Evaluate(
     // Whole-result aggregates: fold the per-row values exactly as the
     // device does. GhostDB has no NULLs: value aggregates (SUM/AVG/MIN/
     // MAX) over an empty input yield an empty result instead of SQL's
-    // NULL row; COUNT-only selects keep their zero row (AggregateOp
+    // NULL row; COUNT-only selects keep their zero row (HashGroupOp
     // applies the same rule).
     bool needs_input = false;
     for (const auto& item : query.select) {

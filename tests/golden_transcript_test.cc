@@ -273,6 +273,60 @@ TEST(GoldenTranscriptTest, OneBufferForcedSpill) {
   ExpectGolden("forced_spill", out.str());
 }
 
+TEST(GoldenTranscriptTest, GroupingShapes) {
+  // The relational tail's grouping and sort shapes no other scenario pins:
+  // a streaming DISTINCT cut short by LIMIT, small and large top-K, keyless
+  // aggregates over a hidden-emptied input, and the padded forced spills.
+  // Each statement also records its spill-run and spill-page counts.
+  std::ostringstream out;
+  auto run = [&out](GhostDB* db, const std::vector<std::string>& sqls) {
+    for (const std::string& sql : sqls) {
+      auto r = db->Query(sql);
+      RecordStatement(db, sql, r, &out);
+      if (r.ok()) {
+        out << "  spill_runs " << r->metrics.sort_spill_runs << " pages "
+            << r->metrics.sort_spill_pages << " padding_runs "
+            << r->metrics.padding_spill_runs << "\n";
+      }
+    }
+  };
+  GhostDBConfig cfg = Config();
+  cfg.exec.sort_budget_buffers = 1;
+  {
+    GhostDB db(cfg);
+    BuildDb(&db);
+    db.device().channel().ClearTranscript();
+    out << "budget 1\n";
+    run(&db, {
+                 "SELECT DISTINCT Fact.v, Fact.h FROM Fact WHERE Fact.h < 80 "
+                 "LIMIT 7",
+                 "SELECT Fact.id, Fact.h FROM Fact WHERE Fact.h < 70 "
+                 "ORDER BY Fact.h LIMIT 5",
+                 "SELECT COUNT(*) FROM Fact WHERE Fact.h < 0",
+                 "SELECT SUM(Fact.h) FROM Fact WHERE Fact.h < 0",
+             });
+  }
+  cfg.exec.volume_padding = exec::VolumePadding::kWorstCase;
+  cfg.exec.pad_spill_runs = true;
+  {
+    GhostDB db(cfg);
+    BuildDb(&db);
+    db.device().channel().ClearTranscript();
+    out << "budget 1 worst-case pad_spill_runs\n";
+    run(&db, {
+                 "SELECT DISTINCT Fact.v, Fact.h FROM Fact WHERE Fact.h < 80",
+                 "SELECT Fact.v, COUNT(*), SUM(Fact.h) FROM Fact WHERE "
+                 "Fact.h < 80 GROUP BY Fact.v",
+                 "SELECT COUNT(*), MAX(Fact.h) FROM Fact WHERE Fact.v > 40",
+                 "SELECT Fact.id, Fact.h FROM Fact WHERE Fact.h < 60 "
+                 "ORDER BY Fact.h DESC",
+                 "SELECT Fact.id, Fact.h FROM Fact WHERE Fact.h < 70 "
+                 "ORDER BY Fact.h LIMIT 900",
+             });
+  }
+  ExpectGolden("grouping_shapes", out.str());
+}
+
 TEST(GoldenTranscriptTest, Explain) {
   GhostDB db(Config());
   BuildDb(&db);

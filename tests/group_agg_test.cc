@@ -1,5 +1,6 @@
 // Grouped aggregation end to end: GROUP BY parsing/binding, the
-// GroupAggregateOp hash and spill-overflow paths (byte-identical output),
+// HashGroupOp hash and spill-overflow paths (byte-identical output, for
+// GROUP BY, DISTINCT and keyless aggregates alike),
 // grouped ORDER BY/LIMIT over keys and aggregate outputs, and the
 // aggregate-semantics edges — empty/all-filtered inputs for every AggFunc
 // (GhostDB's no-NULL rule: value aggregates over an empty input yield an
@@ -138,13 +139,11 @@ TEST(GroupBySqlTest, RejectsMalformedGroupBy) {
 
 // --- End-to-end fixture ---
 
-GhostDBConfig MakeConfig(uint32_t sort_budget_buffers = 0,
-                         bool spill_enabled = true) {
+GhostDBConfig MakeConfig(uint32_t sort_budget_buffers = 0) {
   GhostDBConfig cfg;
   cfg.device.flash.logical_pages = 32 * 1024;
   cfg.retain_staged_data = true;
   cfg.exec.sort_budget_buffers = sort_budget_buffers;
-  cfg.exec.spill_enabled = spill_enabled;
   return cfg;
 }
 
@@ -414,42 +413,93 @@ TEST(GroupAggSpillTest, HashAndSpillPathsProduceIdenticalResults) {
   GhostDB tiny(MakeConfig(/*sort_budget_buffers=*/1));  // forced overflow
   BuildDb(&roomy);
   BuildDb(&tiny);
-  for (const char* sql : {
-           "SELECT Fact.v, Fact.h, COUNT(*), SUM(Fact.h) FROM Fact "
-           "GROUP BY Fact.v, Fact.h",
-           "SELECT Fact.v, SUM(Fact.h), AVG(Fact.h), MIN(Fact.h), "
-           "MAX(Fact.h) FROM Fact WHERE Fact.h < 90 GROUP BY Fact.v",
-           "SELECT Fact.d, Fact.v, COUNT(*) FROM Fact GROUP BY Fact.d, "
-           "Fact.v ORDER BY COUNT(*) DESC, Fact.v LIMIT 20",
-           "SELECT Fact.h, Fact.v FROM Fact GROUP BY Fact.h, Fact.v",
+  struct Case {
+    const char* sql;
+    bool spills;  ///< a 1-buffer budget forces the overflow path
+  };
+  for (const Case& c : {
+           Case{"SELECT Fact.v, Fact.h, COUNT(*), SUM(Fact.h) FROM Fact "
+                "GROUP BY Fact.v, Fact.h",
+                true},
+           Case{"SELECT Fact.v, SUM(Fact.h), AVG(Fact.h), MIN(Fact.h), "
+                "MAX(Fact.h) FROM Fact WHERE Fact.h < 90 GROUP BY Fact.v",
+                true},
+           Case{"SELECT Fact.d, Fact.v, COUNT(*) FROM Fact GROUP BY Fact.d, "
+                "Fact.v ORDER BY COUNT(*) DESC, Fact.v LIMIT 20",
+                true},
+           Case{"SELECT Fact.h, Fact.v FROM Fact GROUP BY Fact.h, Fact.v",
+                true},
+           // DISTINCT: all keys, no aggregates (signed-zero doubles too).
+           Case{"SELECT DISTINCT Fact.v, Fact.h FROM Fact", true},
+           Case{"SELECT DISTINCT Fact.d, Fact.v FROM Fact WHERE Fact.h < 90",
+                true},
+           // Keyless: the one group is never charged to the budget, so it
+           // stays on the hash path under any budget.
+           Case{"SELECT COUNT(*), SUM(Fact.h), MIN(Fact.d), MAX(Fact.h) "
+                "FROM Fact",
+                false},
+           Case{"SELECT COUNT(Fact.h), AVG(Fact.h) FROM Fact WHERE "
+                "Fact.v < 20",
+                false},
        }) {
-    SCOPED_TRACE(sql);
-    auto r1 = roomy.Query(sql);
-    auto r2 = tiny.Query(sql);
+    SCOPED_TRACE(c.sql);
+    auto r1 = roomy.Query(c.sql);
+    auto r2 = tiny.Query(c.sql);
     ASSERT_TRUE(r1.ok()) << r1.status().ToString();
     ASSERT_TRUE(r2.ok()) << r2.status().ToString();
     EXPECT_EQ(r1->metrics.sort_spill_runs, 0u)
         << "roomy budget must stay on the hash path";
-    EXPECT_GT(r2->metrics.sort_spill_runs, 0u)
-        << "1-buffer budget must force the overflow path";
+    if (c.spills) {
+      EXPECT_GT(r2->metrics.sort_spill_runs, 0u)
+          << "1-buffer budget must force the overflow path";
+    } else {
+      EXPECT_EQ(r2->metrics.sort_spill_runs, 0u)
+          << "a keyless aggregate never spills";
+    }
     EXPECT_EQ(r1->total_rows, r2->total_rows);
     // Byte-identical rendering: same groups, same order, same values.
     EXPECT_EQ(RenderedRows(*r1), RenderedRows(*r2));
   }
 }
 
-TEST(GroupAggSpillTest, SpillDisabledFailsCleanAndSmallGroupsStillServe) {
-  GhostDB db(MakeConfig(/*sort_budget_buffers=*/1, /*spill_enabled=*/false));
+TEST(GroupAggSpillTest, GroupByWithoutAggregatesMatchesDistinct) {
+  // GROUP BY over every select item with no aggregates is DISTINCT: the
+  // same rows in the same order, and the same streaming, budget charge and
+  // spill work — with and without a LIMIT that stops pulling early.
+  GhostDB db(MakeConfig(/*sort_budget_buffers=*/1));
   BuildDb(&db);
-  auto big = db.Query(
-      "SELECT Fact.v, Fact.h, COUNT(*) FROM Fact GROUP BY Fact.v, Fact.h");
-  EXPECT_TRUE(big.status().IsResourceExhausted())
-      << big.status().ToString();
-  // A group table that fits the single buffer still works.
+  for (const char* tail : {"", " LIMIT 7"}) {
+    const std::string distinct =
+        std::string("SELECT DISTINCT Fact.v, Fact.h FROM Fact WHERE "
+                    "Fact.h < 80") +
+        tail;
+    const std::string grouped =
+        std::string("SELECT Fact.v, Fact.h FROM Fact WHERE Fact.h < 80 "
+                    "GROUP BY Fact.v, Fact.h") +
+        tail;
+    SCOPED_TRACE(grouped);
+    auto d = db.Query(distinct);
+    auto g = db.Query(grouped);
+    ASSERT_TRUE(d.ok()) << d.status().ToString();
+    ASSERT_TRUE(g.ok()) << g.status().ToString();
+    EXPECT_GT(d->metrics.sort_spill_runs, 0u) << "DISTINCT did not spill";
+    EXPECT_EQ(RenderedRows(*g), RenderedRows(*d));
+    EXPECT_EQ(g->total_rows, d->total_rows);
+    EXPECT_EQ(g->metrics.sort_spill_runs, d->metrics.sort_spill_runs);
+    EXPECT_EQ(g->metrics.sort_spill_pages, d->metrics.sort_spill_pages);
+    EXPECT_EQ(g->metrics.flash.pages_written, d->metrics.flash.pages_written);
+  }
+}
+
+TEST(GroupAggSpillTest, SmallGroupTableServesOnHashPath) {
+  // A group table that fits a single buffer never spills.
+  GhostDB db(MakeConfig(/*sort_budget_buffers=*/1));
+  BuildDb(&db);
   auto small = db.Query(
       "SELECT Dim.v, COUNT(*) FROM Dim WHERE Dim.v < 3 GROUP BY Dim.v");
   ASSERT_TRUE(small.ok()) << small.status().ToString();
   EXPECT_GT(small->total_rows, 0u);
+  EXPECT_EQ(small->metrics.sort_spill_runs, 0u);
 }
 
 TEST(GroupAggSpillTest, ForcedSpillStaysOracleExact) {

@@ -210,6 +210,41 @@ TEST(LeakTest, ForcedSpillShapesAreTranscriptInvariant) {
   }
 }
 
+TEST(LeakTest, PaddedForcedSpillRunCountsAreHiddenInvariant) {
+  // Spill-run padding under worst-case volume padding and a one-buffer
+  // tail budget: every sorter phase a plan may instantiate ends at the
+  // same real + dummy run count whatever the hidden data let through —
+  // including a phase that spilled and was then abandoned because a LIMIT
+  // above stopped pulling a streaming DISTINCT.
+  GhostDBConfig padded = Config();
+  padded.exec.sort_budget_buffers = 1;
+  padded.exec.volume_padding = exec::VolumePadding::kWorstCase;
+  padded.exec.pad_spill_runs = true;
+  for (const char* sql : {
+           "SELECT DISTINCT Fact.v, Fact.h FROM Fact WHERE Fact.h < 80 "
+           "LIMIT 7",
+           "SELECT DISTINCT Fact.v, Fact.h FROM Fact WHERE Fact.h < 80",
+           "SELECT Fact.v, COUNT(*), SUM(Fact.h) FROM Fact WHERE "
+           "Fact.h < 80 GROUP BY Fact.v",
+           "SELECT Fact.id, Fact.h FROM Fact WHERE Fact.h < 60 "
+           "ORDER BY Fact.h DESC",
+       }) {
+    SCOPED_TRACE(sql);
+    std::vector<uint64_t> runs;
+    for (uint64_t hidden_seed : {111, 333, 999}) {
+      GhostDB db(padded);
+      BuildDb(&db, hidden_seed);
+      auto r = db.Query(sql);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      runs.push_back(r->metrics.sort_spill_runs +
+                     r->metrics.padding_spill_runs);
+    }
+    EXPECT_GT(runs[0], 0u);
+    EXPECT_EQ(runs[0], runs[1]);
+    EXPECT_EQ(runs[0], runs[2]);
+  }
+}
+
 TEST(LeakTest, BatchPathTranscriptsAreHiddenIndependent) {
   // QueryBatch() reuses cached plans after the first statement of each
   // shape; cache behavior keys on the visible query text only, so the
