@@ -1,8 +1,7 @@
 // Column statistics for selectivity estimation: an equi-depth quantile
 // sketch built at load time. The paper assumes selectivities are known when
 // choosing Pre- vs Post-filtering; we estimate them the way a real engine
-// would (the cost-based optimizer is listed as future work in the paper and
-// implemented here as an extension).
+// would, and the planner's decision rules read the estimates.
 #pragma once
 
 #include <cstdint>

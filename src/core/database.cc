@@ -92,8 +92,9 @@ uint32_t DeclaredShapeWeight(const sql::BoundQuery& query) {
 
 GhostDB::GhostDB(GhostDBConfig config)
     : config_(std::move(config)), plan_cache_(config_.plan_cache_capacity) {
-  if (config_.encrypt_external_flash &&
-      !config_.device.flash.cipher_key.has_value()) {
+  // External NAND pages are always encrypted (the chip sits outside the
+  // secure perimeter, Fig 2); zero simulated-time cost.
+  if (!config_.device.flash.cipher_key.has_value()) {
     // Derive the at-rest key from the device master secret.
     const char* label = "ghostdb-at-rest-key";
     auto digest = crypto::Sha256::Hash(
@@ -186,8 +187,7 @@ Status GhostDB::Build() {
     config_.exec.worker_threads = config_.worker_threads;
   }
   if (config_.exec.worker_threads > 1) {
-    pool_ = std::make_unique<exec::ThreadPool>(config_.exec.worker_threads,
-                                               config_.pin_worker_threads);
+    pool_ = std::make_unique<exec::ThreadPool>(config_.exec.worker_threads);
   }
   if (!schema_.finalized()) {
     GHOSTDB_RETURN_NOT_OK(schema_.Finalize());
@@ -196,6 +196,7 @@ Status GhostDB::Build() {
       staged_.emplace_back(&schema_, t);
     }
   }
+  IndexedAttrs indexed_attrs;
   if (config_.indexed_attrs_by_name.has_value()) {
     std::map<TableId, std::vector<catalog::ColumnId>> resolved;
     for (const auto& [table_name, columns] :
@@ -211,7 +212,7 @@ Status GhostDB::Build() {
       }
       resolved.try_emplace(t);  // ensure entry exists even if empty
     }
-    config_.loader.indexed_attrs = std::move(resolved);
+    indexed_attrs = std::move(resolved);
   }
   // Sharded fleets: hash-partition the root's rows across the devices
   // (every other table replicates) and install each shard's local→global
@@ -237,7 +238,7 @@ Status GhostDB::Build() {
         &schema_, &shard.device->channel());
     shard.untrusted->set_pool(pool_.get());
     Loader loader(&schema_, shard.device.get(), shard.allocator.get(),
-                  shard.untrusted.get(), config_.loader);
+                  shard.untrusted.get(), indexed_attrs);
     GHOSTDB_ASSIGN_OR_RETURN(
         shard.store, loader.Load(partitioned ? parts.shards[s] : staged_));
     if (partitioned) {
@@ -252,9 +253,8 @@ Status GhostDB::Build() {
   }
   // The planner reads shard 0's store (statistics differ per shard only in
   // their samples; the plan is shared fleet-wide through the plan cache).
-  config_.planner.shard_count = config_.shard_count;
-  planner_ = std::make_unique<plan::Planner>(&schema_, &shards_[0].store,
-                                             config_.planner);
+  planner_ = std::make_unique<plan::Planner>(
+      &schema_, &shards_[0].store, plan::PlannerConfig{config_.shard_count});
   if (!config_.retain_staged_data) {
     staged_.clear();
     staged_.shrink_to_fit();
@@ -706,16 +706,24 @@ Result<std::string> GhostDB::Explain(const std::string& sql) {
 }
 
 std::string GhostDB::StorageReport() const {
+  // Fleet-wide: each tag summed over every shard's allocator (a sharded
+  // store holds the root slices plus a replica of every other table).
+  std::map<std::string, int64_t> by_tag;
+  uint64_t used = 0;
+  for (const Shard& shard : shards_) {
+    for (const auto& [tag, pages] : shard.allocator->usage_by_tag()) {
+      by_tag[tag] += pages;
+    }
+    used += shard.allocator->used_pages();
+  }
   std::string out = "flash pages by structure:\n";
-  const storage::PageAllocator& allocator = *shards_[0].allocator;
-  for (const auto& [tag, pages] : allocator.usage_by_tag()) {
+  for (const auto& [tag, pages] : by_tag) {
     if (pages == 0) continue;
     out += "  " + tag + ": " + std::to_string(pages) + "\n";
   }
-  out += "total used: " + std::to_string(allocator.used_pages()) +
-         " pages (" +
-         std::to_string(allocator.used_pages() * 2048 / 1024 / 1024) +
-         " MiB)\n";
+  const uint64_t page_size = config_.device.flash.page_size;
+  out += "total used: " + std::to_string(used) + " pages (" +
+         std::to_string(used * page_size / 1024 / 1024) + " MiB)\n";
   return out;
 }
 

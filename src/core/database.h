@@ -45,7 +45,14 @@
 
 namespace ghostdb::core {
 
+/// Everything a GhostDB deployment can set. Each value has a caller
+/// outside the tests (a bench, a workload, an example or the end-to-end
+/// benchmark; ARCHITECTURE.md, "Configuration surface"); behaviour nobody
+/// varies is a named constant in the module that reads it.
 struct GhostDBConfig {
+  /// The simulated device (the paper's Table 1 parameters). An unset
+  /// `device.flash.cipher_key` is derived from the device master secret:
+  /// external flash pages are always encrypted.
   device::DeviceConfig device;
   /// Seeded fault schedule, applied to every shard's device (each on its
   /// own seed lane). Inert by default; validated and armed by Build() so
@@ -62,13 +69,14 @@ struct GhostDBConfig {
   /// arbiter, so the per-device transcript contract is unchanged. 1 = the
   /// classic single device.
   uint32_t shard_count = 1;
-  /// Encrypt external NAND pages (the chip sits outside the secure
-  /// perimeter, Fig 2). Zero simulated-time cost; real crypto exercised.
-  bool encrypt_external_flash = true;
   /// Keep the staged (owner-side) data after Build() — used by tests to
   /// cross-check results against the reference oracle.
   bool retain_staged_data = false;
-  /// Name-based alternative to loader.indexed_attrs (resolved at Build()).
+  /// Which hidden attributes get climbing indexes, as table name -> column
+  /// names (resolved at Build(); an unknown name fails it with NotFound).
+  /// nullopt = every hidden non-foreign-key attribute (the paper's fully
+  /// indexed model); a table left out, or mapped to no columns, gets no
+  /// attribute indexes. Id indexes are always built.
   std::optional<std::map<std::string, std::vector<std::string>>>
       indexed_attrs_by_name;
   /// Most query shapes the plan cache keeps (least-recently-used shapes
@@ -80,13 +88,13 @@ struct GhostDBConfig {
   /// 1 = fully serial (no threads spawned), N = N-way parallel visible
   /// scans / spill sorts / batch key extraction. Thread count never
   /// changes results or the channel transcript — the leak sweep asserts
-  /// it. Build() rejects 0 and absurd values with InvalidArgument.
+  /// it. Build() rejects 0 and absurd values with InvalidArgument. The
+  /// pool's workers are pinned round-robin across cores (Linux;
+  /// best-effort).
   uint32_t worker_threads = 1;
-  /// Pin pool workers round-robin across cores (Linux; best-effort).
-  bool pin_worker_threads = true;
-  LoaderConfig loader;
+  /// Execution knobs: the ablation and padding dials, the result row
+  /// limit and the relational-tail budget (exec/operator.h).
   exec::ExecConfig exec;
-  plan::PlannerConfig planner;
 };
 
 /// \brief Result of QueryBatch(): per-statement answers plus batch-level
@@ -189,7 +197,8 @@ class GhostDB {
   /// Staged data (only if retain_staged_data).
   const std::vector<TableData>& staged() const { return staged_; }
 
-  /// Storage report: live flash pages per structure tag.
+  /// Storage report: live flash pages per structure tag, summed over every
+  /// shard of the fleet.
   std::string StorageReport() const;
 
   /// Declares that the catalog statistics changed (e.g. a future update

@@ -113,9 +113,9 @@ Result<SecureStore> Loader::Load(const std::vector<TableData>& staged) {
     }
     // Attribute climbing indexes: configured set, or all hidden non-FK.
     std::vector<ColumnId> to_index;
-    if (config_.indexed_attrs.has_value()) {
-      auto it = config_.indexed_attrs->find(t);
-      if (it != config_.indexed_attrs->end()) to_index = it->second;
+    if (indexed_attrs_.has_value()) {
+      auto it = indexed_attrs_->find(t);
+      if (it != indexed_attrs_->end()) to_index = it->second;
     } else {
       for (ColumnId c : schema_->HiddenColumns(t)) {
         if (!schema_->table(t).columns[c].is_foreign_key()) {
@@ -172,13 +172,11 @@ Status Loader::BuildHiddenImage(TableId t, const TableData& data,
     }
   }
 
-  if (config_.seal_hidden_download) {
-    // The owner seals the Hidden partition; the device verifies and opens
-    // it. Tampered downloads fail here.
-    auto keys = Keys();
-    auto sealed = crypto::Seal(keys, packed, /*nonce_seed=*/t + 1);
-    GHOSTDB_ASSIGN_OR_RETURN(packed, crypto::Open(keys, sealed));
-  }
+  // The owner seals the Hidden partition; the device verifies and opens
+  // it. Tampered downloads fail here.
+  auto keys = Keys();
+  auto sealed = crypto::Seal(keys, packed, /*nonce_seed=*/t + 1);
+  GHOSTDB_ASSIGN_OR_RETURN(packed, crypto::Open(keys, sealed));
 
   std::vector<uint8_t> scratch(device_->flash().config().page_size);
   storage::FixedTableBuilder builder(

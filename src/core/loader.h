@@ -10,6 +10,7 @@
 
 #include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "catalog/schema.h"
@@ -23,16 +24,12 @@
 
 namespace ghostdb::core {
 
-struct LoaderConfig {
-  /// Seal/verify the Hidden partitions through the secure channel (crypto
-  /// path exercised; costs no simulated time).
-  bool seal_hidden_download = true;
-  /// Which hidden attributes get climbing indexes. nullopt = every hidden
-  /// non-foreign-key attribute (the paper's fully indexed model). An entry
-  /// with an empty vector disables attribute indexes for that table.
-  std::optional<std::map<catalog::TableId, std::vector<catalog::ColumnId>>>
-      indexed_attrs;
-};
+/// Which hidden attributes get climbing indexes, per table. nullopt =
+/// every hidden non-foreign-key attribute (the paper's fully indexed
+/// model); a table missing from the map, or mapped to an empty vector,
+/// gets no attribute indexes.
+using IndexedAttrs =
+    std::optional<std::map<catalog::TableId, std::vector<catalog::ColumnId>>>;
 
 /// \brief One shard's slice of a staged database, ready for its Loader.
 ///
@@ -62,16 +59,19 @@ Result<ShardedStaging> PartitionStagedByRoot(
     uint32_t shard_count);
 
 /// \brief Builds the Untrusted and Secure images of a staged database.
+///
+/// The Hidden partitions always travel sealed: the owner seals each one and
+/// the device verifies and opens it before building on it.
 class Loader {
  public:
   Loader(const catalog::Schema* schema, device::SecureDevice* device,
          storage::PageAllocator* allocator,
-         untrusted::UntrustedEngine* untrusted, LoaderConfig config)
+         untrusted::UntrustedEngine* untrusted, IndexedAttrs indexed_attrs)
       : schema_(schema),
         device_(device),
         allocator_(allocator),
         untrusted_(untrusted),
-        config_(config) {}
+        indexed_attrs_(std::move(indexed_attrs)) {}
 
   /// Loads everything; `staged` is indexed by TableId.
   Result<SecureStore> Load(const std::vector<TableData>& staged);
@@ -94,7 +94,7 @@ class Loader {
   device::SecureDevice* device_;
   storage::PageAllocator* allocator_;
   untrusted::UntrustedEngine* untrusted_;
-  LoaderConfig config_;
+  IndexedAttrs indexed_attrs_;
 
   // anc_ids_[t][level][row] = sorted ids of the level-th ancestor table
   // (nearest first) containing row `row` of table t in their subtree.

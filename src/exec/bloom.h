@@ -17,6 +17,10 @@
 
 namespace ghostdb::exec {
 
+/// RAM cap for one QEP_SJ Bloom filter, in device buffers. Read by the
+/// planner's Post-Filter feasibility rule (Fig 10) and by BloomBuildOp.
+constexpr uint32_t kBloomMaxBuffers = 16;
+
 /// \brief A RAM-resident Bloom filter over row ids.
 class BloomFilter {
  public:

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/coding.h"
-#include "exec/operator.h"
 
 namespace ghostdb::exec {
 
@@ -48,14 +47,14 @@ void ColumnBatch::AppendCellKey(size_t c, uint32_t physical_row,
   out->append(reinterpret_cast<const char*>(src), layout->cols[c].width);
 }
 
-uint32_t SizeBatchRows(const BatchLayout& layout, const ExecConfig& config) {
+// A nonzero result: 0 would both stall the projection loop and collide
+// with PhysicalPlan::batch_rows' "unsized" sentinel.
+static_assert(1 <= kMinBatchRows && kMinBatchRows <= kMaxBatchRows);
+
+uint32_t SizeBatchRows(const BatchLayout& layout) {
   uint32_t width = std::max<uint32_t>(layout.row_width, 1);
-  uint64_t rows = config.batch_bytes / width;
-  rows = std::max<uint64_t>(rows, config.min_batch_rows);
-  rows = std::min<uint64_t>(rows, config.max_batch_rows);
-  // Never 0: it would both stall the projection loop and collide with
-  // PhysicalPlan::batch_rows' "unsized" sentinel.
-  return static_cast<uint32_t>(std::max<uint64_t>(rows, 1));
+  return static_cast<uint32_t>(
+      std::clamp<uint64_t>(kBatchBytes / width, kMinBatchRows, kMaxBatchRows));
 }
 
 }  // namespace ghostdb::exec

@@ -24,8 +24,6 @@
 
 namespace ghostdb::exec {
 
-struct ExecConfig;
-
 /// One fixed-width column of a value-operator edge.
 struct BatchColumn {
   catalog::DataType type;
@@ -124,10 +122,16 @@ struct ColumnBatch {
   void AppendCellKey(size_t c, uint32_t physical_row, std::string* out) const;
 };
 
-/// Rows per ColumnBatch for `layout` under `config`: the byte budget
-/// divided by the output row width, clamped to the configured bounds. A
-/// pure function of the visible query shape and schema, so the planner can
-/// size batches at plan time and cache the result.
-uint32_t SizeBatchRows(const BatchLayout& layout, const ExecConfig& config);
+/// Byte budget per ColumnBatch pulled through the value-level operators.
+constexpr uint64_t kBatchBytes = 64 * 1024;
+/// Bounds on rows per ColumnBatch, whatever the row width.
+constexpr uint32_t kMinBatchRows = 16;
+constexpr uint32_t kMaxBatchRows = 4096;
+
+/// Rows per ColumnBatch for `layout`: kBatchBytes divided by the output
+/// row width, clamped to [kMinBatchRows, kMaxBatchRows]. A pure function
+/// of the visible query shape and schema, so the planner can size batches
+/// at plan time and cache the result.
+uint32_t SizeBatchRows(const BatchLayout& layout);
 
 }  // namespace ghostdb::exec

@@ -7,20 +7,6 @@
 namespace ghostdb::exec {
 
 Status ValidateExecConfig(const ExecConfig& config) {
-  if (config.batch_bytes == 0) {
-    return Status::InvalidArgument("ExecConfig.batch_bytes must be nonzero");
-  }
-  if (config.batch_bytes > (1ull << 30)) {
-    return Status::InvalidArgument(
-        "ExecConfig.batch_bytes is absurd (> 1 GiB); the value-level "
-        "operators size ColumnBatches from it");
-  }
-  if (config.min_batch_rows == 0 ||
-      config.min_batch_rows > config.max_batch_rows) {
-    return Status::InvalidArgument(
-        "ExecConfig batch-row clamp is inverted: need 1 <= min_batch_rows "
-        "<= max_batch_rows");
-  }
   if (config.worker_threads > 64) {
     return Status::InvalidArgument(
         "ExecConfig.worker_threads > 64: morsel shards would be smaller "
@@ -32,13 +18,6 @@ Status ValidateExecConfig(const ExecConfig& config) {
         "ExecConfig.pad_spill_runs requires a volume_padding mode: padding "
         "spill-run counts while exposing exact result volumes defends the "
         "narrow channel and leaves the wide one open");
-  }
-  if (config.volume_padding != VolumePadding::kOff &&
-      config.padding_dummy_row_cap == 0) {
-    return Status::InvalidArgument(
-        "ExecConfig.padding_dummy_row_cap must be nonzero when a "
-        "volume_padding mode is on: a zero cap silently disables the "
-        "defense the mode promises");
   }
   return Status::OK();
 }

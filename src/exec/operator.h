@@ -86,8 +86,6 @@ struct ExecConfig {
   /// Below this achievable m/n a Post-Filter is not worth executing
   /// (Fig 10: the filter would inject more false positives than it kills).
   double bloom_min_bpe = 2.0;
-  /// RAM cap for one QEP_SJ Bloom filter, in buffers.
-  uint32_t bloom_max_buffers = 16;
   /// When false, hidden selections deliver only self-level ids and must
   /// cascade through per-id index lookups to reach the anchor — the
   /// baseline the climbing index replaces (section 3.2 motivation;
@@ -96,12 +94,6 @@ struct ExecConfig {
   /// Keep at most this many result rows materialized for the caller
   /// (counts stay exact; benches set a small limit).
   uint64_t result_row_limit = UINT64_MAX;
-  /// Byte budget per ColumnBatch pulled through the value-level operators.
-  /// The planner turns this into rows-per-batch for the query's output row
-  /// width (SizeBatchRows), clamped to [min_batch_rows, max_batch_rows].
-  size_t batch_bytes = 64 * 1024;
-  uint32_t min_batch_rows = 16;
-  uint32_t max_batch_rows = 4096;
   /// Working-set budget of the blocking relational tail (grouping and
   /// sort), in device buffers. 0 = derive from the session's RAM
   /// partition (its pledged quota, or the shared reserve when the session
@@ -124,14 +116,10 @@ struct ExecConfig {
   /// alongside the real ones, reducing the resolution of the spill-count
   /// side channel. Requires volume_padding != kOff.
   bool pad_spill_runs = false;
-  /// Safety ceiling on dummy rows synthesized per query. Worst-case
-  /// padding of a huge anchor table is real work; past the cap the pad
-  /// truncates (weakening the defense) instead of running away.
-  uint64_t padding_dummy_row_cap = 1ull << 20;
 };
 
-/// Rejects nonsensical knob combinations (zero/absurd batch_bytes, inverted
-/// batch-row clamps, worker_threads past the supported ceiling) with
+/// Rejects nonsensical knob combinations (worker_threads past the
+/// supported ceiling, spill-run padding without volume padding) with
 /// InvalidArgument instead of letting them silently misbehave downstream.
 Status ValidateExecConfig(const ExecConfig& config);
 
@@ -303,7 +291,7 @@ struct ExecContext {
   /// Points at the plan's layout; outlives every batch of the query.
   const BatchLayout* value_layout = nullptr;
   /// Rows per ColumnBatch through the value-level operators, sized by the
-  /// planner (SizeBatchRows) from the output row width.
+  /// planner (SizeBatchRows: kBatchBytes over the output row width).
   uint32_t batch_rows = 256;
   /// Byte budget for the blocking relational tail's secure working set
   /// (HashGroupOp, SortOp). Derived by the executor from ExecConfig and

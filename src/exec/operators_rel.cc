@@ -742,8 +742,7 @@ Result<ColumnBatch> VolumePadOp::Next() {
     draining_ = true;
     if (layout_ == nullptr) layout_ = ctx_->value_layout;
     uint64_t target = PaddedTarget(real_rows_);
-    dummies_left_ = std::min(target - real_rows_,
-                             ctx_->config->padding_dummy_row_cap);
+    dummies_left_ = std::min(target - real_rows_, kDummyRowCap);
     if (dummies_left_ > 0) {
       // Charge the dummies as if they crossed the padded result link at
       // channel throughput — the simulated-cost overhead the leakage

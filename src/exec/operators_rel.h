@@ -269,6 +269,11 @@ class VolumePadOp final : public Operator {
   Result<ColumnBatch> Next() override;
 
  private:
+  /// Safety ceiling on dummy rows synthesized per query. Worst-case
+  /// padding of a huge anchor table is real work; past the cap the pad
+  /// truncates (weakening the defense) instead of running away.
+  static constexpr uint64_t kDummyRowCap = 1ull << 20;
+
   /// The mode's observed-volume target for a stream of `real` rows.
   uint64_t PaddedTarget(uint64_t real) const;
   /// One all-dummy batch of `rows` zero rows in the output layout.

@@ -371,7 +371,7 @@ Status BloomBuildOp::Open() {
     const std::vector<RowId>& basis = vt.filter_basis;
     // Feasibility: enough RAM for an effective filter?
     uint32_t max_buffers = std::min<uint32_t>(
-        ctx_->config->bloom_max_buffers,
+        kBloomMaxBuffers,
         ram.free_buffers() > 8 ? ram.free_buffers() - 8 : 1);
     double achievable_bpe =
         basis.empty()

@@ -1,11 +1,20 @@
 #include "plan/planner.h"
 
-#include <algorithm>
 #include <sstream>
+
+#include "exec/bloom.h"
 
 namespace ghostdb::plan {
 
 using catalog::TableId;
+
+namespace {
+
+/// Visible selectivity at or below this prefers Pre-filtering (the paper's
+/// crossover sits near 0.1; Fig 9/10).
+constexpr double kPreFilterThreshold = 0.1;
+
+}  // namespace
 
 double Planner::HiddenSubtreeSelectivity(const sql::BoundQuery& query,
                                          TableId subtree_root) const {
@@ -44,68 +53,27 @@ Result<PlanChoice> Planner::Choose(
     double subtree_sel = HiddenSubtreeSelectivity(query, t);
     bool cross = subtree_sel < 1.0;  // hidden predicates exist in subtree
 
-    if (config_.mode == PlannerConfig::Mode::kRule) {
-      if (sv <= config_.pre_filter_threshold) {
-        plan.vis[t] = cross ? VisStrategy::kCrossPreFilter
-                            : VisStrategy::kPreFilter;
-      } else {
-        // Feasibility of a Bloom filter within the device RAM.
-        uint64_t n = static_cast<uint64_t>(
-            static_cast<double>(vis_count) * (cross ? subtree_sel : 1.0));
-        double ram_bits = static_cast<double>(
-                              exec_config.bloom_max_buffers) *
-                          2048.0 * 8.0;
-        bool feasible =
-            n == 0 || ram_bits / static_cast<double>(n) >=
-                          exec_config.bloom_min_bpe;
-        if (feasible) {
-          plan.vis[t] = cross ? VisStrategy::kCrossPostFilter
-                              : VisStrategy::kPostFilter;
-        } else if (cross) {
-          plan.vis[t] = VisStrategy::kCrossPreFilter;
-        } else {
-          plan.vis[t] = VisStrategy::kNoFilter;
-        }
-      }
+    if (sv <= kPreFilterThreshold) {
+      plan.vis[t] = cross ? VisStrategy::kCrossPreFilter
+                          : VisStrategy::kPreFilter;
       continue;
     }
-
-    // Cost mode.
-    CostParams params;
-    SjCostInputs in;
-    in.vis_count = vis_count;
-    in.table_rows = table_rows;
-    in.anchor_rows = store_->tables[query.anchor].row_count;
-    in.hidden_subtree_sel = subtree_sel;
-    in.hidden_other_sel =
-        HiddenSubtreeSelectivity(query, query.anchor) /
-        std::max(subtree_sel, 1e-12);
-    in.cross_possible = cross;
-    const auto& image = store_->tables[t];
-    in.id_index_leaves =
-        image.id_index.has_value()
-            ? image.id_index->leaf_run.page_count()
-            : 1;
-    const auto& anchor_image = store_->tables[query.anchor];
-    in.skt_row_width =
-        anchor_image.skt.has_value() ? anchor_image.skt->row_width : 8;
-    StrategyCosts costs = EstimateStrategyCosts(params, in);
-
-    VisStrategy best = VisStrategy::kPreFilter;
-    SimNanos best_cost = costs.pre;
-    if (cross && costs.cross_pre < best_cost) {
-      best = VisStrategy::kCrossPreFilter;
-      best_cost = costs.cross_pre;
+    // Feasibility of a Bloom filter within the device RAM.
+    uint64_t n = static_cast<uint64_t>(
+        static_cast<double>(vis_count) * (cross ? subtree_sel : 1.0));
+    double ram_bits = static_cast<double>(exec::kBloomMaxBuffers) * 2048.0 *
+                      8.0;
+    bool feasible =
+        n == 0 ||
+        ram_bits / static_cast<double>(n) >= exec_config.bloom_min_bpe;
+    if (feasible) {
+      plan.vis[t] = cross ? VisStrategy::kCrossPostFilter
+                          : VisStrategy::kPostFilter;
+    } else if (cross) {
+      plan.vis[t] = VisStrategy::kCrossPreFilter;
+    } else {
+      plan.vis[t] = VisStrategy::kNoFilter;
     }
-    if (costs.post_feasible && costs.post < best_cost) {
-      best = VisStrategy::kPostFilter;
-      best_cost = costs.post;
-    }
-    if (cross && costs.cross_post_feasible && costs.cross_post < best_cost) {
-      best = VisStrategy::kCrossPostFilter;
-      best_cost = costs.cross_post;
-    }
-    plan.vis[t] = best;
   }
   return plan;
 }
@@ -129,7 +97,7 @@ PhysicalPlan Planner::LowerPlan(const sql::BoundQuery& query,
   // schema metadata (visible), so the sized plan (and the layout it was
   // derived from) stays cacheable.
   plan.value_layout = exec::BatchLayout::Projection(*schema_, query);
-  plan.batch_rows = exec::SizeBatchRows(plan.value_layout, exec_config);
+  plan.batch_rows = exec::SizeBatchRows(plan.value_layout);
   // Parallelism degree: visible config only, so it caches with the plan.
   plan.parallelism = exec_config.worker_threads;
   return plan;

@@ -1,10 +1,8 @@
-// Strategy selection. Two modes:
-//  * kRule — the paper's observed decision rules (section 6.4): prefer
-//    Cross variants whenever applicable; Pre-filtering for selective
-//    Visible selections, Post-filtering otherwise, degrading to NoFilter
-//    when the Bloom filter cannot be made effective (Fig 10);
-//  * kCost — the cost-based optimizer the paper leaves as future work,
-//    built on plan/cost_model.h.
+// Strategy selection by the paper's observed decision rules (section 6.4):
+// prefer Cross variants whenever applicable; Pre-filtering for selective
+// Visible selections, Post-filtering otherwise, degrading to NoFilter when
+// the Bloom filter cannot be made effective (Fig 10). The cost-based
+// optimizer the paper leaves as future work is not implemented.
 #pragma once
 
 #include <map>
@@ -14,7 +12,6 @@
 #include "common/result.h"
 #include "core/secure_store.h"
 #include "exec/executor.h"
-#include "plan/cost_model.h"
 #include "plan/physical_plan.h"
 #include "plan/strategy.h"
 #include "sql/binder.h"
@@ -22,14 +19,9 @@
 namespace ghostdb::plan {
 
 struct PlannerConfig {
-  enum class Mode { kRule, kCost };
-  Mode mode = Mode::kRule;
-  /// Rule mode: Visible selectivity at or below this prefers Pre-filtering
-  /// (the paper's crossover sits near 0.1; Fig 9/10).
-  double pre_filter_threshold = 0.1;
-  /// Devices in the fleet (GhostDBConfig::shard_count, stamped by
-  /// core::GhostDB::Build). > 1 makes root-anchored statements fan out
-  /// (Planner::FansOut).
+  /// Devices in the fleet (GhostDBConfig::shard_count; core::GhostDB::Build
+  /// constructs the planner with it). > 1 makes root-anchored statements
+  /// fan out (Planner::FansOut).
   uint32_t shard_count = 1;
 };
 

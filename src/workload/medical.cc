@@ -37,7 +37,6 @@ std::string RandName(Rng* rng, const char* prefix) {
 core::GhostDBConfig MedicalDbConfig(const MedicalConfig& config) {
   MedicalShape shape(config.scale);
   core::GhostDBConfig cfg;
-  cfg.encrypt_external_flash = config.encrypt_external_flash;
   uint64_t bytes = shape.measurements * 140ull * 3 +
                    shape.patients * 200ull * 3 + shape.doctors * 140ull * 3;
   cfg.device.flash.logical_pages =

@@ -27,7 +27,6 @@ namespace ghostdb::workload {
 struct MedicalConfig {
   double scale = 0.05;  ///< 1.0 = paper sizes (1.3M measurements)
   uint64_t seed = 1977;  ///< the 30-year-old problem (paper section 1)
-  bool encrypt_external_flash = true;
 };
 
 struct MedicalShape {

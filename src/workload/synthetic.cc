@@ -69,7 +69,6 @@ Value Dial(double s) {
 core::GhostDBConfig SyntheticDbConfig(const SyntheticConfig& config) {
   SyntheticShape shape(config.scale);
   core::GhostDBConfig cfg;
-  cfg.encrypt_external_flash = config.encrypt_external_flash;
   // Rough sizing: hidden images (~108 B/row for T0 incl. fks), SKT
   // (16 B/row), indexes; triple it for slack and temporaries.
   uint64_t bytes = (shape.t0 + shape.t1 + shape.t2 + shape.t11 + shape.t12) *

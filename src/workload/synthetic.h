@@ -23,7 +23,6 @@ struct SyntheticConfig {
   /// table name -> column names. Empty = the set the figure queries need
   /// (T12.h2, T0.h3, T1.h1, T11.h1, T2.h1). Id indexes are always built.
   std::map<std::string, std::vector<std::string>> indexed;
-  bool encrypt_external_flash = true;
 };
 
 /// Derived cardinalities.

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/database.h"
@@ -12,6 +14,7 @@
 #include "reference/oracle.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
+#include "workload/synthetic.h"
 
 namespace ghostdb {
 namespace {
@@ -377,13 +380,33 @@ TEST_F(E2eTest, ExplainDescribesPlan) {
 
 TEST_F(E2eTest, UnindexedHiddenAttributeFallsBackToScan) {
   GhostDBConfig cfg = SmallConfig();
-  cfg.loader.indexed_attrs.emplace();  // index nothing
+  cfg.indexed_attrs_by_name.emplace();  // index nothing
   GhostDB db(cfg);
   BuildDb(&db);
   ExpectMatchesOracle(&db, "SELECT T12.id FROM T12 WHERE T12.h < 30");
   ExpectMatchesOracle(&db,
                       "SELECT T0.id FROM T0, T1 WHERE T0.fk1 = T1.id AND "
                       "T1.h = 3");
+}
+
+TEST_F(E2eTest, UnknownIndexedAttributeFailsBuild) {
+  auto build = [&](std::map<std::string, std::vector<std::string>> attrs) {
+    GhostDBConfig cfg = SmallConfig();
+    cfg.indexed_attrs_by_name = std::move(attrs);
+    GhostDB db(cfg);
+    EXPECT_TRUE(db.Execute("CREATE TABLE a (id INT, x INT, h INT HIDDEN)")
+                    .ok());
+    EXPECT_TRUE(db.Execute("INSERT INTO a VALUES (1, 2)").ok());
+    Status s = db.Build();
+    EXPECT_EQ(db.built(), s.ok());
+    return s;
+  };
+  Status column = build({{"a", {"h", "nope"}}});
+  EXPECT_TRUE(column.IsNotFound()) << column.ToString();
+  Status table = build({{"nope", {"h"}}});
+  EXPECT_TRUE(table.IsNotFound()) << table.ToString();
+  // The control: naming only real attributes builds.
+  EXPECT_TRUE(build({{"a", {"h"}}}).ok());
 }
 
 TEST_F(E2eTest, QueriesBeforeBuildFail) {
@@ -426,6 +449,31 @@ TEST_F(E2eTest, StorageReportListsStructures) {
   EXPECT_NE(report.find("skt:T0"), std::string::npos);
   EXPECT_NE(report.find("hidden:T0"), std::string::npos);
   EXPECT_NE(report.find("ci:T1.id"), std::string::npos);
+}
+
+// A fleet stores every root slice plus a replica of each non-root table,
+// so its storage report can never total less than one device holding the
+// whole database.
+TEST_F(E2eTest, StorageReportCoversEveryShard) {
+  auto total_pages = [](uint32_t shard_count) -> uint64_t {
+    workload::SyntheticConfig wl;
+    wl.scale = 0.002;
+    GhostDBConfig cfg = workload::SyntheticDbConfig(wl);
+    cfg.shard_count = shard_count;
+    GhostDB db(cfg);
+    EXPECT_TRUE(workload::BuildSynthetic(&db, wl).ok());
+    std::string report = db.StorageReport();
+    const std::string label = "total used: ";
+    size_t at = report.find(label);
+    EXPECT_NE(at, std::string::npos) << report;
+    return at == std::string::npos
+               ? 0
+               : std::stoull(report.substr(at + label.size()));
+  };
+  uint64_t one = total_pages(1);
+  uint64_t two = total_pages(2);
+  EXPECT_GT(one, 0u);
+  EXPECT_GE(two, one);
 }
 
 // Property sweep: random small databases and random queries, GhostDB vs

@@ -238,16 +238,6 @@ TEST(LeakageAttackTest, RejectsSpillPaddingWithoutVolumePadding) {
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
 }
 
-TEST(LeakageAttackTest, RejectsZeroDummyRowCapWithPaddingOn) {
-  GhostDBConfig cfg;
-  cfg.exec.volume_padding = VolumePadding::kQuantize;
-  cfg.exec.padding_dummy_row_cap = 0;
-  GhostDB db(cfg);
-  ASSERT_TRUE(db.Execute("CREATE TABLE T (id INT, h INT HIDDEN)").ok());
-  Status s = db.Build();
-  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
-}
-
 TEST(LeakageAttackTest, AcceptsConsistentPaddingConfig) {
   GhostDBConfig cfg = AttackConfig(VolumePadding::kWorstCase);
   GhostDB db(cfg);

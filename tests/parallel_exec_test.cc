@@ -1,6 +1,6 @@
 // Tests for the morsel-execution machinery: the worker pool's sharding and
 // lifetime discipline, the SIMD kernels against their scalar references,
-// the worker_threads/batch_bytes config validation, and answer equality
+// the worker_threads config validation, and answer equality
 // across pool widths. The concurrent stress cases double as the TSan
 // surface for everything a worker thread may touch.
 #include <gtest/gtest.h>
@@ -316,22 +316,6 @@ TEST(ParallelConfigTest, ValidateExecConfigRejectsAbsurdKnobs) {
   exec::ExecConfig good;
   EXPECT_TRUE(exec::ValidateExecConfig(good).ok());
 
-  exec::ExecConfig zero_batch = good;
-  zero_batch.batch_bytes = 0;
-  EXPECT_TRUE(exec::ValidateExecConfig(zero_batch).IsInvalidArgument());
-
-  exec::ExecConfig huge_batch = good;
-  huge_batch.batch_bytes = (2ull << 30);
-  EXPECT_TRUE(exec::ValidateExecConfig(huge_batch).IsInvalidArgument());
-
-  exec::ExecConfig inverted = good;
-  inverted.min_batch_rows = good.max_batch_rows + 1;
-  EXPECT_TRUE(exec::ValidateExecConfig(inverted).IsInvalidArgument());
-
-  exec::ExecConfig zero_min = good;
-  zero_min.min_batch_rows = 0;
-  EXPECT_TRUE(exec::ValidateExecConfig(zero_min).IsInvalidArgument());
-
   exec::ExecConfig too_wide = good;
   too_wide.worker_threads = 65;
   EXPECT_TRUE(exec::ValidateExecConfig(too_wide).IsInvalidArgument());
@@ -359,7 +343,7 @@ TEST(ParallelConfigTest, BuildRejectsBadWorkerThreads) {
   EXPECT_TRUE(TryBuild(absurd).IsInvalidArgument());
 
   auto bad_exec = TinyConfig();
-  bad_exec.exec.batch_bytes = 0;
+  bad_exec.exec.worker_threads = 65;
   EXPECT_TRUE(TryBuild(bad_exec).IsInvalidArgument());
 
   auto fine = TinyConfig();

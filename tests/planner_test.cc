@@ -1,11 +1,10 @@
-// Planner tests: the rule mode encodes the paper's observed decision
-// rules; the cost mode is the cost-based optimizer (paper future work).
+// Planner tests: strategy selection encodes the paper's observed decision
+// rules (section 6.4).
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "core/database.h"
-#include "plan/cost_model.h"
 #include "plan/planner.h"
 #include "sql/parser.h"
 #include "workload/synthetic.h"
@@ -15,11 +14,10 @@ namespace {
 
 class PlannerTest : public ::testing::Test {
  protected:
-  void Build(PlannerConfig::Mode mode) {
+  void Build() {
     workload::SyntheticConfig wl;
     wl.scale = 0.002;
     auto cfg = workload::SyntheticDbConfig(wl);
-    cfg.planner.mode = mode;
     db_ = std::make_unique<core::GhostDB>(cfg);
     ASSERT_TRUE(workload::BuildSynthetic(db_.get(), wl).ok());
   }
@@ -35,19 +33,19 @@ class PlannerTest : public ::testing::Test {
 };
 
 TEST_F(PlannerTest, RuleModePicksCrossPreForSelectiveVisible) {
-  Build(PlannerConfig::Mode::kRule);
+  Build();
   std::string plan = Explain(0.01, 0.1);
   EXPECT_NE(plan.find("Cross-Pre-Filter"), std::string::npos) << plan;
 }
 
 TEST_F(PlannerTest, RuleModePicksCrossPostForUnselectiveVisible) {
-  Build(PlannerConfig::Mode::kRule);
+  Build();
   std::string plan = Explain(0.5, 0.1);
   EXPECT_NE(plan.find("Cross-Post-Filter"), std::string::npos) << plan;
 }
 
 TEST_F(PlannerTest, RuleModeWithoutHiddenSubtreePredsUsesPlainVariants) {
-  Build(PlannerConfig::Mode::kRule);
+  Build();
   // Hidden selection on T2 is outside T1's subtree: no Cross possible.
   auto text = db_->Explain(
       "SELECT T0.id FROM T0, T1, T2 WHERE T0.fk1 = T1.id AND "
@@ -57,98 +55,14 @@ TEST_F(PlannerTest, RuleModeWithoutHiddenSubtreePredsUsesPlainVariants) {
   EXPECT_EQ(text->find("Cross-Pre-Filter"), std::string::npos) << *text;
 }
 
-TEST_F(PlannerTest, CostModeChoosesAStrategyAndPrefersPreWhenSelective) {
-  Build(PlannerConfig::Mode::kCost);
-  std::string selective = Explain(0.001, 0.1);
-  EXPECT_NE(selective.find("Pre-Filter"), std::string::npos) << selective;
-  // At this tiny scale Pre stays cheap even for wide Vis selections (RAM
-  // never binds); the strategy must still be a valid choice.
-  std::string unselective = Explain(0.9, 0.1);
-  EXPECT_NE(unselective.find("visible selection ->"), std::string::npos);
-}
-
-TEST(CostModelScaleTest, PostBeatsPreAtPaperScaleForWideVisible) {
-  // At the paper's cardinalities a wide-open Visible selection makes
-  // per-id climbing + reduction more expensive than one SKT pass + bloom.
-  // (The analytic crossover sits at a higher sV than the measured one —
-  // the model under-counts Merge passes; documented in EXPERIMENTS.md.)
-  CostParams p;
-  SjCostInputs in;
-  in.vis_count = 1'000'000;  // sV = 1.0 of 1M
-  in.table_rows = 1'000'000;
-  in.anchor_rows = 10'000'000;
-  in.hidden_subtree_sel = 0.1;
-  in.hidden_other_sel = 1.0;
-  in.cross_possible = true;
-  in.id_index_leaves = 6'000;
-  in.skt_row_width = 16;
-  auto costs = EstimateStrategyCosts(p, in);
-  // A plain bloom over 1M ids cannot fit 64 KB (the Fig 10 wall) ...
-  EXPECT_FALSE(costs.post_feasible);
-  // ... but the Cross variant shrinks n by the hidden selectivity and
-  // becomes both feasible and cheaper than climbing every Vis id.
-  ASSERT_TRUE(costs.cross_post_feasible);
-  EXPECT_LT(costs.cross_post, costs.pre);
-}
-
 TEST_F(PlannerTest, ExplainListsPredicatesAndProjection) {
-  Build(PlannerConfig::Mode::kRule);
+  Build();
   std::string plan = Explain(0.05, 0.1);
   EXPECT_NE(plan.find("anchor T0"), std::string::npos);
   EXPECT_NE(plan.find("visible predicate"), std::string::npos);
   EXPECT_NE(plan.find("hidden  predicate"), std::string::npos);
   EXPECT_NE(plan.find("climbing index"), std::string::npos);
   EXPECT_NE(plan.find("projection -> Project"), std::string::npos);
-}
-
-// --- Cost model sanity ---
-
-TEST(CostModelTest, SJoinSaturatesAtFullScan) {
-  CostParams p;
-  // Touching more input ids than pages can only approach the full scan.
-  SimNanos half = SJoinCost(p, 50'000, 1'000'000, 16);
-  SimNanos all = SJoinCost(p, 1'000'000, 1'000'000, 16);
-  EXPECT_LT(half, all + 1);
-  uint64_t pages = 1'000'000 / (2048 / 16);
-  EXPECT_LE(all, pages * p.FullPageRead() + p.FullPageRead());
-}
-
-TEST(CostModelTest, MergeReductionFreeWhenFits) {
-  CostParams p;
-  EXPECT_EQ(MergeReductionCost(p, 10, 100'000, 30), 0u);
-  EXPECT_GT(MergeReductionCost(p, 1000, 100'000, 30), 0u);
-}
-
-TEST(CostModelTest, ClimbCostGrowsWithProbes) {
-  CostParams p;
-  SimNanos a = ClimbAndMergeCost(p, 100, 1000, 10.0, 26);
-  SimNanos b = ClimbAndMergeCost(p, 10'000, 1000, 10.0, 26);
-  EXPECT_LT(a, b);
-}
-
-TEST(CostModelTest, CrossPreCheaperThanPreWhenFoldingHelps) {
-  CostParams p;
-  SjCostInputs in;
-  in.vis_count = 100'000;
-  in.table_rows = 1'000'000;
-  in.anchor_rows = 10'000'000;
-  in.hidden_subtree_sel = 0.1;
-  in.cross_possible = true;
-  in.id_index_leaves = 6000;
-  auto costs = EstimateStrategyCosts(p, in);
-  EXPECT_LT(costs.cross_pre, costs.pre);
-}
-
-TEST(CostModelTest, PostInfeasibleForHugeVisibleSelections) {
-  CostParams p;
-  SjCostInputs in;
-  in.vis_count = 5'000'000;  // 5M ids >> RAM bits
-  in.table_rows = 10'000'000;
-  in.anchor_rows = 10'000'000;
-  in.cross_possible = false;
-  in.id_index_leaves = 60'000;
-  auto costs = EstimateStrategyCosts(p, in);
-  EXPECT_FALSE(costs.post_feasible);
 }
 
 }  // namespace
