@@ -269,6 +269,10 @@ Status GhostDB::Build() {
                     0x9E3779B97F4A7C15ULL * static_cast<uint64_t>(s));
     injector.set_armed(true);
   }
+  // The default session registers with every shard's arbiter before any
+  // caller can open one, so it heads each DRR cycle.
+  GHOSTDB_ASSIGN_OR_RETURN(default_session_,
+                           AttachSession(kDefaultSessionId, "main", 0));
   built_ = true;
   return Status::OK();
 }
@@ -289,6 +293,16 @@ Result<std::unique_ptr<Session>> GhostDB::OpenSession(
   if (quota == SessionOptions::kDefaultRamQuota) {
     quota = std::max<uint32_t>(1, device().ram().total_buffers() / 4);
   }
+  GHOSTDB_ASSIGN_OR_RETURN(std::unique_ptr<Session> session,
+                           AttachSession(id, std::move(name), quota));
+  std::lock_guard<std::mutex> lk(sessions_mu_);
+  open_sessions_ += 1;
+  return session;
+}
+
+Result<std::unique_ptr<Session>> GhostDB::AttachSession(int32_t id,
+                                                        std::string name,
+                                                        uint32_t quota) {
   // A session spans the fleet: the same quota is pledged on every shard's
   // RAM manager and the session registers with every shard's arbiter, so
   // its scatter legs are admitted and charged on each device identically.
@@ -300,17 +314,15 @@ Result<std::unique_ptr<Session>> GhostDB::OpenSession(
     if (quota > 0) {
       // The partition pledge mutates the RAM manager, so take an
       // admission: device state only ever changes under the arbiter's
-      // exclusion.
-      device::AdmissionGuard admission(&dev.arbiter(), -1, 1);
+      // exclusion. (The default session pledges nothing, so it exists
+      // whenever this runs.)
+      device::AdmissionGuard admission(&dev.arbiter(),
+                                       default_session_->id(), 1);
       GHOSTDB_ASSIGN_OR_RETURN(partition,
                                dev.ram().CreatePartition(name, quota));
     }
     dev.arbiter().Register(id, name);
     partitions.push_back(partition);
-  }
-  {
-    std::lock_guard<std::mutex> lk(sessions_mu_);
-    open_sessions_ += 1;
   }
   return std::unique_ptr<Session>(
       new Session(this, id, std::move(name), std::move(partitions)));
@@ -333,6 +345,7 @@ void GhostDB::CloseSession(Session* session) {
     }
     dev.arbiter().Unregister(session->id_);
   }
+  if (session->id_ == kDefaultSessionId) return;
   std::lock_guard<std::mutex> lk(sessions_mu_);
   open_sessions_ -= 1;
 }
@@ -342,14 +355,12 @@ size_t GhostDB::open_sessions() const {
   return open_sessions_;
 }
 
-Result<sql::BoundQuery> GhostDB::BindSelect(const std::string& sql,
-                                            bool* explain) {
+Result<sql::BoundQuery> GhostDB::BindSelect(const std::string& sql) {
   GHOSTDB_ASSIGN_OR_RETURN(sql::Statement stmt, sql::Parse(sql));
   auto* select = std::get_if<sql::SelectStmt>(&stmt);
   if (select == nullptr) {
     return Status::InvalidArgument("Query() expects a SELECT");
   }
-  if (explain != nullptr) *explain = select->explain;
   return sql::Bind(*select, schema_, sql);
 }
 
@@ -365,9 +376,8 @@ Status GhostDB::ServeVisCounts(const sql::BoundQuery& query,
   return Status::OK();
 }
 
-Result<std::shared_ptr<const PreparedQuery>> GhostDB::PrepareBound(
-    const sql::BoundQuery& query, untrusted::VisPrefetch* prefetch,
-    PlanCache::Outcome* outcome_out) {
+Result<PlanCache::Outcome> GhostDB::CachedPlan(
+    const sql::BoundQuery& query, untrusted::VisPrefetch* prefetch) {
   GHOSTDB_ASSIGN_OR_RETURN(std::string shape, sql::QueryShape(query.sql));
   // On a miss (or a stale stats stamp): visible selectivities, computed by
   // Untrusted from visible data. Cache hits skip these round-trips
@@ -378,37 +388,13 @@ Result<std::shared_ptr<const PreparedQuery>> GhostDB::PrepareBound(
     GHOSTDB_RETURN_NOT_OK(ServeVisCounts(query, prefetch, &vis_counts));
     return planner_->PlanQuery(query, vis_counts, config_.exec);
   };
-  GHOSTDB_ASSIGN_OR_RETURN(
-      PlanCache::Outcome outcome,
-      plan_cache_.GetOrPlan(shape, stats_version_.load(), plan_fn));
-  if (outcome_out != nullptr) *outcome_out = outcome;
-  return outcome.entry;
-}
-
-Result<std::shared_ptr<const PreparedQuery>> GhostDB::Prepare(
-    const std::string& sql) {
-  if (!built_) {
-    return Status::InvalidArgument("call Build() before Prepare()");
-  }
-  GHOSTDB_ASSIGN_OR_RETURN(sql::BoundQuery query, BindSelect(sql, nullptr));
-  device::AdmissionGuard admission(&device().arbiter(), -1,
-                                   DeclaredShapeWeight(query));
-  // Planning consults Untrusted's visible counts, so the statement is
-  // announced exactly as at execution time.
-  untrusted().ReceiveQuery(query.sql);
-  return PrepareBound(query, nullptr, nullptr);
+  return plan_cache_.GetOrPlan(shape, stats_version_.load(), plan_fn);
 }
 
 Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
                                              const plan::PlanChoice* pinned,
-                                             const Session* session) {
-  if (!built_) {
-    return Status::InvalidArgument("call Build() before querying");
-  }
-  static const exec::SessionBinding kMainSession;
-  auto binding = [&](uint32_t s) -> const exec::SessionBinding& {
-    return session != nullptr ? session->bindings_[s] : kMainSession;
-  };
+                                             const Session& session) {
+  const std::vector<exec::SessionBinding>& bindings = session.bindings_;
   // Visible inputs only (fleet size, anchor table, EXPLAIN flag): whether a
   // statement scatters is as observable as the statement itself. EXPLAIN
   // renders the plan without touching data.
@@ -432,8 +418,7 @@ Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
     }
   }
 
-  PlanCache::Outcome outcome;
-  std::shared_ptr<const PreparedQuery> prepared;  // keeps a cached plan alive
+  PlanCache::Outcome outcome;  // its entry keeps a cached plan alive
   exec::EncodedRows deferred;  // the answer's rendering surface
   Result<exec::QueryResult> result = [&]() -> Result<exec::QueryResult> {
     // Admission = the device. Shard 0 is the coordinator: one admission
@@ -442,7 +427,7 @@ Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
     // a single deterministic block under this session's tag.
     Shard& coordinator = shards_[0];
     device::AdmissionGuard admission(&coordinator.device->arbiter(),
-                                     binding(0).id, weight);
+                                     bindings[0].id, weight);
     const exec::MetricSnapshot baseline =
         exec::MetricSnapshot::Take(coordinator.device.get());
     // The query text is the only information that leaves the key.
@@ -467,9 +452,8 @@ Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
             local_plan, planner_->PlanQuery(query, vis_counts, config_.exec));
       }
     } else {
-      GHOSTDB_ASSIGN_OR_RETURN(prepared,
-                               PrepareBound(query, &prefetch[0], &outcome));
-      plan = &prepared->plan;
+      GHOSTDB_ASSIGN_OR_RETURN(outcome, CachedPlan(query, &prefetch[0]));
+      plan = &outcome.entry->plan;
     }
     if (query.explain) {
       exec::QueryResult explained;
@@ -505,7 +489,7 @@ Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
       Shard& shard = shards_[s];
       std::optional<device::AdmissionGuard> leg_admission;
       if (s != 0) {
-        leg_admission.emplace(&shard.device->arbiter(), binding(s).id,
+        leg_admission.emplace(&shard.device->arbiter(), bindings[s].id,
                               weight);
       }
       // Taken once per leg, so a recovery re-run still reports the failed
@@ -530,7 +514,7 @@ Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
               if (s != 0) shard.untrusted->ReceiveQuery(query.sql);
             }
             return shard.executor->Execute(query, *plan, leg_base,
-                                           binding(s), &leg_rows[s],
+                                           bindings[s], &leg_rows[s],
                                            &prefetch[s],
                                            fanout ? &scatter : nullptr);
           });
@@ -578,7 +562,7 @@ Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
         RecoverUnderMask(coordinator.device.get(), padded, [&] {
           deferred = exec::EncodedRows{};
           return coordinator.executor->Execute(query, *plan, gather_base,
-                                               binding(0), &deferred, nullptr,
+                                               bindings[0], &deferred, nullptr,
                                                &gparams);
         }));
 
@@ -606,7 +590,7 @@ Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
   // overlaps the next session's device work. Purely local — the decode
   // can touch nothing observable.
   deferred.DecodeInto(&result.ValueUnsafe());
-  if (prepared != nullptr) {
+  if (outcome.entry != nullptr) {
     exec::QueryMetrics& metrics = result.ValueUnsafe().metrics;
     metrics.plan_cache_hits = outcome.hit ? 1 : 0;
     metrics.plan_cache_replans = outcome.replanned ? 1 : 0;
@@ -658,7 +642,7 @@ Result<BatchResult> GhostDB::QueryBatch(const std::vector<std::string>& sqls) {
   }
   // The degenerate scheduler case: one ephemeral session holding the whole
   // stream, no dedicated RAM partition (the batch runs from the shared
-  // reserve, exactly like the sessionless path did).
+  // reserve, like the default session).
   SessionOptions options;
   options.ram_quota_buffers = 0;
   options.name = "batch";
@@ -684,24 +668,29 @@ Result<BatchResult> GhostDB::QueryBatch(const std::vector<std::string>& sqls) {
 }
 
 Result<exec::QueryResult> GhostDB::Query(const std::string& sql) {
-  GHOSTDB_ASSIGN_OR_RETURN(sql::BoundQuery query,
-                           BindSelect(sql, nullptr));
-  return RunSelect(query, nullptr, nullptr);
+  if (!built_) {
+    return Status::InvalidArgument("call Build() before querying");
+  }
+  return default_session_->Query(sql);
 }
 
 Result<exec::QueryResult> GhostDB::QueryWithPlan(
     const std::string& sql, const plan::PlanChoice& plan) {
-  GHOSTDB_ASSIGN_OR_RETURN(sql::BoundQuery query,
-                           BindSelect(sql, nullptr));
-  return RunSelect(query, &plan, nullptr);
+  if (!built_) {
+    return Status::InvalidArgument("call Build() before querying");
+  }
+  GHOSTDB_ASSIGN_OR_RETURN(sql::BoundQuery query, BindSelect(sql));
+  return default_session_->Run(query, &plan);
 }
 
 Result<std::string> GhostDB::Explain(const std::string& sql) {
-  GHOSTDB_ASSIGN_OR_RETURN(sql::BoundQuery query,
-                           BindSelect(sql, nullptr));
+  if (!built_) {
+    return Status::InvalidArgument("call Build() before querying");
+  }
+  GHOSTDB_ASSIGN_OR_RETURN(sql::BoundQuery query, BindSelect(sql));
   query.explain = true;
   GHOSTDB_ASSIGN_OR_RETURN(exec::QueryResult result,
-                           RunSelect(query, nullptr, nullptr));
+                           default_session_->Run(query, nullptr));
   return result.rows[0][0].AsString();
 }
 

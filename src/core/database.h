@@ -16,9 +16,13 @@
 // The object owns both worlds: the Untrusted engine (visible partitions)
 // and the Secure device (hidden partitions, SKTs, climbing indexes), wired
 // by the audited channel. Only the query text ever crosses to Untrusted.
-// Sessions share the store, the plan cache, and the device; the channel
-// arbiter serializes device access under a deterministic visible-only
-// policy and tags every transcript message with its session.
+// Every statement runs in a Session. Build() opens the default session
+// (id -1, "main", shared RAM reserve only), which serves the sessionless
+// calls — Query(), QueryWithPlan(), Explain() — from any number of
+// threads; OpenSession() adds more. Sessions share the store, the plan
+// cache, and the device; the channel arbiter serializes device access
+// under a deterministic visible-only policy and tags every transcript
+// message with its session.
 #pragma once
 
 #include <atomic>
@@ -138,22 +142,14 @@ class GhostDB {
   Result<uint64_t> DrainSessions(const std::vector<Session*>& sessions,
                                  bool stop_on_error = false);
 
-  /// Number of sessions currently open.
+  /// Number of sessions a caller opened (OpenSession, QueryBatch) that
+  /// are still open; the default session is not counted.
   size_t open_sessions() const;
 
-  /// Runs a SELECT (or EXPLAIN SELECT). The planner picks strategies;
-  /// repeated query shapes reuse the cached plan and skip the planning
-  /// round-trips.
+  /// Runs a SELECT (or EXPLAIN SELECT) in the default session. The
+  /// planner picks strategies; repeated query shapes (from any session)
+  /// reuse the cached plan and skip the planning round-trips.
   Result<exec::QueryResult> Query(const std::string& sql);
-
-  /// Binds and plans `sql`, caching the result by query shape. Later
-  /// Query()/QueryBatch() calls with the same shape (from any session)
-  /// reuse the plan. The returned snapshot stays valid and unchanging for
-  /// as long as the caller holds it — concurrent evictions or stats-stale
-  /// re-plans install fresh snapshots in the cache without touching this
-  /// one.
-  Result<std::shared_ptr<const PreparedQuery>> Prepare(
-      const std::string& sql);
 
   /// Executes many statements — the throughput surface. Per-statement
   /// answers come back in order; `total` sums their metrics: the
@@ -162,18 +158,15 @@ class GhostDB {
   /// one ephemeral session, every statement queued to it, drained.
   Result<BatchResult> QueryBatch(const std::vector<std::string>& sqls);
 
-  /// Runs a SELECT under a pinned plan (benches compare strategies);
-  /// bypasses the plan cache.
+  /// Runs a SELECT in the default session under a pinned plan (benches
+  /// compare strategies); bypasses the plan cache.
   Result<exec::QueryResult> QueryWithPlan(const std::string& sql,
                                           const plan::PlanChoice& plan);
 
-  /// EXPLAIN text for a query without executing it.
+  /// EXPLAIN text for a query without executing it (default session).
   Result<std::string> Explain(const std::string& sql);
 
   bool built() const { return built_; }
-  /// The PC-side worker pool (null until Build(), or when
-  /// worker_threads == 1).
-  exec::ThreadPool* worker_pool() { return pool_.get(); }
   const catalog::Schema& schema() const { return schema_; }
   /// Shard 0's stack: the whole database on a single device.
   device::SecureDevice& device() { return shard_device(0); }
@@ -231,9 +224,13 @@ class GhostDB {
     std::unique_ptr<exec::SecureExecutor> executor;
   };
 
-  Result<sql::BoundQuery> BindSelect(const std::string& sql, bool* explain);
-  /// Full arbitrated execution of a bound SELECT under `session`'s identity
-  /// (nullptr = the "main" pseudo-session): per-shard prefetch; then, under
+  /// The default session's id: the transcript tag of every sessionless
+  /// call, and first in every shard arbiter's cycle.
+  static constexpr int32_t kDefaultSessionId = -1;
+
+  Result<sql::BoundQuery> BindSelect(const std::string& sql);
+  /// Full arbitrated execution of a bound SELECT under `session`'s
+  /// identity: per-shard prefetch; then, under
   /// the coordinator's admission, announcement and planning (the plan
   /// cache, unless `pinned`); then the legs — one per shard when the
   /// statement fans out (Planner::FansOut), shards 1..N-1 concurrently
@@ -243,17 +240,22 @@ class GhostDB {
   /// (seq-merged rows or key-merged partial aggregates).
   Result<exec::QueryResult> RunSelect(const sql::BoundQuery& query,
                                       const plan::PlanChoice* pinned,
-                                      const Session* session);
+                                      const Session& session);
   /// Plan-cache lookup / fill for an already-bound (and announced) query.
-  /// Caller holds the channel admission. `outcome` reports hit/replan.
-  Result<std::shared_ptr<const PreparedQuery>> PrepareBound(
-      const sql::BoundQuery& query, untrusted::VisPrefetch* prefetch,
-      PlanCache::Outcome* outcome);
+  /// Caller holds the channel admission.
+  Result<PlanCache::Outcome> CachedPlan(const sql::BoundQuery& query,
+                                        untrusted::VisPrefetch* prefetch);
   /// One vis-count exchange per table with visible predicates (the
   /// planner's selectivity inputs; visible information only).
   Status ServeVisCounts(const sql::BoundQuery& query,
                         const untrusted::VisPrefetch* prefetch,
                         std::map<catalog::TableId, uint64_t>* out);
+  /// Attaches a new session to the fleet: pledges `quota` buffers (0 =
+  /// none) on every shard's RAM manager and registers `id` with every
+  /// shard's arbiter.
+  Result<std::unique_ptr<Session>> AttachSession(int32_t id,
+                                                 std::string name,
+                                                 uint32_t quota);
   /// Detaches a closing session (releases its partition under admission
   /// and unregisters it from the arbiter).
   void CloseSession(Session* session);
@@ -275,6 +277,8 @@ class GhostDB {
   int32_t next_session_id_ = 0;
   size_t open_sessions_ = 0;
   bool built_ = false;
+  /// Opened by Build(); declared last, so it closes before the fleet goes.
+  std::unique_ptr<Session> default_session_;
 };
 
 /// Declared weight of a query for the channel arbiter: a pure function of

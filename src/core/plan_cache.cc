@@ -11,9 +11,8 @@ Result<PlanCache::Outcome> PlanCache::GetOrPlan(
     // Refresh recency: move the entry to the front of the LRU list.
     entries_.splice(entries_.begin(), entries_, it->second);
     it->second = entries_.begin();
-    std::shared_ptr<PreparedQuery>& slot = *it->second;
+    std::shared_ptr<const PreparedQuery>& slot = *it->second;
     if (slot->stats_version == stats_version) {
-      slot->hits.fetch_add(1);
       Outcome out;
       out.entry = slot;
       out.hit = true;
@@ -21,14 +20,12 @@ Result<PlanCache::Outcome> PlanCache::GetOrPlan(
     }
     // Stale stamp: the strategy was chosen under selectivities that no
     // longer describe the data. Install a fresh snapshot in the same LRU
-    // slot (holders of the old snapshot keep it alive and unchanged); the
-    // hit counter carries over, and this run pays the planning
-    // round-trips like a miss would.
+    // slot (holders of the old snapshot keep it alive and unchanged); this
+    // run pays the planning round-trips like a miss would.
     GHOSTDB_ASSIGN_OR_RETURN(plan::PhysicalPlan plan, plan_fn());
     auto fresh = std::make_shared<PreparedQuery>();
     fresh->shape = slot->shape;
     fresh->plan = std::move(plan);
-    fresh->hits.store(slot->hits.load());
     fresh->stats_version = stats_version;
     slot = fresh;
     replans_ += 1;

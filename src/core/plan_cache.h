@@ -16,15 +16,13 @@
 // The cache is synchronized (one mutex) and entries are immutable
 // snapshots handed out as shared_ptr: a stale-stats re-plan installs a
 // fresh snapshot in the entry's LRU slot and eviction drops the cache's
-// reference, so a snapshot a caller still holds — from Prepare() on
-// another thread, or mid-execution — remains valid and unchanging for as
-// long as they hold it. Planning on a miss happens inside the lock — the
-// planner consults the channel, whose arbiter admission the caller
-// already holds, so the lock adds no new contention beyond the device's
-// own serialization.
+// reference, so a snapshot a statement still holds mid-execution remains
+// valid and unchanging until it finishes. Planning on a miss happens
+// inside the lock — the planner consults the channel, whose arbiter
+// admission the caller already holds, so the lock adds no new contention
+// beyond the device's own serialization.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -42,13 +40,12 @@ namespace ghostdb::core {
 /// with literals normalized to '?'). Shapes derive from the visible query
 /// text only, so the cache's behavior can never depend on Hidden data.
 /// Literal-dependent pieces (predicate values, the LIMIT count) are always
-/// re-bound from the live statement at execution time. Apart from the
-/// atomic hit counter, an entry never changes after construction.
+/// re-bound from the live statement at execution time. An entry never
+/// changes after construction.
 struct PreparedQuery {
   std::string shape;
   plan::PhysicalPlan plan;
-  std::atomic<uint64_t> hits{0};  ///< cache hits served by this entry
-  uint64_t stats_version = 0;     ///< catalog stats version at plan time
+  uint64_t stats_version = 0;  ///< catalog stats version at plan time
 };
 
 /// \brief Shape-keyed, LRU-bounded, synchronized plan cache.
@@ -82,9 +79,9 @@ class PlanCache {
   size_t capacity_;
   mutable std::mutex mu_;
   /// Recency order (front = most recently used) with a shape index.
-  std::list<std::shared_ptr<PreparedQuery>> entries_;
-  std::unordered_map<std::string,
-                     std::list<std::shared_ptr<PreparedQuery>>::iterator>
+  std::list<std::shared_ptr<const PreparedQuery>> entries_;
+  std::unordered_map<
+      std::string, std::list<std::shared_ptr<const PreparedQuery>>::iterator>
       index_;
   uint64_t evictions_ = 0;
   uint64_t replans_ = 0;

@@ -11,11 +11,7 @@ Session::Session(GhostDB* db, int32_t id, std::string name,
     : db_(db), id_(id), name_(std::move(name)) {
   bindings_.reserve(partitions.size());
   for (device::RamPartitionId partition : partitions) {
-    exec::SessionBinding binding;
-    binding.id = id_;
-    binding.name = name_;
-    binding.ram_partition = partition;
-    bindings_.push_back(std::move(binding));
+    bindings_.push_back({id_, name_, partition});
   }
 }
 
@@ -25,9 +21,13 @@ Result<exec::QueryResult> Session::Query(const std::string& sql) {
   // Binding is pure CPU over the (const-after-Build) schema, so sessions
   // bind on their own threads; only the arbitrated part inside RunSelect
   // serializes.
-  GHOSTDB_ASSIGN_OR_RETURN(sql::BoundQuery query,
-                           db_->BindSelect(sql, nullptr));
-  Result<exec::QueryResult> result = db_->RunSelect(query, nullptr, this);
+  GHOSTDB_ASSIGN_OR_RETURN(sql::BoundQuery query, db_->BindSelect(sql));
+  return Run(query, nullptr);
+}
+
+Result<exec::QueryResult> Session::Run(const sql::BoundQuery& query,
+                                       const plan::PlanChoice* pinned) {
+  Result<exec::QueryResult> result = db_->RunSelect(query, pinned, *this);
   std::lock_guard<std::mutex> lk(mu_);
   executed_ += 1;
   if (result.ok()) totals_.Accumulate(result->metrics);
@@ -74,7 +74,7 @@ bool Session::BindHead(uint32_t* weight) {
   while (!queue_.empty()) {
     Queued& head = queue_.front();
     if (!head.bound.has_value()) {
-      Result<sql::BoundQuery> bound = db_->BindSelect(head.sql, nullptr);
+      Result<sql::BoundQuery> bound = db_->BindSelect(head.sql);
       if (!bound.ok()) {
         // A statement that cannot bind never reaches the device; its error
         // takes the statement's slot on the result surface.
@@ -100,15 +100,9 @@ void Session::RunHead() {
     head = std::move(queue_.front());
     queue_.pop_front();
   }
-  Result<exec::QueryResult> result =
-      db_->RunSelect(*head.bound, nullptr, this);
+  Result<exec::QueryResult> result = Run(*head.bound, nullptr);
   std::lock_guard<std::mutex> lk(mu_);
-  executed_ += 1;
-  if (result.ok()) {
-    totals_.Accumulate(result->metrics);
-  } else {
-    saw_error_ = true;
-  }
+  if (!result.ok()) saw_error_ = true;
   results_.push_back(std::move(result));
 }
 

@@ -16,16 +16,19 @@
 // whose access is serialized by the ChannelArbiter under a deterministic,
 // visible-only policy. Two ways to drive a session:
 //
-//   * Query() — blocking; safe to call from one thread per session while
-//     other sessions query concurrently (the arbiter interleaves);
+//   * Query() — blocking; safe to call from several threads at once, on
+//     one session or many (the arbiter grants each call by ticket and
+//     interleaves them);
 //   * Enqueue() + GhostDB::DrainSessions() — the deterministic scheduler:
 //     queued statements across sessions run under an interleaving that is
 //     a pure function of visible inputs, which is what the multi-session
-//     leak tests replay and compare.
+//     leak tests replay and compare. Each queue has one consumer.
 //
-// A Session must not outlive its GhostDB. One session serves one caller at
-// a time (concurrency comes from multiple sessions, as in the paper's
-// one-key-many-principals scenario).
+// Every statement runs in a session. GhostDB::Build() opens the default
+// session (id -1, "main", no RAM pledge), which serves every thread that
+// calls the sessionless GhostDB::Query/QueryWithPlan/Explain; the paper's
+// one-key-many-principals scenario opens one session per principal. A
+// Session must not outlive its GhostDB.
 #pragma once
 
 #include <cstdint>
@@ -38,6 +41,7 @@
 #include "common/result.h"
 #include "device/ram_manager.h"
 #include "exec/operator.h"
+#include "plan/strategy.h"
 #include "sql/binder.h"
 
 namespace ghostdb::core {
@@ -71,7 +75,8 @@ class Session {
   }
 
   /// Runs a SELECT for this session, blocking until the arbiter admits it.
-  /// Distinct sessions may call this from distinct threads concurrently.
+  /// Safe to call from several threads at once, on this session or others
+  /// (each call is admitted by its own ticket).
   Result<exec::QueryResult> Query(const std::string& sql);
 
   /// Queues a statement for GhostDB::DrainSessions() (the deterministic
@@ -101,6 +106,13 @@ class Session {
   Session(GhostDB* db, int32_t id, std::string name,
           std::vector<device::RamPartitionId> partitions);
 
+  /// Runs a bound statement (under `pinned` if non-null), counts it and
+  /// folds its metrics into the session totals. The one execution step
+  /// behind Query(), RunHead() and the sessionless GhostDB calls.
+  /// (Errors are flagged only where they land on the result surface, so
+  /// a failed Query() cannot stop a later fail-fast drain.)
+  Result<exec::QueryResult> Run(const sql::BoundQuery& query,
+                                const plan::PlanChoice* pinned);
   /// Binds the head of the queue (recording bind errors as results and
   /// popping, until a statement binds). Returns false when the queue is
   /// empty; otherwise fills `weight` with the head's declared shape weight.

@@ -31,11 +31,11 @@ struct ChannelMessage {
   std::string label;        ///< e.g. "query", "vis:T1.id"
   uint64_t bytes;           ///< payload size
   uint64_t content_digest;  ///< 64-bit hash of the payload
-  /// Session the transfer belongs to (-1 = outside any session, e.g. the
-  /// build phase). Session ids and admission order are assigned from
-  /// visible information only, so tagging leaks nothing — and the tags let
-  /// the leak tests assert the *interleaved* multi-session transcript is
-  /// hidden-independent, attribution included.
+  /// Session the transfer belongs to (-1 = the default session, or outside
+  /// any session, e.g. the build phase). Session ids and admission order
+  /// are assigned from visible information only, so tagging leaks nothing
+  /// — and the tags let the leak tests assert the *interleaved*
+  /// multi-session transcript is hidden-independent, attribution included.
   int32_t session = -1;
 };
 

@@ -39,10 +39,6 @@ class SecureDevice {
         channel_(clock_.get(), config.channel_throughput_bytes_per_sec),
         arbiter_(&channel_),
         injector_(config.fault, clock_.get()) {
-    // The "main" pseudo-session (-1): direct Query()/Prepare() calls and
-    // other pre-session surfaces arbitrate like everyone else, so all
-    // query-time device access is serialized through one gate.
-    arbiter_.Register(-1, "main");
     flash_.set_fault_injector(&injector_);
     channel_.set_fault_injector(&injector_);
     ram_.set_fault_injector(&injector_);

@@ -172,12 +172,12 @@ struct QueryMetrics {
   void Accumulate(const QueryMetrics& other);
 };
 
-/// \brief Identity a query executes under: the session's id (transcript
+/// \brief Identity a query executes under: its session's id (transcript
 /// tag), display name (diagnostics), and RAM partition (buffer quota).
-/// Defaults describe the sessionless "main" path.
+/// Only a core::Session builds one.
 struct SessionBinding {
-  int32_t id = -1;
-  std::string name = "main";
+  int32_t id = 0;
+  std::string name;
   device::RamPartitionId ram_partition = device::kSharedRamPartition;
 };
 

@@ -410,9 +410,15 @@ TEST_F(E2eTest, UnknownIndexedAttributeFailsBuild) {
 }
 
 TEST_F(E2eTest, QueriesBeforeBuildFail) {
+  // The sessionless calls run in the default session, which only Build()
+  // opens: every one must refuse cleanly before it.
   GhostDB db(SmallConfig());
   ASSERT_TRUE(db.Execute("CREATE TABLE a (id INT, x INT)").ok());
-  EXPECT_TRUE(db.Query("SELECT a.id FROM a").status().IsInvalidArgument());
+  const std::string sql = "SELECT a.id FROM a";
+  EXPECT_TRUE(db.Query(sql).status().IsInvalidArgument());
+  EXPECT_TRUE(db.Explain(sql).status().IsInvalidArgument());
+  EXPECT_TRUE(db.QueryWithPlan(sql, PlanChoice{}).status().IsInvalidArgument());
+  EXPECT_TRUE(db.QueryBatch({sql}).status().IsInvalidArgument());
 }
 
 TEST_F(E2eTest, InsertsAfterBuildRejected) {

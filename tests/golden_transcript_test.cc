@@ -1,13 +1,15 @@
-// Golden single-device transcripts: the wire image and simulated cost of a
-// shard_count = 1 database, pinned byte for byte.
+// Golden transcripts: the wire image and simulated cost of a database,
+// pinned byte for byte.
 //
-// Each scenario builds the leak tests' two-table database on one device,
-// drives one public query surface (planner Query, Session::Query,
-// QueryBatch, pinned QueryWithPlan, worst-case padding, a one-buffer
-// forced spill, EXPLAIN, a padded fault-recovered run) and renders what
-// an observer of the channel sees — every message's direction, label,
-// size, payload digest and session tag — plus each statement's simulated
-// total_ns. The rendering must equal the committed file under
+// Each scenario builds the leak tests' two-table database, drives one
+// public query surface (planner Query, Session::Query, QueryBatch, pinned
+// QueryWithPlan, worst-case padding, a one-buffer forced spill, EXPLAIN, a
+// padded fault-recovered run) and renders what an observer of the channel
+// sees — every message's direction, label, size, payload digest and
+// session tag — plus each statement's simulated total_ns. The shard1_*
+// files pin a single device; the shard4_* files pin a four-device fleet,
+// one transcript per shard, so the scatter legs' session tags on shards
+// 1-3 are pinned too. The rendering must equal the committed file under
 // tests/golden/ exactly: a refactor of the execution path may move code,
 // not a single byte on the wire or nanosecond on the device clock.
 //
@@ -33,13 +35,16 @@ using catalog::Value;
 using core::GhostDB;
 using core::GhostDBConfig;
 
-GhostDBConfig Config() {
+GhostDBConfig Config(uint32_t shards = 1) {
   GhostDBConfig cfg;
   cfg.device.flash.logical_pages = 32 * 1024;
+  cfg.shard_count = shards;
   return cfg;
 }
 
-void BuildDb(GhostDB* db) {
+/// Stages the two-table database, builds it on `shards` devices and clears
+/// every shard's load-time transcript.
+void BuildDb(GhostDB* db, uint32_t shards = 1) {
   ASSERT_TRUE(
       db->Execute("CREATE TABLE Dim (id INT, v INT, h INT HIDDEN)").ok());
   ASSERT_TRUE(
@@ -71,7 +76,10 @@ void BuildDb(GhostDB* db) {
                     .ok());
   }
   ASSERT_TRUE(db->Build().ok());
-  ASSERT_EQ(db->shard_count(), 1u);
+  ASSERT_EQ(db->shard_count(), shards);
+  for (uint32_t s = 0; s < shards; ++s) {
+    db->shard_device(s).channel().ClearTranscript();
+  }
 }
 
 const std::vector<std::string>& Statements() {
@@ -102,14 +110,19 @@ void RenderTranscript(const std::vector<device::ChannelMessage>& transcript,
   }
 }
 
-/// One statement: its transcript since the previous statement, then its
-/// simulated cost (unless `transcript_only`).
+/// One statement: its transcript since the previous statement (on a
+/// fleet, each shard's under a "shard <s>" header, coordinator first),
+/// then its simulated cost (unless `transcript_only`).
 void RecordStatement(GhostDB* db, const std::string& sql,
                      const Result<exec::QueryResult>& r,
                      std::ostringstream* out, bool transcript_only = false) {
   *out << "stmt " << sql << "\n";
-  RenderTranscript(db->device().channel().transcript(), out);
-  db->device().channel().ClearTranscript();
+  for (uint32_t s = 0; s < db->shard_count(); ++s) {
+    device::Channel& channel = db->shard_device(s).channel();
+    if (db->shard_count() > 1) *out << " shard " << s << "\n";
+    RenderTranscript(channel.transcript(), out);
+    channel.ClearTranscript();
+  }
   if (!r.ok()) {
     *out << "  error " << r.status().ToString() << "\n";
     return;
@@ -120,14 +133,15 @@ void RecordStatement(GhostDB* db, const std::string& sql,
   }
 }
 
-std::string GoldenPath(const std::string& scenario) {
+std::string GoldenPath(const std::string& scenario, uint32_t shards) {
   std::string here = __FILE__;
-  return here.substr(0, here.find_last_of('/')) + "/golden/shard1_" +
-         scenario + ".txt";
+  return here.substr(0, here.find_last_of('/')) + "/golden/shard" +
+         std::to_string(shards) + "_" + scenario + ".txt";
 }
 
-void ExpectGolden(const std::string& scenario, const std::string& actual) {
-  const std::string path = GoldenPath(scenario);
+void ExpectGolden(const std::string& scenario, const std::string& actual,
+                  uint32_t shards = 1) {
+  const std::string path = GoldenPath(scenario, shards);
   if (std::getenv("GHOSTDB_RECORD_GOLDEN") != nullptr) {
     std::ofstream(path) << actual;
     return;
@@ -156,7 +170,6 @@ void ExpectGolden(const std::string& scenario, const std::string& actual) {
 TEST(GoldenTranscriptTest, PlannerQuery) {
   GhostDB db(Config());
   BuildDb(&db);
-  db.device().channel().ClearTranscript();
   std::ostringstream out;
   for (const std::string& sql : Statements()) {
     RecordStatement(&db, sql, db.Query(sql), &out);
@@ -185,7 +198,6 @@ TEST(GoldenTranscriptTest, SessionQuery) {
 TEST(GoldenTranscriptTest, QueryBatch) {
   GhostDB db(Config());
   BuildDb(&db);
-  db.device().channel().ClearTranscript();
   std::vector<std::string> sqls = Statements();
   sqls.push_back("SELECT Fact.id FROM Fact WHERE Fact.h < 5");
   sqls.push_back("SELECT COUNT(*), SUM(Fact.h) FROM Fact WHERE Fact.v > 90");
@@ -209,7 +221,6 @@ TEST(GoldenTranscriptTest, PinnedQueryWithPlan) {
   auto fact = db.schema().FindTable("Fact");
   auto dim = db.schema().FindTable("Dim");
   ASSERT_TRUE(fact.ok() && dim.ok());
-  db.device().channel().ClearTranscript();
   std::ostringstream out;
   const std::string join =
       "SELECT Fact.id, Dim.v FROM Fact, Dim WHERE Fact.fk = Dim.id AND "
@@ -244,7 +255,6 @@ TEST(GoldenTranscriptTest, WorstCasePaddedQuery) {
   cfg.exec.volume_padding = exec::VolumePadding::kWorstCase;
   GhostDB db(cfg);
   BuildDb(&db);
-  db.device().channel().ClearTranscript();
   std::ostringstream out;
   for (const std::string& sql : Statements()) {
     RecordStatement(&db, sql, db.Query(sql), &out);
@@ -257,7 +267,6 @@ TEST(GoldenTranscriptTest, OneBufferForcedSpill) {
   cfg.exec.sort_budget_buffers = 1;
   GhostDB db(cfg);
   BuildDb(&db);
-  db.device().channel().ClearTranscript();
   std::ostringstream out;
   for (const char* sql : {
            "SELECT Fact.id, Fact.h FROM Fact WHERE Fact.h < 60 "
@@ -295,7 +304,6 @@ TEST(GoldenTranscriptTest, GroupingShapes) {
   {
     GhostDB db(cfg);
     BuildDb(&db);
-    db.device().channel().ClearTranscript();
     out << "budget 1\n";
     run(&db, {
                  "SELECT DISTINCT Fact.v, Fact.h FROM Fact WHERE Fact.h < 80 "
@@ -311,7 +319,6 @@ TEST(GoldenTranscriptTest, GroupingShapes) {
   {
     GhostDB db(cfg);
     BuildDb(&db);
-    db.device().channel().ClearTranscript();
     out << "budget 1 worst-case pad_spill_runs\n";
     run(&db, {
                  "SELECT DISTINCT Fact.v, Fact.h FROM Fact WHERE Fact.h < 80",
@@ -330,7 +337,6 @@ TEST(GoldenTranscriptTest, GroupingShapes) {
 TEST(GoldenTranscriptTest, Explain) {
   GhostDB db(Config());
   BuildDb(&db);
-  db.device().channel().ClearTranscript();
   std::ostringstream out;
   const std::string sql =
       "SELECT Fact.id, Dim.v FROM Fact, Dim WHERE Fact.fk = Dim.id AND "
@@ -365,7 +371,6 @@ TEST(GoldenTranscriptTest, PaddedFaultRecoveredRun) {
   cfg.fault_config.transient_fraction = 0.5;
   GhostDB db(cfg);
   BuildDb(&db);
-  db.device().channel().ClearTranscript();
   std::ostringstream out;
   for (const std::string& sql : Statements()) {
     RecordStatement(&db, sql, db.Query(sql), &out, /*transcript_only=*/true);
@@ -376,6 +381,42 @@ TEST(GoldenTranscriptTest, PaddedFaultRecoveredRun) {
   EXPECT_GT(injector.faults_injected(),
             injector.flash_retries() + injector.channel_stalls());
   ExpectGolden("padded_fault_recovered", out.str());
+}
+
+/// Fleet statements: root-anchored row streams (a plain filter and a
+/// sorted, limited join) and a grouped aggregate. Each fans out to all
+/// four shards and gathers on the coordinator.
+const std::vector<std::string>& FleetStatements() {
+  static const std::vector<std::string> kSqls = {
+      "SELECT Fact.id FROM Fact WHERE Fact.h < 30",
+      "SELECT Fact.id, Dim.v FROM Fact, Dim WHERE Fact.fk = Dim.id AND "
+      "Fact.v < 60 AND Dim.h < 70 ORDER BY Fact.id DESC LIMIT 9",
+      "SELECT Fact.v, COUNT(*), MAX(Fact.h) FROM Fact WHERE Fact.h < 80 "
+      "GROUP BY Fact.v",
+  };
+  return kSqls;
+}
+
+TEST(GoldenTranscriptTest, FleetQuery) {
+  GhostDB db(Config(4));
+  BuildDb(&db, 4);
+  std::ostringstream out;
+  for (const std::string& sql : FleetStatements()) {
+    RecordStatement(&db, sql, db.Query(sql), &out);
+  }
+  ExpectGolden("query", out.str(), 4);
+}
+
+TEST(GoldenTranscriptTest, FleetSessionQuery) {
+  GhostDB db(Config(4));
+  BuildDb(&db, 4);
+  auto alice = db.OpenSession({.name = "alice"});
+  ASSERT_TRUE(alice.ok());
+  std::ostringstream out;
+  for (const std::string& sql : FleetStatements()) {
+    RecordStatement(&db, sql, (*alice)->Query(sql), &out);
+  }
+  ExpectGolden("session_query", out.str(), 4);
 }
 
 }  // namespace

@@ -183,6 +183,51 @@ TEST(SessionTest, FourConcurrentSessionsAreOracleCorrect) {
   }
 }
 
+TEST(SessionTest, SessionlessCallersShareTheDefaultSession) {
+  // GhostDB::Query runs in the default session, which serves any number of
+  // threads at once: the arbiter grants each call by ticket, so callers
+  // sharing one session id queue like distinct sessions do. One opened
+  // session on one thread races three sessionless threads; every answer
+  // must be oracle-exact, and the default session never counts as opened.
+  GhostDB db(Config(/*retain_staged=*/true));
+  BuildDb(&db, 42);
+  auto alice = db.OpenSession({.name = "alice"});
+  ASSERT_TRUE(alice.ok()) << alice.status().ToString();
+  EXPECT_EQ(db.open_sessions(), 1u);
+  constexpr int kThreads = 4;  // thread 0 drives alice
+  std::vector<std::vector<std::string>> sqls(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    for (int q = 0; q < 5; ++q) {
+      int lit = (10 + 17 * t + 11 * q) % 100;
+      sqls[t].push_back(
+          q % 2 == 0
+              ? "SELECT Fact.id FROM Fact WHERE Fact.h < " +
+                    std::to_string(lit)
+              : "SELECT Fact.id, Dim.v FROM Fact, Dim WHERE Fact.fk = "
+                "Dim.id AND Dim.h < " +
+                    std::to_string(lit) + " AND Fact.v < 50");
+    }
+  }
+  std::vector<std::vector<Result<exec::QueryResult>>> answers(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (const std::string& sql : sqls[t]) {
+        answers[t].push_back(t == 0 ? (*alice)->Query(sql) : db.Query(sql));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(answers[t].size(), sqls[t].size());
+    for (size_t q = 0; q < sqls[t].size(); ++q) {
+      ExpectMatchesOracle(db, sqls[t][q], answers[t][q]);
+    }
+  }
+  EXPECT_EQ((*alice)->queries_executed(), sqls[0].size());
+  EXPECT_EQ(db.open_sessions(), 1u);
+}
+
 TEST(SessionTest, DrainInterleavingIsDeterministic) {
   // The deterministic scheduler: two identically built databases given the
   // same per-session workloads must produce byte-identical global
