@@ -16,43 +16,6 @@ using catalog::TableId;
 
 namespace {
 
-/// Merges per-shard partial-aggregate groups by canonical key: aggregates
-/// fold via Aggregator::MergeFrom, first_seq takes the minimum (the
-/// group's first global arrival), and the raw key cells follow the
-/// first-arriving shard — the cells a single device would have rendered
-/// (canonically equal keys can differ in raw bytes, e.g. -0.0 vs 0.0).
-/// The result is ordered by first_seq, reproducing the single-device
-/// first-arrival group emission order.
-Result<std::vector<exec::PartialAggGroup>> CombineShardPartials(
-    std::vector<std::vector<exec::PartialAggGroup>>* shards) {
-  std::vector<exec::PartialAggGroup> out;
-  std::map<std::string, size_t> index;
-  for (auto& shard : *shards) {
-    for (exec::PartialAggGroup& pg : shard) {
-      auto [it, inserted] = index.try_emplace(pg.key, out.size());
-      if (inserted) {
-        out.push_back(std::move(pg));
-        continue;
-      }
-      exec::PartialAggGroup& acc = out[it->second];
-      for (size_t i = 0; i < acc.aggs.size(); ++i) {
-        GHOSTDB_RETURN_NOT_OK(acc.aggs[i].MergeFrom(pg.aggs[i]));
-      }
-      if (pg.first_seq < acc.first_seq) {
-        acc.first_seq = pg.first_seq;
-        acc.key_cells = std::move(pg.key_cells);
-      }
-    }
-    shard.clear();
-  }
-  std::sort(out.begin(), out.end(),
-            [](const exec::PartialAggGroup& a,
-               const exec::PartialAggGroup& b) {
-              return a.first_seq < b.first_seq;
-            });
-  return out;
-}
-
 /// Runs one execution `attempt` on `device` — an inline leg, a scatter
 /// leg, or the gather — with no-leak fault recovery. Under the padded
 /// volume modes an injected fault must be invisible on the wire, because
@@ -471,20 +434,9 @@ Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
     // admission already held. Any other statement — and every statement on
     // a fleet of one — is a single inline leg running the whole plan on the
     // coordinator: no scatter, no thread, no gather.
-    bool agg_boundary = false;
-    if (fanout) {
-      int boundary = exec::FindFanoutBoundary(*plan);
-      if (boundary < 0) {
-        return Status::Internal("sharded plan has no fan-out boundary");
-      }
-      agg_boundary =
-          plan->nodes[boundary].op == plan::PhysicalOp::kAggregate ||
-          plan->nodes[boundary].op == plan::PhysicalOp::kGroupAggregate;
-    }
     std::vector<Result<exec::QueryResult>> leg_results(
         legs, Result<exec::QueryResult>(Status::Internal("leg unset")));
     std::vector<exec::EncodedRows> leg_rows(legs);
-    std::vector<std::vector<exec::PartialAggGroup>> leg_partials(legs);
     auto run_leg = [&](uint32_t s) {
       Shard& shard = shards_[s];
       std::optional<device::AdmissionGuard> leg_admission;
@@ -497,11 +449,9 @@ Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
       const exec::MetricSnapshot leg_base =
           s == 0 ? baseline : exec::MetricSnapshot::Take(shard.device.get());
       exec::FanoutParams scatter;
-      if (agg_boundary) scatter.partials_out = &leg_partials[s];
       leg_results[s] = RecoverUnderMask(
           shard.device.get(), padded, [&]() -> Result<exec::QueryResult> {
             leg_rows[s] = exec::EncodedRows{};
-            leg_partials[s].clear();
             if (fanout) {
               // Whole-shard reset: the device drops out before a byte
               // moves — the leg dies with an empty transcript span and a
@@ -533,25 +483,20 @@ Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
       return std::move(leg_results[0]);
     }
 
-    // Combine the shard outputs into the gather pass's input.
+    // Merge the shard outputs into the gather pass's input: the exact row
+    // order a single device would have produced.
+    exec::GatherInput gather_input;
+    for (uint32_t s = 0; s < legs; ++s) {
+      gather_input.skipped_rows +=
+          leg_results[s]->total_rows - leg_rows[s].row_count;
+    }
+    gather_input.rows = exec::MergeEncodedRowsBySeq(std::move(leg_rows));
     exec::FanoutParams gparams;
     gparams.role = exec::FanoutParams::Role::kGather;
     gparams.padding_row_bound_override = fleet_anchor_rows_;
-    std::vector<exec::PartialAggGroup> combined;
-    exec::GatherInput gather_input;
-    if (agg_boundary) {
-      GHOSTDB_ASSIGN_OR_RETURN(combined, CombineShardPartials(&leg_partials));
-      gparams.gather_partials = &combined;
-    } else {
-      for (uint32_t s = 0; s < legs; ++s) {
-        gather_input.skipped_rows +=
-            leg_results[s]->total_rows - leg_rows[s].row_count;
-      }
-      gather_input.rows = exec::MergeEncodedRowsBySeq(std::move(leg_rows));
-      gparams.gather_rows = &gather_input;
-    }
+    gparams.gather_rows = &gather_input;
 
-    // Gather on the coordinator: the plan's tail over the combined
+    // Gather on the coordinator: the plan's tail over the merged
     // stream, measured from its own baseline (taken once, like a leg's).
     // The gather inputs are const, so the tail is re-runnable after a
     // recovery erases the failed span.
@@ -600,16 +545,10 @@ Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
 }
 
 Result<uint64_t> GhostDB::DrainSessions(
-    const std::vector<Session*>& sessions, bool stop_on_error) {
+    const std::vector<Session*>& sessions) {
   if (!built_) {
     return Status::InvalidArgument("call Build() before querying");
   }
-  auto any_error = [&] {
-    for (Session* s : sessions) {
-      if (s->saw_error()) return true;
-    }
-    return false;
-  };
   uint64_t ran = 0;
   for (;;) {
     // Who is asking, at what declared weight — the arbiter's only inputs.
@@ -619,9 +558,6 @@ Result<uint64_t> GhostDB::DrainSessions(
       uint32_t weight = 1;
       if (s->BindHead(&weight)) pending.emplace_back(s->id(), weight);
     }
-    // BindHead records bind failures as results without touching the
-    // device; in fail-fast mode they end the drain like any other error.
-    if (stop_on_error && any_error()) break;
     if (pending.empty()) break;
     int32_t pick = device().arbiter().PickNext(pending);
     for (Session* s : sessions) {
@@ -631,7 +567,6 @@ Result<uint64_t> GhostDB::DrainSessions(
       }
     }
     ran += 1;
-    if (stop_on_error && any_error()) break;
   }
   return ran;
 }
@@ -640,29 +575,25 @@ Result<BatchResult> GhostDB::QueryBatch(const std::vector<std::string>& sqls) {
   if (!built_) {
     return Status::InvalidArgument("call Build() before querying");
   }
-  // The degenerate scheduler case: one ephemeral session holding the whole
-  // stream, no dedicated RAM partition (the batch runs from the shared
-  // reserve, like the default session).
+  // One ephemeral session holding the whole stream, no dedicated RAM
+  // partition (the batch runs from the shared reserve, like the default
+  // session).
   SessionOptions options;
   options.ram_quota_buffers = 0;
   options.name = "batch";
   GHOSTDB_ASSIGN_OR_RETURN(std::unique_ptr<Session> session,
                            OpenSession(std::move(options)));
-  for (const std::string& sql : sqls) session->Enqueue(sql);
-  // Fail fast: the first erroring statement ends the batch — later
-  // statements never reach the device (matching the pre-session loop).
-  GHOSTDB_RETURN_NOT_OK(
-      DrainSessions({session.get()}, /*stop_on_error=*/true).status());
-  std::vector<Result<exec::QueryResult>> results = session->TakeResults();
   BatchResult batch;
-  batch.results.reserve(results.size());
-  for (Result<exec::QueryResult>& r : results) {
-    GHOSTDB_RETURN_NOT_OK(r.status());
+  batch.results.reserve(sqls.size());
+  for (const std::string& sql : sqls) {
+    // Fail fast: the first erroring statement ends the batch — later
+    // statements never reach the device.
+    GHOSTDB_ASSIGN_OR_RETURN(exec::QueryResult r, session->Query(sql));
     // The batch totals are the statement sums: every device cost of the
     // batch falls inside some statement, and each statement's metrics
     // already fold in all of its legs, so this holds at every fleet size.
-    batch.total.Accumulate(r->metrics);
-    batch.results.push_back(std::move(*r));
+    batch.total.Accumulate(r.metrics);
+    batch.results.push_back(std::move(r));
   }
   return batch;
 }

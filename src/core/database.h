@@ -65,10 +65,10 @@ struct GhostDBConfig {
   /// Simulated SecureDevices the logical database shards across. The
   /// loader hash-partitions the schema root's rows over the fleet (every
   /// other table replicates in full, so parent→child foreign keys stay
-  /// local); root-anchored queries scatter the plan's per-shard subtree
-  /// across all devices concurrently and combine on a gather pass —
-  /// merge-by-global-id for row streams, a partial-aggregate combine for
-  /// aggregation roots. Answers are byte-identical for every value; each
+  /// local); root-anchored queries scatter the plan up to its projection
+  /// across all devices concurrently, merge the projected rows by global
+  /// id, and run the relational tail once on a gather pass. Answers and
+  /// errors are byte-identical for every value; each
   /// device keeps its own channel, flash, clock, RAM partition pool, and
   /// arbiter, so the per-device transcript contract is unchanged. 1 = the
   /// classic single device.
@@ -136,11 +136,7 @@ class GhostDB {
   /// visible inputs only, so the interleaving (and the global transcript)
   /// is reproducible. Per-session results land on each session's result
   /// surface in statement order. Returns the number of statements run.
-  /// With `stop_on_error`, draining stops at the first statement that
-  /// fails (its error is on the result surface; later statements stay
-  /// queued and unpaid-for).
-  Result<uint64_t> DrainSessions(const std::vector<Session*>& sessions,
-                                 bool stop_on_error = false);
+  Result<uint64_t> DrainSessions(const std::vector<Session*>& sessions);
 
   /// Number of sessions a caller opened (OpenSession, QueryBatch) that
   /// are still open; the default session is not counted.
@@ -153,9 +149,8 @@ class GhostDB {
 
   /// Executes many statements — the throughput surface. Per-statement
   /// answers come back in order; `total` sums their metrics: the
-  /// batch-wide costs and plan-cache hit counts.
-  /// Implemented as the degenerate single-session case of the scheduler:
-  /// one ephemeral session, every statement queued to it, drained.
+  /// batch-wide costs and plan-cache hit counts. The statements run in
+  /// order in one ephemeral session; the first error ends the batch.
   Result<BatchResult> QueryBatch(const std::vector<std::string>& sqls);
 
   /// Runs a SELECT in the default session under a pinned plan (benches
@@ -236,8 +231,7 @@ class GhostDB {
   /// statement fans out (Planner::FansOut), shards 1..N-1 concurrently
   /// under their own arbiters, else a single inline leg running the whole
   /// plan on shard 0; then, for a fan-out, the gather pass, which runs the
-  /// plan's tail on the coordinator over the combined leg outputs
-  /// (seq-merged rows or key-merged partial aggregates).
+  /// plan's tail on the coordinator over the legs' seq-merged rows.
   Result<exec::QueryResult> RunSelect(const sql::BoundQuery& query,
                                       const plan::PlanChoice* pinned,
                                       const Session& session);

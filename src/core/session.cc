@@ -50,7 +50,6 @@ std::vector<Result<exec::QueryResult>> Session::TakeResults() {
   std::lock_guard<std::mutex> lk(mu_);
   std::vector<Result<exec::QueryResult>> out = std::move(results_);
   results_.clear();
-  saw_error_ = false;
   return out;
 }
 
@@ -64,11 +63,6 @@ uint64_t Session::queries_executed() const {
   return executed_;
 }
 
-bool Session::saw_error() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return saw_error_;
-}
-
 bool Session::BindHead(uint32_t* weight) {
   std::lock_guard<std::mutex> lk(mu_);
   while (!queue_.empty()) {
@@ -79,7 +73,6 @@ bool Session::BindHead(uint32_t* weight) {
         // A statement that cannot bind never reaches the device; its error
         // takes the statement's slot on the result surface.
         results_.emplace_back(bound.status());
-        saw_error_ = true;
         queue_.pop_front();
         continue;
       }
@@ -102,7 +95,6 @@ void Session::RunHead() {
   }
   Result<exec::QueryResult> result = Run(*head.bound, nullptr);
   std::lock_guard<std::mutex> lk(mu_);
-  if (!result.ok()) saw_error_ = true;
   results_.push_back(std::move(result));
 }
 

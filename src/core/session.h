@@ -109,8 +109,6 @@ class Session {
   /// Runs a bound statement (under `pinned` if non-null), counts it and
   /// folds its metrics into the session totals. The one execution step
   /// behind Query(), RunHead() and the sessionless GhostDB calls.
-  /// (Errors are flagged only where they land on the result surface, so
-  /// a failed Query() cannot stop a later fail-fast drain.)
   Result<exec::QueryResult> Run(const sql::BoundQuery& query,
                                 const plan::PlanChoice* pinned);
   /// Binds the head of the queue (recording bind errors as results and
@@ -119,9 +117,6 @@ class Session {
   bool BindHead(uint32_t* weight);
   /// Executes the (bound) head statement and records its result.
   void RunHead();
-  /// True once any statement on the result surface errored (reset by
-  /// TakeResults); the fail-fast drain mode polls this.
-  bool saw_error() const;
 
   GhostDB* db_;
   int32_t id_;
@@ -133,7 +128,6 @@ class Session {
   mutable std::mutex mu_;  // queue_, results_, totals_, executed_
   std::deque<Queued> queue_;
   std::vector<Result<exec::QueryResult>> results_;
-  bool saw_error_ = false;
   exec::QueryMetrics totals_;
   uint64_t executed_ = 0;
 };

@@ -24,9 +24,9 @@
 // across databases differing only in any session's hidden data.
 //
 // Two driving modes share the one policy:
-//   * PickNext() — the deterministic scheduler (GhostDB::DrainSessions,
-//     QueryBatch) asks the arbiter whom to serve next among the sessions
-//     with queued statements;
+//   * PickNext() — the deterministic scheduler (GhostDB::DrainSessions)
+//     asks the arbiter whom to serve next among the sessions with queued
+//     statements;
 //   * Admit()/Release() — concurrently driven sessions block until granted;
 //     contention among simultaneous waiters resolves by the same DRR
 //     policy. Admission doubles as the device's mutual exclusion: all

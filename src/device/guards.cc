@@ -47,15 +47,6 @@ Status PageGuard::Free() {
   return s;
 }
 
-Status PageGuard::TrimTail(uint32_t keep) {
-  if (!valid() || keep >= count_) return Status::OK();
-  uint32_t extra = count_ - keep;
-  Status s = allocator_->Free(first_ + keep, extra, tag_);
-  count_ = keep;
-  if (keep == 0) allocator_ = nullptr;
-  return s;
-}
-
 std::pair<uint32_t, uint32_t> PageGuard::Detach() {
   std::pair<uint32_t, uint32_t> extent{first_, count_};
   allocator_ = nullptr;

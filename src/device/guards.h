@@ -56,10 +56,6 @@ class PageGuard {
   /// Frees the extent now and disarms the guard. Idempotent.
   GHOSTDB_RESOURCE_IMPL Status Free();
 
-  /// Frees the pages past the first `keep` (a writer trimming the unused
-  /// tail of its preallocated extent). The guard keeps the head.
-  GHOSTDB_RESOURCE_IMPL Status TrimTail(uint32_t keep);
-
   /// Transfers ownership out: returns (first, count) and disarms the
   /// guard. The caller's long-lived structure now owns the pages.
   std::pair<uint32_t, uint32_t> Detach();

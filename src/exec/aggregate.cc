@@ -133,52 +133,6 @@ Status Aggregator::AccumulateEncoded(const uint8_t* src) {
   return Status::OK();
 }
 
-Status Aggregator::MergeFrom(const Aggregator& other) {
-  count_ += other.count_;
-  switch (func_) {
-    case AggFunc::kNone:
-    case AggFunc::kCountStar:
-    case AggFunc::kCount:
-      return Status::OK();
-    case AggFunc::kSum:
-      if (input_type_ == DataType::kDouble) {
-        double_sum_.Merge(other.double_sum_);
-        return Status::OK();
-      }
-      return AddChecked(&int_sum_, other.int_sum_);
-    case AggFunc::kAvg:
-      double_sum_.Merge(other.double_sum_);
-      return Status::OK();
-    case AggFunc::kMin:
-      if (!other.min_enc_.empty() &&
-          (min_enc_.empty() ||
-           catalog::CompareEncoded(input_type_, input_width_,
-                                   other.min_enc_.data(),
-                                   min_enc_.data()) < 0)) {
-        min_enc_ = other.min_enc_;
-      }
-      if (other.min_.has_value() &&
-          (!min_.has_value() || other.min_->Compare(*min_) < 0)) {
-        min_ = other.min_;
-      }
-      return Status::OK();
-    case AggFunc::kMax:
-      if (!other.max_enc_.empty() &&
-          (max_enc_.empty() ||
-           catalog::CompareEncoded(input_type_, input_width_,
-                                   other.max_enc_.data(),
-                                   max_enc_.data()) > 0)) {
-        max_enc_ = other.max_enc_;
-      }
-      if (other.max_.has_value() &&
-          (!max_.has_value() || other.max_->Compare(*max_) > 0)) {
-        max_ = other.max_;
-      }
-      return Status::OK();
-  }
-  return Status::OK();
-}
-
 uint32_t Aggregator::PartialWidth(AggFunc func, DataType input_type,
                                   uint32_t input_width) {
   constexpr uint32_t kCountWidth = 8;  // leading u64 input count

@@ -50,13 +50,6 @@ class Aggregator {
   /// Folds a COUNT(*) row.
   void AccumulateRow() { count_ += 1; }
 
-  /// Folds another accumulator of the same (func, type, width) in — the
-  /// shard-combine primitive behind scatter-gather aggregation. Double
-  /// sums merge exactly (see ExactDoubleSum), so the combined result is
-  /// independent of how the input was partitioned; integer SUM overflow
-  /// of the combined total fails with OutOfRange like the streaming path.
-  Status MergeFrom(const Aggregator& other);
-
   /// Width of the encoded partial state EncodePartial() writes: the u64
   /// input count followed by the function's accumulator (nothing for
   /// COUNT, the i64 sum for integer SUM, the ExactDoubleSum register for
@@ -70,11 +63,10 @@ class Aggregator {
   /// the per-group payload of a partial-aggregate spill row.
   void EncodePartial(uint8_t* dst) const;
 
-  /// Folds an EncodePartial()-encoded state in (the spill-side MergeFrom).
+  /// Folds an EncodePartial()-encoded state in: how a spilled group's
+  /// per-run partials combine. Double sums fold exactly (ExactDoubleSum);
+  /// integer SUM overflow of the folded subtotal fails with OutOfRange.
   Status AccumulatePartial(const uint8_t* src);
-
-  /// Rows folded so far (partial-combine bookkeeping).
-  uint64_t count() const { return count_; }
 
   /// True once any input row/value was folded. Callers must check this
   /// before Finish() for the AggRequiresInput functions: over an empty
@@ -98,9 +90,9 @@ class Aggregator {
   uint32_t input_width_ = 0;  ///< encoded cell width (encoded path only)
   uint64_t count_ = 0;
   int64_t int_sum_ = 0;
-  /// Double SUM/AVG accumulate exactly so partition order can't change
-  /// the result bits (sharded scatter-gather merges per-device partials
-  /// in an order the streaming fold can't reproduce).
+  /// Double SUM/AVG accumulate exactly so fold order can't change the
+  /// result bits (a spilling group folds per-run partials in an order the
+  /// streaming fold can't reproduce).
   ExactDoubleSum double_sum_;
   std::optional<catalog::Value> min_;
   std::optional<catalog::Value> max_;

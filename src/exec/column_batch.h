@@ -109,11 +109,6 @@ struct ColumnBatch {
   }
   void CommitRow() { rows += 1; }
 
-  catalog::Value DecodeCell(size_t c, uint32_t physical_row) const {
-    const BatchColumn& col = layout->cols[c];
-    return catalog::Value::Decode(cell(c, physical_row), col.type,
-                                  col.width);
-  }
   /// Appends the canonicalized encoded bytes of one cell to `out`. Byte
   /// equality of the appended bytes coincides with Value equality: strings
   /// are space-padded, integers are bijective, and double zeros are

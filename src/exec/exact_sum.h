@@ -1,15 +1,14 @@
 // Order-independent exact summation of IEEE-754 doubles.
 //
 // SUM/AVG over DOUBLE must produce byte-identical results no matter how the
-// input is partitioned: the single-device engine folds values in arrival
-// order, but under sharding each device folds its local subset and the
-// combiner merges per-shard partials — an order the floating-point `+=`
-// cannot reproduce. ExactDoubleSum sidesteps the problem by accumulating
-// into a wide fixed-point integer (a 2176-bit two's-complement register
-// whose LSB is 2^-1074, the smallest subnormal ULP), where addition is
-// associative and commutative *exactly*. Finish() rounds the exact total
-// to the nearest double once, so any partition of the same multiset of
-// inputs yields the same output bits.
+// input is partitioned: a group that stays in the hash table folds values
+// in arrival order, but a group that spills folds per-run partial sums —
+// an order the floating-point `+=` cannot reproduce. ExactDoubleSum
+// sidesteps the problem by accumulating into a wide fixed-point integer (a
+// 2176-bit two's-complement register whose LSB is 2^-1074, the smallest
+// subnormal ULP), where addition is associative and commutative *exactly*.
+// Finish() rounds the exact total to the nearest double once, so any
+// partition of the same multiset of inputs yields the same output bits.
 //
 // Capacity: the largest finite double occupies bits [2045, 2098); 2176 bits
 // leave ~2^77 additions of headroom before the register could wrap — far
@@ -66,7 +65,7 @@ class ExactDoubleSum {
     }
   }
 
-  /// Folds another accumulator in — the shard-combine primitive. Exact,
+  /// Folds another accumulator in — the spill-run partial combine. Exact,
   /// so merge({a} then {b}) == merge({b} then {a}) == Add-ing every value.
   void Merge(const ExactDoubleSum& other) {
     nan_ = nan_ || other.nan_;

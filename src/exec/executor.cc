@@ -53,21 +53,13 @@ EncodedRows MergeEncodedRowsBySeq(std::vector<EncodedRows> parts) {
 }
 
 int FindFanoutBoundary(const plan::PhysicalPlan& plan) {
-  int project = -1;
   for (size_t i = 0; i < plan.nodes.size(); ++i) {
-    switch (plan.nodes[i].op) {
-      case plan::PhysicalOp::kAggregate:
-      case plan::PhysicalOp::kGroupAggregate:
-        return static_cast<int>(i);
-      case plan::PhysicalOp::kProject:
-      case plan::PhysicalOp::kBruteForceProject:
-        project = static_cast<int>(i);
-        break;
-      default:
-        break;
+    if (plan.nodes[i].op == plan::PhysicalOp::kProject ||
+        plan.nodes[i].op == plan::PhysicalOp::kBruteForceProject) {
+      return static_cast<int>(i);
     }
   }
-  return project;
+  return -1;
 }
 
 void EncodedRows::DecodeInto(QueryResult* out) const {
@@ -151,14 +143,9 @@ Result<QueryResult> SecureExecutor::ExecuteTree(
   ctx.session = &session;
   ctx.vis_prefetch = prefetch;
   ctx.metrics = &metrics;
-  // Morsel parallelism: the plan may clamp the degree (0 = use the pool's
-  // full width). Workers do pure host-side value compute only, so the
-  // degree is invisible to the transcript.
+  // Morsel parallelism: workers do pure host-side value compute only, so
+  // the pool's width is invisible to the transcript.
   ctx.pool = pool_;
-  uint32_t pool_width = pool_ != nullptr ? pool_->width() : 1;
-  ctx.parallelism = plan.parallelism != 0
-                        ? std::min(plan.parallelism, pool_width)
-                        : pool_width;
   // Without value-level operators above the projection, rows beyond the
   // materialization limit are counted but never encoded.
   bool needs_all_values = query.HasAggregates() || query.grouped() ||
@@ -167,23 +154,18 @@ Result<QueryResult> SecureExecutor::ExecuteTree(
   ctx.rows_demanded =
       needs_all_values ? UINT64_MAX : config_.result_row_limit;
   // How many rows this run may materialize (render or defer). Scatter legs
-  // whose tail operators reorder or cut the stream (DISTINCT / ORDER BY /
-  // LIMIT) must ship *every* local row to the gather merge, so the
-  // per-shard cap lifts; plain scans keep it — any row of the global
-  // first-L prefix lies within its own shard's first-L, so per-shard
-  // prefix materialization plus skip counting reconstructs the answer.
+  // under a tail that groups, reorders or cuts the stream (aggregates /
+  // GROUP BY / DISTINCT / ORDER BY / LIMIT) must ship *every* local row to
+  // the gather merge, so the per-shard cap lifts; plain scans keep it —
+  // any row of the global first-L prefix lies within its own shard's
+  // first-L, so per-shard prefix materialization plus skip counting
+  // reconstructs the answer.
   uint64_t materialize_cap = config_.result_row_limit;
   if (scatter) {
     ctx.emit_row_seq = true;
-    ctx.partials_out = fanout->partials_out;
-    if (fanout->partials_out == nullptr && needs_all_values) {
-      materialize_cap = UINT64_MAX;
-    }
+    if (needs_all_values) materialize_cap = UINT64_MAX;
   }
-  if (gather) {
-    ctx.gather_partials = fanout->gather_partials;
-    ctx.gather_rows = fanout->gather_rows;
-  }
+  if (gather) ctx.gather_rows = fanout->gather_rows;
   // Planner-sized batches + cached layout.
   ctx.value_layout = &plan.value_layout;
   ctx.batch_rows = plan.batch_rows;

@@ -60,31 +60,25 @@ struct GatherInput {
 /// this is a plain pick-min merge with a deterministic result.
 EncodedRows MergeEncodedRowsBySeq(std::vector<EncodedRows> parts);
 
-/// The scatter/gather split point of `plan`: the node index of the
-/// aggregation root (kAggregate / kGroupAggregate) if the plan has one,
-/// else the projection root (kProject / kBruteForceProject). Everything at
-/// or below the boundary runs per shard; everything above it runs once on
-/// the gather device over the merged stream.
+/// The scatter/gather split point of `plan`: the node index of its
+/// projection (kProject / kBruteForceProject), or -1 if it has none.
+/// Everything at or below the boundary runs per shard; everything above
+/// it — grouping, sorting, limits, padding — runs once on the gather
+/// device over the seq-merged row stream, exactly as on a single device.
 int FindFanoutBoundary(const plan::PhysicalPlan& plan);
 
 /// \brief Scatter-gather role of one Execute() call on a sharded fleet.
 ///
 /// GhostDB (core/database.cc) orchestrates: each shard executes the plan
-/// re-rooted at the fan-out boundary (kScatter), then the gather device
-/// executes the full plan with the per-shard outputs substituted for the
-/// subtree below the boundary (kGather). A null FanoutParams runs the whole
-/// plan on one device: a statement that does not fan out, or any
+/// re-rooted at its projection and ships seq-stamped rows (kScatter), then
+/// the gather device executes the full plan with the seq-merged rows
+/// substituted for the projection (kGather). A null FanoutParams runs the
+/// whole plan on one device: a statement that does not fan out, or any
 /// statement on a fleet of one.
 struct FanoutParams {
   enum class Role : uint8_t { kScatter, kGather };
   Role role = Role::kScatter;
-  /// kScatter, aggregate boundary: receives this shard's partial groups
-  /// (set on ExecContext::partials_out). Null for row boundaries.
-  std::vector<PartialAggGroup>* partials_out = nullptr;
-  /// kGather, aggregate boundary: the shard partials, combined by group
-  /// key and ordered by first global arrival.
-  const std::vector<PartialAggGroup>* gather_partials = nullptr;
-  /// kGather, row boundary: the seq-merged row stream.
+  /// kGather: the seq-merged row stream.
   const GatherInput* gather_rows = nullptr;
   /// kGather: overrides ExecContext::padding_row_bound with the *global*
   /// anchor row count — the gather device's local store holds only its
@@ -122,10 +116,9 @@ class SecureExecutor {
   /// has released its channel admission. `prefetch` (optional) carries the
   /// PC's speculatively evaluated visible answers into the operators.
   /// `fanout` (optional) runs this call as one leg of a sharded
-  /// scatter-gather: kScatter executes the plan re-rooted at the fan-out
-  /// boundary and emits seq-stamped rows (into `out`) or partial
-  /// aggregates; kGather executes the tail of the plan over the combined
-  /// shard outputs.
+  /// scatter-gather: kScatter executes the plan re-rooted at the
+  /// projection and emits seq-stamped rows (into `out`); kGather executes
+  /// the tail of the plan over the merged shard rows.
   Result<QueryResult> Execute(const sql::BoundQuery& query,
                               const plan::PhysicalPlan& plan,
                               const MetricSnapshot& baseline,

@@ -124,20 +124,13 @@ Result<std::unique_ptr<Operator>> BuildNode(ExecContext* ctx,
     return Status::Internal("physical plan node index out of range");
   }
   const plan::PhysicalNode& node = plan.nodes[idx];
-  // Gather legs of a sharded scatter-gather: the subtree below the fan-out
-  // boundary already ran per shard, so substitute its combined output —
-  // the projection becomes a GatherSourceOp over the seq-merged row
-  // stream, and an aggregation root is built childless (it seeds from the
-  // combined shard partials instead of pulling input).
+  // Gather legs of a sharded scatter-gather: the projection and everything
+  // below it already ran per shard, so it becomes a GatherSourceOp over
+  // the seq-merged row stream.
   if (ctx->gather_rows != nullptr &&
       (node.op == plan::PhysicalOp::kProject ||
        node.op == plan::PhysicalOp::kBruteForceProject)) {
     return std::unique_ptr<Operator>(std::make_unique<GatherSourceOp>(ctx));
-  }
-  if (ctx->gather_partials != nullptr &&
-      (node.op == plan::PhysicalOp::kAggregate ||
-       node.op == plan::PhysicalOp::kGroupAggregate)) {
-    return std::unique_ptr<Operator>(std::make_unique<HashGroupOp>(ctx));
   }
   std::vector<std::unique_ptr<Operator>> kids;
   for (int c : node.children) {

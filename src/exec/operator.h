@@ -34,7 +34,6 @@
 #include "catalog/schema.h"
 #include "catalog/value.h"
 #include "common/result.h"
-#include "exec/aggregate.h"
 #include "exec/column_batch.h"
 #include "common/status.h"
 #include "core/secure_store.h"
@@ -248,19 +247,6 @@ struct PipelineState {
   SjState sj;
 };
 
-/// \brief One group's partial-aggregate state, shipped (in host memory)
-/// from a scatter shard to the gather combiner of a sharded aggregate
-/// query. The combiner merges groups by canonical key via
-/// Aggregator::MergeFrom and orders the combined set by first_seq — the
-/// smallest global anchor id folded into the group — which reproduces the
-/// single-device first-arrival group emission order exactly.
-struct PartialAggGroup {
-  std::string key;  ///< canonical group key ("" for a global aggregate)
-  std::vector<uint8_t> key_cells;  ///< raw encoded key cells (rendering)
-  std::vector<Aggregator> aggs;    ///< one per aggregate SELECT item
-  uint64_t first_seq = 0;
-};
-
 /// Merged per-shard projection output fed into a gather run (defined in
 /// executor.h; here only pointed at by ExecContext).
 struct GatherInput;
@@ -314,26 +300,14 @@ struct ExecContext {
   /// inline). Workers obey the thread_pool.h contract — pure host value
   /// work, never device state, deterministic shard boundaries.
   ThreadPool* pool = nullptr;
-  /// Effective parallelism degree for this query: min(plan.parallelism if
-  /// set, pool width), 1 without a pool.
-  uint32_t parallelism = 1;
   /// Scatter-shard mode: stamp each projected row's global anchor id into
   /// ColumnBatch::seqs (and EncodedRows::seqs at the boundary) so the
   /// gather phase can k-way merge per-shard streams back into the exact
   /// single-device global order.
   bool emit_row_seq = false;
-  /// Scatter-shard aggregate mode: the grouping operator (HashGroupOp)
-  /// dumps its local groups here instead of rendering output rows (set
-  /// only on scatter runs of aggregate plans).
-  std::vector<PartialAggGroup>* partials_out = nullptr;
-  /// Gather mode, aggregate plans: combined cross-shard partial groups
-  /// (ordered by first_seq) that seed the grouping operator in
-  /// place of child input — no children are built below it.
-  const std::vector<PartialAggGroup>* gather_partials = nullptr;
-  /// Gather mode, row plans: the seq-merged union of per-shard projection
-  /// outputs, emitted by a GatherSourceOp substituted for the projection
-  /// node so the unmodified relational tail runs once over the global
-  /// stream.
+  /// Gather mode: the seq-merged union of per-shard projection outputs,
+  /// emitted by a GatherSourceOp substituted for the projection node so
+  /// the unmodified relational tail runs once over the global stream.
   const GatherInput* gather_rows = nullptr;
 
   SimClock& clock() { return device->clock(); }

@@ -94,21 +94,6 @@ GHOSTDB_HOST_COMPUTE void ExtractKeys(ExecContext* ctx,
   }
 }
 
-/// ColumnBatch::AppendCellKey over a raw encoded cell (the spill-row path,
-/// where no batch exists): identical canonicalization, so keys recovered
-/// from spilled partial rows land in the same equivalence classes as the
-/// hash phase's.
-void AppendCanonicalCellKey(catalog::DataType type, uint32_t width,
-                            const uint8_t* src, std::string* out) {
-  if (type == catalog::DataType::kDouble && DecodeDouble(src) == 0.0) {
-    uint8_t zero[8];
-    EncodeDouble(zero, 0.0);
-    out->append(reinterpret_cast<const char*>(zero), 8);
-    return;
-  }
-  out->append(reinterpret_cast<const char*>(src), width);
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -184,7 +169,7 @@ Status HashGroupOp::Open() {
   for (size_t i = 0; i < select.size(); ++i) {
     (select[i].agg == AggFunc::kNone ? key_items_ : agg_items_).push_back(i);
   }
-  streaming_ = agg_items_.empty() && ctx_->partials_out == nullptr;
+  streaming_ = agg_items_.empty();
   out_layout_ = OutputLayout(*ctx_->query, *in_layout_);
   out_offsets_ = ColumnOffsets(out_layout_);
   // Partial spill-row layout: key cells, then each aggregate's encoded
@@ -251,9 +236,7 @@ Status HashGroupOp::Absorb(const ColumnBatch& batch,
   ExtractKeys(ctx_, batch, key_items_, &key_scratch_);
   for (size_t r = 0; r < batch.live(); ++r) {
     uint32_t row = batch.row_at(r);
-    // Scatter runs stamp the global anchor id per row; it replaces the
-    // local counter so group first-arrival order merges globally.
-    uint64_t seq = !batch.seqs.empty() ? batch.seqs[row] : seq_++;
+    uint64_t seq = seq_++;
     const std::string& key = key_scratch_[r];
     // Known groups — frozen or not — keep folding in place: no new memory
     // either way. A streamed group has nothing left to fold.
@@ -285,7 +268,6 @@ Status HashGroupOp::Absorb(const ColumnBatch& batch,
                              src + in_layout_->cols[i].width);
         }
         g.aggs = MakeAggregators();
-        g.first_seq = seq;
         GHOSTDB_RETURN_NOT_OK(AccumulateInto(&g, batch, row));
         groups_.push_back(std::move(g));
         continue;
@@ -355,8 +337,12 @@ Status HashGroupOp::FoldPartialRow(uint8_t* acc, const uint8_t* row) {
   return Status::OK();
 }
 
-Status HashGroupOp::DrainSpill(
-    const std::function<Status(const uint8_t*)>& sink) {
+Status HashGroupOp::FinishSpill() {
+  uint32_t out_stride = out_layout_.row_width + kSpillSeqWidth;
+  by_arrival_ = std::make_unique<ExternalRowSorter>(
+      ctx_, out_stride, RowComparator::ByKeys({}, out_layout_.row_width),
+      BudgetRows(ctx_, out_stride), /*drop_key_duplicates=*/false,
+      "group-arrival");
   GHOSTDB_RETURN_NOT_OK(by_key_->Finish());
   // Cross-run duplicates emerge key-adjacent (each run was collapsed at
   // write time, so at most one partial per group per run remains).
@@ -368,11 +354,12 @@ Status HashGroupOp::DrainSpill(
       GHOSTDB_RETURN_NOT_OK(FoldPartialRow(acc.data(), row));
       continue;
     }
-    if (!acc.empty()) GHOSTDB_RETURN_NOT_OK(sink(acc.data()));
+    if (!acc.empty()) GHOSTDB_RETURN_NOT_OK(FlushSpillGroup(acc.data()));
     acc.assign(row, row + spill_stride_);
   }
-  if (!acc.empty()) GHOSTDB_RETURN_NOT_OK(sink(acc.data()));
-  return by_key_->Close();  // phase A flash freed here
+  if (!acc.empty()) GHOSTDB_RETURN_NOT_OK(FlushSpillGroup(acc.data()));
+  GHOSTDB_RETURN_NOT_OK(by_key_->Close());  // phase A flash freed here
+  return by_arrival_->Finish();
 }
 
 Status HashGroupOp::FlushSpillGroup(const uint8_t* partial) {
@@ -398,82 +385,6 @@ Status HashGroupOp::FlushSpillGroup(const uint8_t* partial) {
   EncodeFixed64(out_buf_.data() + out_layout_.row_width,
                 DecodeFixed64(partial + spill_seq_offset_));
   return by_arrival_->Add(out_buf_.data());
-}
-
-Status HashGroupOp::FinishSpill() {
-  uint32_t out_stride = out_layout_.row_width + kSpillSeqWidth;
-  by_arrival_ = std::make_unique<ExternalRowSorter>(
-      ctx_, out_stride, RowComparator::ByKeys({}, out_layout_.row_width),
-      BudgetRows(ctx_, out_stride), /*drop_key_duplicates=*/false,
-      "group-arrival");
-  GHOSTDB_RETURN_NOT_OK(DrainSpill(
-      [this](const uint8_t* partial) { return FlushSpillGroup(partial); }));
-  return by_arrival_->Finish();
-}
-
-Status HashGroupOp::DumpPartials() {
-  // Hash groups first: recover each group's canonical key from the index
-  // (groups_ order is first arrival, but the combiner re-orders by
-  // first_seq anyway). The keyless group has no index entry: key "".
-  std::vector<const std::string*> keys(groups_.size(), nullptr);
-  for (const auto& [key, idx] : index_) keys[idx] = &key;
-  for (size_t gi = 0; gi < groups_.size(); ++gi) {
-    Group& g = groups_[gi];
-    PartialAggGroup pg;
-    if (keys[gi] != nullptr) pg.key = *keys[gi];
-    pg.key_cells = std::move(g.key_cells);
-    pg.aggs = std::move(g.aggs);
-    pg.first_seq = g.first_seq;
-    ctx_->partials_out->push_back(std::move(pg));
-  }
-  groups_.clear();
-  index_.clear();
-  if (!spilling_) return Status::OK();
-  // Spilled groups: phase B never runs — the gather combiner orders
-  // globally.
-  return DrainSpill([this](const uint8_t* acc) -> Status {
-    PartialAggGroup pg;
-    pg.first_seq = DecodeFixed64(acc + spill_seq_offset_);
-    pg.aggs = MakeAggregators();
-    for (size_t j = 0; j < agg_items_.size(); ++j) {
-      GHOSTDB_RETURN_NOT_OK(
-          pg.aggs[j].AccumulatePartial(acc + spill_agg_offsets_[j]));
-    }
-    for (size_t k = 0; k < key_items_.size(); ++k) {
-      size_t i = key_items_[k];
-      const uint8_t* src = acc + spill_key_offsets_[k];
-      pg.key_cells.insert(pg.key_cells.end(), src,
-                          src + in_layout_->cols[i].width);
-      AppendCanonicalCellKey(in_layout_->cols[i].type,
-                             in_layout_->cols[i].width, src, &pg.key);
-    }
-    ctx_->partials_out->push_back(std::move(pg));
-    return Status::OK();
-  });
-}
-
-Status HashGroupOp::SeedFromPartials() {
-  // Gather leg of a sharded fleet: this op was built childless; its input
-  // is the combined shard partials, merged by key and ordered by first
-  // global arrival. The keyless group merges them exactly (ExactDoubleSum
-  // makes double sums independent of the partition); keyed groups are
-  // taken as they are. Budget bookkeeping is skipped — the combined set is
-  // exactly the single-device group set, whose emission the budget already
-  // sized.
-  for (const PartialAggGroup& pg : *ctx_->gather_partials) {
-    if (key_items_.empty()) {
-      for (size_t j = 0; j < agg_items_.size(); ++j) {
-        GHOSTDB_RETURN_NOT_OK(groups_[0].aggs[j].MergeFrom(pg.aggs[j]));
-      }
-      continue;
-    }
-    Group g;
-    g.key_cells = pg.key_cells;
-    g.aggs = pg.aggs;
-    g.first_seq = pg.first_seq;
-    groups_.push_back(std::move(g));
-  }
-  return Status::OK();
 }
 
 Result<ColumnBatch> HashGroupOp::Emit() {
@@ -518,11 +429,6 @@ Result<ColumnBatch> HashGroupOp::Emit() {
 Result<ColumnBatch> HashGroupOp::Next() {
   if (done_) return ColumnBatch{};
   if (emitting_) return Emit();
-  if (ctx_->gather_partials != nullptr) {
-    GHOSTDB_RETURN_NOT_OK(SeedFromPartials());
-    emitting_ = true;
-    return Emit();
-  }
   while (true) {
     GHOSTDB_ASSIGN_OR_RETURN(ColumnBatch batch, child()->Next());
     if (batch.empty()) break;
@@ -545,12 +451,6 @@ Result<ColumnBatch> HashGroupOp::Next() {
       return batch;
     }
   }
-  if (ctx_->partials_out != nullptr) {
-    // Scatter leg: ship the local groups instead of rendering rows.
-    GHOSTDB_RETURN_NOT_OK(DumpPartials());
-    done_ = true;
-    return ColumnBatch{};
-  }
   if (spilling_) GHOSTDB_RETURN_NOT_OK(FinishSpill());
   emitting_ = true;
   return Emit();
@@ -561,10 +461,9 @@ Status HashGroupOp::Close() {
   // mid-spill — depends on the hidden-filtered group count, so under
   // spill-run padding each phase that did not reach Finish() writes its
   // padded dummy-run signature (CloseSorterPhase). The keyless group is
-  // never charged to the budget, so it never pads; a scatter leg skips
-  // phase B for every variant (a visible, structural property), so only
-  // phase A pads there. A failing step must not strand the other phase's
-  // runs or the children's resources, so the first error is deferred.
+  // never charged to the budget, so it never pads. A failing step must not
+  // strand the other phase's runs or the children's resources, so the
+  // first error is deferred.
   Status first;
   auto keep = [&first](Status s) {
     if (first.ok() && !s.ok()) first = std::move(s);
@@ -573,7 +472,7 @@ Status HashGroupOp::Close() {
   keep(CloseSorterPhase(ctx_, by_key_.get(), pad, spill_stride_,
                         "group-spill"));
   keep(CloseSorterPhase(ctx_, by_arrival_.get(),
-                        pad && first.ok() && ctx_->partials_out == nullptr,
+                        pad && first.ok(),
                         out_layout_.row_width + kSpillSeqWidth,
                         "group-arrival"));
   keep(Operator::Close());

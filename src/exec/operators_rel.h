@@ -86,7 +86,8 @@ class GatherSourceOp final : public Operator {
 /// is byte-identical to the pure hash path's. (Integer-SUM overflow is
 /// detected on partial subtotals rather than per input row, so a transient
 /// mid-group overflow that cancels within one spill segment no longer
-/// errors — the same granularity the sharded partial combine has.)
+/// errors; the keyless group never spills, so its overflow check stays
+/// per row.)
 ///
 /// Two rules follow from the split:
 ///  * No keys: the one group exists from Open(); rows fold straight into
@@ -99,13 +100,9 @@ class GatherSourceOp final : public Operator {
 /// A group is emitted unless an input-requiring aggregate (SUM/AVG/MIN/MAX)
 /// saw no input — GhostDB has no NULLs; only a keyless group can be empty.
 ///
-/// Sharded fleets: a scatter leg (ExecContext::partials_out) dumps every
-/// local group — hash and spilled — as PartialAggGroups (canonical key,
-/// raw key cells, accumulators, smallest global arrival seq) instead of
-/// rendering rows; the gather leg (ExecContext::gather_partials, built
-/// childless) seeds its group table from the combined partials, already in
-/// global first-arrival order, and just emits. The empty-input rule then
-/// applies to the *merged* counts, so an empty shard never decides it.
+/// Sharded fleets run this operator only on the gather, over the
+/// seq-merged rows of every leg — the exact row order of a single device —
+/// so its groups, spills, answers and errors are a single device's.
 class HashGroupOp final : public Operator {
  public:
   explicit HashGroupOp(ExecContext* ctx) : Operator(ctx) {}
@@ -126,13 +123,11 @@ class HashGroupOp final : public Operator {
 
  private:
   /// One held group: the raw key cells of its first-arrival row (what the
-  /// group's output row shows), one accumulator per aggregate select item,
-  /// and the first-arrival sequence (the smallest global anchor id under
-  /// sharding — the gather combiner's order key).
+  /// group's output row shows) and one accumulator per aggregate select
+  /// item.
   struct Group {
     std::vector<uint8_t> key_cells;
     std::vector<Aggregator> aggs;
-    uint64_t first_seq = 0;
   };
 
   /// Fresh accumulators, one per aggregate select item.
@@ -150,27 +145,20 @@ class HashGroupOp final : public Operator {
   /// ExternalRowSorter fold hook: merges `row`'s per-item partial state
   /// into `acc`'s (keys equal; acc keeps its own smaller sequence).
   Status FoldPartialRow(uint8_t* acc, const uint8_t* row);
-  /// Seals phase A and drains it in key order, folding key-adjacent
-  /// partials; hands each fully folded group's partial row to `sink`.
-  /// Phase A's flash is freed before returning.
-  Status DrainSpill(const std::function<Status(const uint8_t*)>& sink);
-  /// Drains phase A into phase B (first-arrival order) and seals it.
+  /// Seals phase A, drains it in key order folding key-adjacent partials
+  /// into phase B (first-arrival order), and seals phase B. Phase A's
+  /// flash is freed before returning.
   Status FinishSpill();
   /// Renders one fully folded partial spill row as an output-layout row +
   /// first-arrival sequence and hands it to phase B.
   Status FlushSpillGroup(const uint8_t* partial);
-  /// Scatter-shard mode: dumps every local group (hash table + spilled) as
-  /// PartialAggGroups into ctx->partials_out instead of rendering rows.
-  Status DumpPartials();
-  /// Seeds the group table from the combined shard partials (gather leg).
-  Status SeedFromPartials();
   /// Streams the held output: hash groups first, then spilled ones.
   Result<ColumnBatch> Emit();
 
   std::vector<size_t> key_items_;  ///< select indexes with agg == kNone
   std::vector<size_t> agg_items_;  ///< select indexes with an aggregate
-  /// No aggregates and not a scatter leg: groups stream out at first
-  /// arrival instead of being held.
+  /// No aggregates: groups stream out at first arrival instead of being
+  /// held.
   bool streaming_ = false;
   BatchLayout out_layout_;  ///< OutputLayout(query, *in_layout_)
   std::vector<uint32_t> out_offsets_;

@@ -10,7 +10,7 @@
 //
 // Aggregate, GroupAggregate and Distinct all run as exec::HashGroupOp;
 // Sort and TopKSort (Sort -> Limit k, always fused) as exec::SortOp. The
-// kinds stay distinct for EXPLAIN and for the fan-out boundary search.
+// kinds stay distinct for EXPLAIN.
 //
 // Nodes are stored flat (children by index) so plans are cheap to copy and
 // cache: the plan cache in core::GhostDB keys them by query shape.
@@ -75,11 +75,6 @@ struct PhysicalPlan {
   /// The projection-output column layout the sizing was computed from,
   /// kept so cached executions don't rebuild it per statement.
   exec::BatchLayout value_layout;
-  /// Morsel-parallelism degree for host-side value work, stamped by the
-  /// planner from ExecConfig::worker_threads. Derived from visible config
-  /// only; the executor clamps it to the live pool's width. 0 = use the
-  /// pool's full width.
-  uint32_t parallelism = 0;
 
   /// Indented tree rendering (EXPLAIN).
   std::string ToString(const catalog::Schema& schema) const;

@@ -98,8 +98,6 @@ PhysicalPlan Planner::LowerPlan(const sql::BoundQuery& query,
   // derived from) stays cacheable.
   plan.value_layout = exec::BatchLayout::Projection(*schema_, query);
   plan.batch_rows = exec::SizeBatchRows(plan.value_layout);
-  // Parallelism degree: visible config only, so it caches with the plan.
-  plan.parallelism = exec_config.worker_threads;
   return plan;
 }
 

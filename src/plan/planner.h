@@ -49,8 +49,8 @@ class Planner {
 
   /// Lowers a decided `choice` (the planner's own, or one a caller pins)
   /// into the executable plan: the operator tree with top-K fusion and
-  /// volume padding as `exec_config` sets them, the batch layout and
-  /// size, and the parallelism degree. Every plan the engine runs comes
+  /// volume padding as `exec_config` sets them, and the batch layout and
+  /// size. Every plan the engine runs comes
   /// from here, so a pinned plan is padded exactly like a planned one.
   PhysicalPlan LowerPlan(const sql::BoundQuery& query, PlanChoice choice,
                          const exec::ExecConfig& exec_config) const;

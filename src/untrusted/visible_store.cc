@@ -63,30 +63,6 @@ Status VisibleStore::SetGlobalIds(TableId table, std::vector<RowId> ids) {
   return Status::OK();
 }
 
-bool VisibleStore::RowMatches(
-    TableId table, RowId row,
-    const std::vector<sql::BoundPredicate>& predicates) const {
-  const auto& cols = schema_->table(table).columns;
-  const uint8_t* base =
-      partitions_[table].data() + static_cast<uint64_t>(row) *
-                                      row_widths_[table];
-  for (const auto& p : predicates) {
-    if (p.on_id) {
-      RowId gid = GlobalId(table, row);
-      if (!catalog::EvalCompare(Value::Int32(static_cast<int32_t>(gid)), p.op,
-                                p.value)) {
-        return false;
-      }
-      continue;
-    }
-    uint32_t off = column_offsets_[table][p.column];
-    Value v = Value::Decode(base + off, cols[p.column].type,
-                            cols[p.column].width);
-    if (!catalog::EvalCompare(v, p.op, p.value)) return false;
-  }
-  return true;
-}
-
 void VisibleStore::ScanRange(
     TableId table, const std::vector<sql::BoundPredicate>& predicates,
     RowId begin, RowId end, std::vector<RowId>* out) const {

@@ -84,8 +84,6 @@ class VisibleStore {
                                           catalog::ColumnId column) const;
 
  private:
-  bool RowMatches(catalog::TableId table, catalog::RowId row,
-                  const std::vector<sql::BoundPredicate>& predicates) const;
   /// Appends the ids in [begin, end) matching every predicate to `out`
   /// (the SIMD inner loop of SelectIds/Project; one shard's work).
   /// GHOSTDB_HOST_COMPUTE: runs on pool workers — leakcheck's purity rule

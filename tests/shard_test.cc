@@ -1,8 +1,9 @@
 // Sharded-fleet correctness tests: one logical database hash-partitioned
 // across N simulated SecureDevices must be *semantically invisible* — every
-// query answers byte-identically at every shard count, because the
-// scatter-gather path reconstructs the single-device row order from global
-// row seqs and first-arrival group seqs.
+// query answers (or fails) byte-identically at every shard count, because
+// the scatter legs ship projected rows stamped with global row seqs, the
+// gather merges them back into the single-device row order, and the
+// relational tail — grouping and aggregates included — runs once over it.
 //
 // The loader-level partitioning contract is tested directly too: only the
 // schema root's rows shard (splitmix64 over the visible global id, assigned
@@ -11,15 +12,22 @@
 // data.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/database.h"
 #include "core/loader.h"
 #include "fuzz_common.h"
+#include "reference/oracle.h"
+#include "sql/binder.h"
+#include "sql/parser.h"
 
 namespace ghostdb {
 namespace {
@@ -163,8 +171,8 @@ TEST(ShardTest, PartitionAssignmentIsHiddenInvariant) {
 // ---------------------------------------------------------------------------
 
 // The fixed battery: every execution shape the scatter-gather path must
-// reassemble — row streams (merge by seq), DISTINCT / ORDER BY / LIMIT at
-// the gather, scalar and grouped aggregates (partial combine), on_id
+// reassemble — row streams (merge by seq), DISTINCT / ORDER BY / LIMIT and
+// scalar and grouped aggregates at the gather, on_id
 // predicates (global-id substitution on the untrusted side), and non-root
 // anchors (complete on shard 0, no fanout).
 const char* const kFixedQueries[] = {
@@ -180,13 +188,13 @@ const char* const kFixedQueries[] = {
     "SELECT DISTINCT T0.v FROM T0 WHERE T0.h < 70",
     "SELECT T0.id, T0.v FROM T0 WHERE T0.v < 120 ORDER BY T0.v LIMIT 7",
     "SELECT DISTINCT T0.v FROM T0 ORDER BY T0.v DESC LIMIT 9",
-    // Scalar aggregates: partials combined across shards (COUNT/SUM/AVG/
-    // MIN/MAX, int and double).
+    // Scalar aggregates folded once at the gather (COUNT/SUM/AVG/MIN/MAX,
+    // int and double).
     "SELECT COUNT(*) FROM T0 WHERE T0.h < 50",
     "SELECT SUM(T0.v), MIN(T0.h), MAX(T0.h), AVG(T0.v) FROM T0",
     "SELECT COUNT(*), SUM(T0.h) FROM T0 WHERE T0.v < 90",
-    // Grouped aggregation: group order = ascending first-arrival seq,
-    // reconstructed from per-shard first_seq.
+    // Grouped aggregation: group order = first arrival in the merged
+    // stream, which is the single-device arrival order.
     "SELECT T0.v, COUNT(*), SUM(T0.h) FROM T0 GROUP BY T0.v",
     "SELECT T0.v, AVG(T0.h) FROM T0 WHERE T0.h < 80 GROUP BY T0.v "
     "ORDER BY AVG(T0.h) DESC LIMIT 5",
@@ -226,8 +234,8 @@ TEST(ShardTest, FixedQueriesAreByteIdenticalAcrossShardCounts) {
 }
 
 TEST(ShardTest, ForcedSpillAnswersAreShardCountInvariant) {
-  // One-buffer relational-tail budget: per-shard scatter legs AND the
-  // gather tail spill to flash; the merged answer must not notice.
+  // One-buffer relational-tail budget: the gather tail spills to flash
+  // exactly as a single device's tail does; the answer must not notice.
   const uint64_t kVisible = 90210;
   std::vector<std::unique_ptr<GhostDB>> dbs;
   std::vector<GhostDB*> raw;
@@ -319,7 +327,7 @@ TEST(ShardTest, SessionQueriesRunOnShardedFleets) {
 
 TEST(ShardTest, TinyRootLeavesSomeShardsEmpty) {
   // More shards than root rows: empty scatter legs must contribute nothing
-  // (not garbage) to the merge and the partial combine.
+  // (not garbage) to the merge.
   GhostDBConfig base;
   base.device.flash.logical_pages = 32 * 1024;
   GhostDBConfig sharded = base;
@@ -343,6 +351,70 @@ TEST(ShardTest, TinyRootLeavesSomeShardsEmpty) {
            "SELECT R.v, COUNT(*) FROM R GROUP BY R.v",
        }) {
     ExpectShardInvariant({&one, &four}, sql);
+  }
+}
+
+TEST(ShardTest, SumOverflowFailsAtEveryShardCount) {
+  // A running SUM that overflows INT64 and then cancels. One device folds
+  // v in row order — INT64_MAX (row 0), then +1 (row 2) overflows — and
+  // fails with OutOfRange, as the oracle does. A fleet of two holds rows 0
+  // and 3 on one shard and row 2 on the other, so per-shard subtotals
+  // (INT64_MAX - 1 and 1) would cancel without overflowing; the gather
+  // folds the merged rows in single-device order and fails the same way.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  std::vector<std::unique_ptr<GhostDB>> dbs;
+  std::vector<GhostDB*> raw;
+  for (uint32_t shards : {1u, 2u, 4u}) {
+    GhostDBConfig cfg;
+    cfg.device.flash.logical_pages = 32 * 1024;
+    cfg.shard_count = shards;
+    cfg.retain_staged_data = true;
+    dbs.push_back(std::make_unique<GhostDB>(cfg));
+    GhostDB* db = dbs.back().get();
+    ASSERT_TRUE(db->Execute(
+                      "CREATE TABLE R (id INT, v BIGINT HIDDEN, g INT)")
+                    .ok());
+    auto r = db->MutableStaging("R");
+    ASSERT_TRUE(r.ok());
+    for (int row = 0; row < 16; ++row) {
+      int64_t v = row == 0 ? kMax : row == 2 ? 1 : row == 3 ? -1 : 0;
+      int32_t g = row == 0 || row == 2 || row == 3 ? 0 : 1;
+      ASSERT_TRUE((*r)->AppendRow({Value::Int64(v), Value::Int32(g)}).ok());
+    }
+    ASSERT_TRUE(db->Build().ok());
+    raw.push_back(db);
+  }
+  // The partition that makes per-shard subtotals cancel.
+  auto parts = core::PartitionStagedByRoot(raw[0]->schema(),
+                                           raw[0]->staged(), 2);
+  ASSERT_TRUE(parts.ok()) << parts.status().ToString();
+  auto shard_of = [&](catalog::RowId gid) {
+    for (uint32_t s = 0; s < 2; ++s) {
+      const auto& ids = parts->root_global_ids[s];
+      if (std::find(ids.begin(), ids.end(), gid) != ids.end()) return s;
+    }
+    return 2u;
+  };
+  EXPECT_EQ(shard_of(0), shard_of(3));
+  EXPECT_NE(shard_of(0), shard_of(2));
+
+  for (const char* sql : {
+           "SELECT SUM(R.v) FROM R",
+           "SELECT R.g, SUM(R.v) FROM R GROUP BY R.g",
+       }) {
+    SCOPED_TRACE(sql);
+    auto stmt = sql::Parse(sql);
+    ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+    auto bound =
+        sql::Bind(std::get<sql::SelectStmt>(*stmt), raw[0]->schema(), sql);
+    ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+    auto expected =
+        reference::Evaluate(raw[0]->schema(), raw[0]->staged(), *bound);
+    EXPECT_TRUE(expected.status().IsOutOfRange())
+        << expected.status().ToString();
+    auto single = raw[0]->Query(sql);
+    EXPECT_TRUE(single.status().IsOutOfRange()) << single.status().ToString();
+    ExpectShardInvariant(raw, sql);
   }
 }
 
