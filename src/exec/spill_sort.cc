@@ -85,6 +85,7 @@ void ExternalRowSorter::SortGeneration() {
 Status ExternalRowSorter::SpillGeneration() {
   if (gen_rows_ == 0) return Status::OK();
   SortGeneration();
+  auto scope = ctx_->clock().Enter(kSpillClockCategory);
   GHOSTDB_ASSIGN_OR_RETURN(device::RamGuard buf,
                            device::RamGuard::AcquireOne(&ctx_->ram(), tag_));
   storage::RunWriter writer(&ctx_->flash(), ctx_->allocator, buf.data(),
@@ -154,6 +155,7 @@ Status ExternalRowSorter::PadSpillRuns() {
   constexpr uint64_t kMaxDummyRuns = 256;
   uint64_t dummies = std::min(target - real, kMaxDummyRuns);
   if (dummies == 0) return Status::OK();
+  auto scope = ctx_->clock().Enter(kSpillClockCategory);
   std::vector<uint8_t> zero_row(row_width_, 0);
   GHOSTDB_ASSIGN_OR_RETURN(device::RamGuard buf,
                            device::RamGuard::AcquireOne(&ctx_->ram(), tag_ + "-pad"));
@@ -177,6 +179,7 @@ Status ExternalRowSorter::Finish() {
     return PadSpillRuns();
   }
   GHOSTDB_RETURN_NOT_OK(SpillGeneration());
+  auto scope = ctx_->clock().Enter(kSpillClockCategory);
   // The final merge streams one reader buffer per run; merge down first if
   // the session's free buffers cannot cover the fan-in. The fan-in is
   // cost-derived from the partition's buffer pool rather than fixed: every
@@ -235,6 +238,7 @@ Result<const uint8_t*> ExternalRowSorter::Next() {
     }
     return static_cast<const uint8_t*>(nullptr);
   }
+  auto scope = ctx_->clock().Enter(kSpillClockCategory);
   while (true) {
     RowRunReader* best = nullptr;
     for (auto& r : readers_) {

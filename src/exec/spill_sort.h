@@ -12,6 +12,11 @@
 // (MergeRowRunsBy), and the result is pulled row-at-a-time through
 // RowRunReaders — O(budget) secure memory regardless of input size.
 //
+// Every flash page the sorter writes or reads (generation runs, merge-down
+// passes, padding runs, the final merge's reads) is charged to one clock
+// category, kSpillClockCategory, whatever the page tags of its runs
+// (group-spill, group-arrival, sort-spill) say.
+//
 // Nothing here touches the channel: spill runs live on the device's own
 // flash, so whether (and how much) a query spills is invisible to
 // Untrusted — the transcript contract is unchanged.
@@ -30,6 +35,9 @@
 #include "exec/row_run.h"
 
 namespace ghostdb::exec {
+
+/// Simulated-clock category of all spill I/O.
+inline constexpr const char* kSpillClockCategory = "sort-spill";
 
 /// \brief External-memory sorter over fixed-width encoded rows.
 ///
