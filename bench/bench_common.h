@@ -42,11 +42,13 @@ inline void Banner(const char* figure, const char* what, double scale) {
               "(I/O-accurate device model)\n\n", scale);
 }
 
-/// Builds the synthetic database once (slowest part of each bench).
+/// Builds the synthetic database once (slowest part of each bench). The
+/// paper's figures are reproduced in the paper's raw wire format.
 inline core::GhostDB* BuildSyntheticDb(double scale) {
   workload::SyntheticConfig wl;
   wl.scale = scale;
   auto cfg = workload::SyntheticDbConfig(wl);
+  cfg.device.channel_wire_format = device::WireFormat::kRaw;
   cfg.exec.result_row_limit = 4;  // results stay on the secure display
   auto* db = new core::GhostDB(cfg);
   auto st = workload::BuildSynthetic(db, wl);
@@ -62,6 +64,7 @@ inline core::GhostDB* BuildMedicalDb(double scale) {
   workload::MedicalConfig wl;
   wl.scale = scale;
   auto cfg = workload::MedicalDbConfig(wl);
+  cfg.device.channel_wire_format = device::WireFormat::kRaw;
   cfg.exec.result_row_limit = 4;
   auto* db = new core::GhostDB(cfg);
   auto st = workload::BuildMedical(db, wl);

@@ -1,12 +1,19 @@
 // Wall-clock micro-benchmarks (google-benchmark) of the hot primitives:
 // crypto (AES block; ChaCha20, AES-CTR and SHA-256 over a page, each
 // against its crypto::scalar reference), Bloom insert/probe, encoded key
-// comparison, B+-tree page search, RNG, and the SIMD scan kernels against
-// their scalar references. These measure the host implementation,
-// not the simulated device.
+// comparison, B+-tree page search, RNG, the SIMD scan kernels against
+// their scalar references, and the channel wire codec. These measure the
+// host implementation, not the simulated device.
+//
+// `--json FILE` additionally writes the wire codec's record (host ns per
+// row to encode + decode, raw vs wire bytes) through bench::JsonReporter:
+//   ./bench_micro_ops --benchmark_filter=WireCodec --json BENCH_wire_codec.json
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "catalog/value.h"
@@ -15,7 +22,9 @@
 #include "crypto/chacha20.h"
 #include "crypto/hash.h"
 #include "crypto/sha256.h"
+#include "bench_common.h"
 #include "device/ram_manager.h"
+#include "device/wire_codec.h"
 #include "exec/bloom.h"
 #include "exec/simd.h"
 
@@ -269,6 +278,105 @@ void BM_RngNext(benchmark::State& state) {
 }
 BENCHMARK(BM_RngNext);
 
+// The serving store's whole Fact table as one projection payload:
+// 60000 rows of (id, v INT in [0, 1000), tag CHAR(16) "t0".."t899").
+constexpr uint64_t kFactRows = 60000;
+const device::WireLayout kFactLayout{
+    {{catalog::DataType::kInt32, 4}, {catalog::DataType::kString, 16}}};
+
+std::vector<uint8_t> FactPayload() {
+  Rng rng(14);
+  const uint32_t width = kFactLayout.row_width();
+  std::vector<uint8_t> rows(kFactRows * width);
+  for (uint64_t r = 0; r < kFactRows; ++r) {
+    uint8_t* row = rows.data() + r * width;
+    catalog::Value::Int32(static_cast<int32_t>(r)).Encode(row, 4);
+    catalog::Value::Int32(static_cast<int32_t>(rng.Uniform(1000)))
+        .Encode(row + 4, 4);
+    catalog::Value::String("t" + std::to_string(rng.Uniform(900)))
+        .Encode(row + 8, 16);
+  }
+  return rows;
+}
+
+/// One encode (PC) + decode (key) round of the Fact payload at the
+/// paper's 1.5 MB/s; returns the wire size.
+size_t WireRoundTrip(const std::vector<uint8_t>& rows) {
+  std::vector<uint8_t> wire =
+      device::EncodeRows(device::WireFormat::kCompact, kFactLayout,
+                         rows.data(), kFactRows, 1.5e6);
+  auto decoded = device::DecodeRows(device::WireFormat::kCompact, kFactLayout,
+                                    wire.data(), wire.size(), kFactRows);
+  if (!decoded.ok() || decoded->bytes != rows) {
+    std::fprintf(stderr, "wire codec round trip failed\n");
+    std::exit(1);
+  }
+  return wire.size();
+}
+
+void BM_WireCodecFact(benchmark::State& state) {
+  auto rows = FactPayload();
+  size_t wire = 0;
+  for (auto _ : state) {
+    wire = WireRoundTrip(rows);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kFactRows);
+  state.counters["raw_bytes"] = static_cast<double>(rows.size());
+  state.counters["wire_bytes"] = static_cast<double>(wire);
+}
+BENCHMARK(BM_WireCodecFact)->Unit(benchmark::kMillisecond);
+
+/// The JsonReporter record of the wire codec: median of a few timed
+/// rounds, plus the simulated channel and decode cost of one message.
+void RecordWireCodec(bench::JsonReporter* json) {
+  auto rows = FactPayload();
+  std::vector<double> ns;
+  size_t wire = 0;
+  for (int round = 0; round < 15; ++round) {
+    auto start = std::chrono::steady_clock::now();
+    wire = WireRoundTrip(rows);
+    ns.push_back(static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count()));
+  }
+  std::sort(ns.begin(), ns.end());
+  double ns_per_row = ns[ns.size() / 2] / kFactRows;
+  double ms_per_byte = 1e3 / 1.5e6;
+  char fields[512];
+  std::snprintf(
+      fields, sizeof(fields),
+      "\"status\": \"ok\", \"rows\": %llu, \"raw_bytes\": %zu, "
+      "\"wire_bytes\": %zu, \"host_ns_per_row\": %.2f, "
+      "\"sim_comm_raw_ms\": %.3f, \"sim_comm_wire_ms\": %.3f, "
+      "\"sim_decode_ms\": %.3f",
+      static_cast<unsigned long long>(kFactRows), rows.size(), wire,
+      ns_per_row, rows.size() * ms_per_byte, wire * ms_per_byte,
+      rows.size() * device::kDecodeNsPerByte / 1e6);
+  json->RecordCustom("wire_codec_fact_60000", fields);
+  std::printf("wire codec: %zu raw -> %zu wire bytes, %.1f host ns/row\n",
+              rows.size(), wire, ns_per_row);
+}
+
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  ghostdb::bench::JsonReporter json(argc, argv);
+  // Google Benchmark rejects flags it does not know: drop `--json FILE`.
+  std::vector<char*> args;
+  for (int i = 0; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+      ++i;
+      continue;
+    }
+    args.push_back(argv[i]);
+  }
+  int count = static_cast<int>(args.size());
+  if (json.enabled()) RecordWireCodec(&json);
+  benchmark::Initialize(&count, args.data());
+  if (benchmark::ReportUnrecognizedArguments(count, args.data())) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "device/secure_device.h"
+#include "device/wire_codec.h"
 
 int main() {
   ghostdb::device::DeviceConfig cfg;
@@ -25,6 +26,13 @@ int main() {
               "Time to transfer a byte Data Register<->RAM (ns)", 50,
               static_cast<unsigned long long>(
                   cfg.flash.byte_transfer_latency));
+  std::printf("%-55s %10s %10llu\n",
+              "Key decode charge per compact wire byte (ns)", "-",
+              static_cast<unsigned long long>(
+                  ghostdb::device::kDecodeNsPerByte));
+  std::printf("%-55s %10s %10.1f\n",
+              "Break-even throughput: every block raw at/above (MB/s)", "-",
+              ghostdb::device::kWireBreakEvenThroughput / 1e6);
   std::printf("\nDerived: full-page read 25..127 us; page write ~302 us; "
               "write/read ratio 2.4x..12x (paper: 2.5..12, section 2.3)\n");
   return 0;

@@ -17,6 +17,7 @@
 #include "common/sim_clock.h"
 #include "common/units.h"
 #include "core/annotations.h"
+#include "device/wire_codec.h"
 
 namespace ghostdb::device {
 
@@ -42,8 +43,11 @@ struct ChannelMessage {
 /// \brief Simulated USB link with throughput accounting and transcript.
 class Channel {
  public:
-  Channel(SimClock* clock, double throughput_bytes_per_sec)
-      : clock_(clock), throughput_(throughput_bytes_per_sec) {}
+  Channel(SimClock* clock, double throughput_bytes_per_sec,
+          WireFormat wire_format = WireFormat::kCompact)
+      : clock_(clock),
+        throughput_(throughput_bytes_per_sec),
+        wire_format_(wire_format) {}
 
   /// Records a transfer of `payload` and charges `bytes / throughput` of
   /// simulated time to the "comm" category. Transcript sink: leakcheck
@@ -82,6 +86,10 @@ class Channel {
   double throughput() const { return throughput_; }
   void set_throughput(double bytes_per_sec) { throughput_ = bytes_per_sec; }
 
+  /// Format of the row-carrying messages (`vis-ids`, `vis-vals`) on this
+  /// link: both ends encode and decode with it (device/wire_codec.h).
+  WireFormat wire_format() const { return wire_format_; }
+
   /// Optional fault source consulted after each recorded transfer (stalls
   /// cost simulated time only; the transcript never sees them). Owned by
   /// the enclosing SecureDevice; may be null.
@@ -90,6 +98,7 @@ class Channel {
  private:
   SimClock* clock_;
   double throughput_;
+  WireFormat wire_format_;
   int32_t current_session_ = -1;
   FaultInjector* injector_ = nullptr;
   std::vector<ChannelMessage> transcript_;

@@ -20,6 +20,10 @@ struct DeviceConfig {
   size_t buffer_size = 2048;     ///< One flash page.
   /// USB 2.0 full speed = 12 Mb/s = 1.5 MB/s.
   double channel_throughput_bytes_per_sec = 1.5e6;
+  /// Wire format of the Vis id lists and projection payloads. kRaw is the
+  /// paper's fixed-width rows (the paper-figure benches' choice); kCompact
+  /// block-codes them and charges the key's decode (device/wire_codec.h).
+  WireFormat channel_wire_format = WireFormat::kCompact;
   flash::FlashConfig flash;
   /// Seeded fault schedule; inert by default (enabled=false, all
   /// probabilities zero).
@@ -36,7 +40,8 @@ class SecureDevice {
         clock_(std::make_unique<SimClock>()),
         ram_(config.ram_bytes, config.buffer_size),
         flash_(config.flash, clock_.get()),
-        channel_(clock_.get(), config.channel_throughput_bytes_per_sec),
+        channel_(clock_.get(), config.channel_throughput_bytes_per_sec,
+                 config.channel_wire_format),
         arbiter_(&channel_),
         injector_(config.fault, clock_.get()) {
     flash_.set_fault_injector(&injector_);

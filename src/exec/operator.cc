@@ -1,5 +1,7 @@
 #include "exec/operator.h"
 
+#include "common/coding.h"
+#include "device/wire_codec.h"
 #include "exec/operators_project.h"
 #include "exec/operators_rel.h"
 #include "exec/operators_sj.h"
@@ -34,6 +36,60 @@ Status Operator::Close() {
     GHOSTDB_RETURN_NOT_OK(child->Close());
   }
   return Status::OK();
+}
+
+namespace {
+
+/// Decodes a received `vis-ids` / `vis-vals` message of `columns` of
+/// `table` and charges its decode.
+Result<device::WireRows> DecodeReceived(
+    ExecContext* ctx, catalog::TableId table,
+    const std::vector<catalog::ColumnId>& columns,
+    const std::vector<uint8_t>& message) {
+  GHOSTDB_ASSIGN_OR_RETURN(
+      device::WireRows rows,
+      device::DecodeRows(ctx->device->channel().wire_format(),
+                         untrusted::WireLayoutOf(*ctx->schema, table, columns),
+                         message.data(), message.size(),
+                         ctx->store->tables[table].row_count));
+  if (rows.compact_bytes > 0) {
+    auto scope = ctx->clock().Enter("decode");
+    ctx->clock().Advance(rows.compact_bytes * device::kDecodeNsPerByte);
+  }
+  return rows;
+}
+
+}  // namespace
+
+Result<std::vector<catalog::RowId>> ReceiveVisibleIds(ExecContext* ctx,
+                                                      catalog::TableId table) {
+  GHOSTDB_ASSIGN_OR_RETURN(
+      std::vector<uint8_t> message,
+      ctx->untrusted->ServeVisibleIds(*ctx->query, table, ctx->vis_prefetch));
+  GHOSTDB_ASSIGN_OR_RETURN(device::WireRows rows,
+                           DecodeReceived(ctx, table, {}, message));
+  std::vector<catalog::RowId> ids(rows.rows);
+  for (uint64_t i = 0; i < rows.rows; ++i) {
+    ids[i] = DecodeFixed32(rows.bytes.data() + i * 4);
+  }
+  return ids;
+}
+
+Result<untrusted::ProjectionPayload> ReceiveProjection(
+    ExecContext* ctx, catalog::TableId table,
+    const std::vector<catalog::ColumnId>& columns) {
+  GHOSTDB_ASSIGN_OR_RETURN(
+      std::vector<uint8_t> message,
+      ctx->untrusted->ServeProjection(*ctx->query, table, columns,
+                                      ctx->vis_prefetch));
+  GHOSTDB_ASSIGN_OR_RETURN(device::WireRows rows,
+                           DecodeReceived(ctx, table, columns, message));
+  untrusted::ProjectionPayload payload;
+  payload.row_width =
+      untrusted::WireLayoutOf(*ctx->schema, table, columns).row_width();
+  payload.rows = rows.rows;
+  payload.bytes = std::move(rows.bytes);
+  return payload;
 }
 
 std::optional<uint32_t> SjState::ColumnOffset(catalog::TableId t,

@@ -315,6 +315,18 @@ struct ExecContext {
   flash::FlashDevice& flash() { return device->flash(); }
 };
 
+/// The key's end of the two row-carrying PC messages: requests Vis(Q, T,
+/// {id}) / Vis(Q, T, {<id, vlist>}) and decodes the bytes that crossed the
+/// channel (never the PC's own vectors), charging the decode once, at
+/// receipt, to the "decode" clock category. A malformed message is
+/// InvalidArgument. Decoding holds no RAM buffer: the rows land in the
+/// same host vectors the raw rows always did.
+Result<std::vector<catalog::RowId>> ReceiveVisibleIds(ExecContext* ctx,
+                                                      catalog::TableId table);
+Result<untrusted::ProjectionPayload> ReceiveProjection(
+    ExecContext* ctx, catalog::TableId table,
+    const std::vector<catalog::ColumnId>& columns);
+
 /// \brief Base class of all physical operators.
 ///
 /// Lifecycle: Open() (children first, then own blocking work), Next() until

@@ -104,9 +104,7 @@ Status ProjectOp::Open() {
     // Vis values stream (charged): rows passing Ti's visible predicates.
     if (mt.has_vis_side) {
       GHOSTDB_ASSIGN_OR_RETURN(
-          mt.payload,
-          ctx_->untrusted->ServeProjection(query, mt.table, mt.vis_cols,
-                                           ctx_->vis_prefetch));
+          mt.payload, ReceiveProjection(ctx_, mt.table, mt.vis_cols));
     }
 
     // Bloom over QEPSJ.Ti.id, sized to the whole remaining RAM (paper
@@ -263,9 +261,7 @@ Status ProjectOp::Open() {
   need_anchor_payload_ = !anchor_vis_cols_.empty() || anchor_exact;
   if (need_anchor_payload_) {
     GHOSTDB_ASSIGN_OR_RETURN(
-        anchor_payload_,
-        ctx_->untrusted->ServeProjection(query, anchor, anchor_vis_cols_,
-                                         ctx_->vis_prefetch));
+        anchor_payload_, ReceiveProjection(ctx_, anchor, anchor_vis_cols_));
   }
 
   // Buffer budget for the final merge: F' + one per pass run + anchor TiH.
@@ -556,10 +552,8 @@ Status BruteForceProjectOp::Open() {
     if (bt.vis_cols.empty() && bt.hid_cols.empty() && !bt.exact) continue;
     bt.has_vis_side = vt != nullptr || !bt.vis_cols.empty();
     if (bt.has_vis_side) {
-      GHOSTDB_ASSIGN_OR_RETURN(
-          bt.payload,
-          ctx_->untrusted->ServeProjection(query, t, bt.vis_cols,
-                                           ctx_->vis_prefetch));
+      GHOSTDB_ASSIGN_OR_RETURN(bt.payload,
+                               ReceiveProjection(ctx_, t, bt.vis_cols));
       // Spool to flash: Brute-Force random-accesses vlist there (paper
       // section 6.5).
       GHOSTDB_ASSIGN_OR_RETURN(device::RamGuard wbuf,

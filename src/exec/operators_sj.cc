@@ -280,9 +280,7 @@ Status VisSelectOp::Open() {
     vt.strategy = it != ctx_->choice->vis.end()
                       ? it->second
                       : VisStrategy::kCrossPreFilter;
-    GHOSTDB_ASSIGN_OR_RETURN(
-        vt.ids,
-        ctx_->untrusted->ServeVisibleIds(query, t, ctx_->vis_prefetch));
+    GHOSTDB_ASSIGN_OR_RETURN(vt.ids, ReceiveVisibleIds(ctx_, t));
     state.vis_tables.push_back(std::move(vt));
   }
 

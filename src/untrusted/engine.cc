@@ -6,6 +6,36 @@ namespace ghostdb::untrusted {
 
 using device::Direction;
 
+device::WireLayout WireLayoutOf(const catalog::Schema& schema,
+                                catalog::TableId table,
+                                const std::vector<catalog::ColumnId>& columns) {
+  device::WireLayout layout;
+  const auto& cols = schema.table(table).columns;
+  for (catalog::ColumnId c : columns) {
+    layout.columns.push_back({cols[c].type, cols[c].width});
+  }
+  return layout;
+}
+
+std::vector<uint8_t> UntrustedEngine::EncodeIds(
+    const std::vector<catalog::RowId>& ids) const {
+  std::vector<uint8_t> rows(ids.size() * 4);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EncodeFixed32(rows.data() + i * 4, ids[i]);
+  }
+  return device::EncodeRows(channel_->wire_format(), device::WireLayout{},
+                            rows.data(), ids.size(), channel_->throughput());
+}
+
+std::vector<uint8_t> UntrustedEngine::EncodeProjection(
+    catalog::TableId table, const std::vector<catalog::ColumnId>& columns,
+    const ProjectionPayload& payload) const {
+  return device::EncodeRows(channel_->wire_format(),
+                            WireLayoutOf(*schema_, table, columns),
+                            payload.bytes.data(), payload.rows,
+                            channel_->throughput());
+}
+
 void UntrustedEngine::ReceiveQuery(const std::string& sql) {
   channel_->Transfer(Direction::kToUntrusted, "query",
                      reinterpret_cast<const uint8_t*>(sql.data()),
@@ -15,6 +45,7 @@ void UntrustedEngine::ReceiveQuery(const std::string& sql) {
 Result<VisPrefetch> UntrustedEngine::PrefetchVisible(
     const sql::BoundQuery& query) const {
   VisPrefetch prefetch;
+  prefetch.encoded_for = channel_->throughput();
   for (catalog::TableId t : query.tables) {
     // Vis id lists: requested by VisSelectOp for every table with visible
     // predicates, regardless of strategy.
@@ -22,6 +53,7 @@ Result<VisPrefetch> UntrustedEngine::PrefetchVisible(
       GHOSTDB_ASSIGN_OR_RETURN(
           std::vector<catalog::RowId> ids,
           store_.SelectIds(t, query.VisiblePredicatesOn(t), pool_));
+      prefetch.id_messages.emplace(t, EncodeIds(ids));
       prefetch.ids.emplace(t, std::move(ids));
     }
     // Projection payloads: requested by the projection operators for every
@@ -35,6 +67,8 @@ Result<VisPrefetch> UntrustedEngine::PrefetchVisible(
       GHOSTDB_ASSIGN_OR_RETURN(
           ProjectionPayload payload,
           store_.Project(t, query.VisiblePredicatesOn(t), cols, pool_));
+      prefetch.projection_messages.emplace(
+          t, EncodeProjection(t, cols, payload));
       prefetch.projections.emplace(
           t, std::make_pair(std::move(cols), std::move(payload)));
     }
@@ -42,59 +76,62 @@ Result<VisPrefetch> UntrustedEngine::PrefetchVisible(
   return prefetch;
 }
 
-Result<std::vector<catalog::RowId>> UntrustedEngine::ServeVisibleIds(
+Result<std::vector<uint8_t>> UntrustedEngine::ServeVisibleIds(
     const sql::BoundQuery& query, catalog::TableId table,
     VisPrefetch* prefetch) {
-  std::vector<catalog::RowId> ids;
+  std::vector<uint8_t> message;
   bool prefetched = false;
   if (prefetch != nullptr) {
     auto it = prefetch->ids.find(table);
     if (it != prefetch->ids.end()) {
-      ids = std::move(it->second);
+      message = prefetch->encoded_for == channel_->throughput()
+                    ? std::move(prefetch->id_messages[table])
+                    : EncodeIds(it->second);
       prefetch->ids.erase(it);
+      prefetch->id_messages.erase(table);
       prefetched = true;
     }
   }
   if (!prefetched) {
     GHOSTDB_ASSIGN_OR_RETURN(
-        ids,
+        std::vector<catalog::RowId> ids,
         store_.SelectIds(table, query.VisiblePredicatesOn(table), pool_));
+    message = EncodeIds(ids);
   }
-  // Ship the sorted id list: 4 bytes per id. The message is identical
-  // whether the answer was speculative or inline.
-  std::vector<uint8_t> payload(ids.size() * 4);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    EncodeFixed32(payload.data() + i * 4, ids[i]);
-  }
+  // The message is identical whether the answer was speculative or inline.
   channel_->Transfer(Direction::kToSecure,
-                     "vis-ids:" + schema_->table(table).name, payload.data(),
-                     payload.size());
-  return ids;
+                     "vis-ids:" + schema_->table(table).name, message.data(),
+                     message.size());
+  return message;
 }
 
-Result<ProjectionPayload> UntrustedEngine::ServeProjection(
+Result<std::vector<uint8_t>> UntrustedEngine::ServeProjection(
     const sql::BoundQuery& query, catalog::TableId table,
     const std::vector<catalog::ColumnId>& columns, VisPrefetch* prefetch) {
-  ProjectionPayload payload;
+  std::vector<uint8_t> message;
   bool prefetched = false;
   if (prefetch != nullptr) {
     auto it = prefetch->projections.find(table);
     if (it != prefetch->projections.end() && it->second.first == columns) {
-      payload = std::move(it->second.second);
+      message = prefetch->encoded_for == channel_->throughput()
+                    ? std::move(prefetch->projection_messages[table])
+                    : EncodeProjection(table, columns, it->second.second);
       prefetch->projections.erase(it);
+      prefetch->projection_messages.erase(table);
       prefetched = true;
     }
   }
   if (!prefetched) {
     GHOSTDB_ASSIGN_OR_RETURN(
-        payload,
+        ProjectionPayload payload,
         store_.Project(table, query.VisiblePredicatesOn(table), columns,
                        pool_));
+    message = EncodeProjection(table, columns, payload);
   }
   channel_->Transfer(Direction::kToSecure,
                      "vis-vals:" + schema_->table(table).name,
-                     payload.bytes.data(), payload.bytes.size());
-  return payload;
+                     message.data(), message.size());
+  return message;
 }
 
 Result<uint64_t> UntrustedEngine::ServeVisibleCount(

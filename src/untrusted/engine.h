@@ -12,6 +12,10 @@
 // (message order, labels, sizes, digests, simulated cost) is byte-for-byte
 // identical whether or not an answer was prefetched, so the transcript
 // contract is untouched.
+//
+// Vis id lists and projection payloads cross the channel in the link's
+// wire format (device/wire_codec.h); the Serve calls return the bytes that
+// were shipped, which the key decodes.
 #pragma once
 
 #include <map>
@@ -20,6 +24,7 @@
 #include <vector>
 
 #include "device/channel.h"
+#include "device/wire_codec.h"
 #include "sql/binder.h"
 #include "untrusted/visible_store.h"
 
@@ -35,7 +40,19 @@ struct VisPrefetch {
   std::map<catalog::TableId,
            std::pair<std::vector<catalog::ColumnId>, ProjectionPayload>>
       projections;
+  /// The wire messages of the answers above (keyed alike), encoded for the
+  /// channel throughput `encoded_for`, so encoding runs outside admission
+  /// too. A Serve call re-encodes if the throughput changed since.
+  std::map<catalog::TableId, std::vector<uint8_t>> id_messages;
+  std::map<catalog::TableId, std::vector<uint8_t>> projection_messages;
+  double encoded_for = 0;
 };
+
+/// Row layout of a `vis-vals` message for `columns` of `table` (no columns:
+/// a `vis-ids` message). Both ends derive it from the visible query.
+device::WireLayout WireLayoutOf(const catalog::Schema& schema,
+                                catalog::TableId table,
+                                const std::vector<catalog::ColumnId>& columns);
 
 /// \brief Untrusted's query-serving facade.
 class UntrustedEngine {
@@ -58,24 +75,26 @@ class UntrustedEngine {
 
   /// Speculatively evaluates every visible request `query` is certain to
   /// make (Vis id lists for tables with visible predicates; projection
-  /// payloads for tables whose visible columns are projected) — exactly
-  /// the work the Serve calls would do, no more, so running it early never
-  /// costs anything the query would not pay anyway. Pure read of the
-  /// visible store: safe to run on a session's thread while another
-  /// session holds the channel. Touches no channel state.
+  /// payloads for tables whose visible columns are projected) and encodes
+  /// their wire messages — exactly the work the Serve calls would do, no
+  /// more, so running it early never costs anything the query would not
+  /// pay anyway. Pure read of the visible store and of the channel's
+  /// configuration (format, throughput): safe to run on a session's thread
+  /// while another session holds the channel. Transfers nothing.
   Result<VisPrefetch> PrefetchVisible(const sql::BoundQuery& query) const;
 
   /// Vis(Q, T, {id}): sorted ids of rows of `table` satisfying the query's
-  /// visible predicates on that table. Charged as Untrusted -> Secure.
-  /// `prefetch` (optional): consume the precomputed answer instead of
-  /// scanning now.
-  Result<std::vector<catalog::RowId>> ServeVisibleIds(
+  /// visible predicates on that table. Charged as Untrusted -> Secure;
+  /// returns the shipped message. `prefetch` (optional): consume the
+  /// precomputed answer instead of scanning now.
+  Result<std::vector<uint8_t>> ServeVisibleIds(
       const sql::BoundQuery& query, catalog::TableId table,
       VisPrefetch* prefetch = nullptr);
 
   /// Vis(Q, T, {<id, vlist>}): sorted [id | visible values] rows for
-  /// projection. Charged as Untrusted -> Secure.
-  Result<ProjectionPayload> ServeProjection(
+  /// projection. Charged as Untrusted -> Secure; returns the shipped
+  /// message (layout WireLayoutOf(table, columns)).
+  Result<std::vector<uint8_t>> ServeProjection(
       const sql::BoundQuery& query, catalog::TableId table,
       const std::vector<catalog::ColumnId>& columns,
       VisPrefetch* prefetch = nullptr);
@@ -89,6 +108,13 @@ class UntrustedEngine {
                                      const VisPrefetch* prefetch = nullptr);
 
  private:
+  /// Wire messages of an id list / a projection payload on this channel.
+  std::vector<uint8_t> EncodeIds(
+      const std::vector<catalog::RowId>& ids) const;
+  std::vector<uint8_t> EncodeProjection(
+      catalog::TableId table, const std::vector<catalog::ColumnId>& columns,
+      const ProjectionPayload& payload) const;
+
   const catalog::Schema* schema_;
   device::Channel* channel_;
   VisibleStore store_;

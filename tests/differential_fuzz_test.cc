@@ -225,8 +225,10 @@ TEST(DifferentialFuzzTest, ShardedFleetsMatchOracleAcrossShardCounts) {
   // 2 / 4 / 3 across database rounds (shard_count 1 is the baseline every
   // other test runs). The oracle evaluates the *logical* staged data, so a
   // match here pins the whole scatter-gather path — global-id predicate
-  // substitution, per-shard legs, partial-aggregate combine, and the
-  // merge-by-seq reassembly — to the single-device semantics.
+  // substitution, per-shard legs shipping seq-stamped projected rows, the
+  // merge-by-seq reassembly, and the gather's one run of the relational
+  // tail (grouping and aggregates included) — to the single-device
+  // semantics.
   const uint64_t iters = EnvOr("GHOSTDB_SHARD_DIFF_ITERS", 150);
   const uint64_t base_seed =
       EnvOr("GHOSTDB_FUZZ_SEED", 20070611, /*allow_zero=*/true);
@@ -241,8 +243,9 @@ TEST(DifferentialFuzzTest, ShardedFleetsMatchOracleAcrossShardCounts) {
     auto cfg = fuzztest::FuzzConfig(visible_seed, /*retain_staged=*/true,
                                     /*worker_threads=*/d % 2 == 0 ? 1 : 4);
     cfg.shard_count = kShardCycle[d % 3];
-    // Alternate the forced-spill budget so scatter legs and the gather
-    // tail exercise both the in-memory and the spill paths.
+    // Alternate the forced-spill budget so the gather tail (the only part
+    // of a fleet statement that sorts, groups or spills) exercises both
+    // the in-memory and the spill paths.
     if (d % 2 == 1) cfg.exec.sort_budget_buffers = 1;
     GhostDB db(cfg);
     ASSERT_TRUE(fuzztest::BuildFuzzDb(&db, visible_seed, hidden_seed).ok());

@@ -1,11 +1,18 @@
 // Untrusted-side tests: visible store predicate evaluation, projection
-// payloads, stats, and the engine's channel accounting.
+// payloads, stats, the engine's channel accounting, and the wire codec's
+// round trip and determinism.
 #include <gtest/gtest.h>
+
+#include <climits>
+#include <cstring>
+#include <functional>
 
 #include "catalog/schema.h"
 #include "common/coding.h"
+#include "common/rng.h"
 #include "common/sim_clock.h"
 #include "device/channel.h"
+#include "device/wire_codec.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
 #include "untrusted/engine.h"
@@ -31,9 +38,12 @@ class UntrustedTest : public ::testing::Test {
     EXPECT_TRUE(schema_.AddTable(def).ok());
     EXPECT_TRUE(schema_.Finalize().ok());
     engine_ = std::make_unique<UntrustedEngine>(&schema_, &channel_);
+    LoadPeople(engine_.get());
+  }
 
-    // Visible partition: age + city (secret is NOT here), row i = id i.
-    // Rows: (20+i%50, City<i%3>).
+  /// Visible partition: age + city (secret is NOT here), row i = id i.
+  /// Rows: (20+i%50, City<i%3>).
+  static void LoadPeople(UntrustedEngine* engine) {
     const uint32_t width = 12;
     std::vector<uint8_t> packed(100 * width);
     for (RowId i = 0; i < 100; ++i) {
@@ -42,7 +52,13 @@ class UntrustedTest : public ::testing::Test {
       Value::String("City" + std::to_string(i % 3))
           .Encode(packed.data() + i * width + 4, 8);
     }
-    EXPECT_TRUE(engine_->store().LoadTable(0, std::move(packed), 100).ok());
+    EXPECT_TRUE(engine->store().LoadTable(0, std::move(packed), 100).ok());
+  }
+
+  Result<sql::BoundQuery> BindQuery(const std::string& sql) {
+    auto stmt = sql::Parse(sql);
+    if (!stmt.ok()) return stmt.status();
+    return sql::Bind(std::get<sql::SelectStmt>(*stmt), schema_, sql);
   }
 
   sql::BoundPredicate Pred(ColumnId col, catalog::CompareOp op, Value v,
@@ -137,34 +153,98 @@ TEST_F(UntrustedTest, StatsEstimateFromVisibleData) {
               0.5, 0.1);
 }
 
+/// The wire message of an id list.
+std::vector<uint8_t> IdMessage(device::WireFormat format,
+                               const std::vector<RowId>& ids,
+                               double throughput = 1.5e6) {
+  std::vector<uint8_t> rows(ids.size() * 4);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EncodeFixed32(rows.data() + i * 4, ids[i]);
+  }
+  return device::EncodeRows(format, device::WireLayout{}, rows.data(),
+                            ids.size(), throughput);
+}
+
 TEST_F(UntrustedTest, EngineChargesChannelForServedData) {
   // Bind a tiny query against the schema to drive the engine API.
-  auto stmt = sql::Parse("SELECT People.id FROM People WHERE age < 23");
-  ASSERT_TRUE(stmt.ok());
-  auto bound = sql::Bind(std::get<sql::SelectStmt>(*stmt), schema_,
-                         "SELECT ...");
+  auto bound = BindQuery("SELECT People.id FROM People WHERE age < 23");
   ASSERT_TRUE(bound.ok()) << bound.status().ToString();
-  SimNanos before = clock_.now();
-  auto ids = engine_->ServeVisibleIds(*bound, 0);
+  auto ids = engine_->store().SelectIds(0, bound->VisiblePredicatesOn(0));
   ASSERT_TRUE(ids.ok());
   EXPECT_FALSE(ids->empty());
+  SimNanos before = clock_.now();
+  auto message = engine_->ServeVisibleIds(*bound, 0);
+  ASSERT_TRUE(message.ok());
   EXPECT_GT(clock_.now(), before);  // transfer time charged
   const auto& last = channel_.transcript().back();
   EXPECT_EQ(last.label, "vis-ids:People");
-  EXPECT_EQ(last.bytes, ids->size() * 4);
+  // Default format: the codec's size of the id list, which is what was
+  // shipped.
+  EXPECT_EQ(last.bytes,
+            IdMessage(device::WireFormat::kCompact, *ids).size());
+  EXPECT_EQ(last.bytes, message->size());
   EXPECT_EQ(static_cast<int>(last.direction),
             static_cast<int>(device::Direction::kToSecure));
+
+  // The paper's raw format: 4 bytes per id.
+  SimClock raw_clock;
+  device::Channel raw_channel(&raw_clock, 1.5e6, device::WireFormat::kRaw);
+  UntrustedEngine raw_engine(&schema_, &raw_channel);
+  LoadPeople(&raw_engine);
+  ASSERT_TRUE(raw_engine.ServeVisibleIds(*bound, 0).ok());
+  EXPECT_EQ(raw_channel.transcript().back().bytes, ids->size() * 4);
 }
 
 TEST_F(UntrustedTest, ServeVisibleCountMatchesIds) {
-  auto stmt = sql::Parse("SELECT People.id FROM People WHERE age >= 60");
-  ASSERT_TRUE(stmt.ok());
-  auto bound = sql::Bind(std::get<sql::SelectStmt>(*stmt), schema_, "q");
+  auto bound = BindQuery("SELECT People.id FROM People WHERE age >= 60");
   ASSERT_TRUE(bound.ok());
   auto count = engine_->ServeVisibleCount(*bound, 0);
-  auto ids = engine_->ServeVisibleIds(*bound, 0);
-  ASSERT_TRUE(count.ok() && ids.ok());
-  EXPECT_EQ(*count, ids->size());
+  auto message = engine_->ServeVisibleIds(*bound, 0);
+  ASSERT_TRUE(count.ok() && message.ok());
+  auto ids = device::DecodeRows(channel_.wire_format(), device::WireLayout{},
+                                message->data(), message->size(), 100);
+  ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+  EXPECT_EQ(*count, ids->rows);
+}
+
+TEST_F(UntrustedTest, ServedMessagesArePureFunctionsOfVisibleData) {
+  auto bound = BindQuery(
+      "SELECT People.age, People.city FROM People WHERE People.age < 40");
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  const std::vector<ColumnId> cols = {0, 1};
+  // A second engine over the same visible rows, fed from a prefetch.
+  SimClock clock2;
+  device::Channel channel2(&clock2, 1.5e6);
+  UntrustedEngine engine2(&schema_, &channel2);
+  LoadPeople(&engine2);
+  auto prefetch = engine2.PrefetchVisible(*bound);
+  ASSERT_TRUE(prefetch.ok());
+  auto inline_ids = engine_->ServeVisibleIds(*bound, 0);
+  auto inline_vals = engine_->ServeProjection(*bound, 0, cols);
+  auto pre_ids = engine2.ServeVisibleIds(*bound, 0, &*prefetch);
+  auto pre_vals = engine2.ServeProjection(*bound, 0, cols, &*prefetch);
+  ASSERT_TRUE(inline_ids.ok() && inline_vals.ok() && pre_ids.ok() &&
+              pre_vals.ok());
+  EXPECT_EQ(*inline_ids, *pre_ids);
+  EXPECT_EQ(*inline_vals, *pre_vals);
+  EXPECT_EQ(channel_.transcript().back().content_digest,
+            channel2.transcript().back().content_digest);
+
+  // A prefetch encoded for another throughput is re-encoded at serve time:
+  // past the break-even throughput every block ships raw.
+  auto stale = engine2.PrefetchVisible(*bound);
+  ASSERT_TRUE(stale.ok());
+  channel2.set_throughput(2 * device::kWireBreakEvenThroughput);
+  auto fast = engine2.ServeProjection(*bound, 0, cols, &*stale);
+  ASSERT_TRUE(fast.ok());
+  EXPECT_NE(*fast, *inline_vals);
+  auto payload =
+      engine_->store().Project(0, bound->VisiblePredicatesOn(0), cols);
+  ASSERT_TRUE(payload.ok());
+  EXPECT_EQ(*fast, device::EncodeRows(device::WireFormat::kCompact,
+                                      WireLayoutOf(schema_, 0, cols),
+                                      payload->bytes.data(), payload->rows,
+                                      2 * device::kWireBreakEvenThroughput));
 }
 
 TEST_F(UntrustedTest, LoadRejectsSizeMismatch) {
@@ -177,6 +257,182 @@ TEST_F(UntrustedTest, GetValueBoundsChecked) {
   auto v = engine_->store().GetValue(0, 7, 1);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(*v, Value::String("City1"));
+}
+
+// ---- wire codec round trip --------------------------------------------------
+
+/// Rows of [id | columns] with the given ids; `fill(row, col, cell)` writes
+/// each column cell (null for an id list).
+std::vector<uint8_t> MakeRows(
+    const device::WireLayout& layout, const std::vector<RowId>& ids,
+    const std::function<void(size_t, size_t, uint8_t*)>& fill) {
+  const uint32_t width = layout.row_width();
+  std::vector<uint8_t> rows(ids.size() * width);
+  for (size_t r = 0; r < ids.size(); ++r) {
+    uint8_t* row = rows.data() + r * width;
+    EncodeFixed32(row, ids[r]);
+    uint32_t off = 4;
+    for (size_t c = 0; c < layout.columns.size(); ++c) {
+      fill(r, c, row + off);
+      off += layout.columns[c].width;
+    }
+  }
+  return rows;
+}
+
+std::vector<RowId> Dense(RowId first, size_t n) {
+  std::vector<RowId> ids(n);
+  for (size_t i = 0; i < n; ++i) ids[i] = first + static_cast<RowId>(i);
+  return ids;
+}
+
+std::vector<RowId> Sampled(size_t n, uint64_t limit, double density,
+                           uint64_t seed) {
+  Rng rng(seed);
+  std::vector<RowId> ids;
+  for (uint64_t id = 0; id < limit && ids.size() < n; ++id) {
+    if (rng.NextDouble() < density) ids.push_back(static_cast<RowId>(id));
+  }
+  return ids;
+}
+
+constexpr uint64_t kIdLimit = 1u << 31;
+
+/// Encode -> decode is byte-identical in both formats, at a slow, the
+/// default and a past-break-even throughput; compact encoding is
+/// deterministic and never costs more than raw bytes plus framing.
+void ExpectRoundTrip(const device::WireLayout& layout,
+                     const std::vector<uint8_t>& rows,
+                     uint64_t id_limit = kIdLimit) {
+  const uint32_t width = layout.row_width();
+  const uint64_t count = rows.size() / width;
+  for (device::WireFormat format :
+       {device::WireFormat::kCompact, device::WireFormat::kRaw}) {
+    for (double throughput :
+         {0.3e6, 1.5e6, 2 * device::kWireBreakEvenThroughput}) {
+      std::vector<uint8_t> wire = device::EncodeRows(
+          format, layout, rows.data(), count, throughput);
+      EXPECT_EQ(wire, device::EncodeRows(format, layout, rows.data(), count,
+                                         throughput));
+      auto decoded = device::DecodeRows(format, layout, wire.data(),
+                                        wire.size(), id_limit);
+      ASSERT_TRUE(decoded.ok())
+          << decoded.status().ToString() << " rows=" << count
+          << " throughput=" << throughput;
+      EXPECT_EQ(decoded->rows, count);
+      ASSERT_EQ(decoded->bytes, rows) << "rows=" << count;
+      if (format == device::WireFormat::kRaw ||
+          throughput >= device::kWireBreakEvenThroughput) {
+        EXPECT_EQ(decoded->compact_bytes, 0u);
+      }
+      uint64_t framing = 8 + 3 * (rows.size() / 2000 + 1);
+      EXPECT_LE(wire.size(), rows.size() + framing);
+    }
+  }
+}
+
+const device::WireLayout kIdsOnly{};
+const device::WireLayout kFactRow{
+    {{DataType::kInt32, 4}, {DataType::kString, 16}}};
+
+TEST(WireCodecTest, RoundTripIdLists) {
+  ExpectRoundTrip(kIdsOnly, {});                                  // empty
+  ExpectRoundTrip(kIdsOnly, MakeRows(kIdsOnly, {7}, nullptr));    // one
+  ExpectRoundTrip(kIdsOnly, MakeRows(kIdsOnly, {0}, nullptr));
+  ExpectRoundTrip(kIdsOnly,
+                  MakeRows(kIdsOnly, {static_cast<RowId>(kIdLimit - 1)},
+                           nullptr));
+  ExpectRoundTrip(kIdsOnly, MakeRows(kIdsOnly, Dense(0, 60000), nullptr));
+  ExpectRoundTrip(kIdsOnly, MakeRows(kIdsOnly, Dense(12345, 3000), nullptr));
+  // Sparse: gaps of a thousand; huge gaps near the id limit.
+  std::vector<RowId> sparse;
+  for (RowId id = 5; id < 4000000; id += 1000) sparse.push_back(id);
+  ExpectRoundTrip(kIdsOnly, MakeRows(kIdsOnly, sparse, nullptr));
+  ExpectRoundTrip(kIdsOnly,
+                  MakeRows(kIdsOnly, {1, 1u << 20, 1u << 30,
+                                      static_cast<RowId>(kIdLimit - 1)},
+                           nullptr));
+  // Bitmap-dense and delta-sparse random subsets.
+  for (double density : {0.9, 0.5, 0.12, 0.01}) {
+    ExpectRoundTrip(kIdsOnly,
+                    MakeRows(kIdsOnly, Sampled(20000, 1u << 24, density, 3),
+                             nullptr));
+  }
+}
+
+TEST(WireCodecTest, RoundTripProjectionPayloads) {
+  auto fact = [](std::vector<int32_t> values, std::vector<std::string> tags,
+                 std::vector<RowId> ids) {
+    return MakeRows(kFactRow, ids, [&](size_t r, size_t c, uint8_t* cell) {
+      if (c == 0) {
+        Value::Int32(values[r % values.size()]).Encode(cell, 4);
+      } else {
+        Value::String(tags[r % tags.size()]).Encode(cell, 16);
+      }
+    });
+  };
+  ExpectRoundTrip(kFactRow, fact({1}, {"x"}, {}));
+  ExpectRoundTrip(kFactRow, fact({42}, {"t17"}, {9}));
+  // All-equal values: zero-bit columns.
+  ExpectRoundTrip(kFactRow, fact({7}, {"same"}, Dense(0, 5000)));
+  // INT32 extremes and negatives (a 32-bit frame).
+  ExpectRoundTrip(kFactRow, fact({INT32_MIN, INT32_MAX, -1, 0},
+                                 {"a"}, Dense(3, 1000)));
+  ExpectRoundTrip(kFactRow, fact({-5, -1000000, -77}, {"neg"},
+                                 Sampled(2000, 100000, 0.3, 5)));
+  // Full-width CHAR, interior spaces, empty strings.
+  ExpectRoundTrip(kFactRow, fact({1, 2}, {"ABCDEFGHIJKLMNOP"}, Dense(0, 700)));
+  ExpectRoundTrip(kFactRow,
+                  fact({3}, {"a b  c", " lead", "", "x  y", "16 chars wide!!"},
+                       Sampled(3000, 60000, 0.5, 9)));
+  // Every column type: INT, CHAR, BIGINT and DOUBLE (sent verbatim).
+  const device::WireLayout wide{{{DataType::kInt32, 4},
+                                 {DataType::kString, 5},
+                                 {DataType::kInt64, 8},
+                                 {DataType::kDouble, 8}}};
+  Rng rng(11);
+  ExpectRoundTrip(wide, MakeRows(wide, Sampled(1500, 5000, 0.4, 13),
+                                 [&](size_t, size_t c, uint8_t* cell) {
+                                   uint64_t v = rng.Next();
+                                   if (c == 0 || c >= 2) {
+                                     std::memcpy(cell, &v, c == 0 ? 4 : 8);
+                                   } else {
+                                     Value::String(std::string(v % 6, 'q'))
+                                         .Encode(cell, 5);
+                                   }
+                                 }));
+}
+
+TEST(WireCodecTest, RoundTripEveryBlockBoundarySize) {
+  // Every row count up to past the raw block capacity (511 ids, 85 Fact
+  // rows) and past where a compact block fills its buffer, for dense,
+  // random and incompressible rows.
+  Rng rng(17);
+  std::vector<RowId> ids = Sampled(1100, 1u << 20, 0.5, 19);
+  std::vector<RowId> wide_gaps = Sampled(1100, 1u << 30, 0.001, 23);
+  std::vector<uint32_t> noise(1100);
+  for (auto& v : noise) v = static_cast<uint32_t>(rng.Next());
+  for (size_t n = 0; n <= 1100; ++n) {
+    std::vector<RowId> head(ids.begin(), ids.begin() + n);
+    ExpectRoundTrip(kIdsOnly, MakeRows(kIdsOnly, Dense(0, n), nullptr));
+    ExpectRoundTrip(kIdsOnly, MakeRows(kIdsOnly, head, nullptr));
+    ExpectRoundTrip(kIdsOnly,
+                    MakeRows(kIdsOnly,
+                             std::vector<RowId>(wide_gaps.begin(),
+                                                wide_gaps.begin() + n),
+                             nullptr));
+    if (n % 3 != 0 && n > 400) continue;  // the projection sweep thins out
+    ExpectRoundTrip(kFactRow,
+                    MakeRows(kFactRow, head, [&](size_t r, size_t c,
+                                                 uint8_t* cell) {
+                      if (c == 0) {
+                        EncodeFixed32(cell, noise[r]);
+                      } else {
+                        Value::String("t" + std::to_string(noise[r] % 900))
+                            .Encode(cell, 16);
+                      }
+                    }));
+  }
 }
 
 }  // namespace
