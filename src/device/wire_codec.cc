@@ -94,17 +94,30 @@ class BitReader {
   uint32_t fill_ = 0;
 };
 
+constexpr uint64_t kSpaces = 0x2020202020202020ULL;
+
 /// Length of a space-padded CHAR cell without its trailing spaces.
 uint32_t TrimmedLength(const uint8_t* cell, uint32_t width) {
-  constexpr uint64_t kSpaces = 0x2020202020202020ULL;
   while (width >= 8) {
-    uint64_t word;
+    uint64_t word = 0;
     std::memcpy(&word, cell + width - 8, 8);
     if (word != kSpaces) break;
     width -= 8;
   }
   while (width > 0 && cell[width - 1] == ' ') --width;
   return width;
+}
+
+/// Copies `len` bytes in 8-byte words; may write up to 7 bytes past
+/// dst + len, and reads past src + len only below `src_end`.
+uint8_t* CopyShort(uint8_t* dst, const uint8_t* src, uint32_t len,
+                   const uint8_t* src_end) {
+  uint32_t k = 0;
+  for (; k < len && src + k + 8 <= src_end; k += 8) {
+    std::memcpy(dst + k, src + k, 8);
+  }
+  for (; k < len; ++k) dst[k] = src[k];
+  return dst + len;
 }
 
 // ---- encoder ---------------------------------------------------------------
@@ -196,7 +209,7 @@ class BlockEncoder {
   /// Appends the block's compact form (exactly size() bytes).
   void EmitCompact(std::vector<uint8_t>* out) const {
     const size_t at = out->size();
-    out->resize(at + size_);
+    out->resize(at + size_ + 8);  // CopyShort's slack
     uint8_t* p = out->data() + at;
     auto id_at = [&](uint64_t i) { return DecodeFixed32(rows_ + i * width_); };
     *p++ = use_bitmap_ ? kModeBitmap : kModeDelta;
@@ -215,7 +228,9 @@ class BlockEncoder {
       uint32_t b = BitWidth(max_gap_);
       *p++ = static_cast<uint8_t>(b);
       BitWriter bits(p);
-      for (uint64_t i = 1; i < n_; ++i) bits.Put(id_at(i) - id_at(i - 1) - 1, b);
+      for (uint64_t i = 1; i < n_; ++i) {
+        bits.Put(id_at(i) - id_at(i - 1) - 1, b);
+      }
       p = bits.Finish();
     }
     uint32_t off = 4;
@@ -239,9 +254,9 @@ class BlockEncoder {
         BitWriter bits(p);
         for (uint32_t len : lengths_[c]) bits.Put(len, b);
         p = bits.Finish();
+        const uint8_t* end = rows_ + n_ * width_;
         for (uint64_t i = 0; i < n_; ++i) {
-          std::memcpy(p, cells + i * width_, lengths_[c][i]);
-          p += lengths_[c][i];
+          p = CopyShort(p, cells + i * width_, lengths_[c][i], end);
         }
       } else {
         for (uint64_t i = 0; i < n_; ++i) {
@@ -251,6 +266,7 @@ class BlockEncoder {
       }
       off += col.width;
     }
+    out->resize(at + size_);
   }
 
  private:
@@ -353,10 +369,10 @@ Status CheckIds(const uint8_t* rows, uint64_t n, uint32_t width,
 /// each of the `n` rows at `out`.
 Status DecodeIds(Cursor* in, uint8_t mode, uint64_t n, uint32_t width,
                  uint64_t limit, uint8_t* out) {
-  uint32_t first;
+  uint32_t first = 0;
   if (!in->Varint(&first)) return Malformed("truncated block");
   if (mode == kModeDelta) {
-    uint8_t b;
+    uint8_t b = 0;
     if (!in->Byte(&b)) return Malformed("truncated block");
     if (b > kMaxBitWidth) return Malformed("bit width above 32");
     const uint8_t* packed = in->Take(PackedBytes(n - 1, b));
@@ -370,7 +386,7 @@ Status DecodeIds(Cursor* in, uint8_t mode, uint64_t n, uint32_t width,
     }
     return Status::OK();
   }
-  uint32_t span;
+  uint32_t span = 0;
   if (!in->Varint(&span)) return Malformed("truncated block");
   if (static_cast<uint64_t>(first) + span > limit) {
     return Malformed("id past the table's row count");
@@ -385,7 +401,8 @@ Status DecodeIds(Cursor* in, uint8_t mode, uint64_t n, uint32_t width,
       if (found == n) {
         return Malformed("block row count disagrees with bitmap");
       }
-      uint64_t id = first + byte * 8 + static_cast<uint32_t>(__builtin_ctz(bits));
+      uint64_t id =
+          first + byte * 8 + static_cast<uint32_t>(__builtin_ctz(bits));
       EncodeFixed32(out + found * width, static_cast<uint32_t>(id));
       ++found;
     }
@@ -404,7 +421,7 @@ Status DecodeColumns(Cursor* in, const WireLayout& layout, uint64_t n,
     uint8_t* dst = out + off;
     if (col.type == DataType::kInt32) {
       const uint8_t* base = in->Take(4);
-      uint8_t b;
+      uint8_t b = 0;
       if (base == nullptr || !in->Byte(&b)) return Malformed("truncated block");
       if (b > kMaxBitWidth) return Malformed("bit width above 32");
       const uint8_t* packed = in->Take(PackedBytes(n, b));
@@ -415,7 +432,7 @@ Status DecodeColumns(Cursor* in, const WireLayout& layout, uint64_t n,
         EncodeFixed32(dst + i * width, lo + bits.Get(b));
       }
     } else if (col.type == DataType::kString) {
-      uint8_t b;
+      uint8_t b = 0;
       if (!in->Byte(&b)) return Malformed("truncated block");
       if (b > kMaxBitWidth) return Malformed("bit width above 32");
       const uint8_t* packed = in->Take(PackedBytes(n, b));
@@ -501,7 +518,7 @@ Result<WireRows> DecodeRows(WireFormat format, const WireLayout& layout,
   }
   if (size == 0) return decoded;
   Cursor in(message, size);
-  uint32_t total;
+  uint32_t total = 0;
   if (!in.Varint(&total)) return Malformed("truncated header");
   // Ids ascend strictly below id_limit, so no honest message has more
   // rows: the bound keeps a hostile header from sizing the output.
@@ -513,8 +530,8 @@ Result<WireRows> DecodeRows(WireFormat format, const WireLayout& layout,
   const size_t block_limit = std::max<size_t>(kWireBlockBytes, 3 + width);
   for (uint64_t done = 0; done < total;) {
     const uint8_t* block_start = in.pos();
-    uint8_t mode;
-    uint32_t n;
+    uint8_t mode = 0;
+    uint32_t n = 0;
     if (!in.Byte(&mode) || !in.Varint(&n)) return Malformed("truncated block");
     if (n == 0 || n > total - done) {
       return Malformed("block row count disagrees with the header");

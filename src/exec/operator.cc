@@ -40,16 +40,15 @@ Status Operator::Close() {
 
 namespace {
 
-/// Decodes a received `vis-ids` / `vis-vals` message of `columns` of
-/// `table` and charges its decode.
-Result<device::WireRows> DecodeReceived(
-    ExecContext* ctx, catalog::TableId table,
-    const std::vector<catalog::ColumnId>& columns,
-    const std::vector<uint8_t>& message) {
+/// Decodes a received `vis-ids` / `vis-vals` message of `table` in
+/// `layout` and charges its decode.
+Result<device::WireRows> DecodeReceived(ExecContext* ctx,
+                                        catalog::TableId table,
+                                        const device::WireLayout& layout,
+                                        const std::vector<uint8_t>& message) {
   GHOSTDB_ASSIGN_OR_RETURN(
       device::WireRows rows,
-      device::DecodeRows(ctx->device->channel().wire_format(),
-                         untrusted::WireLayoutOf(*ctx->schema, table, columns),
+      device::DecodeRows(ctx->device->channel().wire_format(), layout,
                          message.data(), message.size(),
                          ctx->store->tables[table].row_count));
   if (rows.compact_bytes > 0) {
@@ -66,8 +65,9 @@ Result<std::vector<catalog::RowId>> ReceiveVisibleIds(ExecContext* ctx,
   GHOSTDB_ASSIGN_OR_RETURN(
       std::vector<uint8_t> message,
       ctx->untrusted->ServeVisibleIds(*ctx->query, table, ctx->vis_prefetch));
-  GHOSTDB_ASSIGN_OR_RETURN(device::WireRows rows,
-                           DecodeReceived(ctx, table, {}, message));
+  GHOSTDB_ASSIGN_OR_RETURN(
+      device::WireRows rows,
+      DecodeReceived(ctx, table, device::WireLayout{}, message));
   std::vector<catalog::RowId> ids(rows.rows);
   for (uint64_t i = 0; i < rows.rows; ++i) {
     ids[i] = DecodeFixed32(rows.bytes.data() + i * 4);
@@ -82,11 +82,12 @@ Result<untrusted::ProjectionPayload> ReceiveProjection(
       std::vector<uint8_t> message,
       ctx->untrusted->ServeProjection(*ctx->query, table, columns,
                                       ctx->vis_prefetch));
+  device::WireLayout layout =
+      untrusted::WireLayoutOf(*ctx->schema, table, columns);
   GHOSTDB_ASSIGN_OR_RETURN(device::WireRows rows,
-                           DecodeReceived(ctx, table, columns, message));
+                           DecodeReceived(ctx, table, layout, message));
   untrusted::ProjectionPayload payload;
-  payload.row_width =
-      untrusted::WireLayoutOf(*ctx->schema, table, columns).row_width();
+  payload.row_width = layout.row_width();
   payload.rows = rows.rows;
   payload.bytes = std::move(rows.bytes);
   return payload;

@@ -11,6 +11,7 @@ device::WireLayout WireLayoutOf(const catalog::Schema& schema,
                                 const std::vector<catalog::ColumnId>& columns) {
   device::WireLayout layout;
   const auto& cols = schema.table(table).columns;
+  layout.columns.reserve(columns.size());
   for (catalog::ColumnId c : columns) {
     layout.columns.push_back({cols[c].type, cols[c].width});
   }
