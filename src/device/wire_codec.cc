@@ -133,130 +133,111 @@ bool CompactWins(uint64_t compact, uint64_t raw, uint64_t decoded,
          static_cast<double>(raw) * ns_per_byte;
 }
 
-/// Builds a message one block at a time: grows the block row by row while
-/// its compact form fits one buffer (the size never shrinks as rows are
-/// added), then emits it compact or raw. Holds block-local state only,
-/// reused from block to block.
-class BlockEncoder {
+/// The compact form of one block of rows: its size, computed from the
+/// rows' statistics, and the writer that follows the same plan.
+class CompactBlock {
  public:
-  explicit BlockEncoder(const WireLayout& layout)
+  CompactBlock(const WireLayout& layout, const uint8_t* rows, uint64_t n)
       : layout_(layout),
         width_(layout.row_width()),
-        cur_(layout.columns.size()),
-        next_(layout.columns.size()),
-        lengths_(layout.columns.size()) {}
-
-  void Start(const uint8_t* rows) {
-    rows_ = rows;
-    n_ = 0;
-    for (auto& l : lengths_) l.clear();
-  }
-
-  /// Adds the block's next row unless the compact block would outgrow one
-  /// buffer; the first row is always added.
-  bool TryAdd() {
-    const uint8_t* row = rows_ + n_ * width_;
-    const uint32_t id = DecodeFixed32(row);
-    const uint32_t first = n_ == 0 ? id : first_;
-    const uint64_t gap =
-        n_ == 0 ? 0 : std::max<uint64_t>(max_gap_, id - last_ - 1);
-    uint64_t col_bytes = 0;
+        rows_(rows),
+        n_(n),
+        columns_(layout.columns.size()) {
+    first_ = Id(0);
+    last_ = Id(n - 1);
+    uint64_t max_gap = 0;
+    for (uint64_t i = 1; i < n; ++i) {
+      max_gap = std::max<uint64_t>(max_gap, Id(i) - Id(i - 1) - 1);
+    }
+    gap_bits_ = BitWidth(max_gap);
+    const uint64_t delta = 1 + PackedBytes(n - 1, gap_bits_);
+    const uint64_t span = static_cast<uint64_t>(last_) - first_ + 1;
+    const uint64_t bitmap = VarintSize(span) + (span + 7) / 8;
+    bitmap_ = bitmap < delta;
+    size_ = 1 + VarintSize(n) + VarintSize(first_) + std::min(delta, bitmap);
     uint32_t off = 4;
-    for (size_t c = 0; c < cur_.size(); ++c) {
-      const WireColumn& col = layout_.columns[c];
-      const ColStat& s = cur_[c];
-      ColStat& t = next_[c];
+    for (size_t c = 0; c < columns_.size(); ++c) {
+      const WireColumn& col = layout.columns[c];
+      Column& plan = columns_[c];
+      const uint8_t* cells = rows + off;
       if (col.type == DataType::kInt32) {
-        int64_t v = static_cast<int32_t>(DecodeFixed32(row + off));
-        t.lo = n_ == 0 ? v : std::min(s.lo, v);
-        t.hi = n_ == 0 ? v : std::max(s.hi, v);
-        col_bytes += 5 + PackedBytes(n_ + 1, BitWidth(t.hi - t.lo));
+        int32_t lo = static_cast<int32_t>(DecodeFixed32(cells));
+        int32_t hi = lo;
+        for (uint64_t i = 1; i < n; ++i) {
+          int32_t v = static_cast<int32_t>(DecodeFixed32(cells + i * width_));
+          lo = std::min(lo, v);
+          hi = std::max(hi, v);
+        }
+        plan.base = static_cast<uint32_t>(lo);
+        plan.bits = BitWidth(static_cast<uint32_t>(hi) - plan.base);
+        size_ += 5 + PackedBytes(n, plan.bits);
       } else if (col.type == DataType::kString) {
-        uint32_t len = TrimmedLength(row + off, col.width);
-        t.lo = len;  // this row's length, cached on commit
-        t.hi = n_ == 0 ? len : std::max<int64_t>(s.hi, len);
-        t.sum = (n_ == 0 ? 0 : s.sum) + len;
-        col_bytes += 1 + PackedBytes(n_ + 1, BitWidth(t.hi)) + t.sum;
+        uint32_t max_len = 0;
+        uint64_t chars = 0;
+        plan.lengths.resize(n);
+        for (uint64_t i = 0; i < n; ++i) {
+          uint32_t len = TrimmedLength(cells + i * width_, col.width);
+          plan.lengths[i] = len;
+          max_len = std::max(max_len, len);
+          chars += len;
+        }
+        plan.bits = BitWidth(max_len);
+        size_ += 1 + PackedBytes(n, plan.bits) + chars;
       } else {
-        col_bytes += (n_ + 1) * col.width;
+        size_ += n * col.width;
       }
       off += col.width;
     }
-    const uint64_t delta = 1 + PackedBytes(n_, BitWidth(gap));
-    const uint64_t span = static_cast<uint64_t>(id) - first + 1;
-    const uint64_t bitmap = VarintSize(span) + (span + 7) / 8;
-    const uint64_t size = 1 + VarintSize(n_ + 1) + VarintSize(first) +
-                          std::min(delta, bitmap) + col_bytes;
-    if (n_ > 0 && size > kWireBlockBytes) return false;
-    first_ = first;
-    last_ = id;
-    max_gap_ = gap;
-    std::swap(cur_, next_);
-    for (size_t c = 0; c < cur_.size(); ++c) {
-      if (layout_.columns[c].type == DataType::kString) {
-        lengths_[c].push_back(static_cast<uint32_t>(cur_[c].lo));
-      }
-    }
-    size_ = size;
-    use_bitmap_ = bitmap < delta;
-    ++n_;
-    return true;
   }
 
-  uint64_t rows() const { return n_; }
   uint64_t size() const { return size_; }
 
-  /// Appends the block's compact form (exactly size() bytes).
-  void EmitCompact(std::vector<uint8_t>* out) const {
+  /// Appends the block (exactly size() bytes).
+  void Emit(std::vector<uint8_t>* out) const {
     const size_t at = out->size();
     out->resize(at + size_ + 8);  // CopyShort's slack
     uint8_t* p = out->data() + at;
-    auto id_at = [&](uint64_t i) { return DecodeFixed32(rows_ + i * width_); };
-    *p++ = use_bitmap_ ? kModeBitmap : kModeDelta;
+    *p++ = bitmap_ ? kModeBitmap : kModeDelta;
     p = PutVarint(p, n_);
     p = PutVarint(p, first_);
-    if (use_bitmap_) {
+    if (bitmap_) {
       uint64_t span = static_cast<uint64_t>(last_) - first_ + 1;
       p = PutVarint(p, span);
       std::memset(p, 0, (span + 7) / 8);
       for (uint64_t i = 0; i < n_; ++i) {
-        uint64_t bit = id_at(i) - first_;
+        uint64_t bit = Id(i) - first_;
         p[bit / 8] |= static_cast<uint8_t>(1u << (bit % 8));
       }
       p += (span + 7) / 8;
     } else {
-      uint32_t b = BitWidth(max_gap_);
-      *p++ = static_cast<uint8_t>(b);
+      *p++ = static_cast<uint8_t>(gap_bits_);
       BitWriter bits(p);
       for (uint64_t i = 1; i < n_; ++i) {
-        bits.Put(id_at(i) - id_at(i - 1) - 1, b);
+        bits.Put(Id(i) - Id(i - 1) - 1, gap_bits_);
       }
       p = bits.Finish();
     }
     uint32_t off = 4;
-    for (size_t c = 0; c < cur_.size(); ++c) {
+    for (size_t c = 0; c < columns_.size(); ++c) {
       const WireColumn& col = layout_.columns[c];
-      const ColStat& s = cur_[c];
+      const Column& plan = columns_[c];
       const uint8_t* cells = rows_ + off;
       if (col.type == DataType::kInt32) {
-        uint32_t base = static_cast<uint32_t>(s.lo);
-        uint32_t b = BitWidth(static_cast<uint64_t>(s.hi - s.lo));
-        EncodeFixed32(p, base);
-        p[4] = static_cast<uint8_t>(b);
+        EncodeFixed32(p, plan.base);
+        p[4] = static_cast<uint8_t>(plan.bits);
         BitWriter bits(p + 5);
         for (uint64_t i = 0; i < n_; ++i) {
-          bits.Put(DecodeFixed32(cells + i * width_) - base, b);
+          bits.Put(DecodeFixed32(cells + i * width_) - plan.base, plan.bits);
         }
         p = bits.Finish();
       } else if (col.type == DataType::kString) {
-        uint32_t b = BitWidth(static_cast<uint64_t>(s.hi));
-        *p++ = static_cast<uint8_t>(b);
+        *p++ = static_cast<uint8_t>(plan.bits);
         BitWriter bits(p);
-        for (uint32_t len : lengths_[c]) bits.Put(len, b);
+        for (uint32_t len : plan.lengths) bits.Put(len, plan.bits);
         p = bits.Finish();
         const uint8_t* end = rows_ + n_ * width_;
         for (uint64_t i = 0; i < n_; ++i) {
-          p = CopyShort(p, cells + i * width_, lengths_[c][i], end);
+          p = CopyShort(p, cells + i * width_, plan.lengths[i], end);
         }
       } else {
         for (uint64_t i = 0; i < n_; ++i) {
@@ -270,26 +251,26 @@ class BlockEncoder {
   }
 
  private:
-  /// Per column: INT min/max; CHAR max length, total length and (while
-  /// growing) the candidate row's length in `lo`.
-  struct ColStat {
-    int64_t lo = 0;
-    int64_t hi = 0;
-    uint64_t sum = 0;
+  /// Per column: the INT frame (base, bits) or the CHAR length field's
+  /// width and the trimmed lengths.
+  struct Column {
+    uint32_t base = 0;
+    uint32_t bits = 0;
+    std::vector<uint32_t> lengths;
   };
+
+  uint32_t Id(uint64_t i) const { return DecodeFixed32(rows_ + i * width_); }
 
   const WireLayout& layout_;
   const uint32_t width_;
-  const uint8_t* rows_ = nullptr;
-  uint64_t n_ = 0;
-  uint64_t size_ = 0;
+  const uint8_t* rows_;
+  const uint64_t n_;
   uint32_t first_ = 0;
   uint32_t last_ = 0;
-  uint64_t max_gap_ = 0;
-  bool use_bitmap_ = false;
-  std::vector<ColStat> cur_;   ///< stats of the block's rows
-  std::vector<ColStat> next_;  ///< ... with the candidate row
-  std::vector<std::vector<uint32_t>> lengths_;  ///< CHAR trimmed lengths
+  uint32_t gap_bits_ = 0;
+  bool bitmap_ = false;
+  uint64_t size_ = 0;
+  std::vector<Column> columns_;
 };
 
 void EmitRawBlock(const uint8_t* rows, uint64_t n, uint32_t width,
@@ -479,23 +460,20 @@ std::vector<uint8_t> EncodeRows(WireFormat format, const WireLayout& layout,
   if (count == 0) return out;
   out.resize(VarintSize(count));
   PutVarint(out.data(), count);
-  // A raw block's header is at most 3 bytes (mode + a 2-byte varint of a
-  // row count that fits one buffer).
-  const uint64_t raw_cap =
+  // Every block holds what one raw block can (a raw header is at most 3
+  // bytes: mode + a 2-byte varint row count). The compact form is sent
+  // only when it is smaller, so either form fits one buffer.
+  const uint64_t block_rows =
       std::max<uint64_t>(1, (kWireBlockBytes - 3) / width);
-  BlockEncoder block(layout);
   for (uint64_t start = 0; start < count;) {
-    block.Start(rows + start * width);
-    while (start + block.rows() < count && block.TryAdd()) {
-    }
-    uint64_t n = block.rows();
-    uint64_t raw = 1 + VarintSize(n) + n * width;
-    if (block.size() <= kWireBlockBytes &&
-        CompactWins(block.size(), raw, n * width, throughput)) {
-      block.EmitCompact(&out);
+    const uint64_t n = std::min(block_rows, count - start);
+    const uint8_t* block = rows + start * width;
+    CompactBlock compact(layout, block, n);
+    const uint64_t raw = 1 + VarintSize(n) + n * width;
+    if (CompactWins(compact.size(), raw, n * width, throughput)) {
+      compact.Emit(&out);
     } else {
-      n = std::min(n, raw_cap);
-      EmitRawBlock(rows + start * width, n, width, &out);
+      EmitRawBlock(block, n, width, &out);
     }
     start += n;
   }

@@ -25,6 +25,7 @@
 //    Bit arrays are LSB-first and end on a byte boundary. An empty
 //    message (zero bytes) is zero rows in both formats.
 //
+// Each block carries as many rows as one kRaw block fits in a buffer.
 // Compact-vs-raw rule: a block is sent compact only when its encoded bytes
 // over the channel plus the key's decode charge (kDecodeNsPerByte per
 // decoded byte) cost less than its raw bytes over the channel; otherwise

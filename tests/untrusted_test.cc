@@ -403,10 +403,32 @@ TEST(WireCodecTest, RoundTripProjectionPayloads) {
                                  }));
 }
 
+TEST(WireCodecTest, RoundTripMixesRawAndCompactBlocks) {
+  // DOUBLE cells ship verbatim, so rows whose ids are 100M apart (27-bit
+  // gaps) barely compress and stay raw at 1.5 MB/s; a dense run after
+  // them goes compact. One message carries both block kinds.
+  const device::WireLayout doubles{{{DataType::kDouble, 8}}};
+  std::vector<RowId> ids;
+  for (RowId id = 7; ids.size() < 20; id += 100000000) ids.push_back(id);
+  for (RowId id = ids.back() + 1; ids.size() < 1800; ++id) ids.push_back(id);
+  std::vector<uint8_t> rows =
+      MakeRows(doubles, ids, [&](size_t r, size_t, uint8_t* cell) {
+        EncodeDouble(cell, static_cast<double>(r) * 0.5);
+      });
+  ExpectRoundTrip(doubles, rows);
+  std::vector<uint8_t> wire = device::EncodeRows(
+      device::WireFormat::kCompact, doubles, rows.data(), ids.size(), 1.5e6);
+  auto decoded = device::DecodeRows(device::WireFormat::kCompact, doubles,
+                                    wire.data(), wire.size(), kIdLimit);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_GT(decoded->compact_bytes, 0u);
+  EXPECT_LT(decoded->compact_bytes, rows.size());
+}
+
 TEST(WireCodecTest, RoundTripEveryBlockBoundarySize) {
-  // Every row count up to past the raw block capacity (511 ids, 85 Fact
-  // rows) and past where a compact block fills its buffer, for dense,
-  // random and incompressible rows.
+  // Every row count up to past two block capacities (a block holds what
+  // one raw block fits: 511 ids, 85 Fact rows), for dense, random and
+  // wide-gap ids and noisy INT values.
   Rng rng(17);
   std::vector<RowId> ids = Sampled(1100, 1u << 20, 0.5, 19);
   std::vector<RowId> wide_gaps = Sampled(1100, 1u << 30, 0.001, 23);
