@@ -2,9 +2,11 @@
 //
 // Runs the same observer attacks as tests/leakage_attack_test.cc (shared
 // harness, tests/attack_common.h) against every ExecConfig::volume_padding
-// mode, then measures the padding overhead on the probe workload and a
-// spill-heavy sort. Emits attack accuracy (vs the 1/domain chance floor),
-// histogram-recovery error, wall-clock, and simulated-cost overhead —
+// mode, then measures the padding overhead on the probe workload (as is,
+// and with a visible predicate on the anchor, which tightens the
+// worst-case bound to |Vis(Obs)|) and on a spill-heavy sort. Emits attack
+// accuracy (vs the 1/domain chance floor), histogram-recovery error,
+// wall-clock, and simulated-cost overhead —
 // CI uploads the --json output as BENCH_leakage_tradeoff.json, so the
 // tradeoff curve is a tracked trajectory artifact:
 //   off        -> attack ~1.0 accuracy, zero overhead (the baseline leak)
@@ -45,6 +47,43 @@ double MsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+struct ProbeTotals {
+  double sim_seconds = 0;
+  unsigned long long volume = 0, pad_rows = 0;
+  /// Every probe showed the same observed volume: the volume-frequency
+  /// attack can only guess.
+  bool constant_volume = true;
+  double wall_ms = 0;
+};
+
+/// Runs the volume-frequency probe for every hidden value, each with
+/// `visible_pred` (may be empty) ANDed on, under `mode`.
+Result<ProbeTotals> RunProbes(VolumePadding mode,
+                              const attack::SkewSpec& spec,
+                              const std::string& visible_pred) {
+  core::GhostDB db(ModeConfig(mode));
+  attack::PlantedTruth truth;
+  GHOSTDB_RETURN_NOT_OK(attack::BuildSkewedHistogramDb(
+      &db, /*hidden_seed=*/4242, spec, &truth));
+  ProbeTotals totals;
+  uint64_t first_volume = 0;
+  auto t0 = std::chrono::steady_clock::now();
+  for (uint32_t v = 0; v < spec.domain; ++v) {
+    std::string sql = attack::HistogramProbe(v);
+    if (!visible_pred.empty()) sql += " AND " + visible_pred;
+    GHOSTDB_ASSIGN_OR_RETURN(exec::QueryResult r, db.Query(sql));
+    if (v == 0) first_volume = r.metrics.observed_volume;
+    if (r.metrics.observed_volume != first_volume) {
+      totals.constant_volume = false;
+    }
+    totals.sim_seconds += bench::Sec(r.metrics.total_ns);
+    totals.volume += r.metrics.observed_volume;
+    totals.pad_rows += r.metrics.padding_rows;
+  }
+  totals.wall_ms = MsSince(t0);
+  return totals;
 }
 
 }  // namespace
@@ -102,52 +141,62 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Padding overhead on the probe workload -----------------------------
-  std::printf("\n%-12s %14s %14s %14s %12s\n", "padding", "sim_seconds",
-              "sim_overhead", "obs_volume", "pad_rows");
-  double base_sim = 0;
-  for (VolumePadding mode : kModes) {
-    core::GhostDB db(ModeConfig(mode));
-    attack::PlantedTruth truth;
-    auto st = attack::BuildSkewedHistogramDb(&db, /*hidden_seed=*/4242, spec,
-                                             &truth);
-    if (!st.ok()) {
-      std::fprintf(stderr, "build failed: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    auto t0 = std::chrono::steady_clock::now();
-    double sim_seconds = 0;
-    unsigned long long volume = 0, pad_rows = 0;
-    for (uint32_t v = 0; v < spec.domain; ++v) {
-      auto r = db.Query(attack::HistogramProbe(v));
-      if (!r.ok()) {
+  // --- Padding overhead on the probe workloads ----------------------------
+  // "probes" are the attack's own (a hidden predicate only: worst_case pads
+  // to Obs's row count); "vis_probes" AND a visible predicate on the
+  // anchor, so worst_case pads only to |Vis(Obs)|.
+  struct ProbeSet {
+    const char* name;
+    const char* visible_pred;
+  };
+  for (const ProbeSet& set : {ProbeSet{"probes", ""},
+                              ProbeSet{"vis_probes", "Obs.v < 50"}}) {
+    std::printf("\n%s%s%s:\n", set.name, *set.visible_pred ? " AND " : "",
+                set.visible_pred);
+    std::printf("%-12s %14s %14s %14s %12s %10s\n", "padding",
+                "sim_seconds", "sim_overhead", "obs_volume", "pad_rows",
+                "constant");
+    double base_sim = 0;
+    for (VolumePadding mode : kModes) {
+      auto totals = RunProbes(mode, spec, set.visible_pred);
+      if (!totals.ok()) {
         std::fprintf(stderr, "probe failed: %s\n",
-                     r.status().ToString().c_str());
+                     totals.status().ToString().c_str());
         return 1;
       }
-      sim_seconds += bench::Sec(r->metrics.total_ns);
-      volume += r->metrics.observed_volume;
-      pad_rows += r->metrics.padding_rows;
+      if (mode == VolumePadding::kOff) base_sim = totals->sim_seconds;
+      double overhead = base_sim > 0 ? totals->sim_seconds / base_sim : 0.0;
+      std::printf("%-12s %14.6f %14.2fx %14llu %12llu %10s\n",
+                  ModeName(mode), totals->sim_seconds, overhead,
+                  totals->volume, totals->pad_rows,
+                  totals->constant_volume ? "yes" : "no");
+      // Under worst_case every probe of a set must show one volume, or
+      // the volume-frequency attack is no longer reduced to guessing.
+      if (mode == VolumePadding::kWorstCase && !totals->constant_volume) {
+        std::fprintf(stderr, "worst_case volumes vary across %s\n",
+                     set.name);
+        return 1;
+      }
+      char fields[320];
+      std::snprintf(fields, sizeof(fields),
+                    "\"status\": \"ok\", \"padding\": \"%s\", "
+                    "\"sim_seconds\": %.6f, \"sim_overhead\": %.4f, "
+                    "\"observed_volume\": %llu, \"padding_rows\": %llu, "
+                    "\"constant_volume\": %s, \"wall_ms\": %.3f",
+                    ModeName(mode), totals->sim_seconds, overhead,
+                    totals->volume, totals->pad_rows,
+                    totals->constant_volume ? "true" : "false",
+                    totals->wall_ms);
+      reporter.RecordCustom(std::string("leakage.overhead.") + set.name +
+                                "." + ModeName(mode),
+                            fields);
     }
-    double wall_ms = MsSince(t0);
-    if (mode == VolumePadding::kOff) base_sim = sim_seconds;
-    double overhead = base_sim > 0 ? sim_seconds / base_sim : 0.0;
-    std::printf("%-12s %14.6f %14.2fx %14llu %12llu\n", ModeName(mode),
-                sim_seconds, overhead, volume, pad_rows);
-    char fields[256];
-    std::snprintf(fields, sizeof(fields),
-                  "\"status\": \"ok\", \"padding\": \"%s\", "
-                  "\"sim_seconds\": %.6f, \"sim_overhead\": %.4f, "
-                  "\"observed_volume\": %llu, \"padding_rows\": %llu, "
-                  "\"wall_ms\": %.3f",
-                  ModeName(mode), sim_seconds, overhead, volume, pad_rows,
-                  wall_ms);
-    reporter.RecordCustom(std::string("leakage.overhead.probes.") +
-                              ModeName(mode),
-                          fields);
   }
 
   // --- Spill-run padding overhead on a spilling sort ----------------------
+  // A hidden predicate under the visible one: with a visible predicate
+  // alone the sorter's input is exactly the worst-case bound, and
+  // worst_case would have no dummy runs to show.
   std::printf("\nspilling ORDER BY (sort budget pinned to one buffer):\n");
   std::printf("%-12s %14s %12s %12s\n", "padding", "sim_seconds",
               "spill_runs", "pad_runs");
@@ -163,8 +212,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     auto t0 = std::chrono::steady_clock::now();
-    auto r = db.Query("SELECT Obs.v FROM Obs WHERE Obs.v < 40 "
-                      "ORDER BY Obs.v");
+    auto r = db.Query("SELECT Obs.v FROM Obs WHERE Obs.v < 90 AND "
+                      "Obs.h < 6 ORDER BY Obs.v");
     double wall_ms = MsSince(t0);
     if (!r.ok()) {
       std::fprintf(stderr, "sort failed: %s\n", r.status().ToString().c_str());

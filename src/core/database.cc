@@ -187,7 +187,6 @@ Status GhostDB::Build() {
     GHOSTDB_ASSIGN_OR_RETURN(
         parts,
         PartitionStagedByRoot(schema_, staged_, config_.shard_count));
-    fleet_anchor_rows_ = staged_[schema_.root()].row_count();
   }
   shards_.resize(config_.shard_count);
   for (uint32_t s = 0; s < config_.shard_count; ++s) {
@@ -489,11 +488,11 @@ Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
     for (uint32_t s = 0; s < legs; ++s) {
       gather_input.skipped_rows +=
           leg_results[s]->total_rows - leg_rows[s].row_count;
+      gather_input.padding_row_bound += leg_rows[s].padding_row_bound;
     }
     gather_input.rows = exec::MergeEncodedRowsBySeq(std::move(leg_rows));
     exec::FanoutParams gparams;
     gparams.role = exec::FanoutParams::Role::kGather;
-    gparams.padding_row_bound_override = fleet_anchor_rows_;
     gparams.gather_rows = &gather_input;
 
     // Gather on the coordinator: the plan's tail over the merged

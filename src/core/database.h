@@ -261,9 +261,6 @@ class GhostDB {
   /// The fleet, shard 0 first. Shard 0's device and allocator exist from
   /// construction; Build() adds the other devices and every shard's stack.
   std::vector<Shard> shards_;
-  /// Fleet-wide root-table row count: the gather pass's volume-padding
-  /// bound (each shard's local store only knows its own slice).
-  uint64_t fleet_anchor_rows_ = 0;
   std::unique_ptr<plan::Planner> planner_;
   PlanCache plan_cache_;
   std::atomic<uint64_t> stats_version_{1};

@@ -194,17 +194,16 @@ Result<QueryResult> SecureExecutor::ExecuteTree(
     ctx.batch_rows =
         std::max<uint32_t>(1, static_cast<uint32_t>(*query.limit));
   }
-  // Volume defense: the padding operators target the visible worst case —
-  // one result row per anchor-table row (metadata, identical across hidden
-  // variants, same bound PostSelect already relies on).
+  // Volume defense: the padding operators target a visible upper bound on
+  // the result — one row per anchor-table row, which VisSelectOp lowers to
+  // |Vis(anchor)| when the anchor has visible predicates. A gather run
+  // never opens VisSelect: it pads to the sum of the scatter legs' bounds,
+  // which equals the single-device bound, so the observed volume is
+  // identical across shard counts.
   if (config_.volume_padding != VolumePadding::kOff) {
-    ctx.padding_row_bound = store_->tables[query.anchor].row_count;
-    // Gather legs pad against the fleet-wide anchor row count, not the
-    // gather shard's local slice — the observed volume must be
-    // byte-identical across shard counts.
-    if (gather && fanout->padding_row_bound_override != 0) {
-      ctx.padding_row_bound = fanout->padding_row_bound_override;
-    }
+    ctx.padding_row_bound = gather
+                                ? fanout->gather_rows->padding_row_bound
+                                : store_->tables[query.anchor].row_count;
   }
 
   // Scatter legs execute only the subtree at/below the fan-out boundary;
@@ -290,6 +289,7 @@ Result<QueryResult> SecureExecutor::ExecuteTree(
   metrics.peak_ram_buffers = ram.peak_used_buffers();
   metrics.result_rows = result.total_rows;
   metrics.observed_volume = result.total_rows + metrics.padding_rows;
+  if (scatter) out->padding_row_bound = ctx.padding_row_bound;
 
   // Temporary flash space must all be returned: leaks here would slowly
   // fill the key — after a fault just as much as after a success. The

@@ -31,6 +31,10 @@ struct EncodedRows {
   /// producing run had ExecContext::emit_row_seq set (sharded scatter
   /// runs). Parallel to the rows; empty on ordinary runs.
   std::vector<uint64_t> seqs;
+  /// Scatter runs: the leg's local ExecContext::padding_row_bound, which
+  /// the coordinator sums into GatherInput::padding_row_bound. 0 on
+  /// ordinary runs and with padding off.
+  uint64_t padding_row_bound = 0;
 
   /// Copies the live physical row `r` of `batch` (binding the layout on
   /// first use).
@@ -48,10 +52,14 @@ struct EncodedRows {
 /// row arrival order a single unsharded device would have produced.
 /// `skipped_rows` sums the shards' demand-skipped counts (rows that passed
 /// all filters but were beyond the materialization demand) so result
-/// totals still count every qualifying row.
+/// totals still count every qualifying row. `padding_row_bound` sums the
+/// shards' local padding bounds: the anchor's rows are partitioned, so the
+/// sum equals the bound a single device holding every row would compute,
+/// and the gather pads to it.
 struct GatherInput {
   EncodedRows rows;
   uint64_t skipped_rows = 0;
+  uint64_t padding_row_bound = 0;
 };
 
 /// K-way merges per-shard scatter outputs ascending on their seqs. Each
@@ -78,13 +86,8 @@ int FindFanoutBoundary(const plan::PhysicalPlan& plan);
 struct FanoutParams {
   enum class Role : uint8_t { kScatter, kGather };
   Role role = Role::kScatter;
-  /// kGather: the seq-merged row stream.
+  /// kGather: the seq-merged row stream and the fleet-wide padding bound.
   const GatherInput* gather_rows = nullptr;
-  /// kGather: overrides ExecContext::padding_row_bound with the *global*
-  /// anchor row count — the gather device's local store holds only its
-  /// own shard, but volume padding must target the fleet-wide worst case
-  /// so the observed volume is byte-identical across shard counts.
-  uint64_t padding_row_bound_override = 0;
 };
 
 /// \brief Executes bound queries on the Secure device.

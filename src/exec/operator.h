@@ -62,8 +62,9 @@ namespace ghostdb::exec {
 enum class VolumePadding : uint8_t {
   kOff,       ///< exact volumes (the attack surface the harness measures)
   kQuantize,  ///< round observed volume up to the next power of two
-  /// Pad every query to its visible worst case: the anchor table's row
-  /// count (bounded by LIMIT k / the 0-or-1 aggregate row). Two databases
+  /// Pad every query to its visible worst case: the number of anchor rows
+  /// passing the anchor's visible predicates (all of them when it has
+  /// none), bounded by LIMIT k / the 0-or-1 aggregate row. Two databases
   /// differing only in hidden data then show identical volumes.
   kWorstCase,
 };
@@ -289,12 +290,15 @@ struct ExecContext {
   /// result_row_limit so the projection skips encoding rows nobody will
   /// see (counts stay exact via ColumnBatch::skipped_rows).
   uint64_t rows_demanded = UINT64_MAX;
-  /// Visible worst-case result bound for the padding modes: the anchor
-  /// table's row count (every result row corresponds to one anchor row).
-  /// Set by the executor iff volume padding is on; 0 otherwise. A pure
-  /// function of visible metadata, so padding targets derived from it are
-  /// identical across hidden variants. Transcript sink: the bound decides
-  /// the padded result volume, so leakcheck rejects hidden-derived stores.
+  /// Visible worst-case result bound for the padding modes. Every result
+  /// row corresponds to one anchor row, so the executor starts from the
+  /// anchor table's row count, and VisSelectOp lowers it to |Vis(anchor)|
+  /// when the anchor has visible predicates; a gather run takes the sum of
+  /// its scatter legs' bounds (GatherInput). Set iff volume padding is
+  /// on; 0 otherwise. A pure function of visible data and the query text,
+  /// so padding targets derived from it are identical across hidden
+  /// variants. Transcript sink: the bound decides the padded result
+  /// volume, so leakcheck rejects hidden-derived stores.
   GHOSTDB_TRANSCRIPT_SINK uint64_t padding_row_bound = 0;
   /// Worker pool for morsel-parallel host compute (may be null: run
   /// inline). Workers obey the thread_pool.h contract — pure host value

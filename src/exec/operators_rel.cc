@@ -600,10 +600,11 @@ uint64_t VolumePadOp::PaddedTarget(uint64_t real) const {
       // bucket, so emptiness is only distinguishable from volumes > 1.
       return NextPowerOfTwo(real);
     case VolumePadding::kWorstCase: {
-      // Visible worst case: one result row per anchor-table row. A
-      // non-grouped aggregate emits 0 or 1 rows; LIMIT caps the stream
-      // above us. All three bounds are visible, so the target — and with
-      // it the observed volume — is identical across hidden variants.
+      // Visible worst case: one result row per anchor row that passes the
+      // anchor's visible predicates (padding_row_bound). A non-grouped
+      // aggregate emits 0 or 1 rows; LIMIT caps the stream above us. All
+      // three bounds are visible, so the target — and with it the
+      // observed volume — is identical across hidden variants.
       uint64_t bound = ctx_->padding_row_bound;
       if (ctx_->query->HasAggregates() && !ctx_->query->grouped()) {
         bound = 1;

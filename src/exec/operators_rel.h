@@ -245,7 +245,7 @@ class SortOp final : public Operator {
 /// skipped rows), then emits all-dummy batches (zero-filled cells,
 /// padding_rows == live()) until the observed volume reaches the mode's
 /// target — the next power of two of the real volume (kQuantize) or the
-/// visible worst case (kWorstCase: the anchor table's row count, clamped
+/// visible worst case (kWorstCase: ExecContext::padding_row_bound, clamped
 /// by LIMIT k / the 0-or-1 aggregate row). Dummies are stripped at the
 /// QueryResult boundary, so answers are unchanged in every mode; their
 /// synthesis cost is charged to the "padding" clock category at channel

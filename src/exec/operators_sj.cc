@@ -281,6 +281,15 @@ Status VisSelectOp::Open() {
                       ? it->second
                       : VisStrategy::kCrossPreFilter;
     GHOSTDB_ASSIGN_OR_RETURN(vt.ids, ReceiveVisibleIds(ctx_, t));
+    // Volume defense: no result row can come from an anchor row that
+    // fails the anchor's visible predicates, so |Vis(anchor)| bounds the
+    // answer. The count is a function of visible data and the query text
+    // alone (an observer holding the visible data computes it too), and
+    // it is known here, before any result row exists.
+    if (t == query.anchor) {
+      ctx_->padding_row_bound =
+          std::min<uint64_t>(ctx_->padding_row_bound, vt.ids.size());
+    }
     state.vis_tables.push_back(std::move(vt));
   }
 

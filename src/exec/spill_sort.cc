@@ -142,8 +142,8 @@ Status ExternalRowSorter::PadSpillRuns() {
     target = real == 0 ? 0 : NextPowerOfTwo(real);
   } else {
     // Worst case: every sorter this operator instantiated writes the run
-    // count a full anchor-sized input would have spilled (generation runs
-    // of budget_rows each). Both inputs are visible.
+    // count an input of padding_row_bound rows would have spilled
+    // (generation runs of budget_rows each). Both inputs are visible.
     uint64_t bound = ctx_->padding_row_bound;
     uint64_t worst =
         bound == 0 ? 0 : (bound + budget_rows_ - 1) / budget_rows_;

@@ -108,7 +108,8 @@ class ExternalRowSorter {
   /// runs until the total run count reaches the padding mode's target —
   /// next power of two of the real count (kQuantize) or the visible
   /// worst-case generation count ceil(padding_row_bound / budget_rows)
-  /// (kWorstCase). Dummies are never read or merged and are freed in
+  /// (kWorstCase; the bound is the anchor's visible row count, see
+  /// ExecContext::padding_row_bound). Dummies are never read or merged and are freed in
   /// Close(); they reduce the resolution of the per-sorter spill-count
   /// side channel (CloseSorterPhase pads phases that never finished too;
   /// a real count past the worst-case target — merge-down runs — still

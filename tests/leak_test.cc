@@ -718,14 +718,30 @@ TEST(LeakTest, InjectedFaultsAreTranscriptInvariantUnderPaddedModes) {
             0u);
 }
 
+// The worst-case padding bound for a statement whose anchor is Fact and
+// whose only visible predicate on Fact is `fact_pred`: |Vis(Fact)|, read
+// off an unpadded COUNT(*) over the same visible predicate.
+uint64_t VisibleFactCount(const char* fact_pred) {
+  GhostDB db(Config());
+  BuildDb(&db, /*hidden_seed=*/111);
+  auto r = db.Query(std::string("SELECT COUNT(*) FROM Fact WHERE ") +
+                    fact_pred);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  if (!r.ok() || r->rows.size() != 1) return 0;
+  return static_cast<uint64_t>(r->rows[0][0].AsInt64());
+}
+
 TEST(LeakTest, PinnedPlansArePaddedLikePlannedOnes) {
   // The volume channel through QueryWithPlan: a pinned plan must be lowered
   // with the same padding as a planner-chosen one. Under worst-case
-  // padding the observed volume is the visible anchor-row bound — equal
+  // padding the observed volume is the visible bound |Vis(Fact)| — equal
   // across hidden variants, across fleet sizes, and to the planner's run.
   const char* sql =
       "SELECT Fact.id, Dim.v FROM Fact, Dim WHERE Fact.fk = Dim.id AND "
       "Fact.v < 60 AND Dim.h < 70";
+  const uint64_t visible = VisibleFactCount("Fact.v < 60");
+  ASSERT_GT(visible, 0u);
+  ASSERT_LT(visible, 3000u);  // the predicate is selective
   for (uint32_t shards : {1u, 2u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     GhostDBConfig cfg = Config();
@@ -746,7 +762,40 @@ TEST(LeakTest, PinnedPlansArePaddedLikePlannedOnes) {
     ASSERT_TRUE(planned.ok()) << planned.status().ToString();
     EXPECT_EQ(p1->metrics.observed_volume, p2->metrics.observed_volume);
     EXPECT_EQ(p1->metrics.observed_volume, planned->metrics.observed_volume);
-    EXPECT_EQ(p1->metrics.observed_volume, 3000u);  // Fact's row count
+    EXPECT_EQ(p1->metrics.observed_volume, visible);
+  }
+}
+
+TEST(LeakTest, WorstCaseVolumeIsTheAnchorsVisibleCount) {
+  // kWorstCase pads to |Vis(anchor)|: a statement whose only predicate is
+  // visible and on the anchor already returns that many rows, so it pads
+  // nothing; adding a hidden predicate pads back up to the same count, on
+  // every hidden variant.
+  const uint64_t visible = VisibleFactCount("Fact.v < 60");
+  ASSERT_GT(visible, 0u);
+  GhostDBConfig cfg = Config();
+  cfg.exec.volume_padding = exec::VolumePadding::kWorstCase;
+  GhostDB db1(cfg), db2(cfg);
+  BuildDb(&db1, /*hidden_seed=*/111);
+  BuildDb(&db2, /*hidden_seed=*/999);
+
+  auto vis_only = db1.Query("SELECT Fact.id FROM Fact WHERE Fact.v < 60");
+  ASSERT_TRUE(vis_only.ok()) << vis_only.status().ToString();
+  EXPECT_EQ(vis_only->metrics.padding_rows, 0u);
+  EXPECT_EQ(vis_only->metrics.observed_volume, visible);
+
+  for (const char* sql : {
+           "SELECT Fact.id FROM Fact WHERE Fact.v < 60 AND Fact.h < 30",
+           "SELECT Fact.id, Dim.v FROM Fact, Dim WHERE Fact.fk = Dim.id AND "
+           "Fact.v < 60 AND Dim.h < 20 ORDER BY Dim.v",
+       }) {
+    SCOPED_TRACE(sql);
+    for (GhostDB* db : {&db1, &db2}) {
+      auto r = db->Query(sql);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_LT(r->total_rows, visible);  // the hidden predicate filtered
+      EXPECT_EQ(r->metrics.observed_volume, visible);
+    }
   }
 }
 

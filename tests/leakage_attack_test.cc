@@ -125,8 +125,9 @@ TEST(LeakageAttackTest, WorstCaseVolumesAreConstantAcrossProbesAndSeeds) {
     for (uint32_t v = 0; v < spec.domain; ++v) {
       Observation obs = Observe(&db, attack::HistogramProbe(v));
       ASSERT_TRUE(obs.ok);
-      // Padded to the visible worst case: the anchor table's row count,
-      // identical for every probe and every hidden seed.
+      // Padded to the visible worst case: the probes have no visible
+      // predicate, so that is the anchor table's row count, identical for
+      // every probe and every hidden seed.
       EXPECT_EQ(obs.volume, spec.rows) << "probe h=" << v;
     }
   }
@@ -209,18 +210,20 @@ TEST(LeakageAttackTest, SpillRunPaddingWritesAndFreesDummyRuns) {
   ASSERT_TRUE(
       attack::BuildSkewedHistogramDb(&db, /*hidden_seed=*/801, spec, &truth)
           .ok());
-  // A visible, selective predicate: the sorter sees fewer rows than the
-  // worst case, so the run-count target demands dummy runs.
-  auto r = db.Query(
-      "SELECT Obs.v FROM Obs WHERE Obs.v < 40 ORDER BY Obs.v");
+  // A hidden predicate under the visible one: the sorter sees fewer rows
+  // than the visible bound |Vis(Obs)|, so the run-count target demands
+  // dummy runs. (A visible-only predicate leaves nothing to pad: the
+  // bound is exactly the sorter's input.)
+  const char* sql =
+      "SELECT Obs.v FROM Obs WHERE Obs.v < 90 AND Obs.h < 6 ORDER BY Obs.v";
+  auto r = db.Query(sql);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_GT(r->metrics.sort_spill_runs, 0u) << "query did not spill";
   EXPECT_GT(r->metrics.padding_spill_runs, 0u)
       << "spill-run padding never engaged";
   // A second query on the same database proves the dummy runs were freed
   // (the executor's flash page-leak check fails the query otherwise).
-  auto again = db.Query(
-      "SELECT Obs.v FROM Obs WHERE Obs.v < 40 ORDER BY Obs.v");
+  auto again = db.Query(sql);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ(again->rows, r->rows);
 }

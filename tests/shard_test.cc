@@ -260,9 +260,11 @@ TEST(ShardTest, ForcedSpillAnswersAreShardCountInvariant) {
 }
 
 TEST(ShardTest, PaddedVolumeModesAreShardCountInvariant) {
-  // Worst-case padding targets the fleet-wide anchor row count at the
-  // gather (not any shard's local count), so the padded volume — and the
-  // stripped answer — must match the single-device run exactly.
+  // Worst-case padding targets the fleet-wide bound at the gather — the
+  // sum of the legs' local bounds, not any one shard's — so the padded
+  // volume and the stripped answer must match the single-device run
+  // exactly. The statements with a visible predicate on T0 exercise the
+  // |Vis(T0)| bound each leg reports; the others, the row-count bound.
   const uint64_t kVisible = 777;
   for (auto mode : {exec::VolumePadding::kQuantize,
                     exec::VolumePadding::kWorstCase}) {
@@ -284,6 +286,16 @@ TEST(ShardTest, PaddedVolumeModesAreShardCountInvariant) {
              "SELECT T0.v FROM T0 WHERE T0.h < 70 ORDER BY T0.v LIMIT 8",
              "SELECT T0.v, COUNT(*) FROM T0 GROUP BY T0.v",
              "SELECT COUNT(*) FROM T0 WHERE T0.h > 60",
+             "SELECT T0.id FROM T0 WHERE T0.v < 90",
+             "SELECT T0.id FROM T0 WHERE T0.v < 90 AND T0.h < 40",
+             "SELECT T0.id, T0.v FROM T0 WHERE T0.v >= 30 ORDER BY T0.v",
+             "SELECT T0.id, T0.v FROM T0 WHERE T0.v >= 30 AND T0.h < 50 "
+             "ORDER BY T0.v",
+             "SELECT DISTINCT T0.v FROM T0 WHERE T0.v < 120",
+             "SELECT DISTINCT T0.v FROM T0 WHERE T0.v < 120 AND T0.h > 20",
+             "SELECT T0.v, COUNT(*) FROM T0 WHERE T0.v < 100 GROUP BY T0.v",
+             "SELECT T0.v, COUNT(*) FROM T0 WHERE T0.v < 100 AND T0.h < 60 "
+             "GROUP BY T0.v",
          }) {
       SCOPED_TRACE(sql);
       auto r1 = raw[0]->Query(sql);
@@ -294,6 +306,8 @@ TEST(ShardTest, PaddedVolumeModesAreShardCountInvariant) {
       // The defense itself must not weaken with the fleet: identical
       // observed volumes, not just identical answers.
       EXPECT_EQ(r1->metrics.padding_rows, r3->metrics.padding_rows) << sql;
+      EXPECT_EQ(r1->metrics.observed_volume, r3->metrics.observed_volume)
+          << sql;
     }
   }
 }

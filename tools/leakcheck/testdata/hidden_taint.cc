@@ -5,7 +5,9 @@
 // self-test fails on any finding without a marker (negatives below prove
 // visible-derived flows stay clean). Parsed by the analyzer only — never
 // compiled into the library.
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "core/annotations.h"
 
@@ -34,6 +36,7 @@ struct PadContext {
 };
 
 uint64_t CountMatches(uint64_t upto);
+std::vector<uint32_t> ReceiveVisibleIds(uint32_t table);
 
 namespace exec {
 
@@ -69,6 +72,22 @@ void PadVisible(device::Channel* chan, PadContext* ctx, const Image& image) {
   if (image.visible_rows > 0) {
     chan->TransferSized(1, "pad", bytes);
   }
+}
+
+// Negative: the worst-case bound tightened to the anchor's decoded Vis id
+// count — the ids crossed the channel from Untrusted, so the count is
+// visible-derived.
+void TightenVisible(PadContext* ctx, const Image& image) {
+  uint64_t rows = image.visible_rows;
+  std::vector<uint32_t> ids = ReceiveVisibleIds(0);
+  ctx->padding_row_bound = std::min<uint64_t>(rows, ids.size());
+}
+
+// Violation: the same tightening with a hidden count.
+void TightenHidden(PadContext* ctx, const Image& image) {
+  uint64_t rows = image.visible_rows;
+  uint64_t n = image.hidden_rows;
+  ctx->padding_row_bound = std::min(rows, n);  // expect-finding: hidden-taint
 }
 
 }  // namespace exec
