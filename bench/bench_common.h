@@ -131,7 +131,7 @@ class JsonReporter {
               const exec::QueryMetrics& m,
               const std::string& status = "ok") {
     if (!enabled()) return;
-    char buf[768];
+    char buf[1024];
     std::snprintf(
         buf, sizeof(buf),
         "  {\"name\": \"%s\", \"status\": \"%s\", \"wall_ms\": %.3f, "
@@ -139,6 +139,7 @@ class JsonReporter {
         "\"observed_volume\": %llu, \"padding_rows\": %llu, "
         "\"flash_pages_read\": %llu, \"flash_pages_written\": %llu, "
         "\"sort_spill_runs\": %llu, \"sort_spill_pages\": %llu, "
+        "\"sort_merge_pages\": %llu, "
         "\"topk_short_circuits\": %llu, \"peak_ram_buffers\": %u}",
         name.c_str(), status.c_str(), wall_ms, sim_seconds,
         static_cast<unsigned long long>(m.result_rows),
@@ -148,6 +149,7 @@ class JsonReporter {
         static_cast<unsigned long long>(m.flash.pages_written),
         static_cast<unsigned long long>(m.sort_spill_runs),
         static_cast<unsigned long long>(m.sort_spill_pages),
+        static_cast<unsigned long long>(m.sort_merge_pages),
         static_cast<unsigned long long>(m.topk_short_circuits),
         m.peak_ram_buffers);
     entries_.push_back(buf);

@@ -5,18 +5,27 @@
 //   spilling    — a 1-buffer budget forces run spills + streamed merges
 //   top-K       — ORDER BY ... LIMIT k fused into a bounded heap, with a
 //                 default and a 1-buffer budget
+//   windows     — an opened session's default budget (a quarter of the
+//                 device's buffers) over enough rows that its generation
+//                 runs outnumber the final merge's buffers: the runs must
+//                 stream through sub-buffer windows, so the case fails if
+//                 any merge-down page is written
 //
 // Wall-clock is real host time (the sort work is host-side secure
 // compute); simulated seconds add the device I/O model (spill flash
-// traffic shows up here). `--smoke` shrinks the data for CI; `--json FILE`
+// traffic shows up here; page loads count every partial window read).
+// `--smoke` shrinks the data for CI (not the windows case's); `--json FILE`
 // emits the machine-readable results CI uploads as a BENCH_*.json
 // trajectory artifact. Every case must succeed: a failed one is recorded
 // as "error" and the bench exits nonzero.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 
 #include "bench_common.h"
 #include "common/rng.h"
+#include "core/session.h"
 
 namespace {
 
@@ -59,9 +68,11 @@ struct Timed {
       : wall_ms(ms), result(std::move(r)) {}
 };
 
-Timed Run(GhostDB* db, const std::string& sql) {
+// `target` is a GhostDB (its default session) or an opened Session.
+template <typename Target>
+Timed Run(Target* target, const std::string& sql) {
   auto start = std::chrono::steady_clock::now();
-  auto result = db->Query(sql);
+  auto result = target->Query(sql);
   double wall_ms = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - start)
                        .count();
@@ -90,25 +101,43 @@ int main(int argc, char** argv) {
     const char* name;
     uint32_t budget;
     const std::string* sql;
+    uint32_t rows;
+    /// Run through an opened session's default budget, and fail on any
+    /// merge-down page (the windows case).
+    bool windows_session;
   };
+  // ~44 generation runs of 1365 rows against a 32-buffer device.
+  uint32_t window_rows = std::max<uint32_t>(rows, 60000);
   const Case cases[] = {
-      {"sort_in_memory", 4096, &kSortSql},
-      {"sort_spilling_1buf", 1, &kSortSql},
-      {"topk_fused", 0, &kTopKSql},
-      {"topk_fused_1buf", 1, &kTopKSql},
+      {"sort_in_memory", 4096, &kSortSql, rows, false},
+      {"sort_spilling_1buf", 1, &kSortSql, rows, false},
+      {"topk_fused", 0, &kTopKSql, rows, false},
+      {"topk_fused_1buf", 1, &kTopKSql, rows, false},
+      {"sort_windows_session", 0, &kSortSql, window_rows, true},
   };
 
-  std::printf("%-26s %12s %12s %10s %10s %8s\n", "case", "wall_ms",
-              "sim_s", "rows", "spills", "topk_sc");
+  std::printf("%-26s %12s %12s %10s %10s %10s %10s %8s\n", "case",
+              "wall_ms", "sim_s", "rows", "spills", "pages", "loads",
+              "topk_sc");
   double fused_ms = 0, inmem_ms = 0, spill_ms = 0;
   int failed = 0;
   for (const Case& c : cases) {
     GhostDB db(MakeConfig(c.budget));
-    BuildTable(&db, rows);
-    Timed t = Run(&db, *c.sql);
+    BuildTable(&db, c.rows);
+    std::unique_ptr<ghostdb::core::Session> session;
+    if (c.windows_session) {
+      auto opened = db.OpenSession();
+      if (!opened.ok()) {
+        std::fprintf(stderr, "open session failed: %s\n",
+                     opened.status().ToString().c_str());
+        return 1;
+      }
+      session = std::move(*opened);
+    }
+    Timed t = session != nullptr ? Run(session.get(), *c.sql)
+                                 : Run(&db, *c.sql);
     if (!t.result.ok()) {
-      std::printf("%-26s %12.2f %12s %10s %10s %8s  (%s)\n", c.name,
-                  t.wall_ms, "-", "-", "-", "-",
+      std::printf("%-26s %12.2f  (%s)\n", c.name, t.wall_ms,
                   t.result.status().ToString().c_str());
       json.Record(c.name, t.wall_ms, 0.0, ghostdb::exec::QueryMetrics{},
                   "error");
@@ -116,12 +145,21 @@ int main(int argc, char** argv) {
       continue;
     }
     const auto& m = t.result->metrics;
-    std::printf("%-26s %12.2f %12.4f %10llu %10llu %8llu\n", c.name,
-                t.wall_ms, ghostdb::bench::Sec(m.total_ns),
+    std::printf("%-26s %12.2f %12.4f %10llu %10llu %10llu %10llu %8llu\n",
+                c.name, t.wall_ms, ghostdb::bench::Sec(m.total_ns),
                 static_cast<unsigned long long>(m.result_rows),
                 static_cast<unsigned long long>(m.sort_spill_runs),
+                static_cast<unsigned long long>(m.sort_spill_pages),
+                static_cast<unsigned long long>(m.flash.pages_read),
                 static_cast<unsigned long long>(m.topk_short_circuits));
-    json.Record(c.name, t.wall_ms, ghostdb::bench::Sec(m.total_ns), m);
+    bool merged_down = c.windows_session && m.sort_merge_pages > 0;
+    json.Record(c.name, t.wall_ms, ghostdb::bench::Sec(m.total_ns), m,
+                merged_down ? "merge-down" : "ok");
+    if (merged_down) {
+      std::printf("  %llu merge-down pages written\n",
+                  static_cast<unsigned long long>(m.sort_merge_pages));
+      failed += 1;
+    }
     if (std::string(c.name) == "topk_fused") fused_ms = t.wall_ms;
     if (std::string(c.name) == "sort_in_memory") inmem_ms = t.wall_ms;
     if (std::string(c.name) == "sort_spilling_1buf") spill_ms = t.wall_ms;

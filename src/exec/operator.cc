@@ -142,6 +142,7 @@ void QueryMetrics::Accumulate(const QueryMetrics& other) {
   plan_cache_replans += other.plan_cache_replans;
   sort_spill_runs += other.sort_spill_runs;
   sort_spill_pages += other.sort_spill_pages;
+  sort_merge_pages += other.sort_merge_pages;
   topk_short_circuits += other.topk_short_circuits;
   observed_volume += other.observed_volume;
   padding_rows += other.padding_rows;

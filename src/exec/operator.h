@@ -146,6 +146,9 @@ struct QueryMetrics {
   uint64_t sort_spill_runs = 0;
   /// Flash pages those spill runs occupied.
   uint64_t sort_spill_pages = 0;
+  /// Of sort_spill_pages, the pages intermediate merges rewrote (runs
+  /// merged down before a final merge they outnumbered the buffers of).
+  uint64_t sort_merge_pages = 0;
   /// Rows the fused top-K sort rejected against the heap top without
   /// buffering — the work a full sort would have materialized.
   uint64_t topk_short_circuits = 0;

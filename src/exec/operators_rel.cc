@@ -14,7 +14,7 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Spill-row helpers: a spill row is the concatenated encoded cells of one
-// output row plus a trailing u64 arrival sequence (kSpillSeqWidth), which
+// output row plus a trailing u32 arrival sequence (kSpillSeqWidth), which
 // makes every comparator total and every sort stable.
 // ---------------------------------------------------------------------------
 
@@ -28,14 +28,25 @@ std::vector<uint32_t> ColumnOffsets(const BatchLayout& layout) {
   return offsets;
 }
 
+/// Fails before a batch of `rows` would number a row past the u32 arrival
+/// sequence (next_seq is the batch's first). The tail sees at most one row
+/// per anchor row, so this is unreachable short of a bug; a wrapped
+/// sequence would silently break the stable order instead.
+Status CheckSeqRoom(uint64_t next_seq, size_t rows) {
+  if (next_seq + rows > uint64_t{UINT32_MAX} + 1) {
+    return Status::Internal("relational-tail arrival sequence overflow");
+  }
+  return Status::OK();
+}
+
 void PackRow(const ColumnBatch& batch, uint32_t physical_row,
-             const std::vector<uint32_t>& offsets, uint64_t seq,
+             const std::vector<uint32_t>& offsets, uint32_t seq,
              uint8_t* row_buf) {
   for (size_t c = 0; c < batch.layout->cols.size(); ++c) {
     std::memcpy(row_buf + offsets[c], batch.cell(c, physical_row),
                 batch.layout->cols[c].width);
   }
-  EncodeFixed64(row_buf + batch.layout->row_width, seq);
+  EncodeFixed32(row_buf + batch.layout->row_width, seq);
 }
 
 /// ORDER BY keys over the spill-row encoding, ties by arrival.
@@ -234,9 +245,10 @@ Status HashGroupOp::Absorb(const ColumnBatch& batch,
   // Keys precomputed morsel-parallel; the fold below is sequential so the
   // budget trips at the exact same row for every thread count.
   ExtractKeys(ctx_, batch, key_items_, &key_scratch_);
+  GHOSTDB_RETURN_NOT_OK(CheckSeqRoom(seq_, batch.live()));
   for (size_t r = 0; r < batch.live(); ++r) {
     uint32_t row = batch.row_at(r);
-    uint64_t seq = seq_++;
+    auto seq = static_cast<uint32_t>(seq_++);
     const std::string& key = key_scratch_[r];
     // Known groups — frozen or not — keep folding in place: no new memory
     // either way. A streamed group has nothing left to fold.
@@ -304,7 +316,7 @@ void HashGroupOp::StartSpill() {
 }
 
 Status HashGroupOp::PackPartialRow(const ColumnBatch& batch, uint32_t row,
-                                   uint64_t seq) {
+                                   uint32_t seq) {
   for (size_t k = 0; k < key_items_.size(); ++k) {
     size_t i = key_items_[k];
     std::memcpy(row_buf_.data() + spill_key_offsets_[k], batch.cell(i, row),
@@ -321,7 +333,7 @@ Status HashGroupOp::PackPartialRow(const ColumnBatch& batch, uint32_t row,
     }
     a.EncodePartial(row_buf_.data() + spill_agg_offsets_[j]);
   }
-  EncodeFixed64(row_buf_.data() + spill_seq_offset_, seq);
+  EncodeFixed32(row_buf_.data() + spill_seq_offset_, seq);
   return Status::OK();
 }
 
@@ -382,8 +394,8 @@ Status HashGroupOp::FlushSpillGroup(const uint8_t* partial) {
     }
   }
   // Phase B restores first-arrival order over the folded groups.
-  EncodeFixed64(out_buf_.data() + out_layout_.row_width,
-                DecodeFixed64(partial + spill_seq_offset_));
+  EncodeFixed32(out_buf_.data() + out_layout_.row_width,
+                DecodeFixed32(partial + spill_seq_offset_));
   return by_arrival_->Add(out_buf_.data());
 }
 
@@ -530,8 +542,10 @@ Status SortOp::Gather() {
           ctx_, stride_, cmp_, BudgetRows(ctx_, stride_),
           /*drop_key_duplicates=*/false, "sort-spill");
     }
+    GHOSTDB_RETURN_NOT_OK(CheckSeqRoom(seq_, batch.live()));
     for (size_t r = 0; r < batch.live(); ++r) {
-      PackRow(batch, batch.row_at(r), offsets_, seq_++, row_buf_.data());
+      PackRow(batch, batch.row_at(r), offsets_, static_cast<uint32_t>(seq_++),
+              row_buf_.data());
       if (heap_mode_) {
         Offer(row_buf_.data());
       } else {

@@ -141,7 +141,7 @@ class HashGroupOp final : public Operator {
   void StartSpill();
   /// Packs one input row as a single-row partial spill row into row_buf_:
   /// key cells, per-aggregate EncodePartial state, arrival sequence.
-  Status PackPartialRow(const ColumnBatch& batch, uint32_t row, uint64_t seq);
+  Status PackPartialRow(const ColumnBatch& batch, uint32_t row, uint32_t seq);
   /// ExternalRowSorter fold hook: merges `row`'s per-item partial state
   /// into `acc`'s (keys equal; acc keeps its own smaller sequence).
   Status FoldPartialRow(uint8_t* acc, const uint8_t* row);
@@ -164,7 +164,7 @@ class HashGroupOp final : public Operator {
   std::vector<uint32_t> out_offsets_;
   const BatchLayout* in_layout_ = nullptr;
   // Partial spill-row layout: [key cells | per-aggregate partial state |
-  // u64 seq]. A pure function of the visible query shape.
+  // u32 seq]. A pure function of the visible query shape.
   std::vector<uint32_t> spill_key_offsets_;  ///< per key_items_ entry
   std::vector<uint32_t> spill_agg_offsets_;  ///< per agg_items_ entry
   uint32_t spill_seq_offset_ = 0;

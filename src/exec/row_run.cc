@@ -36,9 +36,55 @@ int RowComparator::CompareKeys(const uint8_t* a, const uint8_t* b) const {
 int RowComparator::Compare(const uint8_t* a, const uint8_t* b) const {
   int cmp = CompareKeys(a, b);
   if (cmp != 0 || seq_offset_ == kNoSeq) return cmp;
-  uint64_t sa = DecodeFixed64(a + seq_offset_);
-  uint64_t sb = DecodeFixed64(b + seq_offset_);
+  uint32_t sa = DecodeFixed32(a + seq_offset_);
+  uint32_t sb = DecodeFixed32(b + seq_offset_);
   return sa < sb ? -1 : sa > sb ? 1 : 0;
+}
+
+Status RowRunMerger::Add(std::unique_ptr<RowRunReader> reader) {
+  GHOSTDB_RETURN_NOT_OK(reader->Prime());
+  auto index = static_cast<uint32_t>(readers_.size());
+  bool valid = reader->valid();
+  readers_.push_back(std::move(reader));
+  if (!valid) return Status::OK();
+  // Sift the new input up.
+  size_t pos = heap_.size();
+  heap_.push_back(index);
+  while (pos > 0) {
+    size_t parent = (pos - 1) / 2;
+    if (!Less(heap_[pos], heap_[parent])) break;
+    std::swap(heap_[pos], heap_[parent]);
+    pos = parent;
+  }
+  return Status::OK();
+}
+
+Status RowRunMerger::Pop() {
+  RowRunReader* reader = readers_[heap_.front()].get();
+  GHOSTDB_RETURN_NOT_OK(reader->Advance());
+  if (!reader->valid()) {
+    heap_.front() = heap_.back();
+    heap_.pop_back();
+  }
+  SiftDown(0);
+  return Status::OK();
+}
+
+bool RowRunMerger::Less(uint32_t a, uint32_t b) const {
+  int cmp = cmp_->Compare(readers_[a]->row(), readers_[b]->row());
+  return cmp != 0 ? cmp < 0 : a < b;
+}
+
+void RowRunMerger::SiftDown(size_t pos) {
+  size_t n = heap_.size();
+  while (true) {
+    size_t least = 2 * pos + 1;
+    if (least >= n) return;
+    if (least + 1 < n && Less(heap_[least + 1], heap_[least])) least += 1;
+    if (!Less(heap_[least], heap_[pos])) return;
+    std::swap(heap_[pos], heap_[least]);
+    pos = least;
+  }
 }
 
 Status MergeRowRunsBy(flash::FlashDevice* device, device::RamManager* ram,
@@ -75,43 +121,36 @@ Status MergeRowRunsBy(flash::FlashDevice* device, device::RamManager* ram,
     GHOSTDB_ASSIGN_OR_RETURN(
         device::RamGuard bufs,
         device::RamGuard::Acquire(ram, static_cast<uint32_t>(take) + 1, "rowrun-merge"));
-    std::vector<std::unique_ptr<RowRunReader>> readers;
+    RowRunMerger merger(&cmp);
     for (size_t i = 0; i < take; ++i) {
-      readers.push_back(std::make_unique<RowRunReader>(
+      GHOSTDB_RETURN_NOT_OK(merger.Add(std::make_unique<RowRunReader>(
           device, (*runs)[picked[i]], width,
-          bufs.data() + i * ram->buffer_size()));
-      GHOSTDB_RETURN_NOT_OK(readers.back()->Prime());
+          bufs.data() + i * ram->buffer_size())));
     }
     storage::RunWriter writer(device, allocator,
                               bufs.data() + take * ram->buffer_size(), tag);
     bool emitted_any = false;
     last_emitted.clear();
-    while (true) {
-      RowRunReader* best = nullptr;
-      for (auto& r : readers) {
-        if (r->valid() &&
-            (best == nullptr || cmp.Compare(r->row(), best->row()) < 0)) {
-          best = r.get();
-        }
-      }
-      if (best == nullptr) break;
+    while (!merger.done()) {
+      const uint8_t* row = merger.top();
       // Under total order the earliest-arrived of a duplicate group pops
       // first, so dropping later key-equal rows keeps the first occurrence.
       bool duplicate = drop_key_duplicates && emitted_any &&
-                       cmp.CompareKeys(best->row(), last_emitted.data()) == 0;
+                       cmp.CompareKeys(row, last_emitted.data()) == 0;
       if (!duplicate) {
-        GHOSTDB_RETURN_NOT_OK(writer.Append(best->row(), width));
+        GHOSTDB_RETURN_NOT_OK(writer.Append(row, width));
         if (drop_key_duplicates) {
-          last_emitted.assign(best->row(), best->row() + width);
+          last_emitted.assign(row, row + width);
           emitted_any = true;
         }
       }
-      GHOSTDB_RETURN_NOT_OK(best->Advance());
+      GHOSTDB_RETURN_NOT_OK(merger.Pop());
     }
     GHOSTDB_ASSIGN_OR_RETURN(storage::RunRef merged, writer.Finish());
     if (stats != nullptr) {
       stats->runs_written += 1;
       stats->pages_written += merged.page_count();
+      stats->merge_pages_written += merged.page_count();
     }
     for (size_t i = take; i-- > 0;) {
       GHOSTDB_RETURN_NOT_OK(storage::FreeRun(allocator, (*runs)[picked[i]],

@@ -4,10 +4,15 @@
 // of the memory-bounded relational tail (SortOp, HashGroupOp). Rows are
 // packed back-to-back across page boundaries (streamed sequentially, never
 // random-accessed). Id-space runs lead with a 4-byte sort key (anchor id or
-// position); spill runs order by a RowComparator over encoded value cells.
+// position); spill runs order by a RowComparator over encoded value cells
+// and end in a 4-byte arrival sequence. A reader streams its run through
+// one page buffer or, when more runs must stream at once than there are
+// buffers, through a smaller window; RowRunMerger merges any number of
+// readers, MergeRowRunsBy rewrites runs into fewer.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,13 +27,18 @@
 
 namespace ghostdb::exec {
 
-/// Width of the trailing u64 arrival-sequence field of a relational-tail
-/// spill row (the stable-sort tie-break).
-inline constexpr uint32_t kSpillSeqWidth = 8;
+/// Width of the trailing u32 arrival-sequence field of a relational-tail
+/// spill row (the stable-sort tie-break). The tail numbers at most one row
+/// per anchor row, and anchor rows are counted by catalog::RowId, so a
+/// RowId-wide sequence cannot wrap; the operators still fail with Internal
+/// rather than wrap if one ever would.
+inline constexpr uint32_t kSpillSeqWidth = 4;
+static_assert(kSpillSeqWidth == sizeof(catalog::RowId),
+              "the arrival sequence numbers at most one row per anchor row");
 
 /// \brief Ordering over fixed-stride encoded rows: a list of typed key
 /// cells (compared via catalog::CompareEncoded, each ASC or DESC) plus an
-/// optional trailing arrival-sequence field (u64, always ascending) that
+/// optional trailing arrival-sequence field (u32, always ascending) that
 /// makes the order total and keeps ties stable across spill generations.
 /// The id-space runs (SJoin output, projection position lists) order by
 /// their leading u32 instead.
@@ -44,7 +54,7 @@ class RowComparator {
   /// The id-space order: ascending on the leading 4-byte key.
   static RowComparator LeadingU32();
 
-  /// Value-space order: `keys` in sequence, then the u64 arrival sequence
+  /// Value-space order: `keys` in sequence, then the u32 arrival sequence
   /// at `seq_offset` ascending (pass kNoSeq for none).
   static RowComparator ByKeys(std::vector<Key> keys, uint32_t seq_offset);
 
@@ -68,6 +78,8 @@ class RowComparator {
 struct SpillStats {
   uint64_t runs_written = 0;   ///< RunWriter::Finish calls (spills + merges)
   uint64_t pages_written = 0;  ///< flash pages those runs occupy
+  /// Of pages_written, the pages MergeRowRunsBy's merge-down rounds wrote.
+  uint64_t merge_pages_written = 0;
   /// Dummy runs/pages written only to pad the run count toward the volume
   /// defense's target (ExecConfig::pad_spill_runs); never read or merged,
   /// freed with the real runs.
@@ -77,11 +89,17 @@ struct SpillStats {
 
 /// \brief Streams fixed-stride rows out of a run, with lookahead on the
 /// leading 4-byte key.
+///
+/// `buffer` holds `window_bytes` bytes (0 = one full page). A window
+/// smaller than a page is the paper's sub-buffer alternative: each page is
+/// loaded in several partial reads, so more runs stream from the same
+/// buffers. Rows may straddle windows and pages.
 class RowRunReader {
  public:
   RowRunReader(flash::FlashDevice* device, storage::RunRef ref,
-               uint32_t row_width, uint8_t* buffer)
-      : reader_(device, std::move(ref), buffer), row_width_(row_width) {
+               uint32_t row_width, uint8_t* buffer, uint32_t window_bytes = 0)
+      : reader_(device, std::move(ref), buffer, window_bytes),
+        row_width_(row_width) {
     row_.resize(row_width);
   }
 
@@ -109,6 +127,33 @@ class RowRunReader {
   uint32_t row_width_;
   std::vector<uint8_t> row_;
   bool has_row_ = false;
+};
+
+/// \brief k-way merge over RowRunReaders: a binary min-heap ordered by
+/// (row under the comparator, input index). The index tie-break makes
+/// rows equal under the comparator (LeadingU32 key ties) pop from the
+/// lowest-index input first, so the output order is fully determined.
+class RowRunMerger {
+ public:
+  /// `cmp` must outlive the merger.
+  explicit RowRunMerger(const RowComparator* cmp) : cmp_(cmp) {}
+
+  /// Primes `reader` and joins it as the next input index.
+  Status Add(std::unique_ptr<RowRunReader> reader);
+
+  bool done() const { return heap_.empty(); }
+  /// The smallest current row (valid until the next Pop()).
+  const uint8_t* top() const { return readers_[heap_.front()]->row(); }
+  /// Advances past top().
+  Status Pop();
+
+ private:
+  bool Less(uint32_t a, uint32_t b) const;
+  void SiftDown(size_t pos);
+
+  const RowComparator* cmp_;
+  std::vector<std::unique_ptr<RowRunReader>> readers_;
+  std::vector<uint32_t> heap_;  ///< indices of readers with a row
 };
 
 /// Merges row runs (each sorted under `cmp`) down to at most `target_count`

@@ -180,44 +180,79 @@ Status ExternalRowSorter::Finish() {
   }
   GHOSTDB_RETURN_NOT_OK(SpillGeneration());
   auto scope = ctx_->clock().Enter(kSpillClockCategory);
-  // The final merge streams one reader buffer per run; merge down first if
-  // the session's free buffers cannot cover the fan-in. The fan-in is
-  // cost-derived from the partition's buffer pool rather than fixed: every
-  // reserved buffer forces extra merge-down rounds (each rewrites the
-  // merged pages once at row_width_ stride), so the reserve is exactly
-  // what the stream's consumer needs while the reader set stays pinned —
-  // one generation-spill buffer (HashGroupOp's arrival-order phase keeps
-  // absorbing this stream and may itself spill) plus
-  // one run-writer buffer for its merge or padding writes. Everything
-  // else becomes merge width; with MergeRowRunsBy's minimal-merge policy,
-  // wider fan-in strictly reduces rewritten pages. All inputs (budget,
-  // stride, buffer counts) are visible, so the merge structure cannot
-  // depend on hidden data.
+  // The final merge streams every run at once. The fan-in is cost-derived
+  // from the partition's buffer pool rather than fixed: the reserve is
+  // exactly what the stream's consumer needs while the reader set stays
+  // pinned — one generation-spill buffer (HashGroupOp's arrival-order
+  // phase keeps absorbing this stream and may itself spill) plus one
+  // run-writer buffer for its merge or padding writes. Everything else
+  // becomes merge width. All inputs (budget, stride, buffer counts) are
+  // visible; the run page counts the overflow rule below reads live on
+  // this device's flash and never reach the channel.
   auto& ram = ctx_->ram();
   uint32_t free = ram.free_buffers();
   constexpr uint32_t kConsumerReserveBuffers = 2;
   size_t fan_in = std::max<size_t>(
       1, free > kConsumerReserveBuffers ? free - kConsumerReserveBuffers : 1);
+  uint32_t window = 0;  // 0 = one full buffer per run
   if (runs_.size() > fan_in) {
-    GHOSTDB_RETURN_NOT_OK(MergeRowRunsBy(&ctx_->flash(), &ram,
-                                         ctx_->allocator, &runs_, row_width_,
-                                         fan_in, tag_, cmp_, dedup_,
-                                         &stats_));
+    window = SubBufferWindow(fan_in);
+    if (window == 0) {
+      GHOSTDB_RETURN_NOT_OK(MergeRowRunsBy(&ctx_->flash(), &ram,
+                                           ctx_->allocator, &runs_,
+                                           row_width_, fan_in, tag_, cmp_,
+                                           dedup_, &stats_));
+    }
   }
-  // Pad after the merge-down so the target covers merge-written runs too,
+  // Pad after any merge-down so the target covers merge-written runs too,
   // and before the reader buffers pin the remaining RAM.
   GHOSTDB_RETURN_NOT_OK(PadSpillRuns());
+  size_t slice = window == 0 ? ram.buffer_size() : window;
+  size_t buffers = window == 0 ? runs_.size() : fan_in;
   GHOSTDB_ASSIGN_OR_RETURN(
       reader_bufs_,
-      device::RamGuard::Acquire(&ram, static_cast<uint32_t>(runs_.size()), tag_));
+      device::RamGuard::Acquire(&ram, static_cast<uint32_t>(buffers), tag_));
+  merger_.emplace(&cmp_);
   for (size_t i = 0; i < runs_.size(); ++i) {
-    readers_.push_back(std::make_unique<RowRunReader>(
+    GHOSTDB_RETURN_NOT_OK(merger_->Add(std::make_unique<RowRunReader>(
         &ctx_->flash(), runs_[i], row_width_,
-        reader_bufs_.data() + i * ram.buffer_size()));
-    GHOSTDB_RETURN_NOT_OK(readers_.back()->Prime());
+        reader_bufs_.data() + i * slice, window)));
   }
   current_.resize(row_width_);
   return Status::OK();
+}
+
+uint32_t ExternalRowSorter::SubBufferWindow(size_t fan_in) const {
+  // The paper's two ways (§3.4) to merge more runs than buffers: write
+  // merged runs first (merge-down, MergeRowRunsBy) or split the buffers
+  // into sub-buffer windows. A window of w bytes loads each page in
+  // ceil(page / w) partial reads — one read latency each, no extra bytes;
+  // a merge-down rewrites (reads and programs) at least the
+  // runs - fan_in + 1 smallest runs in full.
+  const flash::FlashConfig& flash = ctx_->flash().config();
+  uint64_t page = flash.page_size;
+  uint64_t window = (fan_in * page / runs_.size()) & ~uint64_t{7};
+  if (window < kMinSpillWindowBytes) return 0;
+  std::vector<uint64_t> pages;
+  uint64_t total_pages = 0;
+  for (const storage::RunRef& run : runs_) {
+    pages.push_back(run.page_count());
+    total_pages += run.page_count();
+  }
+  SimNanos window_cost = static_cast<SimNanos>(
+      total_pages * ((page + window - 1) / window - 1)) *
+      flash.read_page_latency;
+  size_t merged = runs_.size() - fan_in + 1;
+  std::nth_element(pages.begin(), pages.begin() + static_cast<long>(merged),
+                   pages.end());
+  uint64_t rewritten = std::accumulate(
+      pages.begin(), pages.begin() + static_cast<long>(merged), uint64_t{0});
+  SimNanos page_transfer =
+      static_cast<SimNanos>(page) * flash.byte_transfer_latency;
+  SimNanos merge_cost = static_cast<SimNanos>(rewritten) *
+                        (flash.read_page_latency + flash.write_page_latency +
+                         2 * page_transfer);
+  return window_cost < merge_cost ? static_cast<uint32_t>(window) : 0;
 }
 
 Result<const uint8_t*> ExternalRowSorter::Next() {
@@ -239,17 +274,9 @@ Result<const uint8_t*> ExternalRowSorter::Next() {
     return static_cast<const uint8_t*>(nullptr);
   }
   auto scope = ctx_->clock().Enter(kSpillClockCategory);
-  while (true) {
-    RowRunReader* best = nullptr;
-    for (auto& r : readers_) {
-      if (r->valid() &&
-          (best == nullptr || cmp_.Compare(r->row(), best->row()) < 0)) {
-        best = r.get();
-      }
-    }
-    if (best == nullptr) return static_cast<const uint8_t*>(nullptr);
-    std::copy(best->row(), best->row() + row_width_, current_.begin());
-    GHOSTDB_RETURN_NOT_OK(best->Advance());
+  while (!merger_->done()) {
+    std::copy(merger_->top(), merger_->top() + row_width_, current_.begin());
+    GHOSTDB_RETURN_NOT_OK(merger_->Pop());
     if (dedup_ && have_last_ &&
         cmp_.CompareKeys(current_.data(), last_emitted_.data()) == 0) {
       continue;
@@ -260,12 +287,13 @@ Result<const uint8_t*> ExternalRowSorter::Next() {
     }
     return current_.data();
   }
+  return static_cast<const uint8_t*>(nullptr);
 }
 
 Status ExternalRowSorter::Close() {
   if (closed_) return Status::OK();
   closed_ = true;
-  readers_.clear();
+  merger_.reset();
   reader_bufs_.Release();
   Status status = Status::OK();
   for (const storage::RunRef& run : runs_) {
@@ -289,6 +317,13 @@ Status ExternalRowSorter::PadUnfinished() {
 
 namespace {
 
+void FoldSpillStats(const SpillStats& stats, QueryMetrics* metrics) {
+  metrics->sort_spill_runs += stats.runs_written;
+  metrics->sort_spill_pages += stats.pages_written;
+  metrics->sort_merge_pages += stats.merge_pages_written;
+  metrics->padding_spill_runs += stats.padding_runs_written;
+}
+
 /// The padded-mode dummy-run signature of a sorter that never
 /// materialized, folded into ctx->metrics.
 Status PadUnspilledSorter(ExecContext* ctx, uint32_t stride,
@@ -302,9 +337,7 @@ Status PadUnspilledSorter(ExecContext* ctx, uint32_t stride,
                            RowComparator::ByKeys({}, stride - kSpillSeqWidth),
                            budget_rows, /*drop_key_duplicates=*/false, tag);
   GHOSTDB_RETURN_NOT_OK(sorter.Finish());
-  ctx->metrics->sort_spill_runs += sorter.stats().runs_written;
-  ctx->metrics->sort_spill_pages += sorter.stats().pages_written;
-  ctx->metrics->padding_spill_runs += sorter.stats().padding_runs_written;
+  FoldSpillStats(sorter.stats(), ctx->metrics);
   return sorter.Close();
 }
 
@@ -322,9 +355,7 @@ Status CloseSorterPhase(ExecContext* ctx, ExternalRowSorter* sorter,
     }
   }
   if (sorter == nullptr) return status;
-  ctx->metrics->sort_spill_runs += sorter->stats().runs_written;
-  ctx->metrics->sort_spill_pages += sorter->stats().pages_written;
-  ctx->metrics->padding_spill_runs += sorter->stats().padding_runs_written;
+  FoldSpillStats(sorter->stats(), ctx->metrics);
   Status closed = sorter->Close();
   return status.ok() ? closed : status;
 }

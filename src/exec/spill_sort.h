@@ -1,16 +1,21 @@
 // The memory-bounded sorting core behind the relational tail (SortOp's
 // sort mode, HashGroupOp's sort-based overflow phases).
 //
-// Rows are fixed-width encoded cells with a trailing u64 arrival sequence
+// Rows are fixed-width encoded cells with a trailing u32 arrival sequence
 // (kSpillSeqWidth) that makes every RowComparator order total, so plain
 // std::sort reproduces the operators' stable (arrival-order-ties)
 // semantics. While the working set fits the relational-tail budget the
 // sorter is a plain in-memory permutation sort; past it, each full
 // generation is sorted and written to flash as a fixed-stride row run
-// (storage::RunWriter under the paper's one-buffer discipline), runs are
-// merged down to the fan-in the session's RAM partition can stream
-// (MergeRowRunsBy), and the result is pulled row-at-a-time through
-// RowRunReaders — O(budget) secure memory regardless of input size.
+// (storage::RunWriter under the paper's one-buffer discipline), and the
+// result is pulled row-at-a-time through one heap merge over every run —
+// O(budget) secure memory regardless of input size. When the runs
+// outnumber the buffers the session can give the final merge, the
+// cheaper of the paper's two Merge alternatives (§3.4) serves them:
+// sub-buffer windows (each run streams through a slice of a buffer, so
+// every page is loaded in several partial reads) or merge-down passes
+// (MergeRowRunsBy rewrites the smallest runs into one), chosen by the
+// device's flash latencies (SubBufferWindow).
 //
 // Every flash page the sorter writes or reads (generation runs, merge-down
 // passes, padding runs, the final merge's reads) is charged to one clock
@@ -25,6 +30,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,6 +44,10 @@ namespace ghostdb::exec {
 
 /// Simulated-clock category of all spill I/O.
 inline constexpr const char* kSpillClockCategory = "sort-spill";
+
+/// Smallest sub-buffer window the final merge reads a run through; below
+/// it the sorter merges runs down instead.
+inline constexpr uint32_t kMinSpillWindowBytes = 64;
 
 /// \brief External-memory sorter over fixed-width encoded rows.
 ///
@@ -78,7 +88,9 @@ class ExternalRowSorter {
   Status Add(const uint8_t* row);
 
   /// Seals the input: sorts the tail generation and, if the sorter
-  /// spilled, merges runs down to a streamable fan-in.
+  /// spilled, opens the final merge over its runs (through sub-buffer
+  /// windows, or after merge-down passes, when they outnumber the
+  /// fan-in).
   Status Finish();
 
   /// After Finish(): the next row in sorted order (valid until the next
@@ -104,17 +116,27 @@ class ExternalRowSorter {
   void SortGeneration();
   /// Sorts and writes the current generation as one run, then resets it.
   Status SpillGeneration();
+  /// The final merge's overflow rule, for runs_.size() > fan_in: the
+  /// sub-buffer window w = fan_in * page / runs (rounded down to 8 bytes)
+  /// when it is at least kMinSpillWindowBytes and its extra page loads,
+  /// total_run_pages * (ceil(page / w) - 1) read latencies, cost less than
+  /// a merge-down that reads and programs the runs - fan_in + 1 smallest
+  /// runs; otherwise 0 (merge down).
+  uint32_t SubBufferWindow(size_t fan_in) const;
   /// Volume defense (ExecConfig::pad_spill_runs): writes one-row dummy
   /// runs until the total run count reaches the padding mode's target —
   /// next power of two of the real count (kQuantize) or the visible
   /// worst-case generation count ceil(padding_row_bound / budget_rows)
   /// (kWorstCase; the bound is the anchor's visible row count, see
-  /// ExecContext::padding_row_bound). Dummies are never read or merged and are freed in
-  /// Close(); they reduce the resolution of the per-sorter spill-count
-  /// side channel (CloseSorterPhase pads phases that never finished too;
-  /// a real count past the worst-case target — merge-down runs — still
-  /// shows, so the volume channel, not this one, carries the strict
-  /// guarantee).
+  /// ExecContext::padding_row_bound). Dummies are never read or merged and
+  /// are freed in Close(); they reduce the resolution of the per-sorter
+  /// spill-count side channel (CloseSorterPhase pads phases that never
+  /// finished too). The sorter sees at most one row per anchor row, so its
+  /// generation count never exceeds the kWorstCase target and the padded
+  /// total equals it exactly — unless the final merge fell back to
+  /// merge-down passes (windows under kMinSpillWindowBytes, or dearer),
+  /// whose extra runs still show; the volume channel, not this one,
+  /// carries the strict guarantee.
   Status PadSpillRuns();
   const uint8_t* GenRow(uint32_t index) const {
     return arena_.data() + static_cast<size_t>(index) * row_width_;
@@ -139,8 +161,8 @@ class ExternalRowSorter {
 
   // Emission state (after Finish()).
   size_t emit_pos_ = 0;                     // in-memory mode cursor
-  device::RamGuard reader_bufs_;        // one buffer per final run
-  std::vector<std::unique_ptr<RowRunReader>> readers_;
+  device::RamGuard reader_bufs_;  // one buffer, or one window, per run
+  std::optional<RowRunMerger> merger_;      // over every run
   std::vector<uint8_t> current_;            // merge-mode output row
   std::vector<uint8_t> last_emitted_;       // dedup reference
   bool have_last_ = false;

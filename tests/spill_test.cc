@@ -9,8 +9,14 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/sim_clock.h"
 #include "core/database.h"
+#include "exec/row_run.h"
+#include "exec/spill_sort.h"
+#include "flash/flash.h"
 #include "reference/oracle.h"
+#include "storage/page_allocator.h"
+#include "storage/run.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
 
@@ -27,6 +33,13 @@ GhostDBConfig SpillConfig(uint32_t budget_buffers) {
   cfg.retain_staged_data = true;  // for the oracle
   cfg.exec.sort_budget_buffers = budget_buffers;
   return cfg;
+}
+
+// Spill runs a single-sorter ORDER BY writes for `rows` rows of `stride`
+// bytes (cells plus the arrival sequence) under a one-buffer budget.
+uint64_t GenerationRuns(uint64_t rows, uint32_t stride) {
+  uint64_t per_run = 2048 / stride;
+  return (rows + per_run - 1) / per_run;
 }
 
 // One table, `rows` rows. v is drawn from a small domain so ORDER BY has
@@ -129,6 +142,87 @@ TEST(SpillTest, DistinctSpillSurvivesRunCountNearFreeBufferCount) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ExpectMatchesOracle(&db, sql, *r);
   }
+}
+
+TEST(SpillTest, MoreRunsThanBuffersStreamThroughSubBufferWindows) {
+  // ~71 generation runs against a 32-buffer device: the final merge reads
+  // every run through a slice of a buffer instead of merging runs down, so
+  // the only spill pages written are the generations'.
+  GhostDB db(SpillConfig(1));
+  BuildBig(&db, 12000);
+  const char* sql = "SELECT R.id, R.v FROM R WHERE R.h >= 0 ORDER BY R.v";
+  auto r = db.Query(sql);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  uint64_t generations = GenerationRuns(12000, 4 + 4 + exec::kSpillSeqWidth);
+  EXPECT_GT(generations, db.device().ram().total_buffers());
+  EXPECT_EQ(r->metrics.sort_spill_runs, generations);
+  EXPECT_EQ(r->metrics.sort_merge_pages, 0u);
+  EXPECT_EQ(r->metrics.sort_spill_pages, generations);  // one page each
+  ExpectMatchesOracle(&db, sql, *r);
+}
+
+TEST(SpillTest, WindowsUnderMinimumFallBackToMergeDown) {
+  // A 6-buffer device leaves a final-merge fan-in of at most 4 buffers;
+  // ~142 runs would get windows under kMinSpillWindowBytes, so the sorter
+  // merges runs down first — and still answers exactly.
+  GhostDBConfig cfg = SpillConfig(1);
+  cfg.device.ram_bytes = 6 * 2048;
+  GhostDB db(cfg);
+  BuildBig(&db, 24000);
+  const char* sql = "SELECT R.id, R.v FROM R WHERE R.h >= 0 ORDER BY R.v";
+  auto r = db.Query(sql);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  uint64_t generations = GenerationRuns(24000, 4 + 4 + exec::kSpillSeqWidth);
+  uint64_t max_fan_in = db.device().ram().total_buffers() - 2;
+  EXPECT_LT(max_fan_in * 2048 / generations, exec::kMinSpillWindowBytes);
+  EXPECT_GT(r->metrics.sort_merge_pages, 0u);
+  EXPECT_EQ(r->metrics.sort_spill_pages,
+            generations + r->metrics.sort_merge_pages);
+  ExpectMatchesOracle(&db, sql, *r);
+}
+
+TEST(SpillTest, RowRunReaderRowsStraddleWindowsAndPages) {
+  // 28-byte rows through 200-byte windows: neither divides the other or
+  // the 2048-byte page, so rows cross window and page edges. Every page
+  // is loaded in ceil(bytes on it / 200) partial reads.
+  SimClock clock;
+  flash::FlashConfig flash_cfg;
+  flash_cfg.logical_pages = 1024;
+  flash::FlashDevice flash(flash_cfg, &clock);
+  storage::PageAllocator allocator(&flash);
+  constexpr uint32_t kWidth = 28, kWindow = 200, kRows = 500;
+  std::vector<uint8_t> page(2048), row(kWidth);
+  storage::RunWriter writer(&flash, &allocator, page.data(), "straddle");
+  for (uint32_t i = 0; i < kRows; ++i) {
+    for (uint32_t b = 0; b < kWidth; ++b) {
+      row[b] = static_cast<uint8_t>(i * 7 + b);
+    }
+    ASSERT_TRUE(writer.Append(row.data(), kWidth).ok());
+  }
+  auto run = writer.Finish();
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  uint64_t bytes = run->bytes;
+  uint32_t pages = run->page_count();
+  uint64_t expected_loads = 0;
+  for (uint32_t p = 0; p < pages; ++p) {
+    uint64_t on_page = std::min<uint64_t>(2048, bytes - p * uint64_t{2048});
+    expected_loads += (on_page + kWindow - 1) / kWindow;
+  }
+  uint64_t loads_before = flash.stats().pages_read;
+  std::vector<uint8_t> window(kWindow);
+  exec::RowRunReader reader(&flash, *run, kWidth, window.data(), kWindow);
+  ASSERT_TRUE(reader.Prime().ok());
+  for (uint32_t i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(reader.valid()) << i;
+    for (uint32_t b = 0; b < kWidth; ++b) {
+      ASSERT_EQ(reader.row()[b], static_cast<uint8_t>(i * 7 + b))
+          << "row " << i << " byte " << b;
+    }
+    ASSERT_TRUE(reader.Advance().ok());
+  }
+  EXPECT_FALSE(reader.valid());
+  EXPECT_EQ(flash.stats().pages_read - loads_before, expected_loads);
+  ASSERT_TRUE(storage::FreeRun(&allocator, *run, "straddle").ok());
 }
 
 TEST(SpillTest, TopKHeapStaysInMemoryAndMatchesOracle) {
