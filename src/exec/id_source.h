@@ -43,8 +43,8 @@ class VectorIdSource final : public IdSource {
   size_t pos_ = 0;
 };
 
-/// A climbing-index posting sublist on flash; needs one RAM buffer (or a
-/// sub-buffer window in the Merge sub-buffer mode).
+/// A climbing-index posting sublist on flash; needs one RAM buffer, or a
+/// sub-buffer window when the Merge-alternative rule picks windows.
 class PostingIdSource final : public IdSource {
  public:
   PostingIdSource(flash::FlashDevice* device, const storage::RunRef* area,

@@ -1,18 +1,155 @@
 #include "exec/merge.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace ghostdb::exec {
 
 using catalog::RowId;
 
-uint64_t MergeGroup::TotalIds() const {
-  uint64_t n = 0;
-  for (const auto& [area, range] : sublists) n += range.count;
-  for (const auto& run : runs) n += run.bytes / 4;
-  if (has_ram_ids) n += ram_ids.size();
-  if (has_iota) n += iota_n;
-  return n;
+namespace {
+
+/// Extra partial loads reading `span` through `window`-byte windows costs
+/// over full-page loads: ceil(segment / window) - 1 per page segment.
+uint64_t ExtraWindowLoads(const StreamSpan& span, uint64_t window,
+                          uint64_t page) {
+  if (span.bytes == 0) return 0;
+  auto extra = [&](uint64_t segment) {
+    return (segment + window - 1) / window - 1;
+  };
+  uint64_t first = std::min(span.bytes, page - span.offset % page);
+  uint64_t rest = span.bytes - first;
+  uint64_t loads = extra(first) + rest / page * extra(page);
+  if (rest % page != 0) loads += extra(rest % page);
+  return loads;
+}
+
+/// \brief Min-heap union over ascending id sources: head() is the smallest
+/// head among them, and the Skip calls advance exactly the sources whose
+/// head lies below their bound.
+class IdUnion {
+ public:
+  /// Primes every source and heaps the non-empty ones.
+  Status Init(std::vector<std::unique_ptr<IdSource>> sources) {
+    sources_ = std::move(sources);
+    for (uint32_t i = 0; i < sources_.size(); ++i) {
+      GHOSTDB_RETURN_NOT_OK(sources_[i]->Prime());
+      if (sources_[i]->valid()) heap_.push_back(i);
+    }
+    std::make_heap(heap_.begin(), heap_.end(), Order());
+    return Status::OK();
+  }
+
+  bool valid() const { return !heap_.empty(); }
+  RowId head() const { return sources_[heap_.front()]->head(); }
+
+  /// Advances every source whose head is below `bound`.
+  Status SkipTo(RowId bound) {
+    while (valid() && head() < bound) GHOSTDB_RETURN_NOT_OK(AdvanceTop());
+    return Status::OK();
+  }
+
+  /// Advances every source whose head is at most `id`.
+  Status SkipPast(RowId id) {
+    while (valid() && head() <= id) GHOSTDB_RETURN_NOT_OK(AdvanceTop());
+    return Status::OK();
+  }
+
+ private:
+  /// Heap order: std's max-heap algorithms over "greater head" keep the
+  /// smallest head on top.
+  struct HeadGreater {
+    const IdUnion* self;
+    bool operator()(uint32_t a, uint32_t b) const {
+      return self->sources_[a]->head() > self->sources_[b]->head();
+    }
+  };
+  HeadGreater Order() const { return {this}; }
+
+  Status AdvanceTop() {
+    std::pop_heap(heap_.begin(), heap_.end(), Order());
+    IdSource* top = sources_[heap_.back()].get();
+    GHOSTDB_RETURN_NOT_OK(top->Advance());
+    if (top->valid()) {
+      std::push_heap(heap_.begin(), heap_.end(), Order());
+    } else {
+      heap_.pop_back();
+    }
+    return Status::OK();
+  }
+
+  std::vector<std::unique_ptr<IdSource>> sources_;
+  std::vector<uint32_t> heap_;  ///< indices of sources with a head
+};
+
+/// The reduction's fattest-group allowance loop: while the groups' flash
+/// streams exceed `stream_cap`, reduce the fattest group to the cap minus
+/// every other group's streams (at least 1). Shared by the dry run and
+/// the real reduction so both shrink the same groups to the same sizes.
+Status ReduceFattestGroups(
+    size_t group_count, size_t stream_cap,
+    const std::function<size_t(size_t)>& streams,
+    const std::function<Status(size_t, size_t)>& reduce) {
+  while (true) {
+    size_t total = 0;
+    size_t fattest = 0;
+    for (size_t gi = 0; gi < group_count; ++gi) {
+      total += streams(gi);
+      if (streams(gi) > streams(fattest)) fattest = gi;
+    }
+    if (total <= stream_cap) return Status::OK();
+    size_t others = total - streams(fattest);
+    size_t allowance = stream_cap > others + 1 ? stream_cap - others : 1;
+    if (streams(fattest) <= allowance) {
+      return Status::Internal("merge reduction made no progress");
+    }
+    GHOSTDB_RETURN_NOT_OK(reduce(fattest, allowance));
+  }
+}
+
+/// The byte spans of a group's flash streams.
+std::vector<StreamSpan> FlashSpans(const MergeGroup& group) {
+  std::vector<StreamSpan> spans;
+  for (const auto& [area, range] : group.sublists) {
+    spans.push_back({uint64_t{range.start} * 4, uint64_t{range.count} * 4});
+  }
+  for (const auto& run : group.runs) spans.push_back({0, run.bytes});
+  return spans;
+}
+
+}  // namespace
+
+MergeAlternative ChooseMergeAlternative(
+    const flash::FlashConfig& flash, size_t buffers,
+    const std::function<MergeReduction(size_t)>& reduce) {
+  uint64_t page = flash.page_size;
+  SimNanos rewrite = flash.read_page_latency + flash.write_page_latency +
+                     2 * page * flash.byte_transfer_latency;
+  MergeAlternative full{buffers, 0};
+  MergeReduction full_plan = reduce(buffers);
+  if (full_plan.feasible && full_plan.pages_written == 0) return full;
+  SimNanos full_cost = full_plan.feasible
+                           ? full_plan.pages_written * rewrite
+                           : std::numeric_limits<SimNanos>::max();
+  size_t window_cap = buffers * page / kMinSpillWindowBytes;
+  MergeReduction window_plan = reduce(window_cap);
+  // At or under one stream per buffer the windows are whole pages: plan B
+  // is plan A.
+  if (!window_plan.feasible || window_plan.streams.size() <= buffers) {
+    return full;
+  }
+  uint64_t window =
+      (buffers * page / window_plan.streams.size()) & ~uint64_t{3};
+  uint64_t loads = 0;
+  for (const StreamSpan& span : window_plan.streams) {
+    loads += ExtraWindowLoads(span, window, page);
+  }
+  SimNanos window_cost = window_plan.pages_written * rewrite +
+                         loads * flash.read_page_latency;
+  if (window_cost < full_cost) {
+    return {window_cap, static_cast<uint32_t>(window)};
+  }
+  return full;
 }
 
 Status MergeExec::ReduceGroup(MergeGroup* group, size_t target_streams) {
@@ -95,33 +232,22 @@ Status MergeExec::ReduceGroup(MergeGroup* group, size_t target_streams) {
     GHOSTDB_ASSIGN_OR_RETURN(
         device::RamGuard stream_bufs,
         device::RamGuard::Acquire(ram_, static_cast<uint32_t>(take), "merge-reduce-fanin"));
-    std::vector<std::unique_ptr<RunIdSource>> sources;
+    std::vector<std::unique_ptr<IdSource>> sources;
     for (size_t i = 0; i < take; ++i) {
       sources.push_back(std::make_unique<RunIdSource>(
           device_, new_runs[i],
           stream_bufs.data() + i * ram_->buffer_size()));
-      GHOSTDB_RETURN_NOT_OK(sources.back()->Prime());
     }
+    IdUnion merged_ids;
+    GHOSTDB_RETURN_NOT_OK(merged_ids.Init(std::move(sources)));
     storage::RunWriter writer(device_, allocator_, write_buf.data(),
                               "merge-tmp");
-    while (true) {
-      // Union-merge: emit the global min (keeping duplicates is harmless).
-      bool any = false;
-      RowId min_id = 0;
-      for (auto& s : sources) {
-        if (s->valid() && (!any || s->head() < min_id)) {
-          min_id = s->head();
-          any = true;
-        }
-      }
-      if (!any) break;
+    while (merged_ids.valid()) {
+      // Union-merge: emit the global min once.
+      RowId min_id = merged_ids.head();
       GHOSTDB_RETURN_NOT_OK(writer.AppendU32(min_id));
       stats_.reduction_ids_written += 1;
-      for (auto& s : sources) {
-        while (s->valid() && s->head() == min_id) {
-          GHOSTDB_RETURN_NOT_OK(s->Advance());
-        }
-      }
+      GHOSTDB_RETURN_NOT_OK(merged_ids.SkipPast(min_id));
     }
     GHOSTDB_ASSIGN_OR_RETURN(storage::RunRef merged, writer.Finish());
     new_runs.push_back(std::move(merged));  // owned before inputs are freed
@@ -146,109 +272,122 @@ Status MergeExec::ReduceGroup(MergeGroup* group, size_t target_streams) {
   return status;
 }
 
+MergeReduction MergeExec::ModelReduction(
+    const std::vector<MergeGroup>& groups, size_t stream_cap) const {
+  // ReduceGroup's I/O, replayed on stream sizes: pass 1 writes every id of
+  // the group in sort-area chunks ((free - 2) buffers each); pass 2 merges
+  // the first `fan_in` runs into one until the target is met.
+  MergeReduction model;
+  uint64_t page = device_->config().page_size;
+  uint32_t free = ram_->free_buffers();
+  std::vector<std::vector<StreamSpan>> spans;
+  for (const auto& g : groups) spans.push_back(FlashSpans(g));
+  auto reduce = [&](size_t gi, size_t target) -> Status {
+    if (free < 3) return Status::ResourceExhausted("too few buffers");
+    uint64_t bytes = 0;
+    for (const StreamSpan& span : spans[gi]) bytes += span.bytes;
+    uint64_t chunk = uint64_t{free - 2} * ram_->buffer_size() / 4 * 4;
+    std::vector<uint64_t> runs;
+    for (uint64_t done = 0; done < bytes; done += chunk) {
+      runs.push_back(std::min(chunk, bytes - done));
+    }
+    auto write = [&](uint64_t run_bytes) {
+      model.pages_written += (run_bytes + page - 1) / page;
+    };
+    for (uint64_t run : runs) write(run);
+    size_t fan_in = free - 3;
+    while (runs.size() > target) {
+      size_t take = std::min(fan_in, runs.size());
+      if (take < 2) return Status::ResourceExhausted("no progress");
+      uint64_t merged = 0;
+      for (size_t i = 0; i < take; ++i) merged += runs[i];
+      write(merged);
+      runs.erase(runs.begin(), runs.begin() + static_cast<long>(take));
+      runs.push_back(merged);
+    }
+    spans[gi].clear();
+    for (uint64_t run : runs) spans[gi].push_back({0, run});
+    return Status::OK();
+  };
+  model.feasible =
+      ReduceFattestGroups(
+          groups.size(), stream_cap,
+          [&](size_t gi) { return spans[gi].size(); }, reduce)
+          .ok();
+  for (const auto& group_spans : spans) {
+    model.streams.insert(model.streams.end(), group_spans.begin(),
+                         group_spans.end());
+  }
+  return model;
+}
+
 Status MergeExec::StreamingMerge(
     std::vector<MergeGroup>& groups,
-    const std::function<Status(RowId)>& sink, uint32_t usable_buffers) {
+    const std::function<Status(RowId)>& sink, uint32_t usable_buffers,
+    uint32_t window_bytes) {
   size_t total_streams = 0;
   for (auto& g : groups) total_streams += g.FlashStreams();
   stats_.peak_streams =
       std::max<uint32_t>(stats_.peak_streams,
                          static_cast<uint32_t>(total_streams));
+  stats_.window_bytes = window_bytes;
 
+  // One full buffer per stream, or the usable buffers cut into windows.
   device::RamGuard stream_bufs;
-  size_t window = ram_->buffer_size();
+  size_t slice = window_bytes == 0 ? ram_->buffer_size() : window_bytes;
   if (total_streams > 0) {
-    uint32_t buffers_needed = static_cast<uint32_t>(total_streams);
-    if (policy_ == MergeOverflowPolicy::kSubBuffer &&
-        total_streams > usable_buffers) {
-      // Split the usable buffers into equal sub-buffers (paper alt. 2).
-      buffers_needed = usable_buffers;
-      size_t bytes = static_cast<size_t>(usable_buffers) *
-                     ram_->buffer_size() / total_streams;
-      window = std::max<size_t>(64, bytes & ~size_t{3});
-    }
-    GHOSTDB_ASSIGN_OR_RETURN(stream_bufs,
-                             device::RamGuard::Acquire(ram_, buffers_needed, "merge-streams"));
+    uint32_t buffers = window_bytes == 0
+                           ? static_cast<uint32_t>(total_streams)
+                           : usable_buffers;
+    GHOSTDB_ASSIGN_OR_RETURN(
+        stream_bufs, device::RamGuard::Acquire(ram_, buffers, "merge-streams"));
   }
-
-  // Wire up sources, slicing the buffer arena into windows.
-  std::vector<std::vector<std::unique_ptr<IdSource>>> group_sources(
-      groups.size());
   size_t cursor = 0;
   auto next_window = [&]() {
     uint8_t* p = stream_bufs.data() + cursor;
-    cursor += window;
+    cursor += slice;
     return p;
   };
-  uint32_t window_bytes = static_cast<uint32_t>(window);
+  std::vector<IdUnion> unions(groups.size());
   for (size_t gi = 0; gi < groups.size(); ++gi) {
     auto& g = groups[gi];
+    std::vector<std::unique_ptr<IdSource>> sources;
     for (const auto& [area, range] : g.sublists) {
-      group_sources[gi].push_back(std::make_unique<PostingIdSource>(
+      sources.push_back(std::make_unique<PostingIdSource>(
           device_, area, range, next_window(), window_bytes));
     }
     for (const auto& run : g.runs) {
-      group_sources[gi].push_back(std::make_unique<RunIdSource>(
+      sources.push_back(std::make_unique<RunIdSource>(
           device_, run, next_window(), window_bytes));
     }
     if (g.has_ram_ids) {
-      group_sources[gi].push_back(
-          std::make_unique<VectorIdSource>(g.ram_ids));
+      sources.push_back(std::make_unique<VectorIdSource>(g.ram_ids));
     }
     if (g.has_iota) {
-      group_sources[gi].push_back(std::make_unique<IotaIdSource>(g.iota_n));
+      sources.push_back(std::make_unique<IotaIdSource>(g.iota_n));
     }
-  }
-  for (auto& sources : group_sources) {
-    for (auto& s : sources) {
-      GHOSTDB_RETURN_NOT_OK(s->Prime());
-    }
+    GHOSTDB_RETURN_NOT_OK(unions[gi].Init(std::move(sources)));
   }
 
   // Intersection of unions, streaming.
-  auto group_min = [&](size_t gi, RowId* out) {
-    bool any = false;
-    RowId min_id = 0;
-    for (auto& s : group_sources[gi]) {
-      if (s->valid() && (!any || s->head() < min_id)) {
-        min_id = s->head();
-        any = true;
-      }
-    }
-    *out = min_id;
-    return any;
-  };
-
   while (true) {
     // Candidate: max over group minima; if any group is exhausted, done.
     RowId candidate = 0;
-    for (size_t gi = 0; gi < groups.size(); ++gi) {
-      RowId gmin;
-      if (!group_min(gi, &gmin)) return Status::OK();
-      candidate = std::max(candidate, gmin);
+    for (const IdUnion& u : unions) {
+      if (!u.valid()) return Status::OK();
+      candidate = std::max(candidate, u.head());
     }
     // Advance every group to >= candidate; restart if any overshoots.
     bool aligned = true;
-    for (size_t gi = 0; gi < groups.size() && aligned; ++gi) {
-      for (auto& s : group_sources[gi]) {
-        while (s->valid() && s->head() < candidate) {
-          GHOSTDB_RETURN_NOT_OK(s->Advance());
-        }
-      }
-      RowId gmin;
-      if (!group_min(gi, &gmin)) return Status::OK();
-      if (gmin > candidate) aligned = false;
+    for (size_t gi = 0; gi < unions.size() && aligned; ++gi) {
+      GHOSTDB_RETURN_NOT_OK(unions[gi].SkipTo(candidate));
+      if (!unions[gi].valid()) return Status::OK();
+      if (unions[gi].head() > candidate) aligned = false;
     }
     if (!aligned) continue;
     GHOSTDB_RETURN_NOT_OK(sink(candidate));
     stats_.ids_emitted += 1;
-    for (auto& sources : group_sources) {
-      for (auto& s : sources) {
-        while (s->valid() && s->head() == candidate) {
-          GHOSTDB_RETURN_NOT_OK(s->Advance());
-        }
-      }
-    }
+    for (IdUnion& u : unions) GHOSTDB_RETURN_NOT_OK(u.SkipPast(candidate));
   }
 }
 
@@ -261,38 +400,16 @@ Status MergeExec::Run(std::vector<MergeGroup> groups,
     return Status::ResourceExhausted("merge has no usable RAM buffers");
   }
   uint32_t usable = ram_->free_buffers() - reserve_buffers;
-
-  // Stream capacity: one full buffer per stream under the reduction
-  // policy; 64-byte sub-buffers at minimum under the sub-buffer policy
-  // (beyond that even sub-buffering cannot help and reduction kicks in).
-  {
-    size_t stream_cap =
-        policy_ == MergeOverflowPolicy::kReduction
-            ? usable
-            : usable * ram_->buffer_size() / 64;
-    // Shrink groups until every flash stream can own a (sub-)buffer.
-    while (true) {
-      size_t total = 0;
-      for (auto& g : groups) total += g.FlashStreams();
-      if (total <= stream_cap) break;
-      // Reduce the fattest group to its fair allowance.
-      size_t fattest = 0;
-      for (size_t gi = 1; gi < groups.size(); ++gi) {
-        if (groups[gi].FlashStreams() > groups[fattest].FlashStreams()) {
-          fattest = gi;
-        }
-      }
-      size_t others = total - groups[fattest].FlashStreams();
-      size_t allowance =
-          stream_cap > others + 1 ? stream_cap - others : 1;
-      if (groups[fattest].FlashStreams() <= allowance) {
-        return Status::Internal("merge reduction made no progress");
-      }
-      GHOSTDB_RETURN_NOT_OK(ReduceGroup(&groups[fattest], allowance));
-    }
-  }
-
-  return StreamingMerge(groups, sink, usable);
+  MergeAlternative plan = ChooseMergeAlternative(
+      device_->config(), usable,
+      [&](size_t cap) { return ModelReduction(groups, cap); });
+  GHOSTDB_RETURN_NOT_OK(ReduceFattestGroups(
+      groups.size(), plan.stream_cap,
+      [&](size_t gi) { return groups[gi].FlashStreams(); },
+      [&](size_t gi, size_t allowance) {
+        return ReduceGroup(&groups[gi], allowance);
+      }));
+  return StreamingMerge(groups, sink, usable, plan.window_bytes);
   }();
 
   // Consume input runs — reached on error paths too, so a faulted merge

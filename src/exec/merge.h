@@ -2,13 +2,15 @@
 //   (L1 ∩ L2 ∩ ... ∩ Lk)    where each Li = (Li1 ∪ Li2 ∪ ... ∪ Lij)
 // over sorted id (sub)lists, in bounded RAM.
 //
-// Every flash-resident sublist/run needs one RAM buffer to stream. When the
-// total number of streams exceeds the buffers available, Merge first runs a
-// REDUCTION PHASE (the paper's alternative 1): it loads as many ids of one
-// group as fit in RAM, sorts them, writes them back as a single sorted run,
-// and repeats — shrinking the group's stream count until everything fits.
-// (Alternative 2 — sub-buffer splitting — is implemented as an option for
-// the ablation bench; it trades extra page reads for avoiding temp writes.)
+// Every flash-resident sublist/run streams through RAM. When the streams
+// outnumber the buffers available, the paper gives Merge two alternatives:
+// a REDUCTION PHASE (alternative 1: load as many ids of one group as fit
+// in RAM, sort them, write them back as one sorted run, and repeat until
+// the streams fit) and SUB-BUFFER SPLITTING (alternative 2: stream every
+// list through a slice of a buffer, loading each page in several partial
+// reads). ChooseMergeAlternative prices both from the flash latencies and
+// picks the cheaper; MergeExec and the relational tail's sorter
+// (ExternalRowSorter) both follow it.
 #pragma once
 
 #include <functional>
@@ -49,11 +51,47 @@ struct MergeGroup {
   size_t FlashStreams() const { return sublists.size() + runs.size(); }
 };
 
-/// How Merge copes with more streams than buffers.
-enum class MergeOverflowPolicy {
-  kReduction,   ///< paper alternative 1: pre-union sublists into runs
-  kSubBuffer,   ///< paper alternative 2: split buffers into sub-buffers
+/// Smallest sub-buffer window a merge reads a stream through: below it
+/// the Merge-alternative rule reduces streams instead of narrowing windows.
+inline constexpr uint32_t kMinSpillWindowBytes = 64;
+
+/// The bytes of one sorted stream on flash: `bytes` bytes starting at byte
+/// `offset` of its run or postings area (whose pages are page-aligned).
+struct StreamSpan {
+  uint64_t offset = 0;
+  uint64_t bytes = 0;
 };
+
+/// What a merge's own reduction would do to bring its streams down to a
+/// cap: the pages it programs (each read back once by the final merge)
+/// and the spans of the streams left.
+struct MergeReduction {
+  bool feasible = true;  ///< false: the reduction cannot run (too few buffers)
+  uint64_t pages_written = 0;
+  std::vector<StreamSpan> streams;
+};
+
+/// The rule's pick: reduce until at most `stream_cap` streams remain, then
+/// read each through `window_bytes` (0 = one full buffer per stream).
+struct MergeAlternative {
+  size_t stream_cap = 0;
+  uint32_t window_bytes = 0;
+};
+
+/// The paper's §3.4 choice for a merge of more sorted streams than its
+/// `buffers` RAM buffers, made from stream sizes alone.
+///   Plan A (full buffers): reduce down to `buffers` streams.
+///   Plan B (windows): reduce only down to buffers * page / 64 streams,
+///   then read every stream through w = floor(buffers * page / streams)
+///   bytes, rounded down to 4 (the id width).
+/// A plan costs its reduction's pages_written * (read + program + 2 page
+/// transfers) plus, for B, one read latency per extra window load: over
+/// each page segment of a stream's span, ceil(segment / w) - 1 — what
+/// storage::RunReader and storage::PostingCursor load. `reduce(cap)`
+/// describes the caller's reduction down to `cap` streams. Ties go to A.
+MergeAlternative ChooseMergeAlternative(
+    const flash::FlashConfig& flash, size_t buffers,
+    const std::function<MergeReduction(size_t stream_cap)>& reduce);
 
 /// Execution statistics (observable costs for tests and benches).
 struct MergeStats {
@@ -61,23 +99,23 @@ struct MergeStats {
   uint64_t reduction_ids_written = 0;
   uint64_t ids_emitted = 0;
   uint32_t peak_streams = 0;
+  /// Sub-buffer window the streaming phase read each flash stream
+  /// through (0 = one full buffer per stream).
+  uint32_t window_bytes = 0;
 };
 
 /// \brief RAM-bounded n-ary intersection-of-unions over sorted id streams.
 class MergeExec {
  public:
   MergeExec(flash::FlashDevice* device, device::RamManager* ram,
-            storage::PageAllocator* allocator, SimClock* clock,
-            MergeOverflowPolicy policy = MergeOverflowPolicy::kReduction)
-      : device_(device),
-        ram_(ram),
-        allocator_(allocator),
-        clock_(clock),
-        policy_(policy) {}
+            storage::PageAllocator* allocator, SimClock* clock)
+      : device_(device), ram_(ram), allocator_(allocator), clock_(clock) {}
 
   /// Runs the merge; emits ascending, deduplicated ids that appear in every
   /// group. `reserve_buffers` RAM buffers are left free for downstream
-  /// pipelined operators. Groups' temporary runs are freed.
+  /// pipelined operators; the rest serve the streams, through full buffers
+  /// or sub-buffer windows as ChooseMergeAlternative picks. Groups'
+  /// temporary runs are freed.
   Status Run(std::vector<MergeGroup> groups,
              const std::function<Status(catalog::RowId)>& sink,
              uint32_t reserve_buffers = 0);
@@ -88,16 +126,21 @@ class MergeExec {
   /// Reduces `group` so it uses at most `target_streams` flash streams.
   Status ReduceGroup(MergeGroup* group, size_t target_streams);
 
-  /// Final streaming phase; one buffer (or sub-buffer) per flash stream.
+  /// What reducing `groups` to `stream_cap` streams would write and leave
+  /// (the dry run ChooseMergeAlternative prices).
+  MergeReduction ModelReduction(const std::vector<MergeGroup>& groups,
+                                size_t stream_cap) const;
+
+  /// Final streaming phase: one full buffer per flash stream
+  /// (`window_bytes` 0), or `usable_buffers` split into windows.
   Status StreamingMerge(std::vector<MergeGroup>& groups,
                         const std::function<Status(catalog::RowId)>& sink,
-                        uint32_t usable_buffers);
+                        uint32_t usable_buffers, uint32_t window_bytes);
 
   flash::FlashDevice* device_;
   device::RamManager* ram_;
   storage::PageAllocator* allocator_;
   SimClock* clock_;
-  MergeOverflowPolicy policy_;
   MergeStats stats_;
 };
 

@@ -136,6 +136,7 @@ void QueryMetrics::Accumulate(const QueryMetrics& other) {
   merge.reduction_ids_written += other.merge.reduction_ids_written;
   merge.ids_emitted += other.merge.ids_emitted;
   merge.peak_streams = std::max(merge.peak_streams, other.merge.peak_streams);
+  merge.window_bytes = std::max(merge.window_bytes, other.merge.window_bytes);
   bloom_fpr_estimate = std::max(bloom_fpr_estimate, other.bloom_fpr_estimate);
   plan_cache_hits += other.plan_cache_hits;
   plan_cache_misses += other.plan_cache_misses;

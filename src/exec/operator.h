@@ -80,7 +80,6 @@ inline uint64_t NextPowerOfTwo(uint64_t n) {
 
 /// Execution knobs (defaults follow the paper).
 struct ExecConfig {
-  MergeOverflowPolicy merge_policy = MergeOverflowPolicy::kReduction;
   /// Bloom sizing target: m/n bits per element (paper: 8).
   double bloom_target_bpe = 8.0;
   /// Below this achievable m/n a Post-Filter is not worth executing
@@ -133,6 +132,8 @@ struct QueryMetrics {
   uint64_t qepsj_rows = 0;     ///< rows out of QEP_SJ (superset w/ blooms)
   uint64_t result_rows = 0;    ///< exact final row count
   uint32_t peak_ram_buffers = 0;
+  /// Summed over the statement's merges; peak_streams and window_bytes
+  /// are the largest any merge used.
   MergeStats merge;
   double bloom_fpr_estimate = 0.0;  ///< worst filter used in QEP_SJ
   uint64_t plan_cache_hits = 0;     ///< 1 if this query reused a cached plan

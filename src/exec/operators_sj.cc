@@ -245,7 +245,7 @@ Status HiddenSelector::CrossIntersect(const VisTable& vt,
     groups.push_back(std::move(g));
   }
   MergeExec merge(&ctx_->flash(), &ctx_->ram(), ctx_->allocator,
-                  &ctx_->clock(), ctx_->config->merge_policy);
+                  &ctx_->clock());
   auto scope = ctx_->clock().Enter("merge");
   GHOSTDB_RETURN_NOT_OK(merge.Run(
       std::move(groups),
@@ -257,6 +257,8 @@ Status HiddenSelector::CrossIntersect(const VisTable& vt,
   ctx_->metrics->merge.reduction_rounds += merge.stats().reduction_rounds;
   ctx_->metrics->merge.reduction_ids_written +=
       merge.stats().reduction_ids_written;
+  ctx_->metrics->merge.window_bytes = std::max(
+      ctx_->metrics->merge.window_bytes, merge.stats().window_bytes);
   return Status::OK();
 }
 
@@ -438,7 +440,7 @@ Status MergeOp::Open() {
 
 Status MergeOp::Drive(const std::function<Status(RowId)>& sink) {
   MergeExec merge(&ctx_->flash(), &ctx_->ram(), ctx_->allocator,
-                  &ctx_->clock(), ctx_->config->merge_policy);
+                  &ctx_->clock());
   {
     auto merge_scope = ctx_->clock().Enter("merge");
     GHOSTDB_RETURN_NOT_OK(merge.Run(std::move(ctx_->pipeline.anchor_groups),
@@ -451,6 +453,8 @@ Status MergeOp::Drive(const std::function<Status(RowId)>& sink) {
   stats.reduction_ids_written += merge.stats().reduction_ids_written;
   stats.peak_streams =
       std::max(stats.peak_streams, merge.stats().peak_streams);
+  stats.window_bytes =
+      std::max(stats.window_bytes, merge.stats().window_bytes);
   return Status::OK();
 }
 

@@ -87,6 +87,30 @@ void RowRunMerger::SiftDown(size_t pos) {
   }
 }
 
+std::vector<size_t> PickMergeDownRuns(const std::vector<uint64_t>& pages,
+                                      size_t target_count,
+                                      uint32_t free_buffers) {
+  // Cost-chosen merge width: one round merging `take` runs into one
+  // shrinks the count by take - 1, so merging more than (excess + 1)
+  // runs rewrites pages that could have streamed straight into the final
+  // fan-in merge. Take exactly what reaching target_count needs (capped
+  // by the reader buffers available), and take the *smallest* runs so
+  // the rewritten page count per round is minimal. The selection depends
+  // only on run page counts already on this device's flash — never on
+  // row values — so the merge structure stays deterministic and off the
+  // channel.
+  size_t excess = pages.size() - target_count;
+  size_t take = std::min<size_t>(free_buffers - 1, excess + 1);
+  std::vector<size_t> order(pages.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t a, size_t b) { return pages[a] < pages[b]; });
+  std::vector<size_t> picked(order.begin(),
+                             order.begin() + static_cast<long>(take));
+  std::sort(picked.begin(), picked.end());
+  return picked;
+}
+
 Status MergeRowRunsBy(flash::FlashDevice* device, device::RamManager* ram,
                       storage::PageAllocator* allocator,
                       std::vector<storage::RunRef>* runs, uint32_t width,
@@ -99,25 +123,10 @@ Status MergeRowRunsBy(flash::FlashDevice* device, device::RamManager* ram,
     if (free < 3) {
       return Status::ResourceExhausted("row-run merge needs 3 buffers");
     }
-    // Cost-chosen merge width: one round merging `take` runs into one
-    // shrinks the count by take - 1, so merging more than (excess + 1)
-    // runs rewrites pages that could have streamed straight into the final
-    // fan-in merge. Take exactly what reaching target_count needs (capped
-    // by the reader buffers available), and take the *smallest* runs so
-    // the rewritten page count per round is minimal. The selection depends
-    // only on run page counts already on this device's flash — never on
-    // row values — so the merge structure stays deterministic and off the
-    // channel.
-    size_t excess = runs->size() - target_count;
-    size_t take = std::min<size_t>(free - 1, excess + 1);
-    std::vector<size_t> order(runs->size());
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return (*runs)[a].page_count() < (*runs)[b].page_count();
-    });
-    std::vector<size_t> picked(order.begin(),
-                               order.begin() + static_cast<long>(take));
-    std::sort(picked.begin(), picked.end());
+    std::vector<uint64_t> pages;
+    for (const storage::RunRef& run : *runs) pages.push_back(run.page_count());
+    std::vector<size_t> picked = PickMergeDownRuns(pages, target_count, free);
+    size_t take = picked.size();
     GHOSTDB_ASSIGN_OR_RETURN(
         device::RamGuard bufs,
         device::RamGuard::Acquire(ram, static_cast<uint32_t>(take) + 1, "rowrun-merge"));

@@ -156,6 +156,15 @@ class RowRunMerger {
   std::vector<uint32_t> heap_;  ///< indices of readers with a row
 };
 
+/// One MergeRowRunsBy round's inputs, given the runs' page counts
+/// (pages.size() > target_count, free_buffers >= 3): the indices, in
+/// ascending order, of the min(free_buffers - 1, excess + 1) runs with the
+/// fewest pages (earliest first among equals), excess = pages.size() -
+/// target_count.
+std::vector<size_t> PickMergeDownRuns(const std::vector<uint64_t>& pages,
+                                      size_t target_count,
+                                      uint32_t free_buffers);
+
 /// Merges row runs (each sorted under `cmp`) down to at most `target_count`
 /// runs, within the current free-buffer budget. Each round merges the
 /// minimal number of runs that reaches the target (never more than the

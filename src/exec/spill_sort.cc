@@ -194,19 +194,22 @@ Status ExternalRowSorter::Finish() {
   constexpr uint32_t kConsumerReserveBuffers = 2;
   size_t fan_in = std::max<size_t>(
       1, free > kConsumerReserveBuffers ? free - kConsumerReserveBuffers : 1);
-  uint32_t window = 0;  // 0 = one full buffer per run
-  if (runs_.size() > fan_in) {
-    window = SubBufferWindow(fan_in);
-    if (window == 0) {
-      GHOSTDB_RETURN_NOT_OK(MergeRowRunsBy(&ctx_->flash(), &ram,
-                                           ctx_->allocator, &runs_,
-                                           row_width_, fan_in, tag_, cmp_,
-                                           dedup_, &stats_));
-    }
+  // When the runs outnumber the fan-in, the Merge-alternative rule (§3.4)
+  // weighs merging the smallest runs down (MergeRowRunsBy) against
+  // reading them through sub-buffer windows.
+  MergeAlternative plan = ChooseMergeAlternative(
+      ctx_->flash().config(), fan_in,
+      [&](size_t cap) { return ModelMergeDown(cap, free); });
+  if (runs_.size() > plan.stream_cap) {
+    GHOSTDB_RETURN_NOT_OK(MergeRowRunsBy(&ctx_->flash(), &ram,
+                                         ctx_->allocator, &runs_, row_width_,
+                                         plan.stream_cap, tag_, cmp_, dedup_,
+                                         &stats_));
   }
   // Pad after any merge-down so the target covers merge-written runs too,
   // and before the reader buffers pin the remaining RAM.
   GHOSTDB_RETURN_NOT_OK(PadSpillRuns());
+  uint32_t window = plan.window_bytes;  // 0 = one full buffer per run
   size_t slice = window == 0 ? ram.buffer_size() : window;
   size_t buffers = window == 0 ? runs_.size() : fan_in;
   GHOSTDB_ASSIGN_OR_RETURN(
@@ -222,37 +225,34 @@ Status ExternalRowSorter::Finish() {
   return Status::OK();
 }
 
-uint32_t ExternalRowSorter::SubBufferWindow(size_t fan_in) const {
-  // The paper's two ways (§3.4) to merge more runs than buffers: write
-  // merged runs first (merge-down, MergeRowRunsBy) or split the buffers
-  // into sub-buffer windows. A window of w bytes loads each page in
-  // ceil(page / w) partial reads — one read latency each, no extra bytes;
-  // a merge-down rewrites (reads and programs) at least the
-  // runs - fan_in + 1 smallest runs in full.
-  const flash::FlashConfig& flash = ctx_->flash().config();
-  uint64_t page = flash.page_size;
-  uint64_t window = (fan_in * page / runs_.size()) & ~uint64_t{7};
-  if (window < kMinSpillWindowBytes) return 0;
-  std::vector<uint64_t> pages;
-  uint64_t total_pages = 0;
-  for (const storage::RunRef& run : runs_) {
-    pages.push_back(run.page_count());
-    total_pages += run.page_count();
+MergeReduction ExternalRowSorter::ModelMergeDown(size_t stream_cap,
+                                                 uint32_t free_buffers) const {
+  // MergeRowRunsBy's rounds, replayed on run sizes: each merges the runs
+  // PickMergeDownRuns names into one run of their summed bytes.
+  uint64_t page = ctx_->flash().config().page_size;
+  auto pages_of = [&](uint64_t bytes) { return (bytes + page - 1) / page; };
+  std::vector<uint64_t> bytes;
+  for (const storage::RunRef& run : runs_) bytes.push_back(run.bytes);
+  MergeReduction model;
+  while (bytes.size() > stream_cap) {
+    if (free_buffers < 3) {
+      model.feasible = false;
+      break;
+    }
+    std::vector<uint64_t> pages;
+    for (uint64_t b : bytes) pages.push_back(pages_of(b));
+    std::vector<size_t> picked =
+        PickMergeDownRuns(pages, stream_cap, free_buffers);
+    uint64_t merged = 0;
+    for (size_t i = picked.size(); i-- > 0;) {
+      merged += bytes[picked[i]];
+      bytes.erase(bytes.begin() + static_cast<long>(picked[i]));
+    }
+    model.pages_written += pages_of(merged);
+    bytes.push_back(merged);
   }
-  SimNanos window_cost = static_cast<SimNanos>(
-      total_pages * ((page + window - 1) / window - 1)) *
-      flash.read_page_latency;
-  size_t merged = runs_.size() - fan_in + 1;
-  std::nth_element(pages.begin(), pages.begin() + static_cast<long>(merged),
-                   pages.end());
-  uint64_t rewritten = std::accumulate(
-      pages.begin(), pages.begin() + static_cast<long>(merged), uint64_t{0});
-  SimNanos page_transfer =
-      static_cast<SimNanos>(page) * flash.byte_transfer_latency;
-  SimNanos merge_cost = static_cast<SimNanos>(rewritten) *
-                        (flash.read_page_latency + flash.write_page_latency +
-                         2 * page_transfer);
-  return window_cost < merge_cost ? static_cast<uint32_t>(window) : 0;
+  for (uint64_t b : bytes) model.streams.push_back({0, b});
+  return model;
 }
 
 Result<const uint8_t*> ExternalRowSorter::Next() {

@@ -11,11 +11,13 @@
 // result is pulled row-at-a-time through one heap merge over every run —
 // O(budget) secure memory regardless of input size. When the runs
 // outnumber the buffers the session can give the final merge, the
-// cheaper of the paper's two Merge alternatives (§3.4) serves them:
-// sub-buffer windows (each run streams through a slice of a buffer, so
-// every page is loaded in several partial reads) or merge-down passes
-// (MergeRowRunsBy rewrites the smallest runs into one), chosen by the
-// device's flash latencies (SubBufferWindow).
+// Merge-alternative rule every k-way merge follows
+// (ChooseMergeAlternative, exec/merge.h) picks the cheaper of the paper's
+// two alternatives (§3.4) by the device's flash latencies: merge-down
+// passes (MergeRowRunsBy rewrites the smallest runs into one) down to one
+// full buffer per run, or fewer such passes and sub-buffer windows (each
+// run streams through a slice of a buffer, so every page is loaded in
+// several partial reads).
 //
 // Every flash page the sorter writes or reads (generation runs, merge-down
 // passes, padding runs, the final merge's reads) is charged to one clock
@@ -44,10 +46,6 @@ namespace ghostdb::exec {
 
 /// Simulated-clock category of all spill I/O.
 inline constexpr const char* kSpillClockCategory = "sort-spill";
-
-/// Smallest sub-buffer window the final merge reads a run through; below
-/// it the sorter merges runs down instead.
-inline constexpr uint32_t kMinSpillWindowBytes = 64;
 
 /// \brief External-memory sorter over fixed-width encoded rows.
 ///
@@ -88,9 +86,9 @@ class ExternalRowSorter {
   Status Add(const uint8_t* row);
 
   /// Seals the input: sorts the tail generation and, if the sorter
-  /// spilled, opens the final merge over its runs (through sub-buffer
-  /// windows, or after merge-down passes, when they outnumber the
-  /// fan-in).
+  /// spilled, opens the final merge over its runs (after merge-down
+  /// passes and/or through sub-buffer windows, as ChooseMergeAlternative
+  /// picks, when they outnumber the fan-in).
   Status Finish();
 
   /// After Finish(): the next row in sorted order (valid until the next
@@ -116,13 +114,11 @@ class ExternalRowSorter {
   void SortGeneration();
   /// Sorts and writes the current generation as one run, then resets it.
   Status SpillGeneration();
-  /// The final merge's overflow rule, for runs_.size() > fan_in: the
-  /// sub-buffer window w = fan_in * page / runs (rounded down to 8 bytes)
-  /// when it is at least kMinSpillWindowBytes and its extra page loads,
-  /// total_run_pages * (ceil(page / w) - 1) read latencies, cost less than
-  /// a merge-down that reads and programs the runs - fan_in + 1 smallest
-  /// runs; otherwise 0 (merge down).
-  uint32_t SubBufferWindow(size_t fan_in) const;
+  /// The sorter's reduction as ChooseMergeAlternative prices it: what
+  /// MergeRowRunsBy would write merging runs_ down to `stream_cap` runs
+  /// with `free_buffers` free, and the runs it would leave.
+  MergeReduction ModelMergeDown(size_t stream_cap,
+                                uint32_t free_buffers) const;
   /// Volume defense (ExecConfig::pad_spill_runs): writes one-row dummy
   /// runs until the total run count reaches the padding mode's target —
   /// next power of two of the real count (kQuantize) or the visible
@@ -133,10 +129,10 @@ class ExternalRowSorter {
   /// spill-count side channel (CloseSorterPhase pads phases that never
   /// finished too). The sorter sees at most one row per anchor row, so its
   /// generation count never exceeds the kWorstCase target and the padded
-  /// total equals it exactly — unless the final merge fell back to
-  /// merge-down passes (windows under kMinSpillWindowBytes, or dearer),
-  /// whose extra runs still show; the volume channel, not this one,
-  /// carries the strict guarantee.
+  /// total equals it exactly — unless the final merge ran merge-down
+  /// passes (the rule found them cheaper than windows, or windows would
+  /// be under kMinSpillWindowBytes), whose extra runs still show; the
+  /// volume channel, not this one, carries the strict guarantee.
   Status PadSpillRuns();
   const uint8_t* GenRow(uint32_t index) const {
     return arena_.data() + static_cast<size_t>(index) * row_width_;

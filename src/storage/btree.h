@@ -166,8 +166,9 @@ class BTreeReader {
 /// and the window are transferred.
 class PostingCursor {
  public:
-  /// `window_bytes` = 0 means one full page (the normal mode); smaller
-  /// values model the sub-buffer Merge alternative of section 3.4.
+  /// `window_bytes` = 0 means one full page; smaller values are the
+  /// sub-buffer Merge alternative of section 3.4 (a multiple of 4, picked
+  /// by exec::ChooseMergeAlternative).
   PostingCursor(flash::FlashDevice* device, const RunRef* area,
                 PostingRange range, uint8_t* buffer,
                 uint32_t window_bytes = 0);

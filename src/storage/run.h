@@ -99,8 +99,9 @@ class RunReader {
  public:
   /// `buffer` must hold `window_bytes` bytes (default: one flash page);
   /// reads are charged per page-load with the partial-transfer cost model.
-  /// Smaller windows model the paper's sub-buffer Merge alternative: more
-  /// page loads, fewer bytes transferred per load.
+  /// Smaller windows are the paper's sub-buffer Merge alternative, which
+  /// exec::ChooseMergeAlternative picks when it is cheaper: more page
+  /// loads (ceil(bytes on the page / window) each), fewer bytes per load.
   RunReader(flash::FlashDevice* device, RunRef ref, uint8_t* buffer,
             uint32_t window_bytes = 0);
 

@@ -1,5 +1,5 @@
 // Operator tests: Bloom filter calibration, Merge (streaming, reduction,
-// sub-buffer), id sources.
+// sub-buffer windows, the rule choosing between them), id sources.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,15 +42,16 @@ class ExecTest : public ::testing::Test {
   }
 
   std::vector<RowId> RunMerge(std::vector<MergeGroup> groups,
-                              MergeOverflowPolicy policy =
-                                  MergeOverflowPolicy::kReduction) {
-    MergeExec merge(device_.get(), ram_.get(), allocator_.get(), &clock_,
-                    policy);
+                              uint32_t reserve_buffers = 0) {
+    MergeExec merge(device_.get(), ram_.get(), allocator_.get(), &clock_);
     std::vector<RowId> out;
-    auto st = merge.Run(std::move(groups), [&](RowId id) {
-      out.push_back(id);
-      return Status::OK();
-    });
+    auto st = merge.Run(
+        std::move(groups),
+        [&](RowId id) {
+          out.push_back(id);
+          return Status::OK();
+        },
+        reserve_buffers);
     EXPECT_TRUE(st.ok()) << st.ToString();
     last_stats_ = merge.stats();
     return out;
@@ -190,13 +191,14 @@ TEST_F(ExecTest, MergeDeduplicatesWithinGroup) {
 }
 
 TEST_F(ExecTest, MergeManySublistsTriggersReduction) {
-  // 100 runs with 32 buffers forces the reduction phase.
+  // 1100 runs with 32 buffers: more streams than 64-byte windows can
+  // serve (32 * 2048 / 64 = 1024), so the reduction phase must run.
   Rng rng(5);
   std::set<RowId> expected;
   MergeGroup g;
-  for (int i = 0; i < 100; ++i) {
+  for (int i = 0; i < 1100; ++i) {
     std::vector<RowId> ids;
-    for (int j = 0; j < 50; ++j) {
+    for (int j = 0; j < 5; ++j) {
       RowId id = static_cast<RowId>(rng.Uniform(10000));
       ids.push_back(id);
       expected.insert(id);
@@ -239,49 +241,148 @@ TEST_F(ExecTest, MergeReductionPreservesIntersection) {
   EXPECT_EQ(out, expected);
 }
 
-TEST_F(ExecTest, SubBufferPolicyAvoidsTempWrites) {
+TEST_F(ExecTest, MergeRulePicksWindowsOrReductionOnSameIds) {
+  // 60 full-page runs. With all 32 buffers, windows of 1092 bytes cost one
+  // extra load per page (60 * 25 us) against a 60-page rewrite (~26 ms):
+  // windows win and nothing is written. With 2 usable buffers the windows
+  // shrink to 68 bytes (30 extra loads per page, ~45 ms): rewriting the
+  // group into 2 runs is cheaper.
   Rng rng(5);
+  std::vector<std::vector<RowId>> lists(60);
+  std::set<RowId> expected;
+  for (auto& ids : lists) {
+    for (int j = 0; j < 512; ++j) {
+      ids.push_back(static_cast<RowId>(rng.Uniform(100000)));
+      expected.insert(ids.back());
+    }
+    std::sort(ids.begin(), ids.end());
+  }
   auto make_group = [&]() {
     MergeGroup g;
-    for (int i = 0; i < 60; ++i) {
-      std::vector<RowId> ids;
-      for (int j = 0; j < 40; ++j) {
-        ids.push_back(static_cast<RowId>(rng.Uniform(10000)));
-      }
-      std::sort(ids.begin(), ids.end());
-      g.runs.push_back(MakeRun(ids));
-    }
+    for (const auto& ids : lists) g.runs.push_back(MakeRun(ids));
     return g;
   };
-  // Same inputs twice (deterministic rng per call order).
-  Rng rng_a(5);
-  rng = Rng(5);
-  auto g1 = make_group();
-  rng = Rng(5);
-  auto g2 = make_group();
+  std::vector<RowId> oracle(expected.begin(), expected.end());
 
+  MergeGroup first = make_group();
   uint64_t writes_before = device_->stats().pages_written;
-  auto out1 = RunMerge({std::move(g1)}, MergeOverflowPolicy::kReduction);
-  uint64_t reduction_writes =
-      device_->stats().pages_written - writes_before;
+  auto windowed = RunMerge({std::move(first)});
+  EXPECT_EQ(device_->stats().pages_written - writes_before, 0u);
+  EXPECT_EQ(last_stats_.window_bytes, 1092u);
+  EXPECT_EQ(last_stats_.reduction_rounds, 0u);
 
+  MergeGroup second = make_group();
   writes_before = device_->stats().pages_written;
-  auto out2 = RunMerge({std::move(g2)}, MergeOverflowPolicy::kSubBuffer);
-  uint64_t subbuffer_writes =
-      device_->stats().pages_written - writes_before;
+  auto reduced = RunMerge({std::move(second)}, /*reserve_buffers=*/30);
+  EXPECT_GT(device_->stats().pages_written - writes_before, 0u);
+  EXPECT_EQ(last_stats_.window_bytes, 0u);
+  EXPECT_EQ(last_stats_.reduction_rounds, 1u);
 
-  EXPECT_EQ(out1, out2);
-  EXPECT_GT(reduction_writes, 0u);
-  EXPECT_EQ(subbuffer_writes, 0u);
+  EXPECT_EQ(windowed, oracle);
+  EXPECT_EQ(reduced, windowed);
+}
+
+TEST_F(ExecTest, MergeAlternativeRuleTable) {
+  // Round costs: rewriting a page (read + program) costs 100, one extra
+  // window load (a read latency) 60.
+  flash::FlashConfig flash;
+  flash.read_page_latency = 60;
+  flash.write_page_latency = 40;
+  flash.byte_transfer_latency = 0;
+  auto spans = [](size_t n, uint64_t bytes) {
+    return std::vector<StreamSpan>(n, StreamSpan{0, bytes});
+  };
+  struct Case {
+    const char* name;
+    size_t buffers;
+    uint64_t full_pages;                     // plan A's reduction writes
+    uint64_t window_pages;                   // plan B's reduction writes
+    std::vector<StreamSpan> window_streams;  // streams plan B leaves
+    size_t want_cap;
+    uint32_t want_window;
+  };
+  std::vector<Case> cases = {
+      // 2100 bytes from byte 2000: 48 + 2048 + 4 bytes on three pages.
+      // Only the whole page needs a second 1364-byte load (60 < 100); the
+      // naive pages * (ceil(page / w) - 1) would charge three (180).
+      {"span straddles pages", 2, 1, 0,
+       {{2000, 2100}, {0, 4}, {0, 4}}, 64, 1364},
+      // 40 streams on one buffer would get 51-byte windows: plan B reduces
+      // to 32 streams first (100) and reads them through 64 bytes.
+      {"window under 64 bytes", 1, 2, 1, spans(32, 4), 32, 64},
+      // One extra 1024-byte load per page: 8 * 60 against 10 * 100.
+      {"windows cheaper", 4, 10, 0, spans(8, 2048), 128, 1024},
+      // 64-byte windows load a page in 32 reads: 31 extra on each of 32
+      // pages against rewriting one.
+      {"rewrite cheaper", 1, 1, 0, spans(32, 2048), 1, 0},
+      // 5 extra 1636-byte loads (300) against 3 pages (300).
+      {"tie goes to full buffers", 4, 3, 0, spans(5, 2048), 4, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<size_t> asked;
+    MergeAlternative choice = ChooseMergeAlternative(
+        flash, c.buffers, [&](size_t cap) {
+          asked.push_back(cap);
+          MergeReduction r;
+          r.pages_written = cap == c.buffers ? c.full_pages : c.window_pages;
+          r.streams = cap == c.buffers ? spans(c.buffers, 2048)
+                                       : c.window_streams;
+          return r;
+        });
+    EXPECT_EQ(asked, (std::vector<size_t>{c.buffers,
+                                          c.buffers * 2048 / 64}));
+    EXPECT_EQ(choice.stream_cap, c.want_cap);
+    EXPECT_EQ(choice.window_bytes, c.want_window);
+  }
+}
+
+TEST_F(ExecTest, WideMergeOfPostingSublistsThroughWindows) {
+  // 900 posting sublists of 3 ids each (one postings area), intersected
+  // with an in-RAM list of every third id: 900 streams fit 72-byte windows
+  // of the 32 buffers, and 12-byte sublists need no extra loads, so the
+  // merge streams them all without reduction.
+  Rng rng(11);
+  std::vector<RowId> area_ids;
+  std::set<RowId> sublist_union;
+  MergeGroup a;
+  std::vector<storage::PostingRange> ranges;
+  for (uint32_t i = 0; i < 900; ++i) {
+    std::vector<RowId> ids;
+    for (int j = 0; j < 3; ++j) {
+      ids.push_back(static_cast<RowId>(rng.Uniform(20000)));
+    }
+    std::sort(ids.begin(), ids.end());
+    ranges.push_back({static_cast<uint32_t>(area_ids.size()), 3});
+    area_ids.insert(area_ids.end(), ids.begin(), ids.end());
+    sublist_union.insert(ids.begin(), ids.end());
+  }
+  storage::RunRef area = MakeRun(area_ids);
+  for (const auto& range : ranges) a.sublists.push_back({&area, range});
+  MergeGroup b;
+  for (RowId id = 0; id < 20000; id += 3) b.ram_ids.push_back(id);
+  b.has_ram_ids = true;
+
+  std::vector<RowId> expected;
+  for (RowId id : sublist_union) {
+    if (id % 3 == 0) expected.push_back(id);
+  }
+  auto out = RunMerge({std::move(a), std::move(b)});
+  EXPECT_EQ(out, expected);
+  EXPECT_EQ(last_stats_.reduction_rounds, 0u);
+  EXPECT_EQ(last_stats_.peak_streams, 900u);
+  EXPECT_EQ(last_stats_.window_bytes, 72u);  // 32 * 2048 / 900, down to 4
 }
 
 TEST_F(ExecTest, MergeRespectsReserveBuffers) {
+  // 600 one-id runs over 40 distinct ids. 22 free buffers could serve
+  // them through 64-byte windows (22 * 2048 / 64 = 704 streams); the 17
+  // left after the reserve cannot (544), so reduction must kick in.
   MergeGroup g;
-  for (int i = 0; i < 40; ++i) {
-    g.runs.push_back(MakeRun({static_cast<RowId>(i)}));
+  for (int i = 0; i < 600; ++i) {
+    g.runs.push_back(MakeRun({static_cast<RowId>(i % 40)}));
   }
   MergeExec merge(device_.get(), ram_.get(), allocator_.get(), &clock_);
-  // Reserve so much that reduction must kick in even for 40 streams.
   std::vector<RowId> out;
   auto hold = ram_->Acquire(10, "downstream");
   ASSERT_TRUE(hold.ok());

@@ -144,7 +144,7 @@ TEST(SpillTest, DistinctSpillSurvivesRunCountNearFreeBufferCount) {
   }
 }
 
-TEST(SpillTest, MoreRunsThanBuffersStreamThroughSubBufferWindows) {
+TEST(SpillTest, MoreRunsThanBuffersStreamThroughWindows) {
   // ~71 generation runs against a 32-buffer device: the final merge reads
   // every run through a slice of a buffer instead of merging runs down, so
   // the only spill pages written are the generations'.
