@@ -8,6 +8,7 @@
 
 #include "crypto/sha256.h"
 #include "device/guards.h"
+#include "exec/operators_rel.h"
 #include "sql/binder.h"
 
 namespace ghostdb::core {
@@ -206,6 +207,7 @@ Status GhostDB::Build() {
     if (partitioned) {
       TableId root = schema_.root();
       shard.store.tables[root].global_ids = parts.root_global_ids[s];
+      shard.store.tables[root].global_row_count = staged_[root].row_count();
       GHOSTDB_RETURN_NOT_OK(shard.untrusted->store().SetGlobalIds(
           root, parts.root_global_ids[s]));
     }
@@ -329,6 +331,8 @@ Result<sql::BoundQuery> GhostDB::BindSelect(const std::string& sql) {
 Status GhostDB::ServeVisCounts(const sql::BoundQuery& query,
                                const untrusted::VisPrefetch* prefetch,
                                std::map<TableId, uint64_t>* out) {
+  // A visible-only plan has no strategy for the counts to choose.
+  if (planner_->VisibleOnly(query)) return Status::OK();
   for (TableId t : query.tables) {
     if (!query.HasVisiblePredicateOn(t)) continue;
     GHOSTDB_ASSIGN_OR_RETURN(
@@ -353,6 +357,35 @@ Result<PlanCache::Outcome> GhostDB::CachedPlan(
   return plan_cache_.GetOrPlan(shape, stats_version_.load(), plan_fn);
 }
 
+Status GhostDB::AnswerOnUntrusted(
+    const sql::BoundQuery& query, const plan::PhysicalPlan& plan,
+    std::vector<untrusted::VisPrefetch>* prefetch) {
+  // Each leg's PC projects its own slice (global ids); the coordinator's
+  // PC merges the slices and runs the tail once.
+  const size_t legs = prefetch->size();
+  std::vector<untrusted::ProjectionPayload> slices(legs);
+  for (size_t s = 0; s < legs; ++s) {
+    GHOSTDB_ASSIGN_OR_RETURN(slices[s],
+                             shards_[s].untrusted->ProjectStatement(query));
+  }
+  GHOSTDB_ASSIGN_OR_RETURN(
+      untrusted::ProjectionPayload rows,
+      exec::RunUntrustedTail(query, plan, schema_, pool_.get(),
+                             std::move(slices)));
+  // Then splits the final rows into one contiguous key range per leg:
+  // shard s's key receives range s over its own channel, and the gather
+  // concatenates the ranges by key.
+  const device::WireLayout layout = exec::VisResultWireLayout(
+      query, plan.value_layout, plan.result_keyed_by_id());
+  for (size_t s = 0; s < legs; ++s) {
+    const uint64_t begin = rows.rows * s / legs;
+    const uint64_t end = rows.rows * (s + 1) / legs;
+    (*prefetch)[s].result_message = shards_[s].untrusted->EncodeResult(
+        layout, rows.bytes.data() + begin * rows.row_width, end - begin);
+  }
+  return Status::OK();
+}
+
 Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
                                              const plan::PlanChoice* pinned,
                                              const Session& session) {
@@ -365,41 +398,15 @@ Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
   const uint32_t weight = DeclaredShapeWeight(query);
   const bool padded =
       config_.exec.volume_padding != exec::VolumePadding::kOff;
-
-  // PC-side speculation, before asking for any device: the visible answers
-  // each leg's key will request are pure functions of the (already
-  // announced-to-be) visible statement, so each shard's Untrusted
-  // evaluates them over its own slice while the keys are still serving
-  // other sessions. Channel messages are recorded when a key requests
-  // them, unchanged in every byte.
   std::vector<untrusted::VisPrefetch> prefetch(legs);
-  if (!query.explain) {
-    for (uint32_t s = 0; s < legs; ++s) {
-      GHOSTDB_ASSIGN_OR_RETURN(prefetch[s],
-                               shards_[s].untrusted->PrefetchVisible(query));
-    }
-  }
 
+  // Planning happens once, outside every span a fault recovery erases: a
+  // recovery replays execution only.
   PlanCache::Outcome outcome;  // its entry keeps a cached plan alive
-  exec::EncodedRows deferred;  // the answer's rendering surface
-  Result<exec::QueryResult> result = [&]() -> Result<exec::QueryResult> {
-    // Admission = the device. Shard 0 is the coordinator: one admission
-    // covers the baseline snapshot, the announcement, the planning
-    // round-trips, its own leg, and the gather pass, so its transcript is
-    // a single deterministic block under this session's tag.
-    Shard& coordinator = shards_[0];
-    device::AdmissionGuard admission(&coordinator.device->arbiter(),
-                                     bindings[0].id, weight);
-    const exec::MetricSnapshot baseline =
-        exec::MetricSnapshot::Take(coordinator.device.get());
-    // The query text is the only information that leaves the key.
-    coordinator.untrusted->ReceiveQuery(query.sql);
-
-    // Planning happens once, here, outside every span a fault recovery
-    // erases: a recovery replays execution only.
-    std::map<TableId, uint64_t> vis_counts;
-    plan::PhysicalPlan local_plan;
-    const plan::PhysicalPlan* plan = &local_plan;
+  std::map<TableId, uint64_t> vis_counts;
+  plan::PhysicalPlan local_plan;
+  const plan::PhysicalPlan* plan = nullptr;
+  auto plan_statement = [&]() -> Status {
     if (pinned != nullptr || query.explain) {
       // Pinned runs serve the Vis counts like a planner run would, so their
       // transcripts and metrics stay comparable across strategies. EXPLAIN
@@ -413,10 +420,46 @@ Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
         GHOSTDB_ASSIGN_OR_RETURN(
             local_plan, planner_->PlanQuery(query, vis_counts, config_.exec));
       }
+      plan = &local_plan;
     } else {
       GHOSTDB_ASSIGN_OR_RETURN(outcome, CachedPlan(query, &prefetch[0]));
       plan = &outcome.entry->plan;
     }
+    return Status::OK();
+  };
+
+  // PC-side work, before asking for any device: everything the PC sends is
+  // a pure function of the (already announced-to-be) visible statement, so
+  // each shard's Untrusted computes it over its own slice while the keys
+  // are still serving other sessions. A visible-only statement plans here
+  // too (it needs no round-trip) and the PC answers it whole; any other
+  // statement's PC speculatively evaluates the visible answers each leg's
+  // key will request. Channel messages are recorded when a key requests
+  // them, unchanged in every byte.
+  if (!query.explain && planner_->VisibleOnly(query)) {
+    GHOSTDB_RETURN_NOT_OK(plan_statement());
+    GHOSTDB_RETURN_NOT_OK(AnswerOnUntrusted(query, *plan, &prefetch));
+  } else if (!query.explain) {
+    for (uint32_t s = 0; s < legs; ++s) {
+      GHOSTDB_ASSIGN_OR_RETURN(prefetch[s],
+                               shards_[s].untrusted->PrefetchVisible(query));
+    }
+  }
+
+  exec::EncodedRows deferred;  // the answer's rendering surface
+  Result<exec::QueryResult> result = [&]() -> Result<exec::QueryResult> {
+    // Admission = the device. Shard 0 is the coordinator: one admission
+    // covers the baseline snapshot, the announcement, the planning
+    // round-trips, its own leg, and the gather pass, so its transcript is
+    // a single deterministic block under this session's tag.
+    Shard& coordinator = shards_[0];
+    device::AdmissionGuard admission(&coordinator.device->arbiter(),
+                                     bindings[0].id, weight);
+    const exec::MetricSnapshot baseline =
+        exec::MetricSnapshot::Take(coordinator.device.get());
+    // The query text is the only information that leaves the key.
+    coordinator.untrusted->ReceiveQuery(query.sql);
+    if (plan == nullptr) GHOSTDB_RETURN_NOT_OK(plan_statement());
     if (query.explain) {
       exec::QueryResult explained;
       explained.columns = {"plan"};
@@ -484,6 +527,10 @@ Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
 
     // Merge the shard outputs into the gather pass's input: the exact row
     // order a single device would have produced.
+    if (plan->visible_only()) {
+      GHOSTDB_RETURN_NOT_OK(
+          exec::CheckVisResultRanges(leg_rows, plan->result_keyed_by_id()));
+    }
     exec::GatherInput gather_input;
     for (uint32_t s = 0; s < legs; ++s) {
       gather_input.skipped_rows +=

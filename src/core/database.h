@@ -225,7 +225,8 @@ class GhostDB {
 
   Result<sql::BoundQuery> BindSelect(const std::string& sql);
   /// Full arbitrated execution of a bound SELECT under `session`'s
-  /// identity: per-shard prefetch; then, under
+  /// identity: per-shard prefetch (a visible-only statement: planning and
+  /// the PC's whole answer, AnswerOnUntrusted); then, under
   /// the coordinator's admission, announcement and planning (the plan
   /// cache, unless `pinned`); then the legs — one per shard when the
   /// statement fans out (Planner::FansOut), shards 1..N-1 concurrently
@@ -235,8 +236,17 @@ class GhostDB {
   Result<exec::QueryResult> RunSelect(const sql::BoundQuery& query,
                                       const plan::PlanChoice* pinned,
                                       const Session& session);
-  /// Plan-cache lookup / fill for an already-bound (and announced) query.
-  /// Caller holds the channel admission.
+  /// The PC's answer to visible-only `query` under `plan`, before
+  /// admission: each leg's PC projects its slice, the coordinator's PC
+  /// runs the tail once (exec::RunUntrustedTail) and splits the final rows
+  /// into one contiguous key range per leg, encoded into that leg's
+  /// `prefetch` entry as its `vis-result` message.
+  Status AnswerOnUntrusted(const sql::BoundQuery& query,
+                           const plan::PhysicalPlan& plan,
+                           std::vector<untrusted::VisPrefetch>* prefetch);
+  /// Plan-cache lookup / fill for an already-bound query. Caller holds the
+  /// channel admission unless the statement is visible-only (its plan
+  /// needs no round-trip).
   Result<PlanCache::Outcome> CachedPlan(const sql::BoundQuery& query,
                                         untrusted::VisPrefetch* prefetch);
   /// One vis-count exchange per table with visible predicates (the

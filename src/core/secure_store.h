@@ -27,6 +27,10 @@ struct TableImage {
   /// sorted under the global order and the gather merge can reconstruct
   /// the exact single-device row sequence.
   std::vector<catalog::RowId> global_ids;
+  /// Sharded fleets: the partitioned table's row count over the whole
+  /// fleet, which its global ids lie below (0 = row_count: the unsharded
+  /// store and fully replicated tables).
+  uint64_t global_row_count = 0;
 
   /// Hidden columns packed by id (absent when the table has none).
   /// GHOSTDB_HIDDEN: leakcheck's taint rule rejects values derived from

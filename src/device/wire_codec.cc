@@ -540,4 +540,19 @@ Result<WireRows> DecodeRows(WireFormat format, const WireLayout& layout,
   return decoded;
 }
 
+Status CheckPositionKeys(const WireRows& rows, const WireLayout& layout,
+                         bool any_first) {
+  if (rows.rows == 0) return Status::OK();
+  const uint32_t width = layout.row_width();
+  // Keys ascend strictly (DecodeRows), so they are consecutive iff the
+  // last is n - 1 past the first.
+  const uint32_t first = DecodeFixed32(rows.bytes.data());
+  const uint32_t last = DecodeFixed32(
+      rows.bytes.data() + static_cast<size_t>(rows.rows - 1) * width);
+  if (uint64_t{last} - first != rows.rows - 1 || (!any_first && first != 0)) {
+    return Malformed("positions not consecutive from 0");
+  }
+  return Status::OK();
+}
+
 }  // namespace ghostdb::device

@@ -1,11 +1,14 @@
-// Wire format of the two PC -> key message kinds that carry rows:
-// `vis-ids:<T>` (sorted Vis id lists) and `vis-vals:<T>` (projection
-// payloads, sorted [id | visible values] rows). This module is the only
-// place that knows their layout; the PC encodes with it and the key
-// decodes with it, from the bytes that crossed the channel.
+// Wire format of the three PC -> key message kinds that carry rows:
+// `vis-ids:<T>` (sorted Vis id lists), `vis-vals:<T>` (projection
+// payloads, sorted [id | visible values] rows) and `vis-result:<T>` (the
+// final rows of a visible-only statement, [key | cells], keyed by anchor
+// id or by position). This module is the only place that knows their
+// layout; the PC encodes with it and the key decodes with it, from the
+// bytes that crossed the channel.
 //
-// Both kinds are rows of [id(4) | column cells...] — an id list is a
-// projection with no columns. Two formats:
+// All three are rows of [key(4) | column cells...] with strictly
+// ascending keys — an id list is a projection with no columns. Two
+// formats:
 //
 //  * kRaw — the paper's format: the rows verbatim (4 bytes per id,
 //    space-padded CHAR cells). The paper-figure benches select it.
@@ -32,7 +35,7 @@
 // it is sent as a kRaw block. Inputs: the channel throughput (visible
 // configuration) and the block's own bytes.
 //
-// Leak argument: both message kinds are built by the PC from visible rows
+// Leak argument: every message kind is built by the PC from visible rows
 // it already holds, and the encoding is a pure function of those rows and
 // the throughput — so encoded sizes and digests carry nothing hidden.
 #pragma once
@@ -47,7 +50,7 @@
 
 namespace ghostdb::device {
 
-/// Selects the wire format of `vis-ids` / `vis-vals` messages.
+/// Selects the wire format of the row messages.
 enum class WireFormat : uint8_t {
   kCompact,  ///< block-coded (default)
   kRaw,      ///< the paper's fixed-width rows
@@ -105,5 +108,11 @@ std::vector<uint8_t> EncodeRows(WireFormat format, const WireLayout& layout,
 Result<WireRows> DecodeRows(WireFormat format, const WireLayout& layout,
                             const uint8_t* message, size_t size,
                             uint64_t id_limit);
+
+/// The extra check on a decoded `vis-result` message keyed by position:
+/// its keys must be first..first+n-1, with first = 0 unless `any_first`
+/// (one leg's range of a fanned-out statement). InvalidArgument otherwise.
+Status CheckPositionKeys(const WireRows& rows, const WireLayout& layout,
+                         bool any_first);
 
 }  // namespace ghostdb::device

@@ -5,7 +5,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/coding.h"
 #include "device/guards.h"
+#include "exec/operators_rel.h"
 
 namespace ghostdb::exec {
 
@@ -23,6 +25,7 @@ void EncodedRows::AppendRow(const ColumnBatch& batch,
 }
 
 EncodedRows MergeEncodedRowsBySeq(std::vector<EncodedRows> parts) {
+  if (parts.size() == 1) return std::move(parts[0]);
   EncodedRows out;
   std::vector<uint64_t> cursor(parts.size(), 0);
   for (const EncodedRows& p : parts) {
@@ -30,6 +33,7 @@ EncodedRows MergeEncodedRowsBySeq(std::vector<EncodedRows> parts) {
       out.layout = p.layout;
     }
     out.cells.reserve(out.cells.size() + p.cells.size());
+    out.seqs.reserve(out.seqs.size() + p.seqs.size());
   }
   while (true) {
     int best = -1;
@@ -46,6 +50,7 @@ EncodedRows MergeEncodedRowsBySeq(std::vector<EncodedRows> parts) {
         p.cells.data() +
         static_cast<size_t>(cursor[best]) * p.layout.row_width;
     out.cells.insert(out.cells.end(), src, src + p.layout.row_width);
+    out.seqs.push_back(p.seqs[cursor[best]]);
     out.row_count += 1;
     cursor[best] += 1;
   }
@@ -55,11 +60,146 @@ EncodedRows MergeEncodedRowsBySeq(std::vector<EncodedRows> parts) {
 int FindFanoutBoundary(const plan::PhysicalPlan& plan) {
   for (size_t i = 0; i < plan.nodes.size(); ++i) {
     if (plan.nodes[i].op == plan::PhysicalOp::kProject ||
-        plan.nodes[i].op == plan::PhysicalOp::kBruteForceProject) {
+        plan.nodes[i].op == plan::PhysicalOp::kBruteForceProject ||
+        plan.nodes[i].op == plan::PhysicalOp::kVisResult) {
       return static_cast<int>(i);
     }
   }
   return -1;
+}
+
+namespace {
+
+/// One PC slice of a visible-only statement's anchor, re-laid out as the
+/// projection output (one cell per SELECT item) with its ids as seqs.
+EncodedRows SliceRows(const sql::BoundQuery& query,
+                      const catalog::Schema& schema,
+                      const BatchLayout& layout,
+                      const untrusted::ProjectionPayload& slice) {
+  // Cell offsets into a slice row: an id item reads the id header, a
+  // visible column its place among the projected columns.
+  const auto& cols = schema.table(query.anchor).columns;
+  const std::vector<catalog::ColumnId> projected =
+      query.ProjectedVisibleColumns(schema, query.anchor);
+  std::vector<uint32_t> offsets;
+  for (const auto& item : query.select) {
+    uint32_t off = 0;
+    if (!item.is_id) {
+      off = 4;
+      for (catalog::ColumnId c : projected) {
+        if (c == item.column) break;
+        off += cols[c].width;
+      }
+    }
+    offsets.push_back(off);
+  }
+  EncodedRows out;
+  out.layout = layout;
+  out.row_count = slice.rows;
+  out.cells.reserve(slice.rows * layout.row_width);
+  out.seqs.reserve(slice.rows);
+  for (uint64_t r = 0; r < slice.rows; ++r) {
+    const uint8_t* row = slice.bytes.data() + r * slice.row_width;
+    for (size_t i = 0; i < offsets.size(); ++i) {
+      out.cells.insert(out.cells.end(), row + offsets[i],
+                       row + offsets[i] + layout.cols[i].width);
+    }
+    out.seqs.push_back(DecodeFixed32(row));
+  }
+  return out;
+}
+
+}  // namespace
+
+Result<untrusted::ProjectionPayload> RunUntrustedTail(
+    const BoundQuery& query, const plan::PhysicalPlan& plan,
+    const catalog::Schema& schema, ThreadPool* pool,
+    std::vector<untrusted::ProjectionPayload> slices) {
+  if (!plan.visible_only()) {
+    return Status::Internal("untrusted tail run of a plan that is not "
+                            "visible-only");
+  }
+  GatherInput input;
+  {
+    std::vector<EncodedRows> parts;
+    parts.reserve(slices.size());
+    for (untrusted::ProjectionPayload& slice : slices) {
+      parts.push_back(SliceRows(query, schema, plan.value_layout, slice));
+      slice = untrusted::ProjectionPayload{};
+    }
+    input.rows = MergeEncodedRowsBySeq(std::move(parts));
+  }
+  const bool keyed_by_id = plan.result_keyed_by_id();
+  // No device, no padding, no spill: the default ExecConfig pads nothing
+  // and the default budget is unbounded.
+  const ExecConfig config;
+  QueryMetrics metrics;
+  ExecContext ctx;
+  ctx.schema = &schema;
+  ctx.config = &config;
+  ctx.query = &query;
+  ctx.choice = &plan.choice;
+  ctx.metrics = &metrics;
+  ctx.value_layout = &plan.value_layout;
+  ctx.batch_rows = plan.batch_rows;
+  ctx.pool = pool;
+  // Rows keyed by anchor id carry it through the tail (a LIMIT at most).
+  ctx.emit_row_seq = keyed_by_id;
+  ctx.gather_rows = &input;
+  plan::PhysicalPlan tail = plan;
+  tail.root = plan.nodes[plan.root].children.at(0);
+
+  const BatchLayout out_layout =
+      HashGroupOp::OutputLayout(query, plan.value_layout);
+  untrusted::ProjectionPayload result;
+  result.row_width =
+      VisResultWireLayout(query, plan.value_layout, keyed_by_id).row_width();
+  std::unique_ptr<Operator> root;
+  Status run_status = [&]() -> Status {
+    GHOSTDB_ASSIGN_OR_RETURN(root, BuildOperatorTree(&ctx, tail));
+    GHOSTDB_RETURN_NOT_OK(root->Open());
+    while (true) {
+      GHOSTDB_ASSIGN_OR_RETURN(ColumnBatch batch, root->Next());
+      if (batch.empty()) break;
+      for (size_t i = 0; i < batch.live(); ++i) {
+        uint32_t row = batch.row_at(i);
+        uint8_t key[4];
+        EncodeFixed32(key, keyed_by_id ? static_cast<uint32_t>(batch.seqs[row])
+                                       : static_cast<uint32_t>(result.rows));
+        result.bytes.insert(result.bytes.end(), key, key + 4);
+        for (size_t c = 0; c < out_layout.cols.size(); ++c) {
+          if (IsVisResultKeyCell(query, c, keyed_by_id)) continue;
+          const uint8_t* cell = batch.cell(c, row);
+          result.bytes.insert(result.bytes.end(), cell,
+                              cell + out_layout.cols[c].width);
+        }
+        result.rows += 1;
+      }
+    }
+    return Status::OK();
+  }();
+  Status close_status = root != nullptr ? root->Close() : Status::OK();
+  GHOSTDB_RETURN_NOT_OK(run_status);
+  GHOSTDB_RETURN_NOT_OK(close_status);
+  return result;
+}
+
+Status CheckVisResultRanges(const std::vector<EncodedRows>& legs,
+                            bool keyed_by_id) {
+  uint64_t rows = 0;
+  uint64_t last = 0;
+  for (const EncodedRows& leg : legs) {
+    if (leg.row_count == 0) continue;
+    bool follows = keyed_by_id ? rows == 0 || leg.seqs.front() > last
+                               : leg.seqs.front() == rows;
+    if (!follows) {
+      return Status::InvalidArgument(
+          "vis-result ranges do not follow each other across the legs");
+    }
+    rows += leg.row_count;
+    last = leg.seqs.back();
+  }
+  return Status::OK();
 }
 
 void EncodedRows::DecodeInto(QueryResult* out) const {

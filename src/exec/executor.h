@@ -6,7 +6,9 @@
 // Everything here runs "on the key": flash I/O and channel transfers charge
 // the device clock under named categories (merge / sjoin / store / project /
 // comm), RAM comes from the device's 32-buffer budget, and nothing derived
-// from Hidden data is ever sent to Untrusted.
+// from Hidden data is ever sent to Untrusted. The one exception is
+// RunUntrustedTail, Untrusted's device-free run of a visible-only
+// statement's tail.
 #pragma once
 
 #include "exec/operator.h"
@@ -62,18 +64,44 @@ struct GatherInput {
   uint64_t padding_row_bound = 0;
 };
 
-/// K-way merges per-shard scatter outputs ascending on their seqs. Each
-/// input stream is already seq-sorted (shards hold ascending global-id
-/// slices and project in local order) and seqs are globally unique, so
-/// this is a plain pick-min merge with a deterministic result.
+/// K-way merges per-shard scatter outputs ascending on their seqs (which
+/// the result keeps). Each input stream is already seq-sorted (shards hold
+/// ascending global-id slices and project in local order) and seqs are
+/// globally unique, so this is a plain pick-min merge with a
+/// deterministic result.
 EncodedRows MergeEncodedRowsBySeq(std::vector<EncodedRows> parts);
 
 /// The scatter/gather split point of `plan`: the node index of its
-/// projection (kProject / kBruteForceProject), or -1 if it has none.
-/// Everything at or below the boundary runs per shard; everything above
-/// it — grouping, sorting, limits, padding — runs once on the gather
-/// device over the seq-merged row stream, exactly as on a single device.
+/// projection (kProject / kBruteForceProject) or, in a visible-only plan,
+/// of its VisResult; -1 if it has none. Everything at or below the
+/// boundary runs per shard; everything above it — grouping, sorting,
+/// limits, padding — runs once on the gather device over the seq-merged
+/// row stream, exactly as on a single device.
 int FindFanoutBoundary(const plan::PhysicalPlan& plan);
+
+/// \brief Untrusted's half of a visible-only statement (a plan from
+/// plan::BuildVisibleOnlyPlan): runs the plan's nodes between VisProject
+/// and VisResult — the repository's own tail operators — over `slices`,
+/// each one PC's projection of the anchor (rows of [global id | the
+/// query's projected visible columns], ascending id; one slice per shard
+/// of a fan-out), merged in ascending anchor-id order. The run's
+/// ExecContext has no device, an unbounded tail budget and no padding;
+/// `pool` may serve the operators' host compute. Any path that would
+/// reach the device fails with Internal (ExecContext::RequireDevice).
+/// Returns the final rows as raw `vis-result` rows of
+/// VisResultWireLayout, keyed by anchor id or by position as
+/// PhysicalPlan::result_keyed_by_id says. Never consults the reference
+/// oracle: the answer comes from the same operators the key runs.
+Result<untrusted::ProjectionPayload> RunUntrustedTail(
+    const sql::BoundQuery& query, const plan::PhysicalPlan& plan,
+    const catalog::Schema& schema, ThreadPool* pool,
+    std::vector<untrusted::ProjectionPayload> slices);
+
+/// The gather's check on a fanned-out visible-only statement's legs
+/// (seq = key): their non-empty key ranges follow each other in shard
+/// order and, keyed by position, tile 0..n-1. InvalidArgument otherwise.
+Status CheckVisResultRanges(const std::vector<EncodedRows>& legs,
+                            bool keyed_by_id);
 
 /// \brief Scatter-gather role of one Execute() call on a sharded fleet.
 ///

@@ -19,7 +19,6 @@
 
 #include "catalog/schema.h"
 #include "common/result.h"
-#include "common/sim_clock.h"
 #include "common/status.h"
 #include "device/guards.h"
 #include "exec/id_source.h"
@@ -108,8 +107,8 @@ struct MergeStats {
 class MergeExec {
  public:
   MergeExec(flash::FlashDevice* device, device::RamManager* ram,
-            storage::PageAllocator* allocator, SimClock* clock)
-      : device_(device), ram_(ram), allocator_(allocator), clock_(clock) {}
+            storage::PageAllocator* allocator)
+      : device_(device), ram_(ram), allocator_(allocator) {}
 
   /// Runs the merge; emits ascending, deduplicated ids that appear in every
   /// group. `reserve_buffers` RAM buffers are left free for downstream
@@ -140,7 +139,6 @@ class MergeExec {
   flash::FlashDevice* device_;
   device::RamManager* ram_;
   storage::PageAllocator* allocator_;
-  SimClock* clock_;
   MergeStats stats_;
 };
 

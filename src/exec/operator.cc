@@ -40,17 +40,16 @@ Status Operator::Close() {
 
 namespace {
 
-/// Decodes a received `vis-ids` / `vis-vals` message of `table` in
-/// `layout` and charges its decode.
+/// Decodes a received row message in `layout` (keys below `key_limit`)
+/// and charges its decode.
 Result<device::WireRows> DecodeReceived(ExecContext* ctx,
-                                        catalog::TableId table,
                                         const device::WireLayout& layout,
-                                        const std::vector<uint8_t>& message) {
+                                        const std::vector<uint8_t>& message,
+                                        uint64_t key_limit) {
   GHOSTDB_ASSIGN_OR_RETURN(
       device::WireRows rows,
       device::DecodeRows(ctx->device->channel().wire_format(), layout,
-                         message.data(), message.size(),
-                         ctx->store->tables[table].row_count));
+                         message.data(), message.size(), key_limit));
   if (rows.compact_bytes > 0) {
     auto scope = ctx->clock().Enter("decode");
     ctx->clock().Advance(rows.compact_bytes * device::kDecodeNsPerByte);
@@ -67,7 +66,8 @@ Result<std::vector<catalog::RowId>> ReceiveVisibleIds(ExecContext* ctx,
       ctx->untrusted->ServeVisibleIds(*ctx->query, table, ctx->vis_prefetch));
   GHOSTDB_ASSIGN_OR_RETURN(
       device::WireRows rows,
-      DecodeReceived(ctx, table, device::WireLayout{}, message));
+      DecodeReceived(ctx, device::WireLayout{}, message,
+                     ctx->store->tables[table].row_count));
   std::vector<catalog::RowId> ids(rows.rows);
   for (uint64_t i = 0; i < rows.rows; ++i) {
     ids[i] = DecodeFixed32(rows.bytes.data() + i * 4);
@@ -84,13 +84,46 @@ Result<untrusted::ProjectionPayload> ReceiveProjection(
                                       ctx->vis_prefetch));
   device::WireLayout layout =
       untrusted::WireLayoutOf(*ctx->schema, table, columns);
-  GHOSTDB_ASSIGN_OR_RETURN(device::WireRows rows,
-                           DecodeReceived(ctx, table, layout, message));
+  GHOSTDB_ASSIGN_OR_RETURN(
+      device::WireRows rows,
+      DecodeReceived(ctx, layout, message,
+                     ctx->store->tables[table].row_count));
   untrusted::ProjectionPayload payload;
   payload.row_width = layout.row_width();
   payload.rows = rows.rows;
   payload.bytes = std::move(rows.bytes);
   return payload;
+}
+
+Result<untrusted::ProjectionPayload> ReceiveVisibleValues(
+    ExecContext* ctx, const VisTable* vt, catalog::TableId table,
+    const std::vector<catalog::ColumnId>& columns) {
+  if (!columns.empty() || vt == nullptr) {
+    return ReceiveProjection(ctx, table, columns);
+  }
+  untrusted::ProjectionPayload payload;
+  payload.rows = vt->ids.size();
+  payload.bytes.resize(vt->ids.size() * 4);
+  for (size_t i = 0; i < vt->ids.size(); ++i) {
+    EncodeFixed32(payload.bytes.data() + i * 4, vt->ids[i]);
+  }
+  return payload;
+}
+
+Result<device::WireRows> ReceiveVisibleResult(ExecContext* ctx,
+                                              catalog::TableId table,
+                                              const device::WireLayout& layout,
+                                              uint64_t key_limit) {
+  GHOSTDB_ASSIGN_OR_RETURN(
+      std::vector<uint8_t> message,
+      ctx->untrusted->ServeVisibleResult(table, ctx->vis_prefetch));
+  return DecodeReceived(ctx, layout, message, key_limit);
+}
+
+Status ExecContext::RequireDevice(std::string_view what) const {
+  if (device != nullptr) return Status::OK();
+  return Status::Internal("device-free tail run reached the device (" +
+                          std::string(what) + ")");
 }
 
 std::optional<uint32_t> SjState::ColumnOffset(catalog::TableId t,
@@ -183,13 +216,34 @@ Result<std::unique_ptr<Operator>> BuildNode(ExecContext* ctx,
     return Status::Internal("physical plan node index out of range");
   }
   const plan::PhysicalNode& node = plan.nodes[idx];
-  // Gather legs of a sharded scatter-gather: the projection and everything
-  // below it already ran per shard, so it becomes a GatherSourceOp over
-  // the seq-merged row stream.
+  // Gather legs of a sharded scatter-gather: the fan-out boundary and
+  // everything below it already ran per shard, so it becomes a
+  // GatherSourceOp over the seq-merged row stream. Untrusted's tail run
+  // feeds its tail the same way, from the PC's projection rows.
   if (ctx->gather_rows != nullptr &&
       (node.op == plan::PhysicalOp::kProject ||
-       node.op == plan::PhysicalOp::kBruteForceProject)) {
+       node.op == plan::PhysicalOp::kBruteForceProject ||
+       node.op == plan::PhysicalOp::kVisProject ||
+       node.op == plan::PhysicalOp::kVisResult)) {
     return std::unique_ptr<Operator>(std::make_unique<GatherSourceOp>(ctx));
+  }
+  // Every other operator but the tail's works on the key: a device-free
+  // run may not instantiate one.
+  switch (node.op) {
+    case plan::PhysicalOp::kAggregate:
+    case plan::PhysicalOp::kGroupAggregate:
+    case plan::PhysicalOp::kDistinct:
+    case plan::PhysicalOp::kSort:
+    case plan::PhysicalOp::kTopKSort:
+    case plan::PhysicalOp::kLimit:
+      break;
+    default:
+      GHOSTDB_RETURN_NOT_OK(ctx->RequireDevice(plan::PhysicalOpName(node.op)));
+  }
+  // The nodes below VisResult ran on Untrusted before the key was asked.
+  if (node.op == plan::PhysicalOp::kVisResult) {
+    return std::unique_ptr<Operator>(
+        std::make_unique<VisResultOp>(ctx, plan.result_keyed_by_id()));
   }
   std::vector<std::unique_ptr<Operator>> kids;
   for (int c : node.children) {
@@ -255,6 +309,10 @@ Result<std::unique_ptr<Operator>> BuildNode(ExecContext* ctx,
     case plan::PhysicalOp::kVolumePad:
       op = std::make_unique<VolumePadOp>(ctx);
       break;
+    case plan::PhysicalOp::kVisProject:
+    case plan::PhysicalOp::kVisResult:
+      return Status::Internal(
+          "visible-only plan node outside a VisResult or tail run");
   }
   if (op == nullptr) {
     return Status::Internal("unknown physical operator");

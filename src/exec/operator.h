@@ -215,11 +215,17 @@ struct MetricSnapshot {
 struct VisTable {
   catalog::TableId table;
   plan::VisStrategy strategy;
-  std::vector<catalog::RowId> ids;   ///< Vis selection result (sorted)
+  /// The Vis selection result (sorted), exactly as the `vis-ids` message
+  /// carried it: a projection with no visible columns to fetch reads it
+  /// instead of asking the PC for the same list again.
+  std::vector<catalog::RowId> ids;
   /// Basis for a Post-Filter Bloom: vt.ids, or Vis ∩ Hidden-at-Ti for the
   /// Cross variant. Filled by VisSelectOp, consumed by BloomBuildOp.
   std::vector<catalog::RowId> filter_basis;
   bool has_filter_basis = false;
+  /// Cross Post-Select: Vis ∩ Hidden-at-Ti, the smaller exact id set
+  /// PostSelectOp filters F' by (instead of `ids`).
+  std::optional<std::vector<catalog::RowId>> crossed_ids;
   std::optional<BloomFilter> bloom;  ///< for post strategies in QEP_SJ
   uint32_t probe_offset = 0;         ///< byte offset of probe column in F'
   bool need_exact_at_projection = false;
@@ -318,12 +324,18 @@ struct ExecContext {
   /// the unmodified relational tail runs once over the global stream.
   const GatherInput* gather_rows = nullptr;
 
+  /// The device-free run's assertion: Internal unless this context has a
+  /// device. Untrusted's tail run (RunUntrustedTail) has none, so any path
+  /// that would spill, pad or otherwise reach secure state calls this
+  /// first and fails instead of dereferencing it.
+  Status RequireDevice(std::string_view what) const;
+
   SimClock& clock() { return device->clock(); }
   device::RamManager& ram() { return device->ram(); }
   flash::FlashDevice& flash() { return device->flash(); }
 };
 
-/// The key's end of the two row-carrying PC messages: requests Vis(Q, T,
+/// The key's end of the row-carrying PC messages: requests Vis(Q, T,
 /// {id}) / Vis(Q, T, {<id, vlist>}) and decodes the bytes that crossed the
 /// channel (never the PC's own vectors), charging the decode once, at
 /// receipt, to the "decode" clock category. A malformed message is
@@ -334,6 +346,21 @@ Result<std::vector<catalog::RowId>> ReceiveVisibleIds(ExecContext* ctx,
 Result<untrusted::ProjectionPayload> ReceiveProjection(
     ExecContext* ctx, catalog::TableId table,
     const std::vector<catalog::ColumnId>& columns);
+/// Visible values of `table` for projection: the `vis-vals` payload of
+/// `columns`, or — when there are none to fetch and the table's Vis list
+/// already crossed as `vis-ids` (`vt` non-null) — the payload rebuilt from
+/// that list, which the PC would have sent byte for byte again.
+Result<untrusted::ProjectionPayload> ReceiveVisibleValues(
+    ExecContext* ctx, const VisTable* vt, catalog::TableId table,
+    const std::vector<catalog::ColumnId>& columns);
+/// The key's end of a visible-only statement: requests the `vis-result`
+/// message of `table` and decodes it in `layout`, charging the decode.
+/// Keys ascend strictly below `key_limit`; anything else is
+/// InvalidArgument.
+Result<device::WireRows> ReceiveVisibleResult(ExecContext* ctx,
+                                              catalog::TableId table,
+                                              const device::WireLayout& layout,
+                                              uint64_t key_limit);
 
 /// \brief Base class of all physical operators.
 ///

@@ -104,7 +104,8 @@ Status ProjectOp::Open() {
     // Vis values stream (charged): rows passing Ti's visible predicates.
     if (mt.has_vis_side) {
       GHOSTDB_ASSIGN_OR_RETURN(
-          mt.payload, ReceiveProjection(ctx_, mt.table, mt.vis_cols));
+          mt.payload, ReceiveVisibleValues(ctx_, VisTableOf(state, mt.table),
+                                           mt.table, mt.vis_cols));
     }
 
     // Bloom over QEPSJ.Ti.id, sized to the whole remaining RAM (paper
@@ -261,7 +262,8 @@ Status ProjectOp::Open() {
   need_anchor_payload_ = !anchor_vis_cols_.empty() || anchor_exact;
   if (need_anchor_payload_) {
     GHOSTDB_ASSIGN_OR_RETURN(
-        anchor_payload_, ReceiveProjection(ctx_, anchor, anchor_vis_cols_));
+        anchor_payload_,
+        ReceiveVisibleValues(ctx_, anchor_vt, anchor, anchor_vis_cols_));
   }
 
   // Buffer budget for the final merge: F' + one per pass run + anchor TiH.
@@ -553,7 +555,7 @@ Status BruteForceProjectOp::Open() {
     bt.has_vis_side = vt != nullptr || !bt.vis_cols.empty();
     if (bt.has_vis_side) {
       GHOSTDB_ASSIGN_OR_RETURN(bt.payload,
-                               ReceiveProjection(ctx_, t, bt.vis_cols));
+                               ReceiveVisibleValues(ctx_, vt, t, bt.vis_cols));
       // Spool to flash: Brute-Force random-accesses vlist there (paper
       // section 6.5).
       GHOSTDB_ASSIGN_OR_RETURN(device::RamGuard wbuf,

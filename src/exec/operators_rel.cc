@@ -132,6 +132,7 @@ Result<ColumnBatch> GatherSourceOp::Next() {
       out.AppendBytes(c, base + offsets_[c]);
     }
     out.CommitRow();
+    if (ctx_->emit_row_seq) out.seqs.push_back(in.rows.seqs[pos_]);
     emitted_ += 1;
   }
   if (pos_ >= in.rows.row_count) {
@@ -139,6 +140,82 @@ Result<ColumnBatch> GatherSourceOp::Next() {
     out.skipped_rows += in.skipped_rows;  // the shards' demand-skipped rows
   }
   if (out.empty()) done_ = true;
+  return out;
+}
+
+// ---------------------------------------------------------------------------
+// VisResultOp
+// ---------------------------------------------------------------------------
+
+bool IsVisResultKeyCell(const sql::BoundQuery& query, size_t i,
+                        bool keyed_by_id) {
+  return keyed_by_id && query.select[i].is_id &&
+         query.select[i].agg == AggFunc::kNone;
+}
+
+device::WireLayout VisResultWireLayout(const sql::BoundQuery& query,
+                                       const BatchLayout& value_layout,
+                                       bool keyed_by_id) {
+  BatchLayout out = HashGroupOp::OutputLayout(query, value_layout);
+  device::WireLayout wire;
+  for (size_t i = 0; i < out.cols.size(); ++i) {
+    if (IsVisResultKeyCell(query, i, keyed_by_id)) continue;
+    wire.columns.push_back({out.cols[i].type, out.cols[i].width});
+  }
+  return wire;
+}
+
+Status VisResultOp::Open() {
+  GHOSTDB_RETURN_NOT_OK(Operator::Open());
+  const sql::BoundQuery& query = *ctx_->query;
+  layout_ = HashGroupOp::OutputLayout(query, *ctx_->value_layout);
+  uint32_t off = 4;
+  for (size_t i = 0; i < layout_.cols.size(); ++i) {
+    if (IsVisResultKeyCell(query, i, keyed_by_id_)) {
+      cell_offsets_.push_back(-1);
+      continue;
+    }
+    cell_offsets_.push_back(off);
+    off += layout_.cols[i].width;
+  }
+  row_width_ = off;
+  // Anchor ids lie below the anchor's (fleet-wide) row count, and the
+  // tail emits at most one row per anchor row (or the one aggregate row),
+  // so positions do too.
+  const core::TableImage& anchor = ctx_->store->tables[query.anchor];
+  uint64_t key_limit = std::max<uint64_t>(
+      1, anchor.global_row_count != 0 ? anchor.global_row_count
+                                      : anchor.row_count);
+  device::WireLayout wire =
+      VisResultWireLayout(query, *ctx_->value_layout, keyed_by_id_);
+  GHOSTDB_ASSIGN_OR_RETURN(
+      rows_, ReceiveVisibleResult(ctx_, query.anchor, wire, key_limit));
+  if (keyed_by_id_) return Status::OK();
+  // A scatter leg carries one range of the positions; the coordinator
+  // checks that the legs' ranges tile 0..n-1.
+  return device::CheckPositionKeys(rows_, wire,
+                                   /*any_first=*/ctx_->emit_row_seq);
+}
+
+Result<ColumnBatch> VisResultOp::Next() {
+  if (pos_ >= rows_.rows) return ColumnBatch{};
+  uint64_t n = std::min<uint64_t>(ctx_->batch_rows, rows_.rows - pos_);
+  ColumnBatch out = ColumnBatch::Make(&layout_, n);
+  for (uint64_t r = 0; r < n; ++r, ++pos_) {
+    if (emitted_ >= ctx_->rows_demanded) {
+      out.skipped_rows += 1;
+      continue;
+    }
+    const uint8_t* row =
+        rows_.bytes.data() + pos_ * static_cast<size_t>(row_width_);
+    for (size_t c = 0; c < cell_offsets_.size(); ++c) {
+      // A key cell is the key itself: an INT cell is its fixed32 bytes.
+      out.AppendBytes(c, cell_offsets_[c] < 0 ? row : row + cell_offsets_[c]);
+    }
+    out.CommitRow();
+    if (ctx_->emit_row_seq) out.seqs.push_back(DecodeFixed32(row));
+    emitted_ += 1;
+  }
   return out;
 }
 

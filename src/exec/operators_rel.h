@@ -1,8 +1,11 @@
 // Value-space operators above the projection: grouping (HashGroupOp:
 // DISTINCT, GROUP BY, whole-result aggregates), ORDER BY with optional
-// fused LIMIT (SortOp), LIMIT, and the volume-padding root. These run
-// entirely on the Secure side — result rows never cross the channel — so
-// they add no observable behavior that could depend on Hidden data. All of
+// fused LIMIT (SortOp), LIMIT, and the volume-padding root. For a
+// statement that touches hidden data these run entirely on the Secure
+// side — result rows never cross the channel — so they add no observable
+// behavior that could depend on Hidden data; for a visible-only statement
+// Untrusted runs the same operators over visible rows (RunUntrustedTail)
+// and VisResultOp receives their output on the key. All of
 // them work on the encoded columns of ColumnBatch: grouping hashes
 // canonical encoded key bytes, Sort compares encoded sort keys
 // (catalog::CompareEncoded), Limit and streamed groups drop rows through
@@ -57,6 +60,52 @@ class GatherSourceOp final : public Operator {
   uint64_t emitted_ = 0;           ///< rows materialized so far
   bool done_ = false;
 };
+
+/// \brief The key's one operator in a visible-only plan
+/// (plan::BuildVisibleOnlyPlan): requests the statement's final rows —
+/// which Untrusted computed by running the plan's nodes below this one
+/// (RunUntrustedTail) — as one `vis-result:<T>` message, decodes the bytes
+/// that crossed, and emits them in the tail's output layout. Each row is
+/// [key(4) | cells] (VisResultWireLayout). With `keyed_by_id` the key is
+/// the row's anchor id and anchor-id SELECT items are read from it;
+/// otherwise it is the row's position. The codec rejects keys that do not
+/// ascend strictly and positions other than 0..n-1 — on a scatter leg,
+/// positions that are not consecutive (the coordinator checks that the
+/// legs' ranges tile, CheckVisResultRanges). Scatter legs stamp each
+/// row's key as its seq, so the gather concatenates the ranges by key.
+/// Honors rows_demanded like the projection.
+class VisResultOp final : public Operator {
+ public:
+  VisResultOp(ExecContext* ctx, bool keyed_by_id)
+      : Operator(ctx), keyed_by_id_(keyed_by_id) {}
+  std::string_view name() const override { return "VisResult"; }
+  Status Open() override;
+  Result<ColumnBatch> Next() override;
+
+ private:
+  bool keyed_by_id_;
+  BatchLayout layout_;  ///< the tail's output layout
+  /// Per output column: its byte offset in a decoded wire row, or -1 when
+  /// the cell is the key.
+  std::vector<int64_t> cell_offsets_;
+  device::WireRows rows_;
+  uint32_t row_width_ = 0;  ///< of a decoded wire row
+  uint64_t pos_ = 0;        ///< next decoded row to emit
+  uint64_t emitted_ = 0;    ///< rows materialized so far
+};
+
+/// True when output column `i` of a visible-only `query` is its row's
+/// key: an anchor-id SELECT item of rows keyed by the anchor id.
+bool IsVisResultKeyCell(const sql::BoundQuery& query, size_t i,
+                        bool keyed_by_id);
+
+/// Row layout of the `vis-result` message of visible-only `query` over
+/// projection layout `value_layout`: after the 4-byte key, one column per
+/// output column of the tail, leaving out the key cells
+/// (IsVisResultKeyCell). Both ends derive it from the visible query.
+device::WireLayout VisResultWireLayout(const sql::BoundQuery& query,
+                                       const BatchLayout& value_layout,
+                                       bool keyed_by_id);
 
 /// \brief The one grouping operator: DISTINCT, GROUP BY, and whole-result
 /// aggregates. The binder rejects DISTINCT combined with aggregates or

@@ -244,8 +244,7 @@ Status HiddenSelector::CrossIntersect(const VisTable& vt,
         *ctx_->pipeline.hidden_preds[pi], vt.table, &g));
     groups.push_back(std::move(g));
   }
-  MergeExec merge(&ctx_->flash(), &ctx_->ram(), ctx_->allocator,
-                  &ctx_->clock());
+  MergeExec merge(&ctx_->flash(), &ctx_->ram(), ctx_->allocator);
   auto scope = ctx_->clock().Enter("merge");
   GHOSTDB_RETURN_NOT_OK(merge.Run(
       std::move(groups),
@@ -357,7 +356,7 @@ Status VisSelectOp::Open() {
           std::vector<RowId> basis;
           GHOSTDB_RETURN_NOT_OK(
               selector.CrossIntersect(vt, foldable, &basis));
-          vt.ids = std::move(basis);
+          vt.crossed_ids = std::move(basis);
         }
         break;
       case VisStrategy::kNoFilter:
@@ -439,8 +438,7 @@ Status MergeOp::Open() {
 }
 
 Status MergeOp::Drive(const std::function<Status(RowId)>& sink) {
-  MergeExec merge(&ctx_->flash(), &ctx_->ram(), ctx_->allocator,
-                  &ctx_->clock());
+  MergeExec merge(&ctx_->flash(), &ctx_->ram(), ctx_->allocator);
   {
     auto merge_scope = ctx_->clock().Enter("merge");
     GHOSTDB_RETURN_NOT_OK(merge.Run(std::move(ctx_->pipeline.anchor_groups),
@@ -570,7 +568,9 @@ Status PostSelectOp::Open() {
       return Status::Internal("post-select table missing from F'");
     }
     auto scope = ctx_->clock().Enter("post-select");
-    GHOSTDB_ASSIGN_OR_RETURN(SjState filtered, Filter(sj, *off, vt.ids));
+    GHOSTDB_ASSIGN_OR_RETURN(
+        SjState filtered,
+        Filter(sj, *off, vt.crossed_ids ? *vt.crossed_ids : vt.ids));
     filtered.column_tables = sj.column_tables;
     filtered.row_width = sj.row_width;
     GHOSTDB_RETURN_NOT_OK(

@@ -84,6 +84,7 @@ void ExternalRowSorter::SortGeneration() {
 
 Status ExternalRowSorter::SpillGeneration() {
   if (gen_rows_ == 0) return Status::OK();
+  GHOSTDB_RETURN_NOT_OK(ctx_->RequireDevice("spill run"));
   SortGeneration();
   auto scope = ctx_->clock().Enter(kSpillClockCategory);
   GHOSTDB_ASSIGN_OR_RETURN(device::RamGuard buf,
@@ -155,6 +156,7 @@ Status ExternalRowSorter::PadSpillRuns() {
   constexpr uint64_t kMaxDummyRuns = 256;
   uint64_t dummies = std::min(target - real, kMaxDummyRuns);
   if (dummies == 0) return Status::OK();
+  GHOSTDB_RETURN_NOT_OK(ctx_->RequireDevice("spill-run padding"));
   auto scope = ctx_->clock().Enter(kSpillClockCategory);
   std::vector<uint8_t> zero_row(row_width_, 0);
   GHOSTDB_ASSIGN_OR_RETURN(device::RamGuard buf,

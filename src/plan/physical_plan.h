@@ -8,6 +8,15 @@
 //     [-> Aggregate | GroupAggregate | Distinct]
 //     [-> TopKSort | [-> Sort] [-> Limit]] [-> VolumePad]
 //
+// A visible-only statement (sql::BoundQuery::TouchesHidden is false) is
+// lowered instead to
+//
+//   VisProject -> [the same tail, without VolumePad] -> VisResult
+//
+// where everything below VisResult runs on Untrusted: the PC projects its
+// visible rows and runs the tail operators over them, and the key's one
+// operator receives the final rows as a `vis-result:<T>` message.
+//
 // Aggregate, GroupAggregate and Distinct all run as exec::HashGroupOp;
 // Sort and TopKSort (Sort -> Limit k, always fused) as exec::SortOp. The
 // kinds stay distinct for EXPLAIN.
@@ -51,6 +60,12 @@ enum class PhysicalOp : uint8_t {
   /// the observed volume hits the padding mode's target (quantized or
   /// visible-worst-case). Dummies are stripped at the QueryResult boundary.
   kVolumePad,
+  /// Visible-only plans, on Untrusted: the anchor's rows passing its
+  /// visible predicates, one column per SELECT item, ascending anchor id.
+  kVisProject,
+  /// Visible-only plans, on the key: receives the final rows the PC
+  /// computed below it as one `vis-result:<T>` message.
+  kVisResult,
 };
 
 std::string_view PhysicalOpName(PhysicalOp op);
@@ -60,6 +75,8 @@ struct PhysicalNode {
   PhysicalOp op;
   std::vector<int> children;  ///< indices into PhysicalPlan::nodes
   uint64_t limit = 0;         ///< kLimit / kTopKSort: row cap
+  /// Runs on Untrusted (the nodes below a kVisResult), not on the key.
+  bool on_untrusted = false;
 };
 
 /// \brief A fully lowered plan: strategy decisions plus the operator tree.
@@ -76,8 +93,17 @@ struct PhysicalPlan {
   /// kept so cached executions don't rebuild it per statement.
   exec::BatchLayout value_layout;
 
-  /// Indented tree rendering (EXPLAIN).
+  /// Indented tree rendering (EXPLAIN); Untrusted's nodes are marked.
   std::string ToString(const catalog::Schema& schema) const;
+
+  /// True for a visible-only plan (its root is kVisResult).
+  bool visible_only() const {
+    return root >= 0 && nodes[root].op == PhysicalOp::kVisResult;
+  }
+  /// Visible-only plans: true when the final rows are keyed by their anchor
+  /// id — the tail is at most a LIMIT, so they are a prefix of the
+  /// projection rows — and false when they are keyed by position 0..n-1.
+  bool result_keyed_by_id() const;
 };
 
 /// Lowers `choice` into the operator tree for `query`. Pure function of the
@@ -93,5 +119,11 @@ struct PhysicalPlan {
 /// the flag from the one ExecConfig every plan is lowered under.
 PhysicalPlan BuildPhysicalPlan(const sql::BoundQuery& query,
                                PlanChoice choice, bool pad_volume);
+
+/// Lowers a visible-only `query` (sql::BoundQuery::TouchesHidden false):
+/// VisProject and the relational tail on Untrusted under one key-side
+/// VisResult. No VolumePad: the statement's volume is visible-derived, so
+/// padding it would hide nothing. Called only through Planner::LowerPlan.
+PhysicalPlan BuildVisibleOnlyPlan(const sql::BoundQuery& query);
 
 }  // namespace ghostdb::plan

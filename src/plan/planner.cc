@@ -82,6 +82,7 @@ Result<PhysicalPlan> Planner::PlanQuery(
     const sql::BoundQuery& query,
     const std::map<TableId, uint64_t>& vis_counts,
     const exec::ExecConfig& exec_config) const {
+  if (VisibleOnly(query)) return LowerPlan(query, PlanChoice{}, exec_config);
   GHOSTDB_ASSIGN_OR_RETURN(PlanChoice choice,
                            Choose(query, vis_counts, exec_config));
   return LowerPlan(query, std::move(choice), exec_config);
@@ -90,9 +91,12 @@ Result<PhysicalPlan> Planner::PlanQuery(
 PhysicalPlan Planner::LowerPlan(const sql::BoundQuery& query,
                                 PlanChoice choice,
                                 const exec::ExecConfig& exec_config) const {
-  PhysicalPlan plan = BuildPhysicalPlan(
-      query, std::move(choice),
-      exec_config.volume_padding != exec::VolumePadding::kOff);
+  PhysicalPlan plan =
+      VisibleOnly(query)
+          ? BuildVisibleOnlyPlan(query)
+          : BuildPhysicalPlan(
+                query, std::move(choice),
+                exec_config.volume_padding != exec::VolumePadding::kOff);
   // Batch sizing: a byte budget over the output row width. Widths are
   // schema metadata (visible), so the sized plan (and the layout it was
   // derived from) stays cacheable.
@@ -108,7 +112,19 @@ bool Planner::FansOut(const sql::BoundQuery& query) const {
 std::string Planner::Explain(
     const sql::BoundQuery& query, const PhysicalPlan& plan,
     const std::map<TableId, uint64_t>& vis_counts) const {
-  std::string out = Explain(query, plan.choice, vis_counts);
+  std::string out;
+  if (plan.visible_only()) {
+    out = "GhostDB plan (anchor " + schema_->table(query.anchor).name +
+          ", visible-only)\n";
+    for (const auto& p : query.predicates) {
+      out += "  visible predicate: " + p.ToString(*schema_) + "\n";
+    }
+    out += "  answered on Untrusted -> vis-result keyed by " +
+           std::string(plan.result_keyed_by_id() ? "anchor id" : "position") +
+           "\n";
+  } else {
+    out = Explain(query, plan.choice, vis_counts);
+  }
   out += "  batch: " + std::to_string(plan.batch_rows) + " rows\n";
   out += "  pipeline:\n";
   std::istringstream tree(plan.ToString(*schema_));

@@ -40,8 +40,17 @@ class Planner {
                                 vis_counts,
                             const exec::ExecConfig& exec_config) const;
 
+  /// The one decision rule next to the paper's: a visible-only statement
+  /// (sql::BoundQuery::TouchesHidden false) is answered by Untrusted, which
+  /// runs the whole statement and ships only its final rows. A pure
+  /// function of the visible query shape.
+  bool VisibleOnly(const sql::BoundQuery& query) const {
+    return !query.TouchesHidden(*schema_);
+  }
+
   /// Chooses strategies and lowers them into the physical operator tree —
-  /// the unit the execution engine runs and core::GhostDB caches.
+  /// the unit the execution engine runs and core::GhostDB caches. A
+  /// visible-only statement needs no strategy (and no `vis_counts`).
   Result<PhysicalPlan> PlanQuery(const sql::BoundQuery& query,
                                  const std::map<catalog::TableId, uint64_t>&
                                      vis_counts,
@@ -51,7 +60,9 @@ class Planner {
   /// into the executable plan: the operator tree with top-K fusion and
   /// volume padding as `exec_config` sets them, and the batch layout and
   /// size. Every plan the engine runs comes
-  /// from here, so a pinned plan is padded exactly like a planned one.
+  /// from here, so a pinned plan is padded exactly like a planned one, and
+  /// a visible-only statement gets the visible-only plan whatever is
+  /// pinned (BuildVisibleOnlyPlan).
   PhysicalPlan LowerPlan(const sql::BoundQuery& query, PlanChoice choice,
                          const exec::ExecConfig& exec_config) const;
 

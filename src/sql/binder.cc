@@ -163,6 +163,20 @@ bool BoundQuery::ProjectsTable(TableId t) const {
   return false;
 }
 
+bool BoundQuery::TouchesHidden(const Schema& schema) const {
+  if (tables.size() != 1 || !joins.empty()) return true;
+  if (schema.table(tables[0]).hidden) return true;
+  for (const auto& p : predicates) {
+    if (p.hidden && !p.on_id) return true;
+  }
+  for (const auto& c : select) {
+    if (!c.is_id && schema.table(c.table).columns[c.column].hidden) {
+      return true;
+    }
+  }
+  return false;
+}
+
 bool BoundQuery::HasAggregates() const {
   for (const auto& c : select) {
     if (c.agg != exec::AggFunc::kNone) return true;

@@ -85,6 +85,13 @@ struct BoundQuery {
   bool HasAggregates() const;
   /// True for a GROUP BY query (one result row per group).
   bool grouped() const { return !group_by.empty(); }
+  /// False for a visible-only statement: one table, not declared HIDDEN,
+  /// no join, no hidden predicate, and no hidden column among the SELECT
+  /// items (which hold every aggregate argument, GROUP BY key and ORDER BY
+  /// key); ids and COUNT(*) count as visible. Such a statement is a
+  /// function of the visible data and the query text alone. Depends only
+  /// on the query shape, so a plan chosen from it stays cacheable.
+  bool TouchesHidden(const catalog::Schema& schema) const;
 };
 
 /// Binds `stmt` (with original text `sql`) against `schema`.

@@ -47,6 +47,9 @@ Result<VisPrefetch> UntrustedEngine::PrefetchVisible(
     const sql::BoundQuery& query) const {
   VisPrefetch prefetch;
   prefetch.encoded_for = channel_->throughput();
+  // A visible-only statement's key requests neither: the PC answers it
+  // whole (ProjectStatement).
+  if (!query.TouchesHidden(*schema_)) return prefetch;
   for (catalog::TableId t : query.tables) {
     // Vis id lists: requested by VisSelectOp for every table with visible
     // predicates, regardless of strategy.
@@ -58,10 +61,7 @@ Result<VisPrefetch> UntrustedEngine::PrefetchVisible(
       prefetch.ids.emplace(t, std::move(ids));
     }
     // Projection payloads: requested by the projection operators for every
-    // table whose visible columns appear in the SELECT list. (Payloads
-    // that depend on the chosen strategy — exactness recovery with an
-    // empty column set — are left to the inline path, so speculation
-    // never does work the query might not pay for.)
+    // table whose visible columns appear in the SELECT list.
     std::vector<catalog::ColumnId> cols =
         query.ProjectedVisibleColumns(*schema_, t);
     if (!cols.empty()) {
@@ -131,6 +131,41 @@ Result<std::vector<uint8_t>> UntrustedEngine::ServeProjection(
   }
   channel_->Transfer(Direction::kToSecure,
                      "vis-vals:" + schema_->table(table).name,
+                     message.data(), message.size());
+  return message;
+}
+
+Result<ProjectionPayload> UntrustedEngine::ProjectStatement(
+    const sql::BoundQuery& query) const {
+  const catalog::TableId t = query.anchor;
+  GHOSTDB_ASSIGN_OR_RETURN(
+      ProjectionPayload payload,
+      store_.Project(t, query.VisiblePredicatesOn(t),
+                     query.ProjectedVisibleColumns(*schema_, t), pool_));
+  // Payload id headers are local; a sharded slice's rows merge with the
+  // other shards' by global id.
+  for (uint64_t r = 0; r < payload.rows; ++r) {
+    uint8_t* id = payload.bytes.data() + r * payload.row_width;
+    EncodeFixed32(id, store_.GlobalId(t, DecodeFixed32(id)));
+  }
+  return payload;
+}
+
+std::vector<uint8_t> UntrustedEngine::EncodeResult(
+    const device::WireLayout& layout, const uint8_t* rows,
+    uint64_t count) const {
+  return device::EncodeRows(channel_->wire_format(), layout, rows, count,
+                            channel_->throughput());
+}
+
+Result<std::vector<uint8_t>> UntrustedEngine::ServeVisibleResult(
+    catalog::TableId table, const VisPrefetch* prefetch) {
+  if (prefetch == nullptr || !prefetch->result_message.has_value()) {
+    return Status::Internal("no vis-result prepared for the statement");
+  }
+  const std::vector<uint8_t>& message = *prefetch->result_message;
+  channel_->Transfer(Direction::kToSecure,
+                     "vis-result:" + schema_->table(table).name,
                      message.data(), message.size());
   return message;
 }

@@ -13,12 +13,13 @@
 // identical whether or not an answer was prefetched, so the transcript
 // contract is untouched.
 //
-// Vis id lists and projection payloads cross the channel in the link's
-// wire format (device/wire_codec.h); the Serve calls return the bytes that
-// were shipped, which the key decodes.
+// Vis id lists, projection payloads and visible-only results cross the
+// channel in the link's wire format (device/wire_codec.h); the Serve calls
+// return the bytes that were shipped, which the key decodes.
 #pragma once
 
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,6 +47,10 @@ struct VisPrefetch {
   std::map<catalog::TableId, std::vector<uint8_t>> id_messages;
   std::map<catalog::TableId, std::vector<uint8_t>> projection_messages;
   double encoded_for = 0;
+  /// A visible-only statement's `vis-result` message for this shard's key
+  /// (its range of the final rows), built before admission. Served as is,
+  /// never consumed, so a masked fault replay re-sends the same bytes.
+  std::optional<std::vector<uint8_t>> result_message;
 };
 
 /// Row layout of a `vis-vals` message for `columns` of `table` (no columns:
@@ -78,9 +83,11 @@ class UntrustedEngine {
   /// payloads for tables whose visible columns are projected) and encodes
   /// their wire messages — exactly the work the Serve calls would do, no
   /// more, so running it early never costs anything the query would not
-  /// pay anyway. Pure read of the visible store and of the channel's
-  /// configuration (format, throughput): safe to run on a session's thread
-  /// while another session holds the channel. Transfers nothing.
+  /// pay anyway; nothing for a visible-only statement, whose key requests
+  /// neither (ProjectStatement feeds the PC's own answer instead). Pure
+  /// read of the visible store and of the channel's configuration
+  /// (format, throughput): safe to run on a session's thread while
+  /// another session holds the channel. Transfers nothing.
   Result<VisPrefetch> PrefetchVisible(const sql::BoundQuery& query) const;
 
   /// Vis(Q, T, {id}): sorted ids of rows of `table` satisfying the query's
@@ -98,6 +105,26 @@ class UntrustedEngine {
       const sql::BoundQuery& query, catalog::TableId table,
       const std::vector<catalog::ColumnId>& columns,
       VisPrefetch* prefetch = nullptr);
+
+  /// The PC's projection of visible-only `query`: its anchor's rows
+  /// passing the visible predicates, [global id | the projected visible
+  /// columns], ascending id — the input of exec::RunUntrustedTail.
+  /// Transfers nothing.
+  Result<ProjectionPayload> ProjectStatement(
+      const sql::BoundQuery& query) const;
+
+  /// Wire message of `count` raw `vis-result` rows of `layout` on this
+  /// channel.
+  std::vector<uint8_t> EncodeResult(const device::WireLayout& layout,
+                                    const uint8_t* rows,
+                                    uint64_t count) const;
+
+  /// Vis-result(Q, T): the final rows of a visible-only statement, the
+  /// message `prefetch->result_message` holds (Internal when none was
+  /// prepared). Charged as Untrusted -> Secure; returns the shipped
+  /// message.
+  Result<std::vector<uint8_t>> ServeVisibleResult(
+      catalog::TableId table, const VisPrefetch* prefetch);
 
   /// Count of rows satisfying the visible predicates (a tiny message used
   /// by the planner; derived from visible data + the query only). Reads

@@ -23,8 +23,9 @@
 
 namespace ghostdb::untrusted {
 
-/// Packed rows shipped for projections: `rows` rows of
-/// [id(4) | projected visible column values...].
+/// Packed rows a PC message carries: `rows` rows of [key(4) | cells...] —
+/// a projection's [id | projected visible column values...], or a
+/// visible-only statement's final rows (exec::RunUntrustedTail).
 struct ProjectionPayload {
   std::vector<uint8_t> bytes;
   uint32_t row_width = 4;
@@ -75,6 +76,12 @@ class VisibleStore {
       const std::vector<catalog::ColumnId>& columns,
       exec::ThreadPool* pool = nullptr) const;
 
+  /// The id an on_id predicate sees for `row`, and the id a sharded
+  /// slice's rows merge by (global under sharding).
+  catalog::RowId GlobalId(catalog::TableId table, catalog::RowId row) const {
+    return global_ids_[table].empty() ? row : global_ids_[table][row];
+  }
+
   /// Decodes one visible column of one row (used by tests and the oracle).
   Result<catalog::Value> GetValue(catalog::TableId table, catalog::RowId row,
                                   catalog::ColumnId column) const;
@@ -92,11 +99,6 @@ class VisibleStore {
                  const std::vector<sql::BoundPredicate>& predicates,
                  catalog::RowId begin, catalog::RowId end,
                  std::vector<catalog::RowId>* out) const;
-
-  /// The id an on_id predicate sees for `row` (global under sharding).
-  catalog::RowId GlobalId(catalog::TableId table, catalog::RowId row) const {
-    return global_ids_[table].empty() ? row : global_ids_[table][row];
-  }
 
   const catalog::Schema* schema_;
   std::vector<std::vector<uint8_t>> partitions_;  // per table, packed rows

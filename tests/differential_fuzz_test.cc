@@ -7,6 +7,7 @@
 //
 // Budget knobs (environment):
 //   GHOSTDB_FUZZ_ITERS         total queries (default 500)
+//   GHOSTDB_VISIBLE_FUZZ_ITERS visible-only queries (default 240)
 //   GHOSTDB_FUZZ_SEED          base seed (default 20070611)
 //   GHOSTDB_FUZZ_FAILURE_FILE  failing-seed log (default fuzz_failures.txt)
 #include <gtest/gtest.h>
@@ -148,6 +149,78 @@ TEST(DifferentialFuzzTest, GhostDBMatchesOracleOnRandomQueries) {
                             " query_seed=" + std::to_string(query_seed) +
                             (brute_force ? " [brute-force]" : "") +
                             " sql=" + sql + " | " + why;
+        RecordFailure(repro);
+        ADD_FAILURE() << repro;
+        if (failures >= 10) {
+          FAIL() << "too many divergences; stopping early (see "
+                 << FailureFile() << ")";
+        }
+      }
+    }
+  }
+  EXPECT_EQ(ran, iters);
+  EXPECT_EQ(failures, 0u);
+}
+
+TEST(DifferentialFuzzTest, VisibleOnlyShapesMatchOracle) {
+  // Visible-only mode: every generated statement touches no hidden column
+  // (one table; ids and visible columns with DISTINCT, GROUP BY,
+  // aggregates, ORDER BY and LIMIT), so the PC runs the tail operators and
+  // the key receives only the final rows. Fleet size, pool width, padding
+  // and the tail budget cycle across databases; answers must be the
+  // oracle's, and nothing may be padded or spilled.
+  const uint64_t iters = EnvOr("GHOSTDB_VISIBLE_FUZZ_ITERS", 240);
+  const uint64_t base_seed =
+      EnvOr("GHOSTDB_FUZZ_SEED", 20070611, /*allow_zero=*/true);
+  const uint64_t kQueriesPerDb = 80;
+  const uint64_t dbs = (iters + kQueriesPerDb - 1) / kQueriesPerDb;
+  const uint32_t kShardCycle[] = {1, 4, 2};
+
+  uint64_t ran = 0, failures = 0;
+  for (uint64_t d = 0; d < dbs && ran < iters; ++d) {
+    uint64_t visible_seed = base_seed + 8000 * d + 41;
+    uint64_t hidden_seed = visible_seed + 1;
+    auto cfg = fuzztest::FuzzConfig(visible_seed, /*retain_staged=*/true,
+                                    /*worker_threads=*/d % 2 == 0 ? 4 : 1);
+    cfg.shard_count = kShardCycle[d % 3];
+    if (d % 2 == 1) {
+      cfg.exec.sort_budget_buffers = 1;
+      cfg.exec.volume_padding = exec::VolumePadding::kWorstCase;
+      cfg.exec.pad_spill_runs = true;
+    }
+    GhostDB db(cfg);
+    ASSERT_TRUE(fuzztest::BuildFuzzDb(&db, visible_seed, hidden_seed).ok());
+    fuzztest::FuzzShape shape = fuzztest::MakeShape(visible_seed);
+    for (uint64_t q = 0; q < kQueriesPerDb && ran < iters; ++q, ++ran) {
+      uint64_t query_seed =
+          (base_seed + 313) ^ (d << 32) ^ (q * 0x9E3779B9ULL);
+      Rng rng(query_seed);
+      std::string sql =
+          fuzztest::GenerateQuery(rng, shape, /*visible_only=*/true);
+      auto stmt = sql::Parse(sql);
+      ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+      auto bound =
+          sql::Bind(std::get<sql::SelectStmt>(*stmt), db.schema(), sql);
+      ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+      ASSERT_FALSE(bound->TouchesHidden(db.schema())) << sql;
+      auto got = db.Query(sql);
+      std::string why;
+      bool ok = CheckAgainstOracle(&db, sql, got, &why);
+      if (ok && got.ok() &&
+          (got->metrics.padding_rows != 0 ||
+           got->metrics.sort_spill_runs != 0 ||
+           got->metrics.flash.pages_written != 0 ||
+           got->metrics.observed_volume != got->total_rows)) {
+        ok = false;
+        why = "padded, spilled or wrote flash";
+      }
+      if (!ok) {
+        failures += 1;
+        std::string repro =
+            "[visible-only] shards=" + std::to_string(cfg.shard_count) +
+            " visible_seed=" + std::to_string(visible_seed) +
+            " query_seed=" + std::to_string(query_seed) + " sql=" + sql +
+            " | " + why;
         RecordFailure(repro);
         ADD_FAILURE() << repro;
         if (failures >= 10) {

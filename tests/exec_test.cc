@@ -43,7 +43,7 @@ class ExecTest : public ::testing::Test {
 
   std::vector<RowId> RunMerge(std::vector<MergeGroup> groups,
                               uint32_t reserve_buffers = 0) {
-    MergeExec merge(device_.get(), ram_.get(), allocator_.get(), &clock_);
+    MergeExec merge(device_.get(), ram_.get(), allocator_.get());
     std::vector<RowId> out;
     auto st = merge.Run(
         std::move(groups),
@@ -382,7 +382,7 @@ TEST_F(ExecTest, MergeRespectsReserveBuffers) {
   for (int i = 0; i < 600; ++i) {
     g.runs.push_back(MakeRun({static_cast<RowId>(i % 40)}));
   }
-  MergeExec merge(device_.get(), ram_.get(), allocator_.get(), &clock_);
+  MergeExec merge(device_.get(), ram_.get(), allocator_.get());
   std::vector<RowId> out;
   auto hold = ram_->Acquire(10, "downstream");
   ASSERT_TRUE(hold.ok());

@@ -184,6 +184,7 @@ enum class ColKind { kInt, kStr, kDbl, kBig };
 struct FuzzColumn {
   const char* name;
   ColKind kind;
+  bool hidden;
 };
 
 struct FuzzTable {
@@ -195,18 +196,24 @@ struct FuzzTable {
 inline const std::vector<FuzzTable>& Tables() {
   static const std::vector<FuzzTable> tables = {
       {"T0", &FuzzShape::t0,
-       {{"v", ColKind::kInt}, {"h", ColKind::kInt}, {"hs", ColKind::kStr}}},
+       {{"v", ColKind::kInt, false},
+        {"h", ColKind::kInt, true},
+        {"hs", ColKind::kStr, true}}},
       {"T1", &FuzzShape::t1,
-       {{"v", ColKind::kInt}, {"vs", ColKind::kStr}, {"h", ColKind::kInt}}},
+       {{"v", ColKind::kInt, false},
+        {"vs", ColKind::kStr, false},
+        {"h", ColKind::kInt, true}}},
       {"T2", &FuzzShape::t2,
-       {{"v", ColKind::kInt},
-        {"d", ColKind::kDbl},
-        {"h", ColKind::kInt},
-        {"bh", ColKind::kBig}}},
+       {{"v", ColKind::kInt, false},
+        {"d", ColKind::kDbl, false},
+        {"h", ColKind::kInt, true},
+        {"bh", ColKind::kBig, true}}},
       {"T11", &FuzzShape::t11,
-       {{"v", ColKind::kInt}, {"h", ColKind::kInt}, {"dh", ColKind::kDbl}}},
+       {{"v", ColKind::kInt, false},
+        {"h", ColKind::kInt, true},
+        {"dh", ColKind::kDbl, true}}},
       {"T12", &FuzzShape::t12,
-       {{"v", ColKind::kInt}, {"h", ColKind::kInt}}},
+       {{"v", ColKind::kInt, false}, {"h", ColKind::kInt, true}}},
   };
   return tables;
 }
@@ -217,6 +224,9 @@ struct FromSet {
   std::vector<size_t> tables;
   const char* joins;  ///< "" for single-table sets
 };
+
+/// Single-table FROM sets lead FromSets().
+constexpr size_t kSingleTableSets = 5;
 
 inline const std::vector<FromSet>& FromSets() {
   static const std::vector<FromSet> sets = {
@@ -255,11 +265,26 @@ inline const char* CompareOpText(uint64_t pick) {
 /// One random query over the fuzz schema, drawn from `rng`. Always
 /// bindable: FROM sets are connected subtrees, ORDER BY references the
 /// select list, mixed aggregate/plain selects always carry a GROUP BY
-/// covering the plain items.
-inline std::string GenerateQuery(Rng& rng, const FuzzShape& shape) {
+/// covering the plain items. With `visible_only` every query is a
+/// visible-only statement — one table, and only ids and visible columns
+/// in its items, aggregates, keys and predicates — so the PC answers it.
+inline std::string GenerateQuery(Rng& rng, const FuzzShape& shape,
+                                 bool visible_only = false) {
   using detail::FromSets;
   using detail::Tables;
-  const auto& set = FromSets()[rng.Uniform(FromSets().size())];
+  const auto& set =
+      FromSets()[rng.Uniform(visible_only ? detail::kSingleTableSets
+                                          : FromSets().size())];
+  // A random column of `table` (visible ones only in visible-only mode).
+  auto random_column = [&](const detail::FuzzTable& table)
+      -> const detail::FuzzColumn& {
+    if (!visible_only) return table.cols[rng.Uniform(table.cols.size())];
+    std::vector<const detail::FuzzColumn*> visible;
+    for (const auto& col : table.cols) {
+      if (!col.hidden) visible.push_back(&col);
+    }
+    return *visible[rng.Uniform(visible.size())];
+  };
 
   // A select item: table index + column index, or -1 for the id.
   struct Item {
@@ -273,8 +298,9 @@ inline std::string GenerateQuery(Rng& rng, const FuzzShape& shape) {
     if (rng.Chance(0.2)) {
       return {t, -1, std::string(table.name) + ".id"};
     }
-    int c = static_cast<int>(rng.Uniform(table.cols.size()));
-    return {t, c, std::string(table.name) + "." + table.cols[c].name};
+    const detail::FuzzColumn& col = random_column(table);
+    int c = static_cast<int>(&col - table.cols.data());
+    return {t, c, std::string(table.name) + "." + col.name};
   };
   // One random aggregate item's text ("COUNT(*)", "SUM(T0.v)", ...).
   auto random_agg = [&]() -> std::string {
@@ -356,7 +382,7 @@ inline std::string GenerateQuery(Rng& rng, const FuzzShape& shape) {
                           std::to_string(rng.Uniform(bound + 1)));
       continue;
     }
-    const auto& col = table.cols[rng.Uniform(table.cols.size())];
+    const auto& col = random_column(table);
     std::string lhs = std::string(table.name) + "." + col.name;
     uint64_t span = static_cast<uint64_t>(shape.domain) +
                     static_cast<uint64_t>(shape.domain) / 5 + 1;

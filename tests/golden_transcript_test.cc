@@ -96,6 +96,11 @@ const std::vector<std::string>& Statements() {
       "SELECT Fact.v, COUNT(*), MAX(Fact.h) FROM Fact WHERE Fact.h < 80 "
       "GROUP BY Fact.v",
       "SELECT Dim.id, Dim.h FROM Dim WHERE Dim.v < 10",
+      // Visible-only: the PC answers, the key receives one vis-result.
+      "SELECT Fact.id, Fact.v FROM Fact WHERE Fact.v < 50 "
+      "ORDER BY Fact.v DESC LIMIT 6",
+      "SELECT Fact.v, COUNT(*), MAX(Fact.id) FROM Fact WHERE Fact.id < 2000 "
+      "GROUP BY Fact.v",
   };
   return kSqls;
 }
@@ -384,14 +389,20 @@ TEST(GoldenTranscriptTest, PaddedFaultRecoveredRun) {
 }
 
 /// Fleet statements: root-anchored row streams (a plain filter and a
-/// sorted, limited join) and a grouped aggregate. Each fans out to all
-/// four shards and gathers on the coordinator.
+/// sorted, limited join), a grouped aggregate, and two visible-only
+/// statements. Each fans out to all four shards and gathers on the
+/// coordinator.
 const std::vector<std::string>& FleetStatements() {
   static const std::vector<std::string> kSqls = {
       "SELECT Fact.id FROM Fact WHERE Fact.h < 30",
       "SELECT Fact.id, Dim.v FROM Fact, Dim WHERE Fact.fk = Dim.id AND "
       "Fact.v < 60 AND Dim.h < 70 ORDER BY Fact.id DESC LIMIT 9",
       "SELECT Fact.v, COUNT(*), MAX(Fact.h) FROM Fact WHERE Fact.h < 80 "
+      "GROUP BY Fact.v",
+      // Visible-only: each shard's key receives its range of the result.
+      "SELECT Fact.id, Fact.v FROM Fact WHERE Fact.v < 50 "
+      "ORDER BY Fact.v DESC LIMIT 6",
+      "SELECT Fact.v, COUNT(*), MAX(Fact.id) FROM Fact WHERE Fact.id < 2000 "
       "GROUP BY Fact.v",
   };
   return kSqls;

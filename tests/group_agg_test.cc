@@ -259,6 +259,11 @@ TEST_F(GroupAggE2eTest, DoubleKeyWithSignedZerosGroupsByValue) {
   // one group on both the engine and the oracle.
   ExpectMatchesOracle(
       "SELECT Fact.d, COUNT(*) FROM Fact GROUP BY Fact.d");
+  // The same grouping on the key (the statement above is visible-only, so
+  // the PC groups it; the always-true hidden predicate keeps this one on
+  // the key).
+  ExpectMatchesOracle(
+      "SELECT Fact.d, COUNT(*) FROM Fact WHERE Fact.h >= 0 GROUP BY Fact.d");
   ExpectMatchesOracle(
       "SELECT Fact.d, SUM(Fact.h) FROM Fact WHERE Fact.h < 50 "
       "GROUP BY Fact.d ORDER BY Fact.d");
@@ -424,8 +429,12 @@ TEST(GroupAggSpillTest, HashAndSpillPathsProduceIdenticalResults) {
            Case{"SELECT Fact.v, SUM(Fact.h), AVG(Fact.h), MIN(Fact.h), "
                 "MAX(Fact.h) FROM Fact WHERE Fact.h < 90 GROUP BY Fact.v",
                 true},
-           Case{"SELECT Fact.d, Fact.v, COUNT(*) FROM Fact GROUP BY Fact.d, "
-                "Fact.v ORDER BY COUNT(*) DESC, Fact.v LIMIT 20",
+           // The always-true hidden predicate keeps the statement on the
+           // key (a visible-only one is answered by the PC, which never
+           // spills).
+           Case{"SELECT Fact.d, Fact.v, COUNT(*) FROM Fact WHERE Fact.h >= 0 "
+                "GROUP BY Fact.d, Fact.v ORDER BY COUNT(*) DESC, Fact.v "
+                "LIMIT 20",
                 true},
            Case{"SELECT Fact.h, Fact.v FROM Fact GROUP BY Fact.h, Fact.v",
                 true},
@@ -495,8 +504,10 @@ TEST(GroupAggSpillTest, SmallGroupTableServesOnHashPath) {
   // A group table that fits a single buffer never spills.
   GhostDB db(MakeConfig(/*sort_budget_buffers=*/1));
   BuildDb(&db);
+  // Dim.h >= 0 is always true: it keeps the grouping on the key.
   auto small = db.Query(
-      "SELECT Dim.v, COUNT(*) FROM Dim WHERE Dim.v < 3 GROUP BY Dim.v");
+      "SELECT Dim.v, COUNT(*) FROM Dim WHERE Dim.v < 3 AND Dim.h >= 0 "
+      "GROUP BY Dim.v");
   ASSERT_TRUE(small.ok()) << small.status().ToString();
   EXPECT_GT(small->total_rows, 0u);
   EXPECT_EQ(small->metrics.sort_spill_runs, 0u);

@@ -783,10 +783,10 @@ TEST(LeakTest, PinnedPlansArePaddedLikePlannedOnes) {
 }
 
 TEST(LeakTest, WorstCaseVolumeIsTheAnchorsVisibleCount) {
-  // kWorstCase pads to |Vis(anchor)|: a statement whose only predicate is
-  // visible and on the anchor already returns that many rows, so it pads
-  // nothing; adding a hidden predicate pads back up to the same count, on
-  // every hidden variant.
+  // kWorstCase pads to |Vis(anchor)|: a statement whose hidden predicate
+  // keeps every row (Fact.h >= 0) already returns that many rows, so it
+  // pads nothing; a selective hidden predicate pads back up to the same
+  // count, on every hidden variant.
   const uint64_t visible = VisibleFactCount("Fact.v < 60");
   ASSERT_GT(visible, 0u);
   GhostDBConfig cfg = Config();
@@ -795,10 +795,11 @@ TEST(LeakTest, WorstCaseVolumeIsTheAnchorsVisibleCount) {
   BuildDb(&db1, /*hidden_seed=*/111);
   BuildDb(&db2, /*hidden_seed=*/999);
 
-  auto vis_only = db1.Query("SELECT Fact.id FROM Fact WHERE Fact.v < 60");
-  ASSERT_TRUE(vis_only.ok()) << vis_only.status().ToString();
-  EXPECT_EQ(vis_only->metrics.padding_rows, 0u);
-  EXPECT_EQ(vis_only->metrics.observed_volume, visible);
+  auto all_pass =
+      db1.Query("SELECT Fact.id FROM Fact WHERE Fact.v < 60 AND Fact.h >= 0");
+  ASSERT_TRUE(all_pass.ok()) << all_pass.status().ToString();
+  EXPECT_EQ(all_pass->metrics.padding_rows, 0u);
+  EXPECT_EQ(all_pass->metrics.observed_volume, visible);
 
   for (const char* sql : {
            "SELECT Fact.id FROM Fact WHERE Fact.v < 60 AND Fact.h < 30",
@@ -811,6 +812,54 @@ TEST(LeakTest, WorstCaseVolumeIsTheAnchorsVisibleCount) {
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       EXPECT_LT(r->total_rows, visible);  // the hidden predicate filtered
       EXPECT_EQ(r->metrics.observed_volume, visible);
+    }
+  }
+}
+
+TEST(LeakTest, VisibleOnlyStatementsAreHiddenInvariantInEveryPaddingMode) {
+  // A visible-only statement is answered by the PC: its transcript (query,
+  // then one vis-result message) is a function of the visible data and
+  // the text alone, in every padding mode. It pads nothing and spills
+  // nothing, even under a one-buffer tail budget — its volume is already
+  // visible-derived.
+  for (auto mode : {exec::VolumePadding::kOff, exec::VolumePadding::kQuantize,
+                    exec::VolumePadding::kWorstCase}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    GhostDBConfig cfg = Config();
+    cfg.exec.volume_padding = mode;
+    cfg.exec.pad_spill_runs = mode != exec::VolumePadding::kOff;
+    cfg.exec.sort_budget_buffers = 1;
+    GhostDB db1(cfg), db2(cfg);
+    BuildDb(&db1, /*hidden_seed=*/111);
+    BuildDb(&db2, /*hidden_seed=*/999);
+    for (const char* sql : {
+             "SELECT Fact.id, Fact.v FROM Fact WHERE Fact.v < 40",
+             "SELECT Fact.id FROM Fact WHERE Fact.v > 20 LIMIT 30",
+             "SELECT Fact.id, Fact.v FROM Fact ORDER BY Fact.v DESC, Fact.id",
+             "SELECT Fact.v, COUNT(*) FROM Fact GROUP BY Fact.v "
+             "ORDER BY COUNT(*) DESC LIMIT 5",
+             "SELECT DISTINCT Fact.v FROM Fact WHERE Fact.id < 2000",
+             "SELECT COUNT(*), MAX(Fact.v) FROM Fact WHERE Fact.v > 95",
+             "SELECT Dim.id, Dim.v FROM Dim WHERE Dim.v < 30 LIMIT 10",
+         }) {
+      SCOPED_TRACE(sql);
+      db1.device().channel().ClearTranscript();
+      db2.device().channel().ClearTranscript();
+      auto r1 = db1.Query(sql);
+      auto r2 = db2.Query(sql);
+      ASSERT_TRUE(r1.ok()) << r1.status().ToString();
+      ASSERT_TRUE(r2.ok()) << r2.status().ToString();
+      ExpectIdenticalTranscripts(db1.device().channel().transcript(),
+                                 db2.device().channel().transcript());
+      EXPECT_EQ(db1.device().channel().transcript().size(), 2u);
+      EXPECT_EQ(r1->rows, r2->rows);
+      for (const auto* r : {&*r1, &*r2}) {
+        EXPECT_EQ(r->metrics.padding_rows, 0u);
+        EXPECT_EQ(r->metrics.observed_volume, r->total_rows);
+        EXPECT_EQ(r->metrics.sort_spill_runs, 0u);
+        EXPECT_EQ(r->metrics.padding_spill_runs, 0u);
+        EXPECT_EQ(r->metrics.flash.pages_written, 0u);
+      }
     }
   }
 }

@@ -9,6 +9,8 @@
 
 #include "common/rng.h"
 #include "core/database.h"
+#include "exec/executor.h"
+#include "plan/planner.h"
 #include "reference/oracle.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
@@ -89,7 +91,10 @@ class OperatorPipelineTest : public ::testing::Test {
     return cfg;
   }
 
-  void ExpectMatchesOracle(GhostDB* db, const std::string& sql) {
+  /// `row_limit`: the database's result_row_limit — the total counts
+  /// every row, the first `row_limit` rows are materialized.
+  void ExpectMatchesOracle(GhostDB* db, const std::string& sql,
+                           uint64_t row_limit = UINT64_MAX) {
     auto stmt = sql::Parse(sql);
     ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
     auto bound =
@@ -101,8 +106,10 @@ class OperatorPipelineTest : public ::testing::Test {
     auto got = db->Query(sql);
     ASSERT_TRUE(got.ok()) << sql << " -> " << got.status().ToString();
     ASSERT_EQ(got->total_rows, expected->size()) << sql;
-    ASSERT_EQ(got->rows.size(), expected->size()) << sql;
-    for (size_t i = 0; i < expected->size(); ++i) {
+    ASSERT_EQ(got->rows.size(),
+              std::min<uint64_t>(row_limit, expected->size()))
+        << sql;
+    for (size_t i = 0; i < got->rows.size(); ++i) {
       ASSERT_EQ(got->rows[i].size(), (*expected)[i].size());
       for (size_t j = 0; j < (*expected)[i].size(); ++j) {
         ASSERT_EQ(got->rows[i][j], (*expected)[i][j])
@@ -236,6 +243,184 @@ TEST_F(OperatorPipelineTest, ExplainShowsPipeline) {
   EXPECT_NE(text->find("Distinct"), std::string::npos);
   EXPECT_NE(text->find("SJoin"), std::string::npos);
   EXPECT_NE(text->find("VisSelect"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Visible-only statements: Untrusted answers, the key receives the result
+// ---------------------------------------------------------------------------
+
+sql::BoundQuery BindOrDie(const GhostDB& db, const std::string& sql) {
+  auto stmt = sql::Parse(sql);
+  EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
+  auto bound = sql::Bind(std::get<sql::SelectStmt>(*stmt), db.schema(), sql);
+  EXPECT_TRUE(bound.ok()) << bound.status().ToString();
+  return bound.ok() ? *bound : sql::BoundQuery{};
+}
+
+TEST_F(OperatorPipelineTest, TouchesHiddenClassifiesByQueryShape) {
+  GhostDB db(SmallConfig());
+  BuildDb(&db);
+  struct Case {
+    const char* sql;
+    bool touches;
+  };
+  for (const Case& c : {
+           Case{"SELECT T0.id, T0.v FROM T0 WHERE T0.v < 10", false},
+           Case{"SELECT COUNT(*) FROM T0 WHERE T0.id < 100", false},
+           Case{"SELECT T1.vs, COUNT(*), MAX(T1.v) FROM T1 GROUP BY T1.vs "
+                "ORDER BY T1.vs",
+                false},
+           Case{"SELECT DISTINCT T2.v FROM T2 LIMIT 3", false},
+           Case{"SELECT T0.id FROM T0 WHERE T0.h < 10", true},
+           Case{"SELECT T0.v, T0.h FROM T0", true},
+           Case{"SELECT SUM(T0.h) FROM T0 WHERE T0.v < 5", true},
+           Case{"SELECT T0.hs, COUNT(*) FROM T0 GROUP BY T0.hs", true},
+           Case{"SELECT T0.id, T1.v FROM T0, T1 WHERE T0.fk1 = T1.id", true},
+       }) {
+    SCOPED_TRACE(c.sql);
+    EXPECT_EQ(BindOrDie(db, c.sql).TouchesHidden(db.schema()), c.touches);
+  }
+  // A table declared HIDDEN: even a statement over its ids touches it.
+  GhostDB hidden(SmallConfig());
+  ASSERT_TRUE(hidden.Execute("CREATE TABLE H (id INT, x INT) HIDDEN").ok());
+  ASSERT_TRUE(hidden.Execute("INSERT INTO H VALUES (3)").ok());
+  ASSERT_TRUE(hidden.Build().ok());
+  EXPECT_TRUE(BindOrDie(hidden, "SELECT H.id FROM H WHERE H.id < 5")
+                  .TouchesHidden(hidden.schema()));
+}
+
+TEST_F(OperatorPipelineTest, ExplainShowsWhichNodesRunOnUntrusted) {
+  GhostDB db(SmallConfig());
+  BuildDb(&db);
+  auto grouped = db.Explain(
+      "SELECT T1.v, COUNT(*) FROM T1 WHERE T1.v < 50 GROUP BY T1.v "
+      "ORDER BY COUNT(*) DESC LIMIT 5");
+  ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+  EXPECT_NE(grouped->find("visible-only"), std::string::npos) << *grouped;
+  EXPECT_NE(grouped->find("keyed by position"), std::string::npos);
+  EXPECT_NE(grouped->find("-> VisResult\n"), std::string::npos) << *grouped;
+  EXPECT_NE(grouped->find("TopKSort 5 (fused Sort+Limit) [Untrusted]"),
+            std::string::npos);
+  EXPECT_NE(grouped->find("GroupAggregate [Untrusted]"), std::string::npos);
+  EXPECT_NE(grouped->find("VisProject [Untrusted]"), std::string::npos);
+  EXPECT_EQ(grouped->find("VisSelect"), std::string::npos);
+  auto scan = db.Explain("SELECT T0.id, T0.v FROM T0 WHERE T0.v < 50 LIMIT 5");
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  EXPECT_NE(scan->find("keyed by anchor id"), std::string::npos) << *scan;
+  // A hidden-touching statement runs every node on the key.
+  auto hidden = db.Explain("SELECT T0.id FROM T0 WHERE T0.h < 5 LIMIT 5");
+  ASSERT_TRUE(hidden.ok()) << hidden.status().ToString();
+  EXPECT_EQ(hidden->find("[Untrusted]"), std::string::npos) << *hidden;
+}
+
+TEST_F(OperatorPipelineTest, VisibleOnlyStatementsShipOnlyTheResult) {
+  // Whatever the tail, the key hears the query text, then one vis-result
+  // message: no vis-count, no Vis id list, no projection payload, no
+  // flash. Every answer is the oracle's.
+  GhostDBConfig cfg = SmallConfig();
+  cfg.exec.result_row_limit = 40;  // the scans below return more rows
+  GhostDB db(cfg);
+  BuildDb(&db);
+  for (const char* sql : {
+           "SELECT T0.v, T0.id FROM T0 WHERE T0.v < 60",
+           "SELECT T0.id FROM T0 WHERE T0.v >= 20 LIMIT 9",
+           "SELECT T0.id, T0.v FROM T0 WHERE T0.v < 70 ORDER BY T0.v DESC "
+           "LIMIT 12",
+           "SELECT T1.vs, T1.v FROM T1 WHERE T1.v < 30 ORDER BY T1.vs",
+           "SELECT DISTINCT T1.vs FROM T1",
+           "SELECT T1.vs, COUNT(*), SUM(T1.v), MIN(T1.id) FROM T1 "
+           "GROUP BY T1.vs",
+           "SELECT COUNT(*), AVG(T2.v) FROM T2 WHERE T2.v > 50",
+           "SELECT COUNT(*) FROM T2 WHERE T2.v > 1000",
+           "SELECT T12.id FROM T12 WHERE T12.v > 1000",
+           "SELECT T0.id FROM T0 LIMIT 0",
+           "SELECT T2.v, COUNT(*) FROM T2 GROUP BY T2.v ORDER BY T2.v "
+           "LIMIT 0",
+       }) {
+    SCOPED_TRACE(sql);
+    ExpectMatchesOracle(&db, sql, cfg.exec.result_row_limit);
+    db.device().channel().ClearTranscript();
+    auto r = db.Query(sql);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const auto& transcript = db.device().channel().transcript();
+    ASSERT_EQ(transcript.size(), 2u);
+    EXPECT_EQ(transcript[0].label, "query");
+    const sql::BoundQuery bound = BindOrDie(db, sql);
+    EXPECT_EQ(transcript[1].label,
+              "vis-result:" + db.schema().table(bound.anchor).name);
+    EXPECT_EQ(r->metrics.flash.pages_read, 0u);
+    EXPECT_EQ(r->metrics.flash.pages_written, 0u);
+    EXPECT_EQ(r->metrics.qepsj_rows, 0u);
+    EXPECT_EQ(r->metrics.padding_rows, 0u);
+    EXPECT_EQ(r->metrics.observed_volume, r->total_rows);
+    EXPECT_EQ(r->metrics.result_rows, r->total_rows);
+  }
+}
+
+TEST_F(OperatorPipelineTest, UntrustedTailRunNeverReachesTheDevice) {
+  // The device-free tail run's invariant is asserted, not assumed: a plan
+  // that is not visible-only is refused, a device-free context cannot
+  // build a key-side operator, and a tail that would spill fails with
+  // Internal instead of touching secure state.
+  GhostDB db(SmallConfig());
+  BuildDb(&db);
+  plan::Planner planner(&db.schema(), &db.store(), plan::PlannerConfig{});
+  const exec::ExecConfig config;
+  const sql::BoundQuery hidden =
+      BindOrDie(db, "SELECT T0.id FROM T0 WHERE T0.h < 9 ORDER BY T0.id");
+  auto hidden_plan = planner.PlanQuery(hidden, {}, config);
+  ASSERT_TRUE(hidden_plan.ok());
+  EXPECT_TRUE(exec::RunUntrustedTail(hidden, *hidden_plan, db.schema(),
+                                     nullptr, {})
+                  .status()
+                  .IsInternal());
+
+  const sql::BoundQuery sorted =
+      BindOrDie(db, "SELECT T0.id, T0.v FROM T0 WHERE T0.v < 90 "
+                    "ORDER BY T0.v");
+  const plan::PhysicalPlan plan =
+      planner.LowerPlan(sorted, plan::PlanChoice{}, config);
+  ASSERT_TRUE(plan.visible_only());
+  EXPECT_FALSE(plan.result_keyed_by_id());
+  // The PC's slice is already the projection layout here ([id | v]).
+  auto slice = db.untrusted().ProjectStatement(sorted);
+  ASSERT_TRUE(slice.ok()) << slice.status().ToString();
+  ASSERT_GT(slice->rows, 100u);
+  exec::GatherInput input;
+  input.rows.layout = plan.value_layout;
+  input.rows.cells = slice->bytes;
+  input.rows.row_count = slice->rows;
+  exec::QueryMetrics metrics;
+  exec::ExecContext ctx;
+  ctx.schema = &db.schema();
+  ctx.config = &config;
+  ctx.query = &sorted;
+  ctx.choice = &plan.choice;
+  ctx.metrics = &metrics;
+  ctx.value_layout = &plan.value_layout;
+  ctx.batch_rows = plan.batch_rows;
+  // The whole plan includes the key's VisResult.
+  EXPECT_TRUE(exec::BuildOperatorTree(&ctx, plan).status().IsInternal());
+  ctx.gather_rows = &input;
+  // Its tail, under a budget of one row, would spill.
+  ctx.sort_budget_bytes = 1;
+  plan::PhysicalPlan tail = plan;
+  tail.root = plan.nodes[plan.root].children[0];
+  auto root = exec::BuildOperatorTree(&ctx, tail);
+  ASSERT_TRUE(root.ok()) << root.status().ToString();
+  ASSERT_TRUE((*root)->Open().ok());
+  auto batch = (*root)->Next();
+  ASSERT_FALSE(batch.ok());
+  EXPECT_TRUE(batch.status().IsInternal()) << batch.status().ToString();
+  EXPECT_NE(batch.status().message().find("device-free"), std::string::npos);
+  EXPECT_TRUE((*root)->Close().ok());
+  // The real run, with its unbounded budget, succeeds.
+  std::vector<untrusted::ProjectionPayload> slices;
+  slices.push_back(*slice);
+  auto rows = exec::RunUntrustedTail(sorted, plan, db.schema(), nullptr,
+                                     std::move(slices));
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->rows, slice->rows);
 }
 
 // ---------------------------------------------------------------------------

@@ -249,7 +249,8 @@ TEST(ShardTest, ForcedSpillAnswersAreShardCountInvariant) {
   for (const char* sql : {
            "SELECT T0.id, T0.h FROM T0 ORDER BY T0.h DESC",
            "SELECT DISTINCT T0.v, T0.h FROM T0 WHERE T0.h < 90",
-           "SELECT T0.id, T0.v FROM T0 ORDER BY T0.v LIMIT 6",
+           "SELECT T0.id, T0.v FROM T0 WHERE T0.h >= 0 ORDER BY T0.v "
+           "LIMIT 6",
            "SELECT T0.v, COUNT(*), SUM(T0.h) FROM T0 GROUP BY T0.v",
            "SELECT T0.v, T2.v, MAX(T0.h) FROM T0, T2 WHERE "
            "T0.fk2 = T2.id GROUP BY T0.v, T2.v ORDER BY MAX(T0.h) DESC "
@@ -265,6 +266,8 @@ TEST(ShardTest, PaddedVolumeModesAreShardCountInvariant) {
   // volume and the stripped answer must match the single-device run
   // exactly. The statements with a visible predicate on T0 exercise the
   // |Vis(T0)| bound each leg reports; the others, the row-count bound.
+  // T0.h >= 0 is always true: it keeps a statement that would be
+  // visible-only (padded by nothing) on the key's padded path.
   const uint64_t kVisible = 777;
   for (auto mode : {exec::VolumePadding::kQuantize,
                     exec::VolumePadding::kWorstCase}) {
@@ -284,16 +287,18 @@ TEST(ShardTest, PaddedVolumeModesAreShardCountInvariant) {
     for (const char* sql : {
              "SELECT T0.id FROM T0 WHERE T0.h < 40",
              "SELECT T0.v FROM T0 WHERE T0.h < 70 ORDER BY T0.v LIMIT 8",
-             "SELECT T0.v, COUNT(*) FROM T0 GROUP BY T0.v",
+             "SELECT T0.v, COUNT(*) FROM T0 WHERE T0.h >= 0 GROUP BY T0.v",
              "SELECT COUNT(*) FROM T0 WHERE T0.h > 60",
-             "SELECT T0.id FROM T0 WHERE T0.v < 90",
+             "SELECT T0.id FROM T0 WHERE T0.v < 90 AND T0.h >= 0",
              "SELECT T0.id FROM T0 WHERE T0.v < 90 AND T0.h < 40",
-             "SELECT T0.id, T0.v FROM T0 WHERE T0.v >= 30 ORDER BY T0.v",
+             "SELECT T0.id, T0.v FROM T0 WHERE T0.v >= 30 AND T0.h >= 0 "
+             "ORDER BY T0.v",
              "SELECT T0.id, T0.v FROM T0 WHERE T0.v >= 30 AND T0.h < 50 "
              "ORDER BY T0.v",
-             "SELECT DISTINCT T0.v FROM T0 WHERE T0.v < 120",
+             "SELECT DISTINCT T0.v FROM T0 WHERE T0.v < 120 AND T0.h >= 0",
              "SELECT DISTINCT T0.v FROM T0 WHERE T0.v < 120 AND T0.h > 20",
-             "SELECT T0.v, COUNT(*) FROM T0 WHERE T0.v < 100 GROUP BY T0.v",
+             "SELECT T0.v, COUNT(*) FROM T0 WHERE T0.v < 100 AND T0.h >= 0 "
+             "GROUP BY T0.v",
              "SELECT T0.v, COUNT(*) FROM T0 WHERE T0.v < 100 AND T0.h < 60 "
              "GROUP BY T0.v",
          }) {
@@ -365,6 +370,66 @@ TEST(ShardTest, TinyRootLeavesSomeShardsEmpty) {
            "SELECT R.v, COUNT(*) FROM R GROUP BY R.v",
        }) {
     ExpectShardInvariant({&one, &four}, sql);
+  }
+}
+
+TEST(ShardTest, VisibleOnlyStatementsAreShardCountInvariant) {
+  // A root-anchored visible-only statement fans out: each shard's PC
+  // projects its slice, the coordinator's PC runs the tail once and splits
+  // the final rows into one key range per shard's channel, and the gather
+  // concatenates them. Answers, counts and the observed volume must be a
+  // single device's at every fleet size — with and without a
+  // materialization cap, and for anchors that do not fan out.
+  const uint64_t kVisible = 4242;
+  for (uint64_t row_limit : {UINT64_MAX, uint64_t{5}}) {
+    SCOPED_TRACE("result_row_limit=" + std::to_string(row_limit));
+    std::vector<std::unique_ptr<GhostDB>> dbs;
+    std::vector<GhostDB*> raw;
+    for (uint32_t shards : {1u, 2u, 4u}) {
+      GhostDBConfig cfg = ShardedFuzzConfig(kVisible, shards);
+      cfg.exec.result_row_limit = row_limit;
+      dbs.push_back(std::make_unique<GhostDB>(cfg));
+      ASSERT_TRUE(fuzztest::BuildFuzzDb(dbs.back().get(), kVisible, 8).ok());
+      raw.push_back(dbs.back().get());
+    }
+    for (const char* sql : {
+             "SELECT T0.id, T0.v FROM T0 WHERE T0.v < 60",
+             "SELECT T0.v FROM T0 WHERE T0.id >= 40 LIMIT 11",
+             "SELECT T0.id, T0.v FROM T0 ORDER BY T0.v DESC LIMIT 13",
+             "SELECT T0.v, T0.id FROM T0 WHERE T0.v > 10 ORDER BY T0.v",
+             "SELECT DISTINCT T0.v FROM T0 ORDER BY T0.v",
+             "SELECT T0.v, COUNT(*), MIN(T0.id) FROM T0 GROUP BY T0.v",
+             "SELECT COUNT(*), SUM(T0.v), AVG(T0.v) FROM T0",
+             "SELECT COUNT(*) FROM T0 WHERE T0.v < 0",
+             "SELECT T0.id FROM T0 WHERE T0.v < 0",
+             "SELECT T1.vs, COUNT(*) FROM T1 GROUP BY T1.vs ORDER BY T1.vs",
+         }) {
+      SCOPED_TRACE(sql);
+      std::vector<exec::QueryResult> results;
+      for (GhostDB* db : raw) {
+        for (uint32_t s = 0; s < db->shard_count(); ++s) {
+          db->shard_device(s).channel().ClearTranscript();
+        }
+        auto r = db->Query(sql);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        // Every leg's key hears the query and its range of the result.
+        for (uint32_t s = 0; s < db->shard_count(); ++s) {
+          const auto& t = db->shard_device(s).channel().transcript();
+          if (s > 0 && t.empty()) continue;  // T1 is not partitioned
+          ASSERT_EQ(t.size(), 2u) << "shard " << s;
+          EXPECT_EQ(t[1].label.rfind("vis-result:", 0), 0u) << t[1].label;
+        }
+        EXPECT_EQ(r->metrics.padding_rows, 0u);
+        EXPECT_EQ(r->metrics.observed_volume, r->total_rows);
+        results.push_back(std::move(*r));
+      }
+      for (size_t i = 1; i < results.size(); ++i) {
+        ExpectSameAnswer(results[0], results[i],
+                         "vs fleet #" + std::to_string(i));
+        EXPECT_EQ(results[0].metrics.observed_volume,
+                  results[i].metrics.observed_volume);
+      }
+    }
   }
 }
 

@@ -208,8 +208,11 @@ TEST_F(UntrustedTest, ServeVisibleCountMatchesIds) {
 }
 
 TEST_F(UntrustedTest, ServedMessagesArePureFunctionsOfVisibleData) {
+  // The hidden predicate keeps the statement on the key, whose requests
+  // the prefetch serves (a visible-only statement is answered by the PC).
   auto bound = BindQuery(
-      "SELECT People.age, People.city FROM People WHERE People.age < 40");
+      "SELECT People.age, People.city FROM People WHERE People.age < 40 "
+      "AND People.secret >= 0");
   ASSERT_TRUE(bound.ok()) << bound.status().ToString();
   const std::vector<ColumnId> cols = {0, 1};
   // A second engine over the same visible rows, fed from a prefetch.
@@ -245,6 +248,35 @@ TEST_F(UntrustedTest, ServedMessagesArePureFunctionsOfVisibleData) {
                                       WireLayoutOf(schema_, 0, cols),
                                       payload->bytes.data(), payload->rows,
                                       2 * device::kWireBreakEvenThroughput));
+}
+
+TEST_F(UntrustedTest, VisibleOnlyStatementsAreServedOneResultMessage) {
+  auto bound = BindQuery(
+      "SELECT People.city, People.age FROM People WHERE People.age < 30");
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  // The key requests no Vis list or payload, so nothing is prefetched.
+  auto prefetch = engine_->PrefetchVisible(*bound);
+  ASSERT_TRUE(prefetch.ok());
+  EXPECT_TRUE(prefetch->ids.empty());
+  EXPECT_TRUE(prefetch->projections.empty());
+  // The PC's projection: [id | the projected visible columns].
+  auto rows = engine_->ProjectStatement(*bound);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->rows, 20u);  // ages 20..29, twice each
+  EXPECT_EQ(rows->row_width, 4u + 4u + 8u);
+  // No result prepared: the serve refuses rather than inventing one.
+  EXPECT_TRUE(engine_->ServeVisibleResult(0, &*prefetch).status()
+                  .IsInternal());
+  EXPECT_TRUE(engine_->ServeVisibleResult(0, nullptr).status().IsInternal());
+  // A prepared message crosses unchanged, and stays for a replay.
+  prefetch->result_message = std::vector<uint8_t>{1, 2, 3};
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    auto sent = engine_->ServeVisibleResult(0, &*prefetch);
+    ASSERT_TRUE(sent.ok()) << sent.status().ToString();
+    EXPECT_EQ(*sent, *prefetch->result_message);
+    EXPECT_EQ(channel_.transcript().back().label, "vis-result:People");
+    EXPECT_EQ(channel_.transcript().back().bytes, 3u);
+  }
 }
 
 TEST_F(UntrustedTest, LoadRejectsSizeMismatch) {

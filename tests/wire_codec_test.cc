@@ -1,7 +1,8 @@
 // Hostile input to the key's wire decoder. The PC is untrusted, so
-// device::DecodeRows is the key's input boundary: every malformed message
-// must come back as InvalidArgument, never as an out-of-bounds read (the
-// ASan+UBSan build runs this suite too). Hand-built messages cover each
+// device::DecodeRows (with CheckPositionKeys for a `vis-result` keyed by
+// position) is the key's input boundary: every malformed message must come
+// back as InvalidArgument, never as an out-of-bounds read (the ASan+UBSan
+// build runs this suite too). Hand-built messages cover each
 // named malformation; a seeded mutation loop covers the rest.
 #include <gtest/gtest.h>
 
@@ -26,6 +27,12 @@ constexpr uint64_t kRows = 60000;      // id limit of the decoded table
 const WireLayout kIds{};
 const WireLayout kFact{{{DataType::kInt32, 4}, {DataType::kString, 16}}};
 const WireLayout kTag4{{{DataType::kString, 4}}};
+// A visible-only statement's final rows (`vis-result`): a GROUP BY key,
+// COUNT(*), AVG and MIN of a CHAR column, keyed by position.
+const WireLayout kResult{{{DataType::kInt32, 4},
+                          {DataType::kInt64, 8},
+                          {DataType::kDouble, 8},
+                          {DataType::kString, 16}}};
 
 // Block modes, as documented in wire_codec.h.
 constexpr uint8_t kRaw = 0;
@@ -39,6 +46,22 @@ std::vector<uint8_t> FactRows(const std::vector<uint32_t>& ids, Rng* rng) {
     EncodeFixed32(row, ids[i]);
     Value::Int32(static_cast<int32_t>(rng->Uniform(1000))).Encode(row + 4, 4);
     Value::String("t" + std::to_string(rng->Uniform(900))).Encode(row + 8, 16);
+  }
+  return rows;
+}
+
+/// `n` result rows keyed by position first..first+n-1.
+std::vector<uint8_t> ResultRows(uint32_t first, uint32_t n, Rng* rng) {
+  std::vector<uint8_t> rows(static_cast<size_t>(n) * kResult.row_width());
+  for (uint32_t i = 0; i < n; ++i) {
+    uint8_t* row = rows.data() + static_cast<size_t>(i) * kResult.row_width();
+    EncodeFixed32(row, first + i);
+    Value::Int32(static_cast<int32_t>(rng->Uniform(1000))).Encode(row + 4, 4);
+    Value::Int64(static_cast<int64_t>(rng->Uniform(60000))).Encode(row + 8, 8);
+    Value::Double(static_cast<double>(rng->Uniform(1000)) / 7).Encode(row + 16,
+                                                                      8);
+    Value::String("t" + std::to_string(rng->Uniform(900))).Encode(row + 24,
+                                                                  16);
   }
   return rows;
 }
@@ -173,6 +196,36 @@ TEST(WireCodecHostileTest, UnknownModeAndTrailingBytes) {
   EXPECT_MALFORMED(Decode(kIds, {0x80, 0x80, 0x80, 0x80, 0x80, 0x01}));
 }
 
+TEST(WireCodecHostileTest, PositionKeysMustBeZeroToNMinusOne) {
+  Rng rng(3);
+  auto check = [&](uint32_t first, uint32_t n, bool any_first) {
+    std::vector<uint8_t> rows = ResultRows(first, n, &rng);
+    std::vector<uint8_t> msg = EncodeRows(WireFormat::kCompact, kResult,
+                                          rows.data(), n, kThroughput);
+    auto decoded = DecodeRows(WireFormat::kCompact, kResult, msg.data(),
+                              msg.size(), kRows);
+    EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
+    return decoded.ok() ? CheckPositionKeys(*decoded, kResult, any_first)
+                        : decoded.status();
+  };
+  EXPECT_TRUE(check(0, 900, /*any_first=*/false).ok());
+  EXPECT_TRUE(check(0, 0, /*any_first=*/false).ok());
+  EXPECT_MALFORMED(check(5, 900, /*any_first=*/false));
+  // One leg's range of a fan-out may start anywhere, but stays consecutive.
+  EXPECT_TRUE(check(5, 900, /*any_first=*/true).ok());
+  // Ascending keys with a gap are valid ids but not positions.
+  std::vector<uint8_t> rows = ResultRows(0, 4, &rng);
+  EncodeFixed32(rows.data() + 3 * kResult.row_width(), 7);
+  std::vector<uint8_t> msg =
+      EncodeRows(WireFormat::kCompact, kResult, rows.data(), 4, kThroughput);
+  auto decoded = DecodeRows(WireFormat::kCompact, kResult, msg.data(),
+                            msg.size(), kRows);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  for (bool any_first : {false, true}) {
+    EXPECT_MALFORMED(CheckPositionKeys(*decoded, kResult, any_first));
+  }
+}
+
 TEST(WireCodecHostileTest, SeededMutationsFailCleanly) {
   const uint64_t iters = [] {
     const char* env = std::getenv("GHOSTDB_WIRE_FUZZ_ITERS");
@@ -182,6 +235,7 @@ TEST(WireCodecHostileTest, SeededMutationsFailCleanly) {
   struct Sample {
     WireLayout layout;
     std::vector<uint8_t> message;
+    bool positions = false;  ///< a `vis-result` keyed by position
   };
   std::vector<Sample> samples;
   for (double density : {0.95, 0.5, 0.05}) {
@@ -194,6 +248,13 @@ TEST(WireCodecHostileTest, SeededMutationsFailCleanly) {
     samples.push_back({kFact, EncodeRows(WireFormat::kCompact, kFact,
                                          rows.data(), ids.size(),
                                          kThroughput)});
+  }
+  for (uint32_t n : {1u, 60u, 1500u}) {
+    std::vector<uint8_t> rows = ResultRows(0, n, &rng);
+    samples.push_back({kResult,
+                       EncodeRows(WireFormat::kCompact, kResult, rows.data(),
+                                  n, kThroughput),
+                       /*positions=*/true});
   }
   // Raw-fallback blocks (past the break-even throughput).
   std::vector<uint32_t> ids = Subset(&rng, 0.2, 400);
@@ -229,18 +290,28 @@ TEST(WireCodecHostileTest, SeededMutationsFailCleanly) {
     }
     auto decoded = DecodeRows(WireFormat::kCompact, sample.layout,
                               msg.data(), msg.size(), kRows);
-    if (!decoded.ok()) {
-      ASSERT_TRUE(decoded.status().IsInvalidArgument())
-          << decoded.status().ToString();
+    Status status = decoded.status();
+    if (decoded.ok() && sample.positions) {
+      status = CheckPositionKeys(*decoded, sample.layout,
+                                 /*any_first=*/false);
+    }
+    if (!status.ok()) {
+      ASSERT_TRUE(status.IsInvalidArgument()) << status.ToString();
       ++rejected;
       continue;
     }
-    // Accepted: a well-formed message of ascending in-range ids.
+    // Accepted: a well-formed message of ascending in-range ids, and of
+    // exactly the positions 0..n-1 when keyed by position.
     const uint32_t width = sample.layout.row_width();
     ASSERT_EQ(decoded->bytes.size(), decoded->rows * width);
     for (uint64_t r = 1; r < decoded->rows; ++r) {
       ASSERT_LT(DecodeFixed32(&decoded->bytes[(r - 1) * width]),
                 DecodeFixed32(&decoded->bytes[r * width]));
+    }
+    if (sample.positions) {
+      for (uint64_t r = 0; r < decoded->rows; ++r) {
+        ASSERT_EQ(DecodeFixed32(&decoded->bytes[r * width]), r);
+      }
     }
   }
   EXPECT_GT(rejected, iters / 2);
