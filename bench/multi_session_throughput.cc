@@ -3,17 +3,18 @@
 //  * the session layer's structural win: K sessions over ONE shared GhostDB
 //    (one store partitioned/indexed/encrypted once, shared plan cache,
 //    arbitrated channel) versus K separate serial instances;
-//  * the morsel-pool scaling win: the same K-session drain with
+//  * the morsel-pool scaling: the same K-session drain with
 //    worker_threads 1 / 2 / 4. The drain itself is the deterministic
 //    single-threaded scheduler, so the pool is the *only* parallelism axis
-//    — wall-clock improvements are the worker pool's alone, and every
-//    width must produce identical answers (asserted).
+//    — wall-clock differences are the worker pool's alone, and every
+//    width must produce identical answers (asserted). The ratio is
+//    printed and recorded, not gated.
 //
-// Host CPU does the work that scales: sharded+SIMD visible scans and
-// projection payloads, parallel spill-generation sorts, morsel key
-// extraction for DISTINCT/GROUP BY. Device work (hidden scans, flash,
-// channel) stays serial under the arbiter, so the workload leans on
-// visible columns. Needs >1 host core for the widths to separate.
+// The pool's one site is the PC's visible scans and projection payloads
+// (sharded + SIMD, VisibleStore::SelectIds/Project); the key's operators,
+// the relational tail and all device work (hidden scans, flash, channel)
+// run single-threaded, so the workload leans on visible columns. Needs
+// >1 host core for the widths to separate.
 //
 //  * the sharded-fleet scaling win: the same drain over a store
 //    hash-partitioned across shard_count 1 / 2 / 4 SecureDevices.

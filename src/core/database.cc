@@ -213,7 +213,7 @@ Status GhostDB::Build() {
     }
     shard.executor = std::make_unique<exec::SecureExecutor>(
         shard.device.get(), shard.allocator.get(), &schema_, &shard.store,
-        shard.untrusted.get(), config_.exec, pool_.get());
+        shard.untrusted.get(), config_.exec);
   }
   // The planner reads shard 0's store (statistics differ per shard only in
   // their samples; the plan is shared fleet-wide through the plan cache).
@@ -370,8 +370,7 @@ Status GhostDB::AnswerOnUntrusted(
   }
   GHOSTDB_ASSIGN_OR_RETURN(
       untrusted::ProjectionPayload rows,
-      exec::RunUntrustedTail(query, plan, schema_, pool_.get(),
-                             std::move(slices)));
+      exec::RunUntrustedTail(query, plan, schema_, std::move(slices)));
   // Then splits the final rows into one contiguous key range per leg:
   // shard s's key receives range s over its own channel, and the gather
   // concatenates the ranges by key.

@@ -90,11 +90,12 @@ struct GhostDBConfig {
   size_t plan_cache_capacity = 128;
   /// Width of the PC-side morsel worker pool (calling thread included):
   /// 1 = fully serial (no threads spawned), N = N-way parallel visible
-  /// scans / spill sorts / batch key extraction. Thread count never
-  /// changes results or the channel transcript — the leak sweep asserts
-  /// it. Build() rejects 0 and absurd values with InvalidArgument. The
-  /// pool's workers are pinned round-robin across cores (Linux;
-  /// best-effort).
+  /// scans and projections (VisibleStore::SelectIds/Project), the pool's
+  /// only work; the key's operators and the relational tail run
+  /// single-threaded. Thread count never changes results or the channel
+  /// transcript — the leak sweep asserts it. Build() rejects 0 and absurd
+  /// values with InvalidArgument. The pool's workers are pinned
+  /// round-robin across cores (Linux; best-effort).
   uint32_t worker_threads = 1;
   /// Execution knobs: the ablation and padding dials, the result row
   /// limit and the relational-tail budget (exec/operator.h).

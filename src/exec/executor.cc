@@ -113,7 +113,7 @@ EncodedRows SliceRows(const sql::BoundQuery& query,
 
 Result<untrusted::ProjectionPayload> RunUntrustedTail(
     const BoundQuery& query, const plan::PhysicalPlan& plan,
-    const catalog::Schema& schema, ThreadPool* pool,
+    const catalog::Schema& schema,
     std::vector<untrusted::ProjectionPayload> slices) {
   if (!plan.visible_only()) {
     return Status::Internal("untrusted tail run of a plan that is not "
@@ -142,7 +142,6 @@ Result<untrusted::ProjectionPayload> RunUntrustedTail(
   ctx.metrics = &metrics;
   ctx.value_layout = &plan.value_layout;
   ctx.batch_rows = plan.batch_rows;
-  ctx.pool = pool;
   // Rows keyed by anchor id carry it through the tail (a LIMIT at most).
   ctx.emit_row_seq = keyed_by_id;
   ctx.gather_rows = &input;
@@ -283,9 +282,6 @@ Result<QueryResult> SecureExecutor::ExecuteTree(
   ctx.session = &session;
   ctx.vis_prefetch = prefetch;
   ctx.metrics = &metrics;
-  // Morsel parallelism: workers do pure host-side value compute only, so
-  // the pool's width is invisible to the transcript.
-  ctx.pool = pool_;
   // Without value-level operators above the projection, rows beyond the
   // materialization limit are counted but never encoded.
   bool needs_all_values = query.HasAggregates() || query.grouped() ||

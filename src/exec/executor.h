@@ -85,16 +85,16 @@ int FindFanoutBoundary(const plan::PhysicalPlan& plan);
 /// each one PC's projection of the anchor (rows of [global id | the
 /// query's projected visible columns], ascending id; one slice per shard
 /// of a fan-out), merged in ascending anchor-id order. The run's
-/// ExecContext has no device, an unbounded tail budget and no padding;
-/// `pool` may serve the operators' host compute. Any path that would
-/// reach the device fails with Internal (ExecContext::RequireDevice).
+/// ExecContext has no device, an unbounded tail budget and no padding.
+/// Any path that would reach the device fails with Internal
+/// (ExecContext::RequireDevice).
 /// Returns the final rows as raw `vis-result` rows of
 /// VisResultWireLayout, keyed by anchor id or by position as
 /// PhysicalPlan::result_keyed_by_id says. Never consults the reference
 /// oracle: the answer comes from the same operators the key runs.
 Result<untrusted::ProjectionPayload> RunUntrustedTail(
     const sql::BoundQuery& query, const plan::PhysicalPlan& plan,
-    const catalog::Schema& schema, ThreadPool* pool,
+    const catalog::Schema& schema,
     std::vector<untrusted::ProjectionPayload> slices);
 
 /// The gather's check on a fanned-out visible-only statement's legs
@@ -121,21 +121,17 @@ struct FanoutParams {
 /// \brief Executes bound queries on the Secure device.
 class SecureExecutor {
  public:
-  /// `pool` (optional) provides morsel-parallel host compute to the
-  /// operators; null runs everything inline.
   SecureExecutor(device::SecureDevice* device,
                  storage::PageAllocator* allocator,
                  const catalog::Schema* schema,
                  const core::SecureStore* store,
-                 untrusted::UntrustedEngine* untrusted, ExecConfig config,
-                 ThreadPool* pool = nullptr)
+                 untrusted::UntrustedEngine* untrusted, ExecConfig config)
       : device_(device),
         allocator_(allocator),
         schema_(schema),
         store_(store),
         untrusted_(untrusted),
-        config_(config),
-        pool_(pool) {}
+        config_(config) {}
 
   /// Runs `query` under `plan`. The query text must already have been
   /// announced to Untrusted by the caller, and the caller must hold the
@@ -174,7 +170,6 @@ class SecureExecutor {
   const core::SecureStore* store_;
   untrusted::UntrustedEngine* untrusted_;
   ExecConfig config_;
-  ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace ghostdb::exec

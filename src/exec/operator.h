@@ -40,7 +40,6 @@
 #include "device/secure_device.h"
 #include "exec/bloom.h"
 #include "exec/merge.h"
-#include "exec/thread_pool.h"
 #include "plan/physical_plan.h"
 #include "sql/binder.h"
 #include "storage/page_allocator.h"
@@ -100,11 +99,12 @@ struct ExecConfig {
   /// Past it the tail spills sorted runs to flash and streams the merge.
   /// Tests and benches set tiny values to force the spill paths.
   uint32_t sort_budget_buffers = 0;
-  /// Parallelism degree for morsel-driven host-side work (visible scans,
-  /// spill-generation sorts, batch key extraction). 0 = inherit the
-  /// database-wide GhostDBConfig::worker_threads (stamped by
-  /// GhostDB::Build); nonzero = explicit override for standalone-executor
-  /// tests. Thread count never changes results or the channel transcript.
+  /// Width of the morsel pool that shards the PC's visible scans
+  /// (VisibleStore::SelectIds/Project); the key's operators and the
+  /// relational tail run single-threaded. 0 = inherit the database-wide
+  /// GhostDBConfig::worker_threads (stamped by GhostDB::Build); nonzero
+  /// overrides it. Thread count never changes results or the channel
+  /// transcript.
   uint32_t worker_threads = 0;
   /// Result-volume defense (see VolumePadding). Dummy rows are synthesized
   /// by a planner-emitted VolumePad root operator and stripped at the
@@ -310,10 +310,6 @@ struct ExecContext {
   /// variants. Transcript sink: the bound decides the padded result
   /// volume, so leakcheck rejects hidden-derived stores.
   GHOSTDB_TRANSCRIPT_SINK uint64_t padding_row_bound = 0;
-  /// Worker pool for morsel-parallel host compute (may be null: run
-  /// inline). Workers obey the thread_pool.h contract — pure host value
-  /// work, never device state, deterministic shard boundaries.
-  ThreadPool* pool = nullptr;
   /// Scatter-shard mode: stamp each projected row's global anchor id into
   /// ColumnBatch::seqs (and EncodedRows::seqs at the boundary) so the
   /// gather phase can k-way merge per-shard streams back into the exact

@@ -76,35 +76,6 @@ void AppendSpillRow(ColumnBatch* out, const std::vector<uint32_t>& offsets,
   out->CommitRow();
 }
 
-/// Morsel-parallel canonical-key extraction for HashGroupOp's hash phase:
-/// the concatenated canonical key cells (`key_items`) of every live row
-/// land in index-addressed slots of `keys` (reused across batches),
-/// computed across the pool. The fold loop that consumes the keys stays
-/// sequential — the spill-trip row, the first-arrival group order, and the
-/// FP accumulation order are observable contract, so only this pure
-/// per-row compute may fan out.
-GHOSTDB_HOST_COMPUTE void ExtractKeys(ExecContext* ctx,
-                                      const ColumnBatch& batch,
-                                      const std::vector<size_t>& key_items,
-                                      std::vector<std::string>* keys) {
-  size_t n = batch.live();
-  keys->resize(n);
-  auto body = [&](uint32_t /*shard*/, uint64_t begin, uint64_t end) {
-    for (uint64_t r = begin; r < end; ++r) {
-      std::string& key = (*keys)[r];
-      key.clear();
-      uint32_t row = batch.row_at(r);
-      for (size_t i : key_items) batch.AppendCellKey(i, row, &key);
-    }
-  };
-  constexpr uint64_t kKeyGrain = 256;
-  if (ctx->pool != nullptr && ctx->pool->ShardCount(n, kKeyGrain) > 1) {
-    ctx->pool->ParallelShards(n, kKeyGrain, body);
-  } else {
-    body(0, 0, n);
-  }
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -319,14 +290,13 @@ Status HashGroupOp::AccumulateInto(Group* g, const ColumnBatch& batch,
 
 Status HashGroupOp::Absorb(const ColumnBatch& batch,
                            std::vector<uint32_t>* fresh) {
-  // Keys precomputed morsel-parallel; the fold below is sequential so the
-  // budget trips at the exact same row for every thread count.
-  ExtractKeys(ctx_, batch, key_items_, &key_scratch_);
   GHOSTDB_RETURN_NOT_OK(CheckSeqRoom(seq_, batch.live()));
+  std::string key;
   for (size_t r = 0; r < batch.live(); ++r) {
     uint32_t row = batch.row_at(r);
     auto seq = static_cast<uint32_t>(seq_++);
-    const std::string& key = key_scratch_[r];
+    key.clear();
+    for (size_t i : key_items_) batch.AppendCellKey(i, row, &key);
     // Known groups — frozen or not — keep folding in place: no new memory
     // either way. A streamed group has nothing left to fold.
     auto it = index_.find(std::string_view(key));

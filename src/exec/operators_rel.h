@@ -222,9 +222,6 @@ class HashGroupOp final : public Operator {
   std::vector<uint8_t> row_buf_;  ///< one packed partial row + sequence
   std::vector<uint8_t> out_buf_;  ///< one folded output row + sequence
   uint64_t seq_ = 0;  ///< arrival sequence across all input rows
-  /// Per-batch canonical keys, extracted morsel-parallel before the
-  /// sequential fold (reused across batches).
-  std::vector<std::string> key_scratch_;
 
   /// Hash phase: canonical key bytes -> index into groups_ (first-arrival
   /// order; unused for streamed groups, which are not held).

@@ -39,47 +39,9 @@ void ExternalRowSorter::SortGeneration() {
   auto less = [&](uint32_t a, uint32_t b) {
     return cmp_.Compare(GenRow(a), GenRow(b)) < 0;
   };
-  // Morsel-parallel generation sort: contiguous permutation chunks sorted
-  // across the pool, then pairwise in-place merge rounds (pairs merged
-  // concurrently). The trailing arrival sequence makes the order total, so
-  // the sorted permutation is *the* unique one — identical for every
-  // thread count and merge structure. Pure host compute over the arena;
-  // the flash writes of SpillGeneration stay on the calling thread.
-  constexpr uint64_t kSortGrain = 1024;
-  ThreadPool* pool = ctx_->pool;
-  uint32_t shards = pool != nullptr ? pool->ShardCount(gen_rows_, kSortGrain)
-                                    : 1;
-  if (shards <= 1) {
-    std::sort(perm_.begin(), perm_.end(), less);
-    return;
-  }
-  pool->ParallelShards(gen_rows_, kSortGrain,
-                       [&](uint32_t /*shard*/, uint64_t begin, uint64_t end) {
-                         std::sort(perm_.begin() + begin, perm_.begin() + end,
-                                   less);
-                       });
-  std::vector<uint64_t> bounds;
-  bounds.reserve(shards + 1);
-  for (uint32_t s = 0; s < shards; ++s) {
-    bounds.push_back(ThreadPool::ShardRange(gen_rows_, shards, s).first);
-  }
-  bounds.push_back(gen_rows_);
-  while (bounds.size() > 2) {
-    uint64_t pairs = (bounds.size() - 1) / 2;
-    pool->ParallelShards(
-        pairs, 1, [&](uint32_t /*shard*/, uint64_t pb, uint64_t pe) {
-          for (uint64_t p = pb; p < pe; ++p) {
-            std::inplace_merge(perm_.begin() + bounds[2 * p],
-                               perm_.begin() + bounds[2 * p + 1],
-                               perm_.begin() + bounds[2 * p + 2], less);
-          }
-        });
-    std::vector<uint64_t> next;
-    size_t segments = bounds.size() - 1;
-    for (size_t s = 0; s < segments; s += 2) next.push_back(bounds[s]);
-    next.push_back(bounds.back());  // odd trailing segment rides along
-    bounds = std::move(next);
-  }
+  // The trailing arrival sequence makes the order total, so the sorted
+  // permutation is the unique one.
+  std::sort(perm_.begin(), perm_.end(), less);
 }
 
 Status ExternalRowSorter::SpillGeneration() {

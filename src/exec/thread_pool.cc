@@ -27,7 +27,7 @@ void PinToCore(std::thread* thread, uint32_t core) {
 
 }  // namespace
 
-ThreadPool::ThreadPool(uint32_t width, bool pin_threads)
+ThreadPool::ThreadPool(uint32_t width)
     : width_(std::max<uint32_t>(1, width)) {
   uint32_t cores = std::max(1u, std::thread::hardware_concurrency());
   threads_.reserve(width_ - 1);
@@ -35,7 +35,7 @@ ThreadPool::ThreadPool(uint32_t width, bool pin_threads)
     threads_.emplace_back([this, i] { WorkerLoop(i); });
     // Round-robin starting at core 1: core 0 is where the admitted /
     // submitting thread most likely runs.
-    if (pin_threads) PinToCore(&threads_.back(), (i + 1) % cores);
+    PinToCore(&threads_.back(), (i + 1) % cores);
   }
 }
 

@@ -1,19 +1,20 @@
 // A pinned worker pool for morsel-driven parallel execution.
 //
-// GhostDB owns one pool, sized by GhostDBConfig::worker_threads, and every
-// user of it obeys the same contract: worker threads run *pure host-side
-// value compute only*. They never touch the channel, the flash device, the
-// RAM manager, query metrics, or any other device state — all of that stays
-// on the thread that holds the channel admission. Work is dealt as
-// contiguous shards of an index range whose boundaries are a pure function
-// of (n, min_grain, width), and every result lands in a caller-indexed slot,
-// so the outcome of a parallel region is bit-identical for every thread
-// count — the leak sweep's transcript contract and the differential fuzz
-// oracle hold for worker_threads 1 and 8 alike.
+// GhostDB owns one pool, sized by GhostDBConfig::worker_threads, and its
+// one user is the PC's visible scans (VisibleStore::SelectIds/Project,
+// reached through UntrustedEngine::set_pool); the key's operators and the
+// relational tail run single-threaded. Worker threads run *pure host-side
+// value compute only*: they never touch the channel, the flash device, the
+// RAM manager, query metrics, or any other device state — all of that
+// stays on the calling thread. Work is dealt as contiguous shards of an
+// index range whose boundaries are a pure function of (n, min_grain,
+// width), and every result lands in a caller-indexed slot, so the outcome
+// of a parallel region is bit-identical for every thread count — the leak
+// sweep's transcript contract and the differential fuzz oracle hold for
+// worker_threads 1 and 8 alike.
 //
 // The pool is shared: several session threads may run parallel regions
-// concurrently (PC-side prefetch for one session while another session's
-// admitted execution sorts a spill generation). Shards of all in-flight
+// concurrently (two sessions' PC-side prefetches). Shards of all in-flight
 // regions draw from one FIFO of regions; the submitting thread always
 // participates, so a region makes progress even when every worker is busy
 // elsewhere — and a width-1 pool (worker_threads=1) degrades to a plain
@@ -34,10 +35,10 @@ namespace ghostdb::exec {
 class ThreadPool {
  public:
   /// `width` is the total parallelism degree (calling thread included):
-  /// width w spawns w-1 workers. With `pin_threads` (Linux), workers are
-  /// pinned round-robin across the machine's cores, the related systems'
+  /// width w spawns w-1 workers. On Linux, workers are pinned round-robin
+  /// across the machine's cores (best-effort), the related systems'
   /// ThreadGroup discipline — morsel workers stop migrating under load.
-  explicit ThreadPool(uint32_t width, bool pin_threads = true);
+  explicit ThreadPool(uint32_t width);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;

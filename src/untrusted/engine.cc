@@ -46,7 +46,6 @@ void UntrustedEngine::ReceiveQuery(const std::string& sql) {
 Result<VisPrefetch> UntrustedEngine::PrefetchVisible(
     const sql::BoundQuery& query) const {
   VisPrefetch prefetch;
-  prefetch.encoded_for = channel_->throughput();
   // A visible-only statement's key requests neither: the PC answers it
   // whole (ProjectStatement).
   if (!query.TouchesHidden(*schema_)) return prefetch;
@@ -85,9 +84,7 @@ Result<std::vector<uint8_t>> UntrustedEngine::ServeVisibleIds(
   if (prefetch != nullptr) {
     auto it = prefetch->ids.find(table);
     if (it != prefetch->ids.end()) {
-      message = prefetch->encoded_for == channel_->throughput()
-                    ? std::move(prefetch->id_messages[table])
-                    : EncodeIds(it->second);
+      message = std::move(prefetch->id_messages[table]);
       prefetch->ids.erase(it);
       prefetch->id_messages.erase(table);
       prefetched = true;
@@ -114,9 +111,7 @@ Result<std::vector<uint8_t>> UntrustedEngine::ServeProjection(
   if (prefetch != nullptr) {
     auto it = prefetch->projections.find(table);
     if (it != prefetch->projections.end() && it->second.first == columns) {
-      message = prefetch->encoded_for == channel_->throughput()
-                    ? std::move(prefetch->projection_messages[table])
-                    : EncodeProjection(table, columns, it->second.second);
+      message = std::move(prefetch->projection_messages[table]);
       prefetch->projections.erase(it);
       prefetch->projection_messages.erase(table);
       prefetched = true;

@@ -41,12 +41,12 @@ struct VisPrefetch {
   std::map<catalog::TableId,
            std::pair<std::vector<catalog::ColumnId>, ProjectionPayload>>
       projections;
-  /// The wire messages of the answers above (keyed alike), encoded for the
-  /// channel throughput `encoded_for`, so encoding runs outside admission
-  /// too. A Serve call re-encodes if the throughput changed since.
+  /// The wire messages of the answers above (keyed alike), encoded before
+  /// admission so encoding runs outside it too. The prefetch is built
+  /// inside the statement's own serving call, so the channel throughput
+  /// the encoder reads cannot change before the messages ship.
   std::map<catalog::TableId, std::vector<uint8_t>> id_messages;
   std::map<catalog::TableId, std::vector<uint8_t>> projection_messages;
-  double encoded_for = 0;
   /// A visible-only statement's `vis-result` message for this shard's key
   /// (its range of the final rows), built before admission. Served as is,
   /// never consumed, so a masked fault replay re-sends the same bytes.

@@ -38,7 +38,7 @@ GhostDBConfig Config() {
 
 // Builds a two-table database; `hidden_seed` perturbs ONLY hidden column
 // values (visible columns and fks stay identical).
-void BuildDb(GhostDB* db, uint64_t hidden_seed) {
+void BuildDb(GhostDB* db, uint64_t hidden_seed, int fact_rows = 3000) {
   ASSERT_TRUE(
       db->Execute("CREATE TABLE Dim (id INT, v INT, h INT HIDDEN)").ok());
   ASSERT_TRUE(
@@ -60,7 +60,7 @@ void BuildDb(GhostDB* db, uint64_t hidden_seed) {
   }
   auto fact = db->MutableStaging("Fact");
   ASSERT_TRUE(fact.ok());
-  for (int i = 0; i < 3000; ++i) {
+  for (int i = 0; i < fact_rows; ++i) {
     ASSERT_TRUE(
         (*fact)
             ->AppendRow({Value::Int32(static_cast<int32_t>(
@@ -484,10 +484,13 @@ void ExpectSameAnswer(const exec::QueryResult& a, const exec::QueryResult& b,
 }
 
 TEST(LeakTest, WorkerCountIsTranscriptAndAnswerInvariant) {
-  // Same database, worker_threads 1 vs 4: every query shape that crosses a
-  // parallel site (visible scans/projections, sorts, DISTINCT, GROUP BY)
-  // must produce identical transcripts and identical answers, including
-  // under the forced-spill budget (parallel run generation and merges).
+  // Same database, worker_threads 1 vs 4: every query shape must produce
+  // identical transcripts and identical answers, including under the
+  // forced-spill budget. The pool's one site is the PC's visible scans and
+  // projections (VisibleStore::SelectIds/Project), which shard only at
+  // 2 x 4096 rows or more; Fact's 4 x 4096 rows run both sharded at width
+  // 4, so a shard landing out of order changes the id lists shipped.
+  constexpr int kFactRows = 4 * 4096;
   for (bool forced_spill : {false, true}) {
     GhostDBConfig serial = Config(), wide = Config();
     if (forced_spill) {
@@ -496,8 +499,8 @@ TEST(LeakTest, WorkerCountIsTranscriptAndAnswerInvariant) {
     }
     wide.worker_threads = 4;
     GhostDB db1(serial), db4(wide);
-    BuildDb(&db1, /*hidden_seed=*/42);
-    BuildDb(&db4, /*hidden_seed=*/42);
+    BuildDb(&db1, /*hidden_seed=*/42, kFactRows);
+    BuildDb(&db4, /*hidden_seed=*/42, kFactRows);
     for (const char* sql : {
              "SELECT Fact.id, Fact.v FROM Fact WHERE Fact.v < 70",
              "SELECT Fact.id, Fact.h FROM Fact WHERE Fact.v < 80 AND "
@@ -539,8 +542,8 @@ TEST(LeakTest, FuzzedShapesAreWorkerCountInvariant) {
                                      /*worker_threads=*/1);
     auto cfg4 = fuzztest::FuzzConfig(visible_seed, /*retain_staged=*/false,
                                      /*worker_threads=*/4);
-    // Half the shapes under the forced-spill budget: parallel spill-run
-    // sorts and merges are the most structure-sensitive site.
+    // Half the shapes under the forced-spill budget, so the spill paths
+    // run under both widths too.
     if ((done / kQueriesPerShape) % 2 == 1) {
       cfg1.exec.sort_budget_buffers = 1;
       cfg4.exec.sort_budget_buffers = 1;

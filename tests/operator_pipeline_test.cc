@@ -370,8 +370,7 @@ TEST_F(OperatorPipelineTest, UntrustedTailRunNeverReachesTheDevice) {
       BindOrDie(db, "SELECT T0.id FROM T0 WHERE T0.h < 9 ORDER BY T0.id");
   auto hidden_plan = planner.PlanQuery(hidden, {}, config);
   ASSERT_TRUE(hidden_plan.ok());
-  EXPECT_TRUE(exec::RunUntrustedTail(hidden, *hidden_plan, db.schema(),
-                                     nullptr, {})
+  EXPECT_TRUE(exec::RunUntrustedTail(hidden, *hidden_plan, db.schema(), {})
                   .status()
                   .IsInternal());
 
@@ -417,8 +416,8 @@ TEST_F(OperatorPipelineTest, UntrustedTailRunNeverReachesTheDevice) {
   // The real run, with its unbounded budget, succeeds.
   std::vector<untrusted::ProjectionPayload> slices;
   slices.push_back(*slice);
-  auto rows = exec::RunUntrustedTail(sorted, plan, db.schema(), nullptr,
-                                     std::move(slices));
+  auto rows =
+      exec::RunUntrustedTail(sorted, plan, db.schema(), std::move(slices));
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   EXPECT_EQ(rows->rows, slice->rows);
 }

@@ -64,7 +64,7 @@ TEST(ThreadPoolTest, ShardRangesAreBalanced) {
 }
 
 TEST(ThreadPoolTest, ShardCountRespectsGrainAndWidth) {
-  ThreadPool pool(4, /*pin_threads=*/false);
+  ThreadPool pool(4);
   EXPECT_EQ(pool.width(), 4u);
   EXPECT_EQ(pool.ShardCount(0, 100), 1u);     // empty range: one no-op shard
   EXPECT_EQ(pool.ShardCount(99, 100), 1u);    // under one grain: serial
@@ -73,7 +73,7 @@ TEST(ThreadPoolTest, ShardCountRespectsGrainAndWidth) {
 }
 
 TEST(ThreadPoolTest, ParallelShardsRunsEveryIndexExactlyOnce) {
-  ThreadPool pool(4, /*pin_threads=*/false);
+  ThreadPool pool(4);
   constexpr uint64_t kN = 100000;
   std::vector<std::atomic<uint32_t>> hits(kN);
   for (auto& h : hits) h.store(0, std::memory_order_relaxed);
@@ -88,7 +88,7 @@ TEST(ThreadPoolTest, ParallelShardsRunsEveryIndexExactlyOnce) {
 }
 
 TEST(ThreadPoolTest, WidthOneRunsInline) {
-  ThreadPool pool(1, /*pin_threads=*/false);
+  ThreadPool pool(1);
   std::thread::id caller = std::this_thread::get_id();
   bool same_thread = true;
   pool.ParallelShards(1000, 1, [&](uint32_t, uint64_t, uint64_t) {
@@ -99,9 +99,9 @@ TEST(ThreadPoolTest, WidthOneRunsInline) {
 
 TEST(ThreadPoolTest, ConcurrentSubmittersShareThePool) {
   // Several threads submit regions to one pool at once — the shape of
-  // concurrent per-session executors. Every region must complete exactly
-  // its own work.
-  ThreadPool pool(4, /*pin_threads=*/false);
+  // concurrent sessions' PC-side prefetches. Every region must complete
+  // exactly its own work.
+  ThreadPool pool(4);
   constexpr int kSubmitters = 6;
   constexpr uint64_t kN = 20000;
   std::vector<std::atomic<uint64_t>> sums(kSubmitters);

@@ -232,22 +232,6 @@ TEST_F(UntrustedTest, ServedMessagesArePureFunctionsOfVisibleData) {
   EXPECT_EQ(*inline_vals, *pre_vals);
   EXPECT_EQ(channel_.transcript().back().content_digest,
             channel2.transcript().back().content_digest);
-
-  // A prefetch encoded for another throughput is re-encoded at serve time:
-  // past the break-even throughput every block ships raw.
-  auto stale = engine2.PrefetchVisible(*bound);
-  ASSERT_TRUE(stale.ok());
-  channel2.set_throughput(2 * device::kWireBreakEvenThroughput);
-  auto fast = engine2.ServeProjection(*bound, 0, cols, &*stale);
-  ASSERT_TRUE(fast.ok());
-  EXPECT_NE(*fast, *inline_vals);
-  auto payload =
-      engine_->store().Project(0, bound->VisiblePredicatesOn(0), cols);
-  ASSERT_TRUE(payload.ok());
-  EXPECT_EQ(*fast, device::EncodeRows(device::WireFormat::kCompact,
-                                      WireLayoutOf(schema_, 0, cols),
-                                      payload->bytes.data(), payload->rows,
-                                      2 * device::kWireBreakEvenThroughput));
 }
 
 TEST_F(UntrustedTest, VisibleOnlyStatementsAreServedOneResultMessage) {
