@@ -336,25 +336,24 @@ Status GhostDB::ServeVisCounts(const sql::BoundQuery& query,
   for (TableId t : query.tables) {
     if (!query.HasVisiblePredicateOn(t)) continue;
     GHOSTDB_ASSIGN_OR_RETURN(
-        uint64_t count, untrusted().ServeVisibleCount(query, t, prefetch));
+        uint64_t count, untrusted().ServeVisibleCount(t, prefetch));
     (*out)[t] = count;
   }
   return Status::OK();
 }
 
 Result<PlanCache::Outcome> GhostDB::CachedPlan(
-    const sql::BoundQuery& query, untrusted::VisPrefetch* prefetch) {
+    const sql::BoundQuery& query, const untrusted::VisPrefetch* prefetch) {
   GHOSTDB_ASSIGN_OR_RETURN(std::string shape, sql::QueryShape(query.sql));
-  // On a miss (or a stale stats stamp): visible selectivities, computed by
-  // Untrusted from visible data. Cache hits skip these round-trips
-  // entirely — the main per-query planning cost under throughput
-  // workloads.
+  // On a miss: visible selectivities, computed by Untrusted from visible
+  // data. Cache hits skip these round-trips entirely — the main per-query
+  // planning cost under throughput workloads.
   auto plan_fn = [&]() -> Result<plan::PhysicalPlan> {
     std::map<TableId, uint64_t> vis_counts;
     GHOSTDB_RETURN_NOT_OK(ServeVisCounts(query, prefetch, &vis_counts));
     return planner_->PlanQuery(query, vis_counts, config_.exec);
   };
-  return plan_cache_.GetOrPlan(shape, stats_version_.load(), plan_fn);
+  return plan_cache_.GetOrPlan(shape, plan_fn);
 }
 
 Status GhostDB::AnswerOnUntrusted(
@@ -429,16 +428,16 @@ Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
 
   // PC-side work, before asking for any device: everything the PC sends is
   // a pure function of the (already announced-to-be) visible statement, so
-  // each shard's Untrusted computes it over its own slice while the keys
+  // each shard's Untrusted prepares it over its own slice while the keys
   // are still serving other sessions. A visible-only statement plans here
   // too (it needs no round-trip) and the PC answers it whole; any other
-  // statement's PC speculatively evaluates the visible answers each leg's
-  // key will request. Channel messages are recorded when a key requests
-  // them, unchanged in every byte.
+  // statement's PC (an EXPLAIN's too, for its vis-counts) evaluates and
+  // encodes the visible answers each leg's key will request. The key's
+  // requests then ship these messages as is, on every attempt.
   if (!query.explain && planner_->VisibleOnly(query)) {
     GHOSTDB_RETURN_NOT_OK(plan_statement());
     GHOSTDB_RETURN_NOT_OK(AnswerOnUntrusted(query, *plan, &prefetch));
-  } else if (!query.explain) {
+  } else {
     for (uint32_t s = 0; s < legs; ++s) {
       GHOSTDB_ASSIGN_OR_RETURN(prefetch[s],
                                shards_[s].untrusted->PrefetchVisible(query));
@@ -583,8 +582,7 @@ Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
   if (outcome.entry != nullptr) {
     exec::QueryMetrics& metrics = result.ValueUnsafe().metrics;
     metrics.plan_cache_hits = outcome.hit ? 1 : 0;
-    metrics.plan_cache_replans = outcome.replanned ? 1 : 0;
-    metrics.plan_cache_misses = outcome.hit || outcome.replanned ? 0 : 1;
+    metrics.plan_cache_misses = outcome.hit ? 0 : 1;
   }
   return result;
 }

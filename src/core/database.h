@@ -25,7 +25,6 @@
 // message with its session.
 #pragma once
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -190,20 +189,10 @@ class GhostDB {
   /// shard of the fleet.
   std::string StorageReport() const;
 
-  /// Declares that the catalog statistics changed (e.g. a future update
-  /// path refreshed the selectivity sketches): bumps the stats version, so
-  /// every cached plan stamped with an older version re-plans on its next
-  /// use instead of reusing a strategy chosen under dead selectivities.
-  void NotifyStatsChanged() { stats_version_.fetch_add(1); }
-  /// Current catalog stats version (starts at 1).
-  uint64_t stats_version() const { return stats_version_.load(); }
-
   /// Number of distinct query shapes currently cached.
   size_t plan_cache_size() const { return plan_cache_.size(); }
   /// Shapes evicted by the LRU bound so far.
   uint64_t plan_cache_evictions() const { return plan_cache_.evictions(); }
-  /// Cached plans re-planned because their stats stamp went stale.
-  uint64_t plan_cache_replans() const { return plan_cache_.replans(); }
 
  private:
   friend class Session;
@@ -249,7 +238,7 @@ class GhostDB {
   /// channel admission unless the statement is visible-only (its plan
   /// needs no round-trip).
   Result<PlanCache::Outcome> CachedPlan(const sql::BoundQuery& query,
-                                        untrusted::VisPrefetch* prefetch);
+                                        const untrusted::VisPrefetch* prefetch);
   /// One vis-count exchange per table with visible predicates (the
   /// planner's selectivity inputs; visible information only).
   Status ServeVisCounts(const sql::BoundQuery& query,
@@ -274,7 +263,6 @@ class GhostDB {
   std::vector<Shard> shards_;
   std::unique_ptr<plan::Planner> planner_;
   PlanCache plan_cache_;
-  std::atomic<uint64_t> stats_version_{1};
   mutable std::mutex sessions_mu_;  // next_session_id_, open_sessions_
   int32_t next_session_id_ = 0;
   size_t open_sessions_ = 0;

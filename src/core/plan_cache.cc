@@ -3,7 +3,7 @@
 namespace ghostdb::core {
 
 Result<PlanCache::Outcome> PlanCache::GetOrPlan(
-    const std::string& shape, uint64_t stats_version,
+    const std::string& shape,
     const std::function<Result<plan::PhysicalPlan>()>& plan_fn) {
   std::lock_guard<std::mutex> lk(mu_);
   auto it = index_.find(shape);
@@ -11,34 +11,15 @@ Result<PlanCache::Outcome> PlanCache::GetOrPlan(
     // Refresh recency: move the entry to the front of the LRU list.
     entries_.splice(entries_.begin(), entries_, it->second);
     it->second = entries_.begin();
-    std::shared_ptr<const PreparedQuery>& slot = *it->second;
-    if (slot->stats_version == stats_version) {
-      Outcome out;
-      out.entry = slot;
-      out.hit = true;
-      return out;
-    }
-    // Stale stamp: the strategy was chosen under selectivities that no
-    // longer describe the data. Install a fresh snapshot in the same LRU
-    // slot (holders of the old snapshot keep it alive and unchanged); this
-    // run pays the planning round-trips like a miss would.
-    GHOSTDB_ASSIGN_OR_RETURN(plan::PhysicalPlan plan, plan_fn());
-    auto fresh = std::make_shared<PreparedQuery>();
-    fresh->shape = slot->shape;
-    fresh->plan = std::move(plan);
-    fresh->stats_version = stats_version;
-    slot = fresh;
-    replans_ += 1;
     Outcome out;
-    out.entry = std::move(fresh);
-    out.replanned = true;
+    out.entry = *it->second;
+    out.hit = true;
     return out;
   }
   GHOSTDB_ASSIGN_OR_RETURN(plan::PhysicalPlan plan, plan_fn());
   auto fresh = std::make_shared<PreparedQuery>();
   fresh->shape = shape;
   fresh->plan = std::move(plan);
-  fresh->stats_version = stats_version;
   entries_.push_front(fresh);
   index_[fresh->shape] = entries_.begin();
   if (capacity_ != 0 && entries_.size() > capacity_) {
@@ -61,11 +42,6 @@ size_t PlanCache::size() const {
 uint64_t PlanCache::evictions() const {
   std::lock_guard<std::mutex> lk(mu_);
   return evictions_;
-}
-
-uint64_t PlanCache::replans() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return replans_;
 }
 
 }  // namespace ghostdb::core

@@ -8,14 +8,11 @@
 // session posed the same visible shape, which the spy already learned from
 // the query announcements themselves.
 //
-// Entries are version-stamped with the catalog stats version current at
-// plan time. A hit whose stamp is stale re-plans instead of reusing a
-// strategy chosen under dead selectivities; re-plans are counted
-// separately from hits and misses.
+// Catalog statistics are fixed once the store is built, so an entry is
+// never re-planned: it lives until the LRU bound evicts it.
 //
 // The cache is synchronized (one mutex) and entries are immutable
-// snapshots handed out as shared_ptr: a stale-stats re-plan installs a
-// fresh snapshot in the entry's LRU slot and eviction drops the cache's
+// snapshots handed out as shared_ptr: eviction drops the cache's
 // reference, so a snapshot a statement still holds mid-execution remains
 // valid and unchanging until it finishes. Planning on a miss happens
 // inside the lock — the planner consults the channel, whose arbiter
@@ -45,7 +42,6 @@ namespace ghostdb::core {
 struct PreparedQuery {
   std::string shape;
   plan::PhysicalPlan plan;
-  uint64_t stats_version = 0;  ///< catalog stats version at plan time
 };
 
 /// \brief Shape-keyed, LRU-bounded, synchronized plan cache.
@@ -54,26 +50,22 @@ class PlanCache {
   /// `capacity` = most shapes kept (0 = unbounded).
   explicit PlanCache(size_t capacity) : capacity_(capacity) {}
 
-  /// Outcome of GetOrPlan: exactly one of hit/miss/replanned is set.
+  /// Outcome of GetOrPlan: a hit, or else a miss that planned.
   struct Outcome {
     std::shared_ptr<const PreparedQuery> entry;
-    bool hit = false;        ///< fresh entry reused as-is
-    bool replanned = false;  ///< entry existed but its stats stamp was stale
+    bool hit = false;  ///< cached entry reused as-is
   };
 
-  /// Looks up `shape`; on a miss (or a stale stats stamp) calls `plan_fn`
-  /// to produce a plan — under the cache lock, and under whatever channel
-  /// admission the caller holds — and stamps the new snapshot with
-  /// `stats_version`. The returned snapshot stays valid and unchanging for
-  /// as long as the caller holds it, regardless of concurrent re-plans or
-  /// evictions.
+  /// Looks up `shape`; on a miss calls `plan_fn` to produce a plan — under
+  /// the cache lock, and under whatever channel admission the caller
+  /// holds. The returned snapshot stays valid and unchanging for as long
+  /// as the caller holds it, regardless of concurrent evictions.
   Result<Outcome> GetOrPlan(
-      const std::string& shape, uint64_t stats_version,
+      const std::string& shape,
       const std::function<Result<plan::PhysicalPlan>()>& plan_fn);
 
   size_t size() const;
   uint64_t evictions() const;
-  uint64_t replans() const;
 
  private:
   size_t capacity_;
@@ -84,7 +76,6 @@ class PlanCache {
       std::string, std::list<std::shared_ptr<const PreparedQuery>>::iterator>
       index_;
   uint64_t evictions_ = 0;
-  uint64_t replans_ = 0;
 };
 
 }  // namespace ghostdb::core

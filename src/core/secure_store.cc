@@ -23,15 +23,4 @@ Result<uint32_t> SecureStore::LevelFor(const catalog::Schema& schema,
                           schema.table(owner).name + "'");
 }
 
-uint64_t SecureStore::TotalPages() const {
-  uint64_t pages = 0;
-  for (const auto& t : tables) {
-    if (t.hidden_image) pages += t.hidden_image->run.page_count();
-    if (t.skt) pages += t.skt->run.page_count();
-    for (const auto& [col, idx] : t.attr_indexes) pages += idx.total_pages();
-    if (t.id_index) pages += t.id_index->total_pages();
-  }
-  return pages;
-}
-
 }  // namespace ghostdb::core

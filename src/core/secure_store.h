@@ -77,9 +77,6 @@ struct SecureStore {
   static Result<uint32_t> LevelFor(const catalog::Schema& schema,
                                    catalog::TableId owner,
                                    catalog::TableId target, bool self_level);
-
-  /// Total flash pages used by all structures (storage report).
-  uint64_t TotalPages() const;
 };
 
 }  // namespace ghostdb::core

@@ -215,13 +215,11 @@ void EncodedRows::DecodeInto(QueryResult* out) const {
   }
 }
 
-Result<QueryResult> SecureExecutor::Execute(const BoundQuery& query,
-                                            const plan::PhysicalPlan& plan,
-                                            const MetricSnapshot& baseline,
-                                            const SessionBinding& session,
-                                            EncodedRows* out,
-                                            untrusted::VisPrefetch* prefetch,
-                                            const FanoutParams* fanout) {
+Result<QueryResult> SecureExecutor::Execute(
+    const BoundQuery& query, const plan::PhysicalPlan& plan,
+    const MetricSnapshot& baseline, const SessionBinding& session,
+    EncodedRows* out, const untrusted::VisPrefetch* prefetch,
+    const FanoutParams* fanout) {
   auto& ram = device_->ram();
   // Context-switch the RAM budget onto the session's partition: every
   // operator acquisition below is charged against the session's quota, and
@@ -249,7 +247,7 @@ Result<QueryResult> SecureExecutor::Execute(const BoundQuery& query,
 Result<QueryResult> SecureExecutor::ExecuteTree(
     const BoundQuery& query, const plan::PhysicalPlan& plan,
     const MetricSnapshot& baseline, const SessionBinding& session,
-    EncodedRows* out, untrusted::VisPrefetch* prefetch,
+    EncodedRows* out, const untrusted::VisPrefetch* prefetch,
     const FanoutParams* fanout) {
   bool scatter =
       fanout != nullptr && fanout->role == FanoutParams::Role::kScatter;

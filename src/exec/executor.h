@@ -140,8 +140,9 @@ class SecureExecutor {
   /// RAM comes from the session's partition, and the page-leak check
   /// reports against the session. The result comes back with `rows` empty
   /// and the encoded cells in `out`, for the caller to DecodeInto() once it
-  /// has released its channel admission. `prefetch` (optional) carries the
-  /// PC's speculatively evaluated visible answers into the operators.
+  /// has released its channel admission. `prefetch` holds the messages the
+  /// PC prepared for this leg, which the operators' requests ship (null:
+  /// the run requests nothing from the PC, as a gather does).
   /// `fanout` (optional) runs this call as one leg of a sharded
   /// scatter-gather: kScatter executes the plan re-rooted at the
   /// projection and emits seq-stamped rows (into `out`); kGather executes
@@ -150,7 +151,7 @@ class SecureExecutor {
                               const plan::PhysicalPlan& plan,
                               const MetricSnapshot& baseline,
                               const SessionBinding& session, EncodedRows* out,
-                              untrusted::VisPrefetch* prefetch,
+                              const untrusted::VisPrefetch* prefetch,
                               const FanoutParams* fanout);
 
  private:
@@ -161,7 +162,7 @@ class SecureExecutor {
                                   const MetricSnapshot& baseline,
                                   const SessionBinding& session,
                                   EncodedRows* out,
-                                  untrusted::VisPrefetch* prefetch,
+                                  const untrusted::VisPrefetch* prefetch,
                                   const FanoutParams* fanout);
 
   device::SecureDevice* device_;

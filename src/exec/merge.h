@@ -46,7 +46,6 @@ struct MergeGroup {
   catalog::RowId iota_n = 0;
   bool has_iota = false;
 
-  uint64_t TotalIds() const;
   size_t FlashStreams() const { return sublists.size() + runs.size(); }
 };
 

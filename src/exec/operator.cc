@@ -62,11 +62,11 @@ Result<device::WireRows> DecodeReceived(ExecContext* ctx,
 Result<std::vector<catalog::RowId>> ReceiveVisibleIds(ExecContext* ctx,
                                                       catalog::TableId table) {
   GHOSTDB_ASSIGN_OR_RETURN(
-      std::vector<uint8_t> message,
-      ctx->untrusted->ServeVisibleIds(*ctx->query, table, ctx->vis_prefetch));
+      const std::vector<uint8_t>* message,
+      ctx->untrusted->ServeVisibleIds(table, ctx->vis_prefetch));
   GHOSTDB_ASSIGN_OR_RETURN(
       device::WireRows rows,
-      DecodeReceived(ctx, device::WireLayout{}, message,
+      DecodeReceived(ctx, device::WireLayout{}, *message,
                      ctx->store->tables[table].row_count));
   std::vector<catalog::RowId> ids(rows.rows);
   for (uint64_t i = 0; i < rows.rows; ++i) {
@@ -79,14 +79,13 @@ Result<untrusted::ProjectionPayload> ReceiveProjection(
     ExecContext* ctx, catalog::TableId table,
     const std::vector<catalog::ColumnId>& columns) {
   GHOSTDB_ASSIGN_OR_RETURN(
-      std::vector<uint8_t> message,
-      ctx->untrusted->ServeProjection(*ctx->query, table, columns,
-                                      ctx->vis_prefetch));
+      const std::vector<uint8_t>* message,
+      ctx->untrusted->ServeProjection(table, columns, ctx->vis_prefetch));
   device::WireLayout layout =
       untrusted::WireLayoutOf(*ctx->schema, table, columns);
   GHOSTDB_ASSIGN_OR_RETURN(
       device::WireRows rows,
-      DecodeReceived(ctx, layout, message,
+      DecodeReceived(ctx, layout, *message,
                      ctx->store->tables[table].row_count));
   untrusted::ProjectionPayload payload;
   payload.row_width = layout.row_width();
@@ -115,9 +114,9 @@ Result<device::WireRows> ReceiveVisibleResult(ExecContext* ctx,
                                               const device::WireLayout& layout,
                                               uint64_t key_limit) {
   GHOSTDB_ASSIGN_OR_RETURN(
-      std::vector<uint8_t> message,
+      const std::vector<uint8_t>* message,
       ctx->untrusted->ServeVisibleResult(table, ctx->vis_prefetch));
-  return DecodeReceived(ctx, layout, message, key_limit);
+  return DecodeReceived(ctx, layout, *message, key_limit);
 }
 
 Status ExecContext::RequireDevice(std::string_view what) const {
@@ -173,7 +172,6 @@ void QueryMetrics::Accumulate(const QueryMetrics& other) {
   bloom_fpr_estimate = std::max(bloom_fpr_estimate, other.bloom_fpr_estimate);
   plan_cache_hits += other.plan_cache_hits;
   plan_cache_misses += other.plan_cache_misses;
-  plan_cache_replans += other.plan_cache_replans;
   sort_spill_runs += other.sort_spill_runs;
   sort_spill_pages += other.sort_spill_pages;
   sort_merge_pages += other.sort_merge_pages;

@@ -138,9 +138,8 @@ struct QueryMetrics {
   double bloom_fpr_estimate = 0.0;  ///< worst filter used in QEP_SJ
   uint64_t plan_cache_hits = 0;     ///< 1 if this query reused a cached plan
   uint64_t plan_cache_misses = 0;   ///< 1 if this query was planned afresh
-  /// 1 if a cached plan existed but was stamped with a stale catalog stats
-  /// version, so the strategy was re-chosen under live selectivities
-  /// (neither a hit nor a miss).
+  /// Always 0: cached plans are never re-planned (statistics are fixed at
+  /// Build()). Kept only because the end-to-end benchmark prints it.
   uint64_t plan_cache_replans = 0;
   /// Sorted runs the relational tail wrote to flash (generation spills
   /// plus intermediate merges) when a working set exceeded its budget.
@@ -278,10 +277,10 @@ struct ExecContext {
   /// partition via the RamManager's active-partition register (set by the
   /// executor), so operators need no per-call plumbing.
   const SessionBinding* session = nullptr;
-  /// Visible answers the PC speculatively evaluated for this query while
-  /// the key served other sessions (may be null). Consumed by the Serve
-  /// calls; the channel interaction is identical either way.
-  untrusted::VisPrefetch* vis_prefetch = nullptr;
+  /// The messages the PC prepared for this leg before admission, which
+  /// the Serve calls ship as is (null on a gather or device-free run,
+  /// which request nothing from the PC).
+  const untrusted::VisPrefetch* vis_prefetch = nullptr;
   QueryMetrics* metrics = nullptr;
   PipelineState pipeline;
   /// Column layout of the projection output (one column per SELECT item).

@@ -31,10 +31,6 @@ struct FixedTableRef {
   uint32_t row_width = 0;     ///< Bytes per row.
   uint32_t rows_per_page = 0;
   uint64_t row_count = 0;
-
-  uint32_t PageOfRow(catalog::RowId row) const {
-    return run.PageAt(row / rows_per_page);
-  }
 };
 
 /// \brief Builds a fixed-width table by appending rows in id order.

@@ -6,6 +6,18 @@ namespace ghostdb::untrusted {
 
 using device::Direction;
 
+namespace {
+
+/// `map`'s entry for `table`, or null.
+template <typename V>
+const V* Prepared(const std::map<catalog::TableId, V>& map,
+                  catalog::TableId table) {
+  auto it = map.find(table);
+  return it == map.end() ? nullptr : &it->second;
+}
+
+}  // namespace
+
 device::WireLayout WireLayoutOf(const catalog::Schema& schema,
                                 catalog::TableId table,
                                 const std::vector<catalog::ColumnId>& columns) {
@@ -76,60 +88,6 @@ Result<VisPrefetch> UntrustedEngine::PrefetchVisible(
   return prefetch;
 }
 
-Result<std::vector<uint8_t>> UntrustedEngine::ServeVisibleIds(
-    const sql::BoundQuery& query, catalog::TableId table,
-    VisPrefetch* prefetch) {
-  std::vector<uint8_t> message;
-  bool prefetched = false;
-  if (prefetch != nullptr) {
-    auto it = prefetch->ids.find(table);
-    if (it != prefetch->ids.end()) {
-      message = std::move(prefetch->id_messages[table]);
-      prefetch->ids.erase(it);
-      prefetch->id_messages.erase(table);
-      prefetched = true;
-    }
-  }
-  if (!prefetched) {
-    GHOSTDB_ASSIGN_OR_RETURN(
-        std::vector<catalog::RowId> ids,
-        store_.SelectIds(table, query.VisiblePredicatesOn(table), pool_));
-    message = EncodeIds(ids);
-  }
-  // The message is identical whether the answer was speculative or inline.
-  channel_->Transfer(Direction::kToSecure,
-                     "vis-ids:" + schema_->table(table).name, message.data(),
-                     message.size());
-  return message;
-}
-
-Result<std::vector<uint8_t>> UntrustedEngine::ServeProjection(
-    const sql::BoundQuery& query, catalog::TableId table,
-    const std::vector<catalog::ColumnId>& columns, VisPrefetch* prefetch) {
-  std::vector<uint8_t> message;
-  bool prefetched = false;
-  if (prefetch != nullptr) {
-    auto it = prefetch->projections.find(table);
-    if (it != prefetch->projections.end() && it->second.first == columns) {
-      message = std::move(prefetch->projection_messages[table]);
-      prefetch->projections.erase(it);
-      prefetch->projection_messages.erase(table);
-      prefetched = true;
-    }
-  }
-  if (!prefetched) {
-    GHOSTDB_ASSIGN_OR_RETURN(
-        ProjectionPayload payload,
-        store_.Project(table, query.VisiblePredicatesOn(table), columns,
-                       pool_));
-    message = EncodeProjection(table, columns, payload);
-  }
-  channel_->Transfer(Direction::kToSecure,
-                     "vis-vals:" + schema_->table(table).name,
-                     message.data(), message.size());
-  return message;
-}
-
 Result<ProjectionPayload> UntrustedEngine::ProjectStatement(
     const sql::BoundQuery& query) const {
   const catalog::TableId t = query.anchor;
@@ -153,41 +111,56 @@ std::vector<uint8_t> UntrustedEngine::EncodeResult(
                             channel_->throughput());
 }
 
-Result<std::vector<uint8_t>> UntrustedEngine::ServeVisibleResult(
-    catalog::TableId table, const VisPrefetch* prefetch) {
-  if (prefetch == nullptr || !prefetch->result_message.has_value()) {
-    return Status::Internal("no vis-result prepared for the statement");
+Result<const std::vector<uint8_t>*> UntrustedEngine::Ship(
+    const char* kind, catalog::TableId table,
+    const std::vector<uint8_t>* message) {
+  const std::string label =
+      std::string(kind) + ":" + schema_->table(table).name;
+  if (message == nullptr) {
+    return Status::Internal("no " + label + " message prepared");
   }
-  const std::vector<uint8_t>& message = *prefetch->result_message;
-  channel_->Transfer(Direction::kToSecure,
-                     "vis-result:" + schema_->table(table).name,
-                     message.data(), message.size());
+  channel_->Transfer(Direction::kToSecure, label, message->data(),
+                     message->size());
   return message;
 }
 
-Result<uint64_t> UntrustedEngine::ServeVisibleCount(
-    const sql::BoundQuery& query, catalog::TableId table,
+Result<const std::vector<uint8_t>*> UntrustedEngine::ServeVisibleIds(
+    catalog::TableId table, const VisPrefetch* prefetch) {
+  return Ship("vis-ids", table,
+              prefetch == nullptr ? nullptr
+                                  : Prepared(prefetch->id_messages, table));
+}
+
+Result<const std::vector<uint8_t>*> UntrustedEngine::ServeProjection(
+    catalog::TableId table, const std::vector<catalog::ColumnId>& columns,
     const VisPrefetch* prefetch) {
-  uint64_t count = 0;
-  bool prefetched = false;
+  const std::vector<uint8_t>* message = nullptr;
   if (prefetch != nullptr) {
-    auto it = prefetch->ids.find(table);
-    if (it != prefetch->ids.end()) {
-      count = it->second.size();
-      prefetched = true;
+    const auto* projection = Prepared(prefetch->projections, table);
+    if (projection != nullptr && projection->first == columns) {
+      message = Prepared(prefetch->projection_messages, table);
     }
   }
-  if (!prefetched) {
-    GHOSTDB_ASSIGN_OR_RETURN(
-        std::vector<catalog::RowId> ids,
-        store_.SelectIds(table, query.VisiblePredicatesOn(table), pool_));
-    count = ids.size();
-  }
-  uint8_t payload[8];
-  EncodeFixed64(payload, count);
-  channel_->Transfer(Direction::kToSecure,
-                     "vis-count:" + schema_->table(table).name, payload, 8);
-  return count;
+  return Ship("vis-vals", table, message);
+}
+
+Result<const std::vector<uint8_t>*> UntrustedEngine::ServeVisibleResult(
+    catalog::TableId table, const VisPrefetch* prefetch) {
+  return Ship("vis-result", table,
+              prefetch == nullptr || !prefetch->result_message.has_value()
+                  ? nullptr
+                  : &*prefetch->result_message);
+}
+
+Result<uint64_t> UntrustedEngine::ServeVisibleCount(
+    catalog::TableId table, const VisPrefetch* prefetch) {
+  const std::vector<catalog::RowId>* ids =
+      prefetch == nullptr ? nullptr : Prepared(prefetch->ids, table);
+  if (ids == nullptr) return Ship("vis-count", table, nullptr).status();
+  std::vector<uint8_t> payload(8);
+  EncodeFixed64(payload.data(), ids->size());
+  GHOSTDB_RETURN_NOT_OK(Ship("vis-count", table, &payload).status());
+  return ids->size();
 }
 
 }  // namespace ghostdb::untrusted

@@ -3,19 +3,18 @@
 // channel. Every byte it sends or receives goes through the audited channel
 // so the leak-freedom property is checkable.
 //
-// Multi-session serving adds speculative evaluation: the PC is a separate
-// processor from the key, so while the channel arbiter has the key serving
-// one session, the PC can already evaluate the *next* sessions' visible
-// requests — every request is a pure function of the visible statement
-// text, announced before execution. A VisPrefetch carries those
-// precomputed answers into the Serve*() calls; the channel interaction
-// (message order, labels, sizes, digests, simulated cost) is byte-for-byte
-// identical whether or not an answer was prefetched, so the transcript
-// contract is untouched.
+// Every message the PC sends the key is prepared before the statement is
+// admitted: the PC is a separate processor from the key, so while the
+// channel arbiter has the key serving one session, the PC already
+// evaluates and encodes the next sessions' visible requests — every
+// request is a pure function of the visible statement text, announced
+// before execution. A VisPrefetch holds those messages; the Serve*()
+// calls only ship them (a request with nothing prepared is Internal), so a
+// masked fault replay re-ships the very bytes the first attempt shipped.
 //
 // Vis id lists, projection payloads and visible-only results cross the
 // channel in the link's wire format (device/wire_codec.h); the Serve calls
-// return the bytes that were shipped, which the key decodes.
+// return a view of the bytes that were shipped, which the key decodes.
 #pragma once
 
 #include <map>
@@ -31,8 +30,9 @@
 
 namespace ghostdb::untrusted {
 
-/// \brief Precomputed visible answers for one query (PC-side speculation).
-/// Entries are moved out as the Serve calls consume them.
+/// \brief The prepared visible answers of one statement on one shard's PC.
+/// Built before admission, read-only afterwards: the Serve calls ship its
+/// messages without consuming them.
 struct VisPrefetch {
   /// Per table with visible predicates: the sorted Vis id list.
   std::map<catalog::TableId, std::vector<catalog::RowId>> ids;
@@ -41,15 +41,13 @@ struct VisPrefetch {
   std::map<catalog::TableId,
            std::pair<std::vector<catalog::ColumnId>, ProjectionPayload>>
       projections;
-  /// The wire messages of the answers above (keyed alike), encoded before
-  /// admission so encoding runs outside it too. The prefetch is built
-  /// inside the statement's own serving call, so the channel throughput
-  /// the encoder reads cannot change before the messages ship.
+  /// The wire messages of the answers above (keyed alike). The prefetch is
+  /// built inside the statement's own serving call, so the channel
+  /// throughput the encoder reads cannot change before the messages ship.
   std::map<catalog::TableId, std::vector<uint8_t>> id_messages;
   std::map<catalog::TableId, std::vector<uint8_t>> projection_messages;
   /// A visible-only statement's `vis-result` message for this shard's key
-  /// (its range of the final rows), built before admission. Served as is,
-  /// never consumed, so a masked fault replay re-sends the same bytes.
+  /// (its range of the final rows).
   std::optional<std::vector<uint8_t>> result_message;
 };
 
@@ -78,33 +76,15 @@ class UntrustedEngine {
   /// key). Charged as a Secure -> Untrusted transfer.
   void ReceiveQuery(const std::string& sql);
 
-  /// Speculatively evaluates every visible request `query` is certain to
-  /// make (Vis id lists for tables with visible predicates; projection
-  /// payloads for tables whose visible columns are projected) and encodes
-  /// their wire messages — exactly the work the Serve calls would do, no
-  /// more, so running it early never costs anything the query would not
-  /// pay anyway; nothing for a visible-only statement, whose key requests
+  /// Evaluates every visible request `query` is certain to make (Vis id
+  /// lists for tables with visible predicates; projection payloads for
+  /// tables whose visible columns are projected) and encodes their wire
+  /// messages; nothing for a visible-only statement, whose key requests
   /// neither (ProjectStatement feeds the PC's own answer instead). Pure
   /// read of the visible store and of the channel's configuration
   /// (format, throughput): safe to run on a session's thread while
   /// another session holds the channel. Transfers nothing.
   Result<VisPrefetch> PrefetchVisible(const sql::BoundQuery& query) const;
-
-  /// Vis(Q, T, {id}): sorted ids of rows of `table` satisfying the query's
-  /// visible predicates on that table. Charged as Untrusted -> Secure;
-  /// returns the shipped message. `prefetch` (optional): consume the
-  /// precomputed answer instead of scanning now.
-  Result<std::vector<uint8_t>> ServeVisibleIds(
-      const sql::BoundQuery& query, catalog::TableId table,
-      VisPrefetch* prefetch = nullptr);
-
-  /// Vis(Q, T, {<id, vlist>}): sorted [id | visible values] rows for
-  /// projection. Charged as Untrusted -> Secure; returns the shipped
-  /// message (layout WireLayoutOf(table, columns)).
-  Result<std::vector<uint8_t>> ServeProjection(
-      const sql::BoundQuery& query, catalog::TableId table,
-      const std::vector<catalog::ColumnId>& columns,
-      VisPrefetch* prefetch = nullptr);
 
   /// The PC's projection of visible-only `query`: its anchor's rows
   /// passing the visible predicates, [global id | the projected visible
@@ -119,20 +99,31 @@ class UntrustedEngine {
                                     const uint8_t* rows,
                                     uint64_t count) const;
 
-  /// Vis-result(Q, T): the final rows of a visible-only statement, the
-  /// message `prefetch->result_message` holds (Internal when none was
-  /// prepared). Charged as Untrusted -> Secure; returns the shipped
-  /// message.
-  Result<std::vector<uint8_t>> ServeVisibleResult(
+  // The Serve calls ship what `prefetch` holds for the request, charged as
+  // Untrusted -> Secure, and return a view of the shipped bytes (valid as
+  // long as `prefetch`). A request `prefetch` (may be null) holds nothing
+  // for is Internal and transfers nothing.
+
+  /// Vis(Q, T, {id}): sorted ids of `table`'s rows satisfying the query's
+  /// visible predicates on that table.
+  Result<const std::vector<uint8_t>*> ServeVisibleIds(
       catalog::TableId table, const VisPrefetch* prefetch);
 
-  /// Count of rows satisfying the visible predicates (a tiny message used
-  /// by the planner; derived from visible data + the query only). Reads
-  /// the prefetched id list's size when available (without consuming it —
-  /// execution still needs the ids).
-  Result<uint64_t> ServeVisibleCount(const sql::BoundQuery& query,
-                                     catalog::TableId table,
-                                     const VisPrefetch* prefetch = nullptr);
+  /// Vis(Q, T, {<id, vlist>}): sorted [id | visible values] rows for
+  /// projection, in layout WireLayoutOf(table, columns); `columns` must be
+  /// the prepared set.
+  Result<const std::vector<uint8_t>*> ServeProjection(
+      catalog::TableId table, const std::vector<catalog::ColumnId>& columns,
+      const VisPrefetch* prefetch);
+
+  /// Vis-result(Q, T): the final rows of a visible-only statement.
+  Result<const std::vector<uint8_t>*> ServeVisibleResult(
+      catalog::TableId table, const VisPrefetch* prefetch);
+
+  /// Count of rows satisfying the visible predicates on `table` (a tiny
+  /// message used by the planner): the size of the prepared id list.
+  Result<uint64_t> ServeVisibleCount(catalog::TableId table,
+                                     const VisPrefetch* prefetch);
 
  private:
   /// Wire messages of an id list / a projection payload on this channel.
@@ -141,6 +132,10 @@ class UntrustedEngine {
   std::vector<uint8_t> EncodeProjection(
       catalog::TableId table, const std::vector<catalog::ColumnId>& columns,
       const ProjectionPayload& payload) const;
+  /// Ships prepared `message` as `kind`:<table name>; Internal when null.
+  Result<const std::vector<uint8_t>*> Ship(
+      const char* kind, catalog::TableId table,
+      const std::vector<uint8_t>* message);
 
   const catalog::Schema* schema_;
   device::Channel* channel_;

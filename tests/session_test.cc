@@ -287,37 +287,6 @@ TEST(SessionTest, SharedPlanCacheServesAllSessions) {
   EXPECT_EQ(db.plan_cache_size(), 1u);
 }
 
-TEST(SessionTest, StaleStatsVersionTriggersReplan) {
-  GhostDB db(Config());
-  BuildDb(&db, 42);
-  const char* sql = "SELECT Fact.id FROM Fact WHERE Fact.h < 40";
-  auto r1 = db.Query(sql);
-  ASSERT_TRUE(r1.ok());
-  EXPECT_EQ(r1->metrics.plan_cache_misses, 1u);
-  auto r2 = db.Query(sql);
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(r2->metrics.plan_cache_hits, 1u);
-  // Stats change: the cached strategy was chosen under selectivities that
-  // are now dead. The next use must re-plan, not reuse.
-  uint64_t v0 = db.stats_version();
-  db.NotifyStatsChanged();
-  EXPECT_EQ(db.stats_version(), v0 + 1);
-  auto r3 = db.Query(sql);
-  ASSERT_TRUE(r3.ok());
-  EXPECT_EQ(r3->metrics.plan_cache_replans, 1u);
-  EXPECT_EQ(r3->metrics.plan_cache_hits, 0u);
-  EXPECT_EQ(r3->metrics.plan_cache_misses, 0u);
-  EXPECT_EQ(db.plan_cache_replans(), 1u);
-  // Re-stamped: back to plain hits, still one cache entry.
-  auto r4 = db.Query(sql);
-  ASSERT_TRUE(r4.ok());
-  EXPECT_EQ(r4->metrics.plan_cache_hits, 1u);
-  EXPECT_EQ(db.plan_cache_size(), 1u);
-  // The answer survives every transition.
-  EXPECT_EQ(r1->total_rows, r3->total_rows);
-  EXPECT_EQ(r1->total_rows, r4->total_rows);
-}
-
 TEST(SessionTest, ExhaustedPartitionFailsCleanlyWithoutStarvingNeighbors) {
   GhostDB db(Config());
   BuildDb(&db, 42);

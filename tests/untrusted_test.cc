@@ -166,15 +166,21 @@ std::vector<uint8_t> IdMessage(device::WireFormat format,
 }
 
 TEST_F(UntrustedTest, EngineChargesChannelForServedData) {
-  // Bind a tiny query against the schema to drive the engine API.
-  auto bound = BindQuery("SELECT People.id FROM People WHERE age < 23");
+  // Bind a tiny query against the schema to drive the engine API. The
+  // hidden predicate keeps the statement on the key, whose requests the
+  // prepared set serves (a visible-only statement is answered by the PC).
+  auto bound = BindQuery(
+      "SELECT People.id FROM People WHERE age < 23 AND People.secret >= 0");
   ASSERT_TRUE(bound.ok()) << bound.status().ToString();
   auto ids = engine_->store().SelectIds(0, bound->VisiblePredicatesOn(0));
   ASSERT_TRUE(ids.ok());
   EXPECT_FALSE(ids->empty());
+  auto prefetch = engine_->PrefetchVisible(*bound);
+  ASSERT_TRUE(prefetch.ok()) << prefetch.status().ToString();
+  EXPECT_TRUE(channel_.transcript().empty());  // preparing transfers nothing
   SimNanos before = clock_.now();
-  auto message = engine_->ServeVisibleIds(*bound, 0);
-  ASSERT_TRUE(message.ok());
+  auto message = engine_->ServeVisibleIds(0, &*prefetch);
+  ASSERT_TRUE(message.ok()) << message.status().ToString();
   EXPECT_GT(clock_.now(), before);  // transfer time charged
   const auto& last = channel_.transcript().back();
   EXPECT_EQ(last.label, "vis-ids:People");
@@ -182,7 +188,7 @@ TEST_F(UntrustedTest, EngineChargesChannelForServedData) {
   // shipped.
   EXPECT_EQ(last.bytes,
             IdMessage(device::WireFormat::kCompact, *ids).size());
-  EXPECT_EQ(last.bytes, message->size());
+  EXPECT_EQ(last.bytes, (*message)->size());
   EXPECT_EQ(static_cast<int>(last.direction),
             static_cast<int>(device::Direction::kToSecure));
 
@@ -191,47 +197,119 @@ TEST_F(UntrustedTest, EngineChargesChannelForServedData) {
   device::Channel raw_channel(&raw_clock, 1.5e6, device::WireFormat::kRaw);
   UntrustedEngine raw_engine(&schema_, &raw_channel);
   LoadPeople(&raw_engine);
-  ASSERT_TRUE(raw_engine.ServeVisibleIds(*bound, 0).ok());
+  auto raw_prefetch = raw_engine.PrefetchVisible(*bound);
+  ASSERT_TRUE(raw_prefetch.ok());
+  ASSERT_TRUE(raw_engine.ServeVisibleIds(0, &*raw_prefetch).ok());
   EXPECT_EQ(raw_channel.transcript().back().bytes, ids->size() * 4);
 }
 
 TEST_F(UntrustedTest, ServeVisibleCountMatchesIds) {
-  auto bound = BindQuery("SELECT People.id FROM People WHERE age >= 60");
+  auto bound = BindQuery(
+      "SELECT People.id FROM People WHERE age >= 60 AND People.secret >= 0");
   ASSERT_TRUE(bound.ok());
-  auto count = engine_->ServeVisibleCount(*bound, 0);
-  auto message = engine_->ServeVisibleIds(*bound, 0);
+  auto prefetch = engine_->PrefetchVisible(*bound);
+  ASSERT_TRUE(prefetch.ok());
+  auto count = engine_->ServeVisibleCount(0, &*prefetch);
+  auto message = engine_->ServeVisibleIds(0, &*prefetch);
   ASSERT_TRUE(count.ok() && message.ok());
   auto ids = device::DecodeRows(channel_.wire_format(), device::WireLayout{},
-                                message->data(), message->size(), 100);
+                                (*message)->data(), (*message)->size(), 100);
   ASSERT_TRUE(ids.ok()) << ids.status().ToString();
   EXPECT_EQ(*count, ids->rows);
+  EXPECT_EQ(*count, 20u);  // ages 60..69, twice each
+  EXPECT_EQ(channel_.transcript().front().label, "vis-count:People");
+  EXPECT_EQ(channel_.transcript().front().bytes, 8u);
 }
 
 TEST_F(UntrustedTest, ServedMessagesArePureFunctionsOfVisibleData) {
-  // The hidden predicate keeps the statement on the key, whose requests
-  // the prefetch serves (a visible-only statement is answered by the PC).
   auto bound = BindQuery(
       "SELECT People.age, People.city FROM People WHERE People.age < 40 "
       "AND People.secret >= 0");
   ASSERT_TRUE(bound.ok()) << bound.status().ToString();
   const std::vector<ColumnId> cols = {0, 1};
-  // A second engine over the same visible rows, fed from a prefetch.
+  // A second engine over the same visible rows, whose channel has already
+  // carried other traffic: each engine prepares on its own.
   SimClock clock2;
   device::Channel channel2(&clock2, 1.5e6);
   UntrustedEngine engine2(&schema_, &channel2);
   LoadPeople(&engine2);
-  auto prefetch = engine2.PrefetchVisible(*bound);
+  engine2.ReceiveQuery("SELECT People.id FROM People");
+  auto prefetch = engine_->PrefetchVisible(*bound);
+  auto prefetch2 = engine2.PrefetchVisible(*bound);
+  ASSERT_TRUE(prefetch.ok() && prefetch2.ok());
+  EXPECT_EQ(prefetch->id_messages, prefetch2->id_messages);
+  EXPECT_EQ(prefetch->projection_messages, prefetch2->projection_messages);
+  auto ids = engine_->ServeVisibleIds(0, &*prefetch);
+  auto vals = engine_->ServeProjection(0, cols, &*prefetch);
+  auto ids2 = engine2.ServeVisibleIds(0, &*prefetch2);
+  auto vals2 = engine2.ServeProjection(0, cols, &*prefetch2);
+  ASSERT_TRUE(ids.ok() && vals.ok() && ids2.ok() && vals2.ok());
+  EXPECT_EQ(**ids, **ids2);
+  EXPECT_EQ(**vals, **vals2);
+  const auto& sent = channel_.transcript();
+  const auto& sent2 = channel2.transcript();
+  ASSERT_EQ(sent.size(), 2u);
+  ASSERT_EQ(sent2.size(), 3u);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(sent[i].label, sent2[i + 1].label);
+    EXPECT_EQ(sent[i].bytes, sent2[i + 1].bytes);
+    EXPECT_EQ(sent[i].content_digest, sent2[i + 1].content_digest);
+  }
+}
+
+TEST_F(UntrustedTest, UnpreparedRequestsAreInternalAndShipNothing) {
+  // No visible predicate: no id list is prepared, and the projection is
+  // prepared for the age column alone.
+  auto bound =
+      BindQuery("SELECT People.age FROM People WHERE People.secret >= 0");
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  auto prefetch = engine_->PrefetchVisible(*bound);
   ASSERT_TRUE(prefetch.ok());
-  auto inline_ids = engine_->ServeVisibleIds(*bound, 0);
-  auto inline_vals = engine_->ServeProjection(*bound, 0, cols);
-  auto pre_ids = engine2.ServeVisibleIds(*bound, 0, &*prefetch);
-  auto pre_vals = engine2.ServeProjection(*bound, 0, cols, &*prefetch);
-  ASSERT_TRUE(inline_ids.ok() && inline_vals.ok() && pre_ids.ok() &&
-              pre_vals.ok());
-  EXPECT_EQ(*inline_ids, *pre_ids);
-  EXPECT_EQ(*inline_vals, *pre_vals);
-  EXPECT_EQ(channel_.transcript().back().content_digest,
-            channel2.transcript().back().content_digest);
+  EXPECT_TRUE(prefetch->id_messages.empty());
+  ASSERT_EQ(prefetch->projection_messages.size(), 1u);
+  EXPECT_TRUE(engine_->ServeVisibleIds(0, &*prefetch).status().IsInternal());
+  EXPECT_TRUE(
+      engine_->ServeVisibleCount(0, &*prefetch).status().IsInternal());
+  EXPECT_TRUE(engine_->ServeProjection(0, {0, 1}, &*prefetch)
+                  .status()
+                  .IsInternal());
+  // Nothing prepared at all.
+  EXPECT_TRUE(engine_->ServeVisibleIds(0, nullptr).status().IsInternal());
+  EXPECT_TRUE(engine_->ServeVisibleCount(0, nullptr).status().IsInternal());
+  EXPECT_TRUE(
+      engine_->ServeProjection(0, {0}, nullptr).status().IsInternal());
+  EXPECT_TRUE(channel_.transcript().empty());
+  // The prepared column set is served.
+  ASSERT_TRUE(engine_->ServeProjection(0, {0}, &*prefetch).ok());
+  EXPECT_EQ(channel_.transcript().size(), 1u);
+}
+
+TEST_F(UntrustedTest, PreparedMessagesServedTwiceShipIdenticalBytes) {
+  auto bound = BindQuery(
+      "SELECT People.age, People.city FROM People WHERE People.age < 40 "
+      "AND People.secret >= 0");
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  auto prefetch = engine_->PrefetchVisible(*bound);
+  ASSERT_TRUE(prefetch.ok());
+  const std::vector<ColumnId> cols = {0, 1};
+  // A replay re-requests both messages: each ships the prepared bytes as
+  // is, served from the prepared set itself rather than a copy.
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    auto ids = engine_->ServeVisibleIds(0, &*prefetch);
+    auto vals = engine_->ServeProjection(0, cols, &*prefetch);
+    ASSERT_TRUE(ids.ok() && vals.ok());
+    EXPECT_EQ(*ids, &prefetch->id_messages.at(0));
+    EXPECT_EQ(*vals, &prefetch->projection_messages.at(0));
+  }
+  const auto& sent = channel_.transcript();
+  ASSERT_EQ(sent.size(), 4u);
+  EXPECT_EQ(sent[0].label, "vis-ids:People");
+  EXPECT_EQ(sent[1].label, "vis-vals:People");
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(sent[i].label, sent[i + 2].label);
+    EXPECT_EQ(sent[i].bytes, sent[i + 2].bytes);
+    EXPECT_EQ(sent[i].content_digest, sent[i + 2].content_digest);
+  }
 }
 
 TEST_F(UntrustedTest, VisibleOnlyStatementsAreServedOneResultMessage) {
@@ -257,7 +335,7 @@ TEST_F(UntrustedTest, VisibleOnlyStatementsAreServedOneResultMessage) {
   for (int attempt = 0; attempt < 2; ++attempt) {
     auto sent = engine_->ServeVisibleResult(0, &*prefetch);
     ASSERT_TRUE(sent.ok()) << sent.status().ToString();
-    EXPECT_EQ(*sent, *prefetch->result_message);
+    EXPECT_EQ(*sent, &*prefetch->result_message);
     EXPECT_EQ(channel_.transcript().back().label, "vis-result:People");
     EXPECT_EQ(channel_.transcript().back().bytes, 3u);
   }
