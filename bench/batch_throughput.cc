@@ -1,7 +1,7 @@
 // Batch workload throughput: host-side wall-clock of QueryBatch() over a
 // mixed statement stream with full row materialization. Unlike the paper
 // figures (simulated device seconds), this measures the engine's own CPU —
-// the value-space pipeline, plan cache, and result assembly — which is
+// planning, the value-space pipeline and result assembly — which is
 // what the columnar batches are for. Usage: bench_batch_throughput
 // [statements, default 400] [--json FILE] — the JSON results join the
 // BENCH_*.json trajectory artifacts CI uploads.
@@ -110,10 +110,6 @@ int main(int argc, char** argv) {
               statements, static_cast<unsigned long long>(rows));
   std::printf("host wall: %.3f s  (%.0f stmts/s, %.0f rows/s)\n", wall,
               statements / wall, static_cast<double>(rows) / wall);
-  std::printf("plan cache: %llu hits / %llu misses\n",
-              static_cast<unsigned long long>(batch->total.plan_cache_hits),
-              static_cast<unsigned long long>(
-                  batch->total.plan_cache_misses));
   std::printf("simulated device time: %.3f s\n",
               static_cast<double>(batch->total.total_ns) / 1e9);
   json.Record("batch_" + std::to_string(statements) + "_statements",

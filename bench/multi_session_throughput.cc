@@ -1,8 +1,8 @@
 // Multi-session serving throughput, on two axes:
 //
 //  * the session layer's structural win: K sessions over ONE shared GhostDB
-//    (one store partitioned/indexed/encrypted once, shared plan cache,
-//    arbitrated channel) versus K separate serial instances;
+//    (one store partitioned/indexed/encrypted once, one arbitrated
+//    channel) versus K separate serial instances;
 //  * the morsel-pool scaling: the same K-session drain with
 //    worker_threads 1 / 2 / 4. The drain itself is the deterministic
 //    single-threaded scheduler, so the pool is the *only* parallelism axis

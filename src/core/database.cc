@@ -54,8 +54,7 @@ uint32_t DeclaredShapeWeight(const sql::BoundQuery& query) {
   return std::max<uint32_t>(1, static_cast<uint32_t>(query.tables.size()));
 }
 
-GhostDB::GhostDB(GhostDBConfig config)
-    : config_(std::move(config)), plan_cache_(config_.plan_cache_capacity) {
+GhostDB::GhostDB(GhostDBConfig config) : config_(std::move(config)) {
   // External NAND pages are always encrypted (the chip sits outside the
   // secure perimeter, Fig 2); zero simulated-time cost.
   if (!config_.device.flash.cipher_key.has_value()) {
@@ -216,7 +215,7 @@ Status GhostDB::Build() {
         shard.untrusted.get(), config_.exec);
   }
   // The planner reads shard 0's store (statistics differ per shard only in
-  // their samples; the plan is shared fleet-wide through the plan cache).
+  // their samples; one plan runs on every leg of the fleet).
   planner_ = std::make_unique<plan::Planner>(
       &schema_, &shards_[0].store, plan::PlannerConfig{config_.shard_count});
   if (!config_.retain_staged_data) {
@@ -342,20 +341,6 @@ Status GhostDB::ServeVisCounts(const sql::BoundQuery& query,
   return Status::OK();
 }
 
-Result<PlanCache::Outcome> GhostDB::CachedPlan(
-    const sql::BoundQuery& query, const untrusted::VisPrefetch* prefetch) {
-  GHOSTDB_ASSIGN_OR_RETURN(std::string shape, sql::QueryShape(query.sql));
-  // On a miss: visible selectivities, computed by Untrusted from visible
-  // data. Cache hits skip these round-trips entirely — the main per-query
-  // planning cost under throughput workloads.
-  auto plan_fn = [&]() -> Result<plan::PhysicalPlan> {
-    std::map<TableId, uint64_t> vis_counts;
-    GHOSTDB_RETURN_NOT_OK(ServeVisCounts(query, prefetch, &vis_counts));
-    return planner_->PlanQuery(query, vis_counts, config_.exec);
-  };
-  return plan_cache_.GetOrPlan(shape, plan_fn);
-}
-
 Status GhostDB::AnswerOnUntrusted(
     const sql::BoundQuery& query, const plan::PhysicalPlan& plan,
     std::vector<untrusted::VisPrefetch>* prefetch) {
@@ -399,30 +384,20 @@ Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
   std::vector<untrusted::VisPrefetch> prefetch(legs);
 
   // Planning happens once, outside every span a fault recovery erases: a
-  // recovery replays execution only.
-  PlanCache::Outcome outcome;  // its entry keeps a cached plan alive
+  // recovery replays execution only. Every statement plans from its own
+  // visible counts, so its strategy (and transcript) depends only on its
+  // own text and the visible data. Pinned runs serve the counts too, so
+  // their transcripts and metrics stay comparable across strategies.
   std::map<TableId, uint64_t> vis_counts;
-  plan::PhysicalPlan local_plan;
-  const plan::PhysicalPlan* plan = nullptr;
+  plan::PhysicalPlan plan;
   auto plan_statement = [&]() -> Status {
-    if (pinned != nullptr || query.explain) {
-      // Pinned runs serve the Vis counts like a planner run would, so their
-      // transcripts and metrics stay comparable across strategies. EXPLAIN
-      // always plans afresh (never touches the cache): a cached tree would
-      // render the literals and selectivities of the statement that
-      // populated it, not this one.
-      GHOSTDB_RETURN_NOT_OK(ServeVisCounts(query, &prefetch[0], &vis_counts));
-      if (pinned != nullptr) {
-        local_plan = planner_->LowerPlan(query, *pinned, config_.exec);
-      } else {
-        GHOSTDB_ASSIGN_OR_RETURN(
-            local_plan, planner_->PlanQuery(query, vis_counts, config_.exec));
-      }
-      plan = &local_plan;
-    } else {
-      GHOSTDB_ASSIGN_OR_RETURN(outcome, CachedPlan(query, &prefetch[0]));
-      plan = &outcome.entry->plan;
+    GHOSTDB_RETURN_NOT_OK(ServeVisCounts(query, &prefetch[0], &vis_counts));
+    if (pinned != nullptr) {
+      plan = planner_->LowerPlan(query, *pinned, config_.exec);
+      return Status::OK();
     }
+    GHOSTDB_ASSIGN_OR_RETURN(
+        plan, planner_->PlanQuery(query, vis_counts, config_.exec));
     return Status::OK();
   };
 
@@ -431,12 +406,14 @@ Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
   // each shard's Untrusted prepares it over its own slice while the keys
   // are still serving other sessions. A visible-only statement plans here
   // too (it needs no round-trip) and the PC answers it whole; any other
-  // statement's PC (an EXPLAIN's too, for its vis-counts) evaluates and
-  // encodes the visible answers each leg's key will request. The key's
-  // requests then ship these messages as is, on every attempt.
-  if (!query.explain && planner_->VisibleOnly(query)) {
+  // statement's PC evaluates and encodes the visible answers each leg's
+  // key will request (an EXPLAIN's PC only evaluates its Vis id lists,
+  // whose sizes are the vis-counts). The key's requests then ship these
+  // messages as is, on every attempt.
+  const bool pc_answers = !query.explain && planner_->VisibleOnly(query);
+  if (pc_answers) {
     GHOSTDB_RETURN_NOT_OK(plan_statement());
-    GHOSTDB_RETURN_NOT_OK(AnswerOnUntrusted(query, *plan, &prefetch));
+    GHOSTDB_RETURN_NOT_OK(AnswerOnUntrusted(query, plan, &prefetch));
   } else {
     for (uint32_t s = 0; s < legs; ++s) {
       GHOSTDB_ASSIGN_OR_RETURN(prefetch[s],
@@ -457,12 +434,12 @@ Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
         exec::MetricSnapshot::Take(coordinator.device.get());
     // The query text is the only information that leaves the key.
     coordinator.untrusted->ReceiveQuery(query.sql);
-    if (plan == nullptr) GHOSTDB_RETURN_NOT_OK(plan_statement());
+    if (!pc_answers) GHOSTDB_RETURN_NOT_OK(plan_statement());
     if (query.explain) {
       exec::QueryResult explained;
       explained.columns = {"plan"};
       explained.rows = {{catalog::Value::String(
-          planner_->Explain(query, *plan, vis_counts))}};
+          planner_->Explain(query, plan, vis_counts))}};
       explained.total_rows = 1;
       return explained;
     }
@@ -503,7 +480,7 @@ Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
               }
               if (s != 0) shard.untrusted->ReceiveQuery(query.sql);
             }
-            return shard.executor->Execute(query, *plan, leg_base,
+            return shard.executor->Execute(query, plan, leg_base,
                                            bindings[s], &leg_rows[s],
                                            &prefetch[s],
                                            fanout ? &scatter : nullptr);
@@ -525,9 +502,9 @@ Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
 
     // Merge the shard outputs into the gather pass's input: the exact row
     // order a single device would have produced.
-    if (plan->visible_only()) {
+    if (plan.visible_only()) {
       GHOSTDB_RETURN_NOT_OK(
-          exec::CheckVisResultRanges(leg_rows, plan->result_keyed_by_id()));
+          exec::CheckVisResultRanges(leg_rows, plan.result_keyed_by_id()));
     }
     exec::GatherInput gather_input;
     for (uint32_t s = 0; s < legs; ++s) {
@@ -550,7 +527,7 @@ Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
         exec::QueryResult gathered,
         RecoverUnderMask(coordinator.device.get(), padded, [&] {
           deferred = exec::EncodedRows{};
-          return coordinator.executor->Execute(query, *plan, gather_base,
+          return coordinator.executor->Execute(query, plan, gather_base,
                                                bindings[0], &deferred, nullptr,
                                                &gparams);
         }));
@@ -579,11 +556,6 @@ Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
   // overlaps the next session's device work. Purely local — the decode
   // can touch nothing observable.
   deferred.DecodeInto(&result.ValueUnsafe());
-  if (outcome.entry != nullptr) {
-    exec::QueryMetrics& metrics = result.ValueUnsafe().metrics;
-    metrics.plan_cache_hits = outcome.hit ? 1 : 0;
-    metrics.plan_cache_misses = outcome.hit ? 0 : 1;
-  }
   return result;
 }
 

@@ -19,10 +19,12 @@
 // Every statement runs in a Session. Build() opens the default session
 // (id -1, "main", shared RAM reserve only), which serves the sessionless
 // calls — Query(), QueryWithPlan(), Explain() — from any number of
-// threads; OpenSession() adds more. Sessions share the store, the plan
-// cache, and the device; the channel arbiter serializes device access
-// under a deterministic visible-only policy and tags every transcript
-// message with its session.
+// threads; OpenSession() adds more. Sessions share the store and the
+// device; the channel arbiter serializes device access under a
+// deterministic visible-only policy and tags every transcript message with
+// its session. Every statement is planned from its own text and the
+// visible counts it asks for, so its transcript never depends on what
+// another statement or session ran before it.
 #pragma once
 
 #include <map>
@@ -35,7 +37,6 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "core/loader.h"
-#include "core/plan_cache.h"
 #include "core/secure_store.h"
 #include "core/session.h"
 #include "core/table_data.h"
@@ -82,11 +83,6 @@ struct GhostDBConfig {
   /// attribute indexes. Id indexes are always built.
   std::optional<std::map<std::string, std::vector<std::string>>>
       indexed_attrs_by_name;
-  /// Most query shapes the plan cache keeps (least-recently-used shapes
-  /// are evicted and re-planned on next use). 0 = unbounded. Shapes derive
-  /// from visible query text only, so eviction cannot depend on Hidden
-  /// data.
-  size_t plan_cache_capacity = 128;
   /// Width of the PC-side morsel worker pool (calling thread included):
   /// 1 = fully serial (no threads spawned), N = N-way parallel visible
   /// scans and projections (VisibleStore::SelectIds/Project), the pool's
@@ -126,8 +122,8 @@ class GhostDB {
 
   /// Opens a serving session: its own RAM partition (per SessionOptions),
   /// metrics baseline, result surface, and transcript identity. Sessions
-  /// share the store and the plan cache; the channel arbiter interleaves
-  /// their device access. The GhostDB must outlive the session.
+  /// share the store; the channel arbiter interleaves their device
+  /// access. The GhostDB must outlive the session.
   Result<std::unique_ptr<Session>> OpenSession(SessionOptions options = {});
 
   /// The deterministic multi-session scheduler: executes every statement
@@ -143,18 +139,19 @@ class GhostDB {
   size_t open_sessions() const;
 
   /// Runs a SELECT (or EXPLAIN SELECT) in the default session. The
-  /// planner picks strategies; repeated query shapes (from any session)
-  /// reuse the cached plan and skip the planning round-trips.
+  /// planner picks strategies from this statement's own visible counts
+  /// (one vis-count round-trip per table with visible predicates).
   Result<exec::QueryResult> Query(const std::string& sql);
 
   /// Executes many statements — the throughput surface. Per-statement
-  /// answers come back in order; `total` sums their metrics: the
-  /// batch-wide costs and plan-cache hit counts. The statements run in
-  /// order in one ephemeral session; the first error ends the batch.
+  /// answers come back in order; `total` sums their metrics. Each
+  /// statement is planned and run exactly as a lone Query() would run it,
+  /// in order, in one ephemeral session; the first error ends the batch.
   Result<BatchResult> QueryBatch(const std::vector<std::string>& sqls);
 
   /// Runs a SELECT in the default session under a pinned plan (benches
-  /// compare strategies); bypasses the plan cache.
+  /// compare strategies). The Vis counts are still served, so transcripts
+  /// and metrics stay comparable with a planner run.
   Result<exec::QueryResult> QueryWithPlan(const std::string& sql,
                                           const plan::PlanChoice& plan);
 
@@ -189,10 +186,9 @@ class GhostDB {
   /// shard of the fleet.
   std::string StorageReport() const;
 
-  /// Number of distinct query shapes currently cached.
-  size_t plan_cache_size() const { return plan_cache_.size(); }
-  /// Shapes evicted by the LRU bound so far.
-  uint64_t plan_cache_evictions() const { return plan_cache_.evictions(); }
+  /// Always 0: there is no plan cache. Kept only because the end-to-end
+  /// benchmark prints it; ROADMAP item 1 deletes it.
+  uint64_t plan_cache_evictions() const { return 0; }
 
  private:
   friend class Session;
@@ -216,13 +212,14 @@ class GhostDB {
   Result<sql::BoundQuery> BindSelect(const std::string& sql);
   /// Full arbitrated execution of a bound SELECT under `session`'s
   /// identity: per-shard prefetch (a visible-only statement: planning and
-  /// the PC's whole answer, AnswerOnUntrusted); then, under
-  /// the coordinator's admission, announcement and planning (the plan
-  /// cache, unless `pinned`); then the legs — one per shard when the
-  /// statement fans out (Planner::FansOut), shards 1..N-1 concurrently
-  /// under their own arbiters, else a single inline leg running the whole
-  /// plan on shard 0; then, for a fan-out, the gather pass, which runs the
-  /// plan's tail on the coordinator over the legs' seq-merged rows.
+  /// the PC's whole answer, AnswerOnUntrusted); then, under the
+  /// coordinator's admission, announcement and planning (the vis-count
+  /// exchange, then `pinned` lowered or the planner's choice); then the
+  /// legs — one per shard when the statement fans out (Planner::FansOut),
+  /// shards 1..N-1 concurrently under their own arbiters, else a single
+  /// inline leg running the whole plan on shard 0; then, for a fan-out,
+  /// the gather pass, which runs the plan's tail on the coordinator over
+  /// the legs' seq-merged rows.
   Result<exec::QueryResult> RunSelect(const sql::BoundQuery& query,
                                       const plan::PlanChoice* pinned,
                                       const Session& session);
@@ -234,11 +231,6 @@ class GhostDB {
   Status AnswerOnUntrusted(const sql::BoundQuery& query,
                            const plan::PhysicalPlan& plan,
                            std::vector<untrusted::VisPrefetch>* prefetch);
-  /// Plan-cache lookup / fill for an already-bound query. Caller holds the
-  /// channel admission unless the statement is visible-only (its plan
-  /// needs no round-trip).
-  Result<PlanCache::Outcome> CachedPlan(const sql::BoundQuery& query,
-                                        const untrusted::VisPrefetch* prefetch);
   /// One vis-count exchange per table with visible predicates (the
   /// planner's selectivity inputs; visible information only).
   Status ServeVisCounts(const sql::BoundQuery& query,
@@ -262,7 +254,6 @@ class GhostDB {
   /// construction; Build() adds the other devices and every shard's stack.
   std::vector<Shard> shards_;
   std::unique_ptr<plan::Planner> planner_;
-  PlanCache plan_cache_;
   mutable std::mutex sessions_mu_;  // next_session_id_, open_sessions_
   int32_t next_session_id_ = 0;
   size_t open_sessions_ = 0;

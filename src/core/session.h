@@ -12,9 +12,10 @@
 //   * a transcript identity — every channel message a session causes is
 //     tagged with its id by the arbiter.
 //
-// Sessions share the plan cache (shape-keyed, visible-only) and the device,
-// whose access is serialized by the ChannelArbiter under a deterministic,
-// visible-only policy. Two ways to drive a session:
+// Sessions share the store and the device, whose access is serialized by
+// the ChannelArbiter under a deterministic, visible-only policy. Each
+// statement plans from its own visible counts, so no session's history
+// shapes another's plans. Two ways to drive a session:
 //
 //   * Query() — blocking; safe to call from several threads at once, on
 //     one session or many (the arbiter grants each call by ticket and

@@ -300,7 +300,7 @@ Result<QueryResult> SecureExecutor::ExecuteTree(
     if (needs_all_values) materialize_cap = UINT64_MAX;
   }
   if (gather) ctx.gather_rows = fanout->gather_rows;
-  // Planner-sized batches + cached layout.
+  // Planner-sized batches + the plan's layout.
   ctx.value_layout = &plan.value_layout;
   ctx.batch_rows = plan.batch_rows;
   // Relational-tail budget: the working set Sort/Distinct/top-K may hold
@@ -319,8 +319,7 @@ Result<QueryResult> SecureExecutor::ExecuteTree(
   }
   // When LIMIT pulls straight from the projection (no blocking operator
   // between), batches larger than the limit only make the projection
-  // overshoot before the pull stops — cap at the live literal. This must
-  // happen here, not in the cached plan: shapes normalize the LIMIT count.
+  // overshoot before the pull stops — cap at the limit.
   bool limit_above_project = query.limit.has_value() &&
                              !query.HasAggregates() && !query.grouped() &&
                              !query.distinct && query.order_by.empty();

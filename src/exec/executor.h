@@ -23,8 +23,8 @@ namespace ghostdb::exec {
 /// admission, the executor only memcpys each live row's encoded cells here
 /// (cheap); the caller decodes to catalog::Values *after* releasing the
 /// device, so one session's rendering overlaps the next session's device
-/// work. Owns a copy of the layout, so it stays valid regardless of plan
-/// cache eviction.
+/// work. Owns a copy of the layout, so it stays valid after the plan is
+/// gone.
 struct EncodedRows {
   BatchLayout layout;
   std::vector<uint8_t> cells;  ///< row-major: row_count × layout.row_width

@@ -170,8 +170,6 @@ void QueryMetrics::Accumulate(const QueryMetrics& other) {
   merge.peak_streams = std::max(merge.peak_streams, other.merge.peak_streams);
   merge.window_bytes = std::max(merge.window_bytes, other.merge.window_bytes);
   bloom_fpr_estimate = std::max(bloom_fpr_estimate, other.bloom_fpr_estimate);
-  plan_cache_hits += other.plan_cache_hits;
-  plan_cache_misses += other.plan_cache_misses;
   sort_spill_runs += other.sort_spill_runs;
   sort_spill_pages += other.sort_spill_pages;
   sort_merge_pages += other.sort_merge_pages;
@@ -293,16 +291,10 @@ Result<std::unique_ptr<Operator>> BuildNode(ExecContext* ctx,
       op = std::make_unique<SortOp>(ctx, std::nullopt);
       break;
     case plan::PhysicalOp::kTopKSort:
-      // Like kLimit, k is a literal the cached (shape-keyed) plan
-      // normalizes away — take it from the live bound query.
-      op = std::make_unique<SortOp>(
-          ctx, ctx->query->limit.value_or(node.limit));
+      op = std::make_unique<SortOp>(ctx, node.limit);
       break;
     case plan::PhysicalOp::kLimit:
-      // The limit is a literal, so a cached plan (shape-keyed, literals
-      // normalized) must take it from the live bound query.
-      op = std::make_unique<LimitOp>(
-          ctx, ctx->query->limit.value_or(node.limit));
+      op = std::make_unique<LimitOp>(ctx, node.limit);
       break;
     case plan::PhysicalOp::kVolumePad:
       op = std::make_unique<VolumePadOp>(ctx);

@@ -95,7 +95,7 @@ struct ExecConfig {
   /// Working-set budget of the blocking relational tail (grouping and
   /// sort), in device buffers. 0 = derive from the session's RAM
   /// partition (its pledged quota, or the shared reserve when the session
-  /// pledged none) — visible inputs only, so the budget is cacheable.
+  /// pledged none) — visible inputs only, like the plan itself.
   /// Past it the tail spills sorted runs to flash and streams the merge.
   /// Tests and benches set tiny values to force the spill paths.
   uint32_t sort_budget_buffers = 0;
@@ -136,11 +136,13 @@ struct QueryMetrics {
   /// are the largest any merge used.
   MergeStats merge;
   double bloom_fpr_estimate = 0.0;  ///< worst filter used in QEP_SJ
-  uint64_t plan_cache_hits = 0;     ///< 1 if this query reused a cached plan
-  uint64_t plan_cache_misses = 0;   ///< 1 if this query was planned afresh
-  /// Always 0: cached plans are never re-planned (statistics are fixed at
-  /// Build()). Kept only because the end-to-end benchmark prints it.
-  uint64_t plan_cache_replans = 0;
+  /// The three plan-cache counters are always 0: there is no plan cache
+  /// (every statement plans from its own visible counts). Kept only
+  /// because the end-to-end benchmark prints them; ROADMAP item 1 deletes
+  /// them.
+  uint64_t plan_cache_hits = 0;     ///< always 0 (see above)
+  uint64_t plan_cache_misses = 0;   ///< always 0 (see above)
+  uint64_t plan_cache_replans = 0;  ///< always 0 (see above)
   /// Sorted runs the relational tail wrote to flash (generation spills
   /// plus intermediate merges) when a working set exceeded its budget.
   uint64_t sort_spill_runs = 0;

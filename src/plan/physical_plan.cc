@@ -42,8 +42,8 @@ int AddNode(PhysicalPlan* plan, PhysicalOp op, int child) {
 /// and returns the tail's top.
 int AddTail(const sql::BoundQuery& query, PhysicalPlan* plan, int node) {
   // GROUP BY subsumes the whole-result Aggregate; which one runs is shape
-  // information (the clause is part of the cached query shape), like
-  // kTopKSort below.
+  // information (the clause is part of the visible query), like kTopKSort
+  // below.
   if (query.grouped()) {
     node = AddNode(plan, PhysicalOp::kGroupAggregate, node);
   } else if (query.HasAggregates()) {
@@ -52,8 +52,7 @@ int AddTail(const sql::BoundQuery& query, PhysicalPlan* plan, int node) {
   if (query.distinct) node = AddNode(plan, PhysicalOp::kDistinct, node);
   if (!query.order_by.empty() && query.limit.has_value()) {
     // Sort -> Limit k fuses into a bounded top-K heap. The decision keys
-    // on shape only (both clauses present), so fused plans cache like any
-    // other; k is re-bound from the live query at build time.
+    // on shape only (both clauses present); the node carries k.
     node = AddNode(plan, PhysicalOp::kTopKSort, node);
     plan->nodes.back().limit = *query.limit;
   } else {

@@ -21,10 +21,9 @@
 // Sort and TopKSort (Sort -> Limit k, always fused) as exec::SortOp. The
 // kinds stay distinct for EXPLAIN.
 //
-// Nodes are stored flat (children by index) so plans are cheap to copy and
-// cache: the plan cache in core::GhostDB keys them by query shape.
-// Everything in a PhysicalPlan derives from the query text and Visible
-// statistics only — never from Hidden data — so a cached or explained plan
+// Nodes are stored flat (children by index) so plans are cheap to build and
+// copy. Everything in a PhysicalPlan derives from the query text and
+// Visible statistics only — never from Hidden data — so an explained plan
 // is safe to show Untrusted.
 #pragma once
 
@@ -86,11 +85,10 @@ struct PhysicalPlan {
   int root = -1;
   /// Rows per ColumnBatch through the value-space operators, sized by the
   /// planner from the output row width (exec::SizeBatchRows). Derived from
-  /// schema widths and the visible query shape only, so caching it is as
-  /// safe as caching the tree.
+  /// schema widths and the visible query shape only.
   uint32_t batch_rows = 0;
   /// The projection-output column layout the sizing was computed from,
-  /// kept so cached executions don't rebuild it per statement.
+  /// kept so the executor doesn't rebuild it.
   exec::BatchLayout value_layout;
 
   /// Indented tree rendering (EXPLAIN); Untrusted's nodes are marked.
@@ -107,16 +105,15 @@ struct PhysicalPlan {
 };
 
 /// Lowers `choice` into the operator tree for `query`. Pure function of the
-/// bound query's visible shape and the choice. A Sort -> Limit k tail is
-/// always one fused TopKSort node — O(k) secure memory instead of a full
+/// bound (visible) query and the choice. A Sort -> Limit k tail is always
+/// one fused TopKSort node — O(k) secure memory instead of a full
 /// materialized sort when k fits the budget. The fusion keys on the
-/// *presence* of ORDER BY and LIMIT (shape information); k itself stays a
-/// literal the executor re-binds.
+/// *presence* of ORDER BY and LIMIT; the node carries k.
 ///
 /// With `pad_volume` (ExecConfig::volume_padding != kOff) a VolumePad node
-/// caps the tree: config is visible information, so padded plans cache
-/// like any other. Called only through Planner::LowerPlan, which derives
-/// the flag from the one ExecConfig every plan is lowered under.
+/// caps the tree: config is visible information, like the query. Called
+/// only through Planner::LowerPlan, which derives the flag from the one
+/// ExecConfig every plan is lowered under.
 PhysicalPlan BuildPhysicalPlan(const sql::BoundQuery& query,
                                PlanChoice choice, bool pad_volume);
 

@@ -99,7 +99,7 @@ PhysicalPlan Planner::LowerPlan(const sql::BoundQuery& query,
                 exec_config.volume_padding != exec::VolumePadding::kOff);
   // Batch sizing: a byte budget over the output row width. Widths are
   // schema metadata (visible), so the sized plan (and the layout it was
-  // derived from) stays cacheable.
+  // derived from) stays a function of visible inputs.
   plan.value_layout = exec::BatchLayout::Projection(*schema_, query);
   plan.batch_rows = exec::SizeBatchRows(plan.value_layout);
   return plan;

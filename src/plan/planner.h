@@ -49,7 +49,7 @@ class Planner {
   }
 
   /// Chooses strategies and lowers them into the physical operator tree —
-  /// the unit the execution engine runs and core::GhostDB caches. A
+  /// the unit the execution engine runs, built afresh per statement. A
   /// visible-only statement needs no strategy (and no `vis_counts`).
   Result<PhysicalPlan> PlanQuery(const sql::BoundQuery& query,
                                  const std::map<catalog::TableId, uint64_t>&

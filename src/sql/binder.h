@@ -90,7 +90,7 @@ struct BoundQuery {
   /// items (which hold every aggregate argument, GROUP BY key and ORDER BY
   /// key); ids and COUNT(*) count as visible. Such a statement is a
   /// function of the visible data and the query text alone. Depends only
-  /// on the query shape, so a plan chosen from it stays cacheable.
+  /// on the query shape, never on a literal.
   bool TouchesHidden(const catalog::Schema& schema) const;
 };
 

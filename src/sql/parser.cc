@@ -360,7 +360,7 @@ Result<std::string> QueryShape(const std::string& input) {
   for (const Token& t : tokens) {
     if (t.type == TokenType::kEnd) break;
     // The optional statement terminator is not part of the shape:
-    // "SELECT ..." and "SELECT ...;" must share a cache entry.
+    // "SELECT ..." and "SELECT ...;" share one shape.
     if (t.type == TokenType::kSymbol && t.text == ";") continue;
     if (!shape.empty()) shape.push_back(' ');
     switch (t.type) {

@@ -16,9 +16,9 @@ Result<Statement> Parse(const std::string& input);
 Result<std::vector<Statement>> ParseScript(const std::string& input);
 
 /// Normalized query shape: the token stream with every literal replaced by
-/// '?'. Two statements differing only in constants share one shape — the
-/// plan-cache key. Shapes derive from the visible query text alone, so
-/// caching on them can never leak hidden information.
+/// '?'. Two statements differing only in constants share one shape. No
+/// engine code calls it (every statement is planned from its own text);
+/// the end-to-end benchmark's `sql.shape` layer times it.
 Result<std::string> QueryShape(const std::string& input);
 
 }  // namespace ghostdb::sql

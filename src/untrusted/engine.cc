@@ -68,9 +68,11 @@ Result<VisPrefetch> UntrustedEngine::PrefetchVisible(
       GHOSTDB_ASSIGN_OR_RETURN(
           std::vector<catalog::RowId> ids,
           store_.SelectIds(t, query.VisiblePredicatesOn(t), pool_));
-      prefetch.id_messages.emplace(t, EncodeIds(ids));
+      // An EXPLAIN only ships the vis-counts, which read the list's size.
+      if (!query.explain) prefetch.id_messages.emplace(t, EncodeIds(ids));
       prefetch.ids.emplace(t, std::move(ids));
     }
+    if (query.explain) continue;
     // Projection payloads: requested by the projection operators for every
     // table whose visible columns appear in the SELECT list.
     std::vector<catalog::ColumnId> cols =

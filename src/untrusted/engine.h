@@ -80,10 +80,11 @@ class UntrustedEngine {
   /// lists for tables with visible predicates; projection payloads for
   /// tables whose visible columns are projected) and encodes their wire
   /// messages; nothing for a visible-only statement, whose key requests
-  /// neither (ProjectStatement feeds the PC's own answer instead). Pure
-  /// read of the visible store and of the channel's configuration
-  /// (format, throughput): safe to run on a session's thread while
-  /// another session holds the channel. Transfers nothing.
+  /// neither (ProjectStatement feeds the PC's own answer instead). An
+  /// EXPLAIN only asks for vis-counts: its prefetch holds the id lists
+  /// alone, unencoded. Pure read of the visible store and of the channel's
+  /// configuration (format, throughput): safe to run on a session's thread
+  /// while another session holds the channel. Transfers nothing.
   Result<VisPrefetch> PrefetchVisible(const sql::BoundQuery& query) const;
 
   /// The PC's projection of visible-only `query`: its anchor's rows

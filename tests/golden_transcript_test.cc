@@ -85,7 +85,7 @@ void BuildDb(GhostDB* db, uint32_t shards = 1) {
 const std::vector<std::string>& Statements() {
   static const std::vector<std::string> kSqls = {
       "SELECT Fact.id FROM Fact WHERE Fact.h < 30",
-      "SELECT Fact.id FROM Fact WHERE Fact.h < 55",  // same shape: cache hit
+      "SELECT Fact.id FROM Fact WHERE Fact.h < 55",  // same shape, new literal
       "SELECT Fact.id, Dim.v FROM Fact, Dim WHERE Fact.fk = Dim.id AND "
       "Fact.v < 60 AND Dim.h < 70",
       "SELECT Fact.id, Fact.h FROM Fact WHERE Fact.v < 20 AND Fact.h < 60 "

@@ -347,21 +347,20 @@ TEST_F(GroupAggE2eTest, SumOverflowSurfacesAsOutOfRangeInBothEngines) {
       "SELECT Fact.v, MIN(Fact.bh), MAX(Fact.bh) FROM Fact GROUP BY Fact.v");
 }
 
-TEST_F(GroupAggE2eTest, PlanShowsGroupAggregateAndCaches) {
+TEST_F(GroupAggE2eTest, PlanShowsGroupAggregate) {
   auto explain = db_->Explain(
       "EXPLAIN SELECT Fact.v, COUNT(*) FROM Fact GROUP BY Fact.v");
   ASSERT_TRUE(explain.ok()) << explain.status().ToString();
   EXPECT_NE(explain->find("GroupAggregate"), std::string::npos) << *explain;
-  // Shape-cached like every other plan: the second execution hits.
+  // Planned afresh each time: a repeat answers alike.
   const std::string sql =
       "SELECT Fact.v, SUM(Fact.h) FROM Fact WHERE Fact.h < 42 "
       "GROUP BY Fact.v ORDER BY SUM(Fact.h) DESC LIMIT 4";
   auto r1 = db_->Query(sql);
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
-  EXPECT_EQ(r1->metrics.plan_cache_misses, 1u);
   auto r2 = db_->Query(sql);
   ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(r2->metrics.plan_cache_hits, 1u);
+  EXPECT_EQ(r2->rows, r1->rows);
 }
 
 // --- Binder validation (needs the built schema) ---

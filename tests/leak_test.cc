@@ -262,8 +262,7 @@ TEST(LeakTest, PaddedForcedSpillRunCountsAreHiddenInvariant) {
 }
 
 TEST(LeakTest, BatchPathTranscriptsAreHiddenIndependent) {
-  // QueryBatch() reuses cached plans after the first statement of each
-  // shape; cache behavior keys on the visible query text only, so the
+  // QueryBatch() runs many statements of two shapes back to back; the
   // whole batch transcript must be hidden-independent.
   GhostDB db1(Config()), db2(Config());
   BuildDb(&db1, /*hidden_seed=*/21);
@@ -281,7 +280,6 @@ TEST(LeakTest, BatchPathTranscriptsAreHiddenIndependent) {
   auto r2 = db2.QueryBatch(sqls);
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
-  ASSERT_GT(r1->total.plan_cache_hits, 0u);
   ExpectIdenticalTranscripts(db1.device().channel().transcript(),
                              db2.device().channel().transcript());
 }

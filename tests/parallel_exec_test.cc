@@ -407,7 +407,7 @@ TEST(ParallelExecTest, AnswersAreIdenticalAcrossPoolWidths) {
 
 TEST(ParallelExecTest, ConcurrentSessionQueriesOverSharedPool) {
   // The cross-layer stress: distinct sessions issue queries from distinct
-  // threads, all sharing one GhostDB, one plan cache, one RAM manager, one
+  // threads, all sharing one GhostDB, one planner, one RAM manager, one
   // worker pool. Under TSan this is the race detector for every structure
   // a worker or a concurrent session may touch; under plain builds it
   // checks answers stay per-session correct.

@@ -221,6 +221,27 @@ TEST_F(UntrustedTest, ServeVisibleCountMatchesIds) {
   EXPECT_EQ(channel_.transcript().front().bytes, 8u);
 }
 
+TEST_F(UntrustedTest, ExplainPrefetchHoldsOnlyTheIdLists) {
+  // An EXPLAIN ships only vis-counts, which read the id lists' sizes: its
+  // prefetch evaluates the lists and encodes and projects nothing.
+  auto bound = BindQuery(
+      "SELECT People.age, People.city FROM People WHERE People.age >= 60 "
+      "AND People.secret >= 0");
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  bound->explain = true;
+  auto prefetch = engine_->PrefetchVisible(*bound);
+  ASSERT_TRUE(prefetch.ok()) << prefetch.status().ToString();
+  ASSERT_EQ(prefetch->ids.size(), 1u);
+  EXPECT_EQ(prefetch->ids.at(0).size(), 20u);  // ages 60..69, twice each
+  EXPECT_TRUE(prefetch->id_messages.empty());
+  EXPECT_TRUE(prefetch->projections.empty());
+  EXPECT_TRUE(prefetch->projection_messages.empty());
+  auto count = engine_->ServeVisibleCount(0, &*prefetch);
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(*count, 20u);
+  EXPECT_TRUE(engine_->ServeVisibleIds(0, &*prefetch).status().IsInternal());
+}
+
 TEST_F(UntrustedTest, ServedMessagesArePureFunctionsOfVisibleData) {
   auto bound = BindQuery(
       "SELECT People.age, People.city FROM People WHERE People.age < 40 "
