@@ -396,8 +396,7 @@ Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
       plan = planner_->LowerPlan(query, *pinned, config_.exec);
       return Status::OK();
     }
-    GHOSTDB_ASSIGN_OR_RETURN(
-        plan, planner_->PlanQuery(query, vis_counts, config_.exec));
+    plan = planner_->PlanQuery(query, vis_counts, config_.exec);
     return Status::OK();
   };
 

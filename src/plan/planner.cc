@@ -10,9 +10,21 @@ using catalog::TableId;
 
 namespace {
 
-/// Visible selectivity at or below this prefers Pre-filtering (the paper's
-/// crossover sits near 0.1; Fig 9/10).
+/// The Pre/Post rule (`Planner::Choose`) reads only fractions: a table's
+/// visible selectivity sV (its vis-count over its row count) and sH, the
+/// estimated selectivity of the hidden predicates in its subtree. The
+/// measured crossovers on Query Q (bench/strategy_gap, scales 0.02-0.1):
+///
+/// Without Cross, Post-Filter beats Pre-Filter above sV ~ 0.1 (Fig 10).
 constexpr double kPreFilterThreshold = 0.1;
+/// With Cross, Cross-Pre-Filter stays ahead of Cross-Post-Filter up to
+/// sV ~ 0.25 at every sH (Fig 9, sH 0.1, scale 0.05: Cross-Pre over
+/// Cross-Post is 0.78 at sV 0.1, 0.97 at 0.2, 1.00 at 0.25, 1.06 at 0.5).
+constexpr double kCrossPreFilterThreshold = 0.25;
+/// ... and not at all while the crossed fraction sV x sH (the Vis ids left
+/// to climb after the intersection) stays at or below this: at sV 0.5
+/// Cross-Pre wins up to sH 0.02 and loses from sH 0.05.
+constexpr double kCrossedPreFilterFraction = 0.02;
 
 }  // namespace
 
@@ -33,10 +45,9 @@ double Planner::HiddenSubtreeSelectivity(const sql::BoundQuery& query,
   return sel;
 }
 
-Result<PlanChoice> Planner::Choose(
-    const sql::BoundQuery& query,
-    const std::map<TableId, uint64_t>& vis_counts,
-    const exec::ExecConfig& exec_config) const {
+PlanChoice Planner::Choose(const sql::BoundQuery& query,
+                          const std::map<TableId, uint64_t>& vis_counts,
+                          const exec::ExecConfig& exec_config) const {
   PlanChoice plan;
   plan.project = ProjectAlgo::kProject;
 
@@ -53,7 +64,13 @@ Result<PlanChoice> Planner::Choose(
     double subtree_sel = HiddenSubtreeSelectivity(query, t);
     bool cross = subtree_sel < 1.0;  // hidden predicates exist in subtree
 
-    if (sv <= kPreFilterThreshold) {
+    // Pre-filter when the Vis ids are few enough to climb: the anchor's
+    // own ids need no climbing at all.
+    bool pre = t == query.anchor ||
+               (cross ? sv <= kCrossPreFilterThreshold ||
+                            sv * subtree_sel <= kCrossedPreFilterFraction
+                      : sv <= kPreFilterThreshold);
+    if (pre) {
       plan.vis[t] = cross ? VisStrategy::kCrossPreFilter
                           : VisStrategy::kPreFilter;
       continue;
@@ -78,14 +95,12 @@ Result<PlanChoice> Planner::Choose(
   return plan;
 }
 
-Result<PhysicalPlan> Planner::PlanQuery(
-    const sql::BoundQuery& query,
-    const std::map<TableId, uint64_t>& vis_counts,
-    const exec::ExecConfig& exec_config) const {
+PhysicalPlan Planner::PlanQuery(const sql::BoundQuery& query,
+                                const std::map<TableId, uint64_t>& vis_counts,
+                                const exec::ExecConfig& exec_config) const {
   if (VisibleOnly(query)) return LowerPlan(query, PlanChoice{}, exec_config);
-  GHOSTDB_ASSIGN_OR_RETURN(PlanChoice choice,
-                           Choose(query, vis_counts, exec_config));
-  return LowerPlan(query, std::move(choice), exec_config);
+  return LowerPlan(query, Choose(query, vis_counts, exec_config),
+                   exec_config);
 }
 
 PhysicalPlan Planner::LowerPlan(const sql::BoundQuery& query,

@@ -1,15 +1,16 @@
 // Strategy selection by the paper's observed decision rules (section 6.4):
-// prefer Cross variants whenever applicable; Pre-filtering for selective
-// Visible selections, Post-filtering otherwise, degrading to NoFilter when
-// the Bloom filter cannot be made effective (Fig 10). The cost-based
-// optimizer the paper leaves as future work is not implemented.
+// prefer Cross variants whenever applicable; Pre-filtering when the Vis ids
+// left to climb are few (a selective Visible selection, a small crossed
+// fraction sV x sH, or the anchor's own ids), Post-filtering otherwise,
+// degrading to NoFilter when the Bloom filter cannot be made effective
+// (Fig 10). The cost-based optimizer the paper leaves as future work is not
+// implemented.
 #pragma once
 
 #include <map>
 #include <string>
 
 #include "catalog/schema.h"
-#include "common/result.h"
 #include "core/secure_store.h"
 #include "exec/executor.h"
 #include "plan/physical_plan.h"
@@ -33,13 +34,6 @@ class Planner {
           PlannerConfig config)
       : schema_(schema), store_(store), config_(config) {}
 
-  /// `vis_counts`: per table with visible predicates, the Vis result count
-  /// (supplied by Untrusted; visible information).
-  Result<PlanChoice> Choose(const sql::BoundQuery& query,
-                            const std::map<catalog::TableId, uint64_t>&
-                                vis_counts,
-                            const exec::ExecConfig& exec_config) const;
-
   /// The one decision rule next to the paper's: a visible-only statement
   /// (sql::BoundQuery::TouchesHidden false) is answered by Untrusted, which
   /// runs the whole statement and ships only its final rows. A pure
@@ -51,10 +45,10 @@ class Planner {
   /// Chooses strategies and lowers them into the physical operator tree —
   /// the unit the execution engine runs, built afresh per statement. A
   /// visible-only statement needs no strategy (and no `vis_counts`).
-  Result<PhysicalPlan> PlanQuery(const sql::BoundQuery& query,
-                                 const std::map<catalog::TableId, uint64_t>&
-                                     vis_counts,
-                                 const exec::ExecConfig& exec_config) const;
+  PhysicalPlan PlanQuery(
+      const sql::BoundQuery& query,
+      const std::map<catalog::TableId, uint64_t>& vis_counts,
+      const exec::ExecConfig& exec_config) const;
 
   /// Lowers a decided `choice` (the planner's own, or one a caller pins)
   /// into the executable plan: the operator tree with top-K fusion and
@@ -91,6 +85,13 @@ class Planner {
       const;
 
  private:
+  /// The strategy rule, per table with visible predicates (thresholds in
+  /// planner.cc). `vis_counts`: per such table, the Vis result count
+  /// (supplied by Untrusted; visible information).
+  PlanChoice Choose(const sql::BoundQuery& query,
+                    const std::map<catalog::TableId, uint64_t>& vis_counts,
+                    const exec::ExecConfig& exec_config) const;
+
   const catalog::Schema* schema_;
   const core::SecureStore* store_;
   PlannerConfig config_;

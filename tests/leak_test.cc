@@ -11,6 +11,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -780,6 +781,93 @@ TEST(LeakTest, PinnedPlansArePaddedLikePlannedOnes) {
     EXPECT_EQ(p1->metrics.observed_volume, p2->metrics.observed_volume);
     EXPECT_EQ(p1->metrics.observed_volume, planned->metrics.observed_volume);
     EXPECT_EQ(p1->metrics.observed_volume, visible);
+  }
+}
+
+// Every shard's transcript, one line per message (direction, label, size,
+// digest, session), shard by shard.
+std::string RenderFleetTranscripts(GhostDB& db) {
+  std::ostringstream out;
+  for (uint32_t s = 0; s < db.shard_count(); ++s) {
+    out << "shard " << s << "\n";
+    for (const ChannelMessage& m : db.shard_device(s).channel().transcript()) {
+      out << (m.direction == Direction::kToSecure ? ">" : "<") << " "
+          << m.label << " " << m.bytes << " " << std::hex << m.content_digest
+          << std::dec << " s" << m.session << "\n";
+    }
+  }
+  return out.str();
+}
+
+TEST(LeakTest, HiddenStatsFlipTheStrategyButNotTheTranscript) {
+  // The Pre/Post rule reads sH, the hidden predicates' estimated
+  // selectivity from hidden_stats, so two databases differing only in
+  // hidden data can plan one statement differently: here sV x sH sits on
+  // the crossed-fraction threshold, and the hidden seeds land it on either
+  // side. The strategy must then stay inside the key. Transcripts are
+  // identical across the two databases in every padding mode and fleet
+  // size, and so is each run under the other database's strategy. The
+  // observed volume does not move with the strategy on either database;
+  // under worst-case padding it is also equal across them (without
+  // padding it is each database's own, hidden-derived, result size).
+  const char* sql =
+      "SELECT Fact.id, Dim.v FROM Fact, Dim WHERE Fact.fk = Dim.id AND "
+      "Dim.v < 70 AND Dim.h < 3";
+  for (uint32_t shards : {1u, 2u}) {
+    for (auto mode :
+         {exec::VolumePadding::kOff, exec::VolumePadding::kWorstCase}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " padding=" + std::to_string(static_cast<int>(mode)));
+      GhostDBConfig cfg = Config();
+      cfg.shard_count = shards;
+      cfg.exec.volume_padding = mode;
+      GhostDB db1(cfg), db2(cfg);
+      BuildDb(&db1, /*hidden_seed=*/111);
+      BuildDb(&db2, /*hidden_seed=*/999);
+      // Not vacuous: the two databases do choose different strategies.
+      auto e1 = db1.Explain(sql);
+      auto e2 = db2.Explain(sql);
+      ASSERT_TRUE(e1.ok()) << e1.status().ToString();
+      ASSERT_TRUE(e2.ok()) << e2.status().ToString();
+      ASSERT_NE(e1->find("Dim visible selection -> Cross-Pre-Filter"),
+                std::string::npos)
+          << *e1;
+      ASSERT_NE(e2->find("Dim visible selection -> Cross-Post-Filter"),
+                std::string::npos)
+          << *e2;
+      auto dim = db1.schema().FindTable("Dim");
+      ASSERT_TRUE(dim.ok());
+      plan::PlanChoice post, pre;
+      post.vis[*dim] = plan::VisStrategy::kCrossPostFilter;
+      pre.vis[*dim] = plan::VisStrategy::kCrossPreFilter;
+
+      // Runs `sql` on `db` (planned, or under `pinned`), returning its
+      // rendered transcript and observed volume.
+      auto run = [&](GhostDB& db, const plan::PlanChoice* pinned,
+                     uint64_t* volume) {
+        for (uint32_t s = 0; s < shards; ++s) {
+          db.shard_device(s).channel().ClearTranscript();
+        }
+        auto r = pinned ? db.QueryWithPlan(sql, *pinned) : db.Query(sql);
+        EXPECT_TRUE(r.ok()) << r.status().ToString();
+        *volume = r.ok() ? r->metrics.observed_volume : 0;
+        return RenderFleetTranscripts(db);
+      };
+      uint64_t v1 = 0, v1_post = 0, v2 = 0, v2_pre = 0;
+      const std::string t1 = run(db1, nullptr, &v1);
+      const std::string t1_post = run(db1, &post, &v1_post);
+      const std::string t2 = run(db2, nullptr, &v2);
+      const std::string t2_pre = run(db2, &pre, &v2_pre);
+      EXPECT_NE(t1.find("vis-ids:Dim"), std::string::npos) << t1;
+      EXPECT_EQ(t1, t2);
+      EXPECT_EQ(t1, t1_post);
+      EXPECT_EQ(t2, t2_pre);
+      EXPECT_EQ(v1, v1_post);
+      EXPECT_EQ(v2, v2_pre);
+      if (mode == exec::VolumePadding::kWorstCase) {
+        EXPECT_EQ(v1, v2);
+      }
+    }
   }
 }
 

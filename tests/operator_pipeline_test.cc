@@ -367,9 +367,9 @@ TEST_F(OperatorPipelineTest, UntrustedTailRunNeverReachesTheDevice) {
   const exec::ExecConfig config;
   const sql::BoundQuery hidden =
       BindOrDie(db, "SELECT T0.id FROM T0 WHERE T0.h < 9 ORDER BY T0.id");
-  auto hidden_plan = planner.PlanQuery(hidden, {}, config);
-  ASSERT_TRUE(hidden_plan.ok());
-  EXPECT_TRUE(exec::RunUntrustedTail(hidden, *hidden_plan, db.schema(), {})
+  const plan::PhysicalPlan hidden_plan =
+      planner.PlanQuery(hidden, {}, config);
+  EXPECT_TRUE(exec::RunUntrustedTail(hidden, hidden_plan, db.schema(), {})
                   .status()
                   .IsInternal());
 
