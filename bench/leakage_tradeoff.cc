@@ -1,10 +1,12 @@
 // Leakage vs performance: what each volume-padding mode buys and costs.
 //
 // Runs the same observer attacks as tests/leakage_attack_test.cc (shared
-// harness, tests/attack_common.h) against every ExecConfig::volume_padding
-// mode, then measures the padding overhead on the probe workload (as is,
-// and with a visible predicate on the anchor, which tightens the
-// worst-case bound to |Vis(Obs)|) and on a spill-heavy sort. Emits attack
+// harness, tests/attack_common.h), plus the grouped volume-frequency
+// attack, against every ExecConfig::volume_padding mode, then measures the
+// padding overhead on the probe workload (as is; with a visible predicate
+// on the anchor, which tightens the worst-case bound to |Vis(Obs)|; and
+// grouped on the visible Obs.v, which tightens it to Obs.v's distinct
+// count) and on a spill-heavy sort. Emits attack
 // accuracy (vs the 1/domain chance floor), histogram-recovery error,
 // wall-clock, and simulated-cost overhead —
 // CI uploads the --json output as BENCH_leakage_tradeoff.json, so the
@@ -15,6 +17,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 
 #include "../tests/attack_common.h"
@@ -25,6 +28,16 @@ using attack::AttackKind;
 using exec::VolumePadding;
 
 namespace {
+
+const char* AttackName(AttackKind kind) {
+  switch (kind) {
+    case AttackKind::kVolumeFrequency: return "volume_frequency";
+    case AttackKind::kCoOccurrence: return "co_occurrence";
+    case AttackKind::kGroupedVolumeFrequency:
+      return "grouped_volume_frequency";
+  }
+  return "?";
+}
 
 const char* ModeName(VolumePadding mode) {
   switch (mode) {
@@ -58,11 +71,10 @@ struct ProbeTotals {
   double wall_ms = 0;
 };
 
-/// Runs the volume-frequency probe for every hidden value, each with
-/// `visible_pred` (may be empty) ANDed on, under `mode`.
-Result<ProbeTotals> RunProbes(VolumePadding mode,
-                              const attack::SkewSpec& spec,
-                              const std::string& visible_pred) {
+/// Runs `probe` for every hidden value under `mode`.
+Result<ProbeTotals> RunProbes(
+    VolumePadding mode, const attack::SkewSpec& spec,
+    const std::function<std::string(uint32_t)>& probe) {
   core::GhostDB db(ModeConfig(mode));
   attack::PlantedTruth truth;
   GHOSTDB_RETURN_NOT_OK(attack::BuildSkewedHistogramDb(
@@ -71,9 +83,7 @@ Result<ProbeTotals> RunProbes(VolumePadding mode,
   uint64_t first_volume = 0;
   auto t0 = std::chrono::steady_clock::now();
   for (uint32_t v = 0; v < spec.domain; ++v) {
-    std::string sql = attack::HistogramProbe(v);
-    if (!visible_pred.empty()) sql += " AND " + visible_pred;
-    GHOSTDB_ASSIGN_OR_RETURN(exec::QueryResult r, db.Query(sql));
+    GHOSTDB_ASSIGN_OR_RETURN(exec::QueryResult r, db.Query(probe(v)));
     if (v == 0) first_volume = r.metrics.observed_volume;
     if (r.metrics.observed_volume != first_volume) {
       totals.constant_volume = false;
@@ -106,14 +116,13 @@ int main(int argc, char** argv) {
                                   VolumePadding::kWorstCase};
 
   // --- Attack accuracy per mode -------------------------------------------
-  std::printf("%-12s %-18s %10s %10s %12s %10s\n", "padding", "attack",
+  std::printf("%-12s %-26s %10s %10s %12s %10s\n", "padding", "attack",
               "accuracy", "chance", "hist_error", "wall_ms");
   for (VolumePadding mode : kModes) {
     for (AttackKind kind :
-         {AttackKind::kVolumeFrequency, AttackKind::kCoOccurrence}) {
-      const char* attack_name = kind == AttackKind::kVolumeFrequency
-                                    ? "volume_frequency"
-                                    : "co_occurrence";
+         {AttackKind::kVolumeFrequency, AttackKind::kCoOccurrence,
+          AttackKind::kGroupedVolumeFrequency}) {
+      const char* attack_name = AttackName(kind);
       auto t0 = std::chrono::steady_clock::now();
       auto report = attack::MeasureAttack(ModeConfig(mode), kind, trials,
                                           spec, /*seed0=*/4242);
@@ -123,7 +132,7 @@ int main(int argc, char** argv) {
                      report.status().ToString().c_str());
         return 1;
       }
-      std::printf("%-12s %-18s %10.3f %10.3f %12.3f %10.1f\n",
+      std::printf("%-12s %-26s %10.3f %10.3f %12.3f %10.1f\n",
                   ModeName(mode), attack_name, report->accuracy(),
                   report->chance(spec), report->histogram_error, wall_ms);
       char fields[256];
@@ -144,21 +153,29 @@ int main(int argc, char** argv) {
   // --- Padding overhead on the probe workloads ----------------------------
   // "probes" are the attack's own (a hidden predicate only: worst_case pads
   // to Obs's row count); "vis_probes" AND a visible predicate on the
-  // anchor, so worst_case pads only to |Vis(Obs)|.
+  // anchor, so worst_case pads only to |Vis(Obs)|; "grouped_probes" group
+  // on the visible Obs.v, so worst_case pads only to Obs.v's distinct
+  // count.
   struct ProbeSet {
     const char* name;
-    const char* visible_pred;
+    std::function<std::string(uint32_t)> probe;
   };
-  for (const ProbeSet& set : {ProbeSet{"probes", ""},
-                              ProbeSet{"vis_probes", "Obs.v < 50"}}) {
-    std::printf("\n%s%s%s:\n", set.name, *set.visible_pred ? " AND " : "",
-                set.visible_pred);
+  const ProbeSet kProbeSets[] = {
+      {"probes", attack::HistogramProbe},
+      {"vis_probes",
+       [](uint32_t v) {
+         return attack::HistogramProbe(v) + " AND Obs.v < 50";
+       }},
+      {"grouped_probes", attack::GroupedProbe},
+  };
+  for (const ProbeSet& set : kProbeSets) {
+    std::printf("\n%s, e.g. %s:\n", set.name, set.probe(0).c_str());
     std::printf("%-12s %14s %14s %14s %12s %10s\n", "padding",
                 "sim_seconds", "sim_overhead", "obs_volume", "pad_rows",
                 "constant");
     double base_sim = 0;
     for (VolumePadding mode : kModes) {
-      auto totals = RunProbes(mode, spec, set.visible_pred);
+      auto totals = RunProbes(mode, spec, set.probe);
       if (!totals.ok()) {
         std::fprintf(stderr, "probe failed: %s\n",
                      totals.status().ToString().c_str());

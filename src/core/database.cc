@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <functional>
 #include <optional>
+#include <string_view>
 #include <thread>
 #include <utility>
 
+#include "common/coding.h"
 #include "crypto/sha256.h"
 #include "device/guards.h"
 #include "exec/operators_rel.h"
@@ -43,6 +45,72 @@ Result<exec::QueryResult> RecoverUnderMask(
   channel.EraseTranscript(span_begin, channel.transcript_size() - span_begin);
   device::FaultInjector::MaskScope mask(&device->fault_injector());
   return attempt();
+}
+
+/// The `vis-distinct` message of `query`, which groups on visible anchor
+/// keys: the number of distinct key tuples over every leg's projected
+/// anchor payload (rows [id | projected visible cells]), 8 bytes. Keys
+/// compare as the key's grouping compares them (exec::AppendCanonicalCell),
+/// so the count is never below the real group count.
+Result<std::vector<uint8_t>> DistinctKeyMessage(
+    const sql::BoundQuery& query, const catalog::Schema& schema,
+    const std::vector<untrusted::VisPrefetch>& prefetch) {
+  const auto& columns = schema.table(query.anchor).columns;
+  // Each key item's byte offset in a payload row, whose cells are the
+  // prepared column set's.
+  const std::vector<catalog::ColumnId> projected =
+      query.ProjectedVisibleColumns(schema, query.anchor);
+  std::vector<std::pair<uint32_t, catalog::ColumnId>> cells;
+  size_t width = 0;
+  for (const auto& item : query.select) {
+    if (item.agg != exec::AggFunc::kNone) continue;
+    uint32_t offset = 4;
+    for (catalog::ColumnId c : projected) {
+      if (c == item.column) break;
+      offset += columns[c].width;
+    }
+    cells.emplace_back(offset, item.column);
+    width += columns[item.column].width;
+  }
+  // Every row's canonical key, `width` bytes each, back to back.
+  std::string keys;
+  for (const untrusted::VisPrefetch& leg : prefetch) {
+    auto it = leg.projections.find(query.anchor);
+    if (it == leg.projections.end() || it->second.first != projected) {
+      return Status::Internal("no anchor projection prepared for vis-distinct");
+    }
+    const untrusted::ProjectionPayload& payload = it->second.second;
+    keys.reserve(keys.size() + payload.rows * width);
+    for (uint64_t r = 0; r < payload.rows; ++r) {
+      const uint8_t* row = payload.bytes.data() + r * payload.row_width;
+      for (const auto& [offset, c] : cells) {
+        exec::AppendCanonicalCell(columns[c].type, row + offset,
+                                  columns[c].width, &keys);
+      }
+    }
+  }
+  // Open addressing over the fixed-width keys (slot = 1 + a key's row,
+  // 0 = empty), at most half full: no allocation per key.
+  const size_t rows = keys.size() / width;
+  size_t capacity = 2;
+  while (capacity < 2 * rows) capacity <<= 1;
+  std::vector<uint32_t> slots(capacity, 0);
+  uint64_t distinct = 0;
+  for (size_t r = 0; r < rows; ++r) {
+    const std::string_view key(keys.data() + r * width, width);
+    for (size_t i = std::hash<std::string_view>{}(key) & (capacity - 1);;
+         i = (i + 1) & (capacity - 1)) {
+      if (slots[i] == 0) {
+        slots[i] = static_cast<uint32_t>(r + 1);
+        distinct += 1;
+        break;
+      }
+      if (keys.compare((slots[i] - 1) * width, width, key) == 0) break;
+    }
+  }
+  std::vector<uint8_t> message(8);
+  EncodeFixed64(message.data(), distinct);
+  return message;
 }
 
 }  // namespace
@@ -418,6 +486,15 @@ Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
       GHOSTDB_ASSIGN_OR_RETURN(prefetch[s],
                                shards_[s].untrusted->PrefetchVisible(query));
     }
+    // Worst-case padding of a statement grouping on visible anchor keys
+    // targets their fleet-wide distinct count, which the coordinator's key
+    // requests once; the PC counts it over the payloads just projected.
+    if (!query.explain &&
+        config_.exec.volume_padding == exec::VolumePadding::kWorstCase &&
+        query.GroupsOnVisibleAnchorKeys(schema_)) {
+      GHOSTDB_ASSIGN_OR_RETURN(prefetch[0].distinct_message,
+                               DistinctKeyMessage(query, schema_, prefetch));
+    }
   }
 
   exec::EncodedRows deferred;  // the answer's rendering surface
@@ -527,8 +604,8 @@ Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
         RecoverUnderMask(coordinator.device.get(), padded, [&] {
           deferred = exec::EncodedRows{};
           return coordinator.executor->Execute(query, plan, gather_base,
-                                               bindings[0], &deferred, nullptr,
-                                               &gparams);
+                                               bindings[0], &deferred,
+                                               &prefetch[0], &gparams);
         }));
 
     // Fleet metrics: channel/flash/QEP counters sum over every leg;

@@ -31,20 +31,24 @@ ColumnBatch ColumnBatch::Make(const BatchLayout* layout,
   return batch;
 }
 
-void ColumnBatch::AppendCellKey(size_t c, uint32_t physical_row,
-                                std::string* out) const {
-  const uint8_t* src = cell(c, physical_row);
+void AppendCanonicalCell(catalog::DataType type, const uint8_t* cell,
+                         uint32_t width, std::string* out) {
   // Doubles are the one type whose encoding is not canonical per value:
   // -0.0 == 0.0 but their bit patterns differ. Canonicalize so byte
   // equality stays value equality.
-  if (layout->cols[c].type == catalog::DataType::kDouble &&
-      DecodeDouble(src) == 0.0) {
+  if (type == catalog::DataType::kDouble && DecodeDouble(cell) == 0.0) {
     uint8_t zero[8];
     EncodeDouble(zero, 0.0);
     out->append(reinterpret_cast<const char*>(zero), 8);
     return;
   }
-  out->append(reinterpret_cast<const char*>(src), layout->cols[c].width);
+  out->append(reinterpret_cast<const char*>(cell), width);
+}
+
+void ColumnBatch::AppendCellKey(size_t c, uint32_t physical_row,
+                                std::string* out) const {
+  AppendCanonicalCell(layout->cols[c].type, cell(c, physical_row),
+                      layout->cols[c].width, out);
 }
 
 // A nonzero result: 0 would both stall the projection loop and collide

@@ -117,6 +117,13 @@ struct ColumnBatch {
   void AppendCellKey(size_t c, uint32_t physical_row, std::string* out) const;
 };
 
+/// Appends the canonical key bytes of one encoded cell of `type` and
+/// `width` to `out` (see ColumnBatch::AppendCellKey). Shared with the PC's
+/// distinct key count, which must never count two keys the key's grouping
+/// would merge.
+void AppendCanonicalCell(catalog::DataType type, const uint8_t* cell,
+                         uint32_t width, std::string* out);
+
 /// Byte budget per ColumnBatch pulled through the value-level operators.
 constexpr uint64_t kBatchBytes = 64 * 1024;
 /// Bounds on rows per ColumnBatch, whatever the row width.

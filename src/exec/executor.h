@@ -142,7 +142,8 @@ class SecureExecutor {
   /// and the encoded cells in `out`, for the caller to DecodeInto() once it
   /// has released its channel admission. `prefetch` holds the messages the
   /// PC prepared for this leg, which the operators' requests ship (null:
-  /// the run requests nothing from the PC, as a gather does).
+  /// the run requests nothing from the PC; a gather gets the
+  /// coordinator's, of which it requests at most `vis-distinct`).
   /// `fanout` (optional) runs this call as one leg of a sharded
   /// scatter-gather: kScatter executes the plan re-rooted at the
   /// projection and emits seq-stamped rows (into `out`); kGather executes

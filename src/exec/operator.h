@@ -280,8 +280,9 @@ struct ExecContext {
   /// executor), so operators need no per-call plumbing.
   const SessionBinding* session = nullptr;
   /// The messages the PC prepared for this leg before admission, which
-  /// the Serve calls ship as is (null on a gather or device-free run,
-  /// which request nothing from the PC).
+  /// the Serve calls ship as is (null on a device-free run, which requests
+  /// nothing from the PC; a gather run holds the coordinator's and
+  /// requests at most its `vis-distinct` message).
   const untrusted::VisPrefetch* vis_prefetch = nullptr;
   QueryMetrics* metrics = nullptr;
   PipelineState pipeline;

@@ -4,7 +4,9 @@
 #include <cstring>
 #include <numeric>
 
+#include "common/coding.h"
 #include "exec/executor.h"
+#include "untrusted/engine.h"
 
 namespace ghostdb::exec {
 
@@ -652,7 +654,23 @@ Status SortOp::Close() {
 // VolumePadOp
 // ---------------------------------------------------------------------------
 
-uint64_t VolumePadOp::PaddedTarget(uint64_t real) const {
+Status VolumePadOp::Open() {
+  const sql::BoundQuery& query = *ctx_->query;
+  if (ctx_->config->volume_padding == VolumePadding::kWorstCase &&
+      query.GroupsOnVisibleAnchorKeys(*ctx_->schema)) {
+    GHOSTDB_ASSIGN_OR_RETURN(
+        const std::vector<uint8_t>* message,
+        ctx_->untrusted->ServeVisibleDistinct(query.anchor,
+                                              ctx_->vis_prefetch));
+    if (message->size() != 8) {
+      return Status::InvalidArgument("malformed vis-distinct message");
+    }
+    distinct_key_bound_ = DecodeFixed64(message->data());
+  }
+  return Operator::Open();
+}
+
+Result<uint64_t> VolumePadOp::PaddedTarget(uint64_t real) const {
   switch (ctx_->config->volume_padding) {
     case VolumePadding::kOff:
       return real;
@@ -662,18 +680,24 @@ uint64_t VolumePadOp::PaddedTarget(uint64_t real) const {
       return NextPowerOfTwo(real);
     case VolumePadding::kWorstCase: {
       // Visible worst case: one result row per anchor row that passes the
-      // anchor's visible predicates (padding_row_bound). A non-grouped
-      // aggregate emits 0 or 1 rows; LIMIT caps the stream above us. All
-      // three bounds are visible, so the target — and with it the
-      // observed volume — is identical across hidden variants.
-      uint64_t bound = ctx_->padding_row_bound;
+      // anchor's visible predicates (padding_row_bound), or per distinct
+      // visible key tuple among those rows when the statement groups on
+      // visible anchor keys. A non-grouped aggregate emits 0 or 1 rows;
+      // LIMIT caps the stream above us. Every bound is visible, so the
+      // target — and with it the observed volume — is identical across
+      // hidden variants.
+      uint64_t bound = std::min(ctx_->padding_row_bound, distinct_key_bound_);
       if (ctx_->query->HasAggregates() && !ctx_->query->grouped()) {
         bound = 1;
       }
       if (ctx_->query->limit.has_value()) {
         bound = std::min<uint64_t>(bound, *ctx_->query->limit);
       }
-      return std::max(bound, real);
+      if (real > bound) {
+        return Status::Internal("worst-case padding: the real volume exceeds "
+                                "the visible bound " + std::to_string(bound));
+      }
+      return bound;
     }
   }
   return real;
@@ -702,7 +726,7 @@ Result<ColumnBatch> VolumePadOp::Next() {
     }
     draining_ = true;
     if (layout_ == nullptr) layout_ = ctx_->value_layout;
-    uint64_t target = PaddedTarget(real_rows_);
+    GHOSTDB_ASSIGN_OR_RETURN(uint64_t target, PaddedTarget(real_rows_));
     dummies_left_ = std::min(target - real_rows_, kDummyRowCap);
     if (dummies_left_ > 0) {
       // Charge the dummies as if they crossed the padded result link at

@@ -291,15 +291,22 @@ class SortOp final : public Operator {
 /// skipped rows), then emits all-dummy batches (zero-filled cells,
 /// padding_rows == live()) until the observed volume reaches the mode's
 /// target — the next power of two of the real volume (kQuantize) or the
-/// visible worst case (kWorstCase: ExecContext::padding_row_bound, clamped
-/// by LIMIT k / the 0-or-1 aggregate row). Dummies are stripped at the
-/// QueryResult boundary, so answers are unchanged in every mode; their
-/// synthesis cost is charged to the "padding" clock category at channel
-/// throughput, modeling the padded result link a deployment would pay.
+/// visible worst case (kWorstCase: ExecContext::padding_row_bound, lowered
+/// to the distinct visible key count of a statement grouping on visible
+/// anchor keys, clamped by LIMIT k / the 0-or-1 aggregate row). Dummies
+/// are stripped at the QueryResult boundary, so answers are unchanged in
+/// every mode; their synthesis cost is charged to the "padding" clock
+/// category at channel throughput, modeling the padded result link a
+/// deployment would pay.
 class VolumePadOp final : public Operator {
  public:
   explicit VolumePadOp(ExecContext* ctx) : Operator(ctx) {}
   std::string_view name() const override { return "VolumePad"; }
+  /// Under kWorstCase, a statement grouping on visible anchor keys
+  /// (sql::BoundQuery::GroupsOnVisibleAnchorKeys) first requests its
+  /// `vis-distinct` count — once, before any child opens, so the request
+  /// sits at a point fixed by the query text.
+  Status Open() override;
   Result<ColumnBatch> Next() override;
 
  private:
@@ -309,7 +316,9 @@ class VolumePadOp final : public Operator {
   static constexpr uint64_t kDummyRowCap = 1ull << 20;
 
   /// The mode's observed-volume target for a stream of `real` rows.
-  uint64_t PaddedTarget(uint64_t real) const;
+  /// Internal under kWorstCase when `real` exceeds the visible bound: the
+  /// target would then be the real volume, which padding must never show.
+  Result<uint64_t> PaddedTarget(uint64_t real) const;
   /// One all-dummy batch of `rows` zero rows in the output layout.
   ColumnBatch DummyBatch(uint64_t rows);
 
@@ -318,6 +327,10 @@ class VolumePadOp final : public Operator {
   /// stream was empty — dummies are stripped unread, so only the width of
   /// the synthesized bytes depends on it.
   const BatchLayout* layout_ = nullptr;
+  /// The `vis-distinct` count (kWorstCase, grouping on visible anchor
+  /// keys; unbounded otherwise). Transcript sink: it decides the padded
+  /// result volume.
+  GHOSTDB_TRANSCRIPT_SINK uint64_t distinct_key_bound_ = UINT64_MAX;
   uint64_t real_rows_ = 0;
   uint64_t dummies_left_ = 0;
   bool draining_ = false;

@@ -177,6 +177,19 @@ bool BoundQuery::TouchesHidden(const Schema& schema) const {
   return false;
 }
 
+bool BoundQuery::GroupsOnVisibleAnchorKeys(const Schema& schema) const {
+  if (!distinct && !grouped()) return false;
+  if (!TouchesHidden(schema)) return false;
+  for (const auto& c : select) {
+    if (c.agg != exec::AggFunc::kNone) continue;
+    if (c.table != anchor || c.is_id ||
+        schema.table(anchor).columns[c.column].hidden) {
+      return false;
+    }
+  }
+  return true;
+}
+
 bool BoundQuery::HasAggregates() const {
   for (const auto& c : select) {
     if (c.agg != exec::AggFunc::kNone) return true;

@@ -92,6 +92,14 @@ struct BoundQuery {
   /// function of the visible data and the query text alone. Depends only
   /// on the query shape, never on a literal.
   bool TouchesHidden(const catalog::Schema& schema) const;
+  /// True for a statement that touches hidden data and groups (DISTINCT or
+  /// GROUP BY) on keys that are all visible, non-id columns of its anchor:
+  /// its result has at most one row per distinct key tuple among the
+  /// anchor rows passing the visible predicates. That count is a function
+  /// of the visible data and the query text alone, so the PC computes it
+  /// and worst-case padding targets it. Every key is a select item with no
+  /// aggregate. Depends only on the query shape, never on a literal.
+  bool GroupsOnVisibleAnchorKeys(const catalog::Schema& schema) const;
 };
 
 /// Binds `stmt` (with original text `sql`) against `schema`.

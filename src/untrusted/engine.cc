@@ -154,6 +154,14 @@ Result<const std::vector<uint8_t>*> UntrustedEngine::ServeVisibleResult(
                   : &*prefetch->result_message);
 }
 
+Result<const std::vector<uint8_t>*> UntrustedEngine::ServeVisibleDistinct(
+    catalog::TableId table, const VisPrefetch* prefetch) {
+  return Ship("vis-distinct", table,
+              prefetch == nullptr || !prefetch->distinct_message.has_value()
+                  ? nullptr
+                  : &*prefetch->distinct_message);
+}
+
 Result<uint64_t> UntrustedEngine::ServeVisibleCount(
     catalog::TableId table, const VisPrefetch* prefetch) {
   const std::vector<catalog::RowId>* ids =

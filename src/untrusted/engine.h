@@ -49,6 +49,12 @@ struct VisPrefetch {
   /// A visible-only statement's `vis-result` message for this shard's key
   /// (its range of the final rows).
   std::optional<std::vector<uint8_t>> result_message;
+  /// Under worst-case padding, on the coordinator only, for a statement
+  /// that groups on visible anchor keys
+  /// (sql::BoundQuery::GroupsOnVisibleAnchorKeys): the `vis-distinct`
+  /// message, the fleet-wide count of distinct key tuples among the
+  /// anchor rows passing the visible predicates, 8 bytes.
+  std::optional<std::vector<uint8_t>> distinct_message;
 };
 
 /// Row layout of a `vis-vals` message for `columns` of `table` (no columns:
@@ -125,6 +131,12 @@ class UntrustedEngine {
   /// message used by the planner): the size of the prepared id list.
   Result<uint64_t> ServeVisibleCount(catalog::TableId table,
                                      const VisPrefetch* prefetch);
+
+  /// Vis-distinct(Q, T): the distinct visible key count of a statement
+  /// grouping on visible keys of anchor `table` (8 bytes), the bound the
+  /// key's worst-case volume padding targets.
+  Result<const std::vector<uint8_t>*> ServeVisibleDistinct(
+      catalog::TableId table, const VisPrefetch* prefetch);
 
  private:
   /// Wire messages of an id list / a projection payload on this channel.

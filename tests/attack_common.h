@@ -18,6 +18,10 @@
 //   - Co-occurrence: per-visible-group join probes; the observer ranks
 //     groups by join volume and recovers where the hidden join keys
 //     concentrate.
+// A third, grouped volume-frequency, runs the first attack's per-value
+// predicates under a GROUP BY on a visible column: the volume is then the
+// number of visible groups the hidden value's rows fall in, which grows
+// with the value's frequency.
 //
 // The harness measures attack accuracy across trials with fresh hidden
 // seeds, against each ExecConfig::volume_padding mode. Header is
@@ -146,6 +150,10 @@ inline Status BuildSkewedJoinDb(core::GhostDB* db, uint64_t hidden_seed,
 inline std::string HistogramProbe(uint32_t value) {
   return "SELECT Obs.id FROM Obs WHERE Obs.h = " + std::to_string(value);
 }
+inline std::string GroupedProbe(uint32_t value) {
+  return "SELECT Obs.v, COUNT(*) FROM Obs WHERE Obs.h = " +
+         std::to_string(value) + " GROUP BY Obs.v";
+}
 inline std::string JoinProbe(uint32_t group) {
   return "SELECT FactG.id FROM FactG, DimG WHERE FactG.fk = DimG.id "
          "AND DimG.g = " + std::to_string(group);
@@ -197,7 +205,21 @@ struct AttackReport {
   double chance(const SkewSpec& spec) const { return 1.0 / spec.domain; }
 };
 
-enum class AttackKind { kVolumeFrequency, kCoOccurrence };
+enum class AttackKind {
+  kVolumeFrequency,
+  kCoOccurrence,
+  kGroupedVolumeFrequency,
+};
+
+/// The probe `kind`'s observer poses for candidate `c`.
+inline std::string Probe(AttackKind kind, uint32_t c) {
+  switch (kind) {
+    case AttackKind::kVolumeFrequency: return HistogramProbe(c);
+    case AttackKind::kCoOccurrence: return JoinProbe(c);
+    case AttackKind::kGroupedVolumeFrequency: return GroupedProbe(c);
+  }
+  return "";
+}
 
 /// Runs `trials` independent campaigns: fresh hidden seed each, build the
 /// planted database under `config`, observe the probe workload, infer.
@@ -210,18 +232,16 @@ inline Result<AttackReport> MeasureAttack(const core::GhostDBConfig& config,
   for (uint32_t t = 0; t < trials; ++t) {
     core::GhostDB db(config);
     PlantedTruth truth;
-    if (kind == AttackKind::kVolumeFrequency) {
-      GHOSTDB_RETURN_NOT_OK(
-          BuildSkewedHistogramDb(&db, seed0 + 1000 * t + 1, spec, &truth));
-    } else {
+    if (kind == AttackKind::kCoOccurrence) {
       GHOSTDB_RETURN_NOT_OK(
           BuildSkewedJoinDb(&db, seed0 + 1000 * t + 1, spec, &truth));
+    } else {
+      GHOSTDB_RETURN_NOT_OK(
+          BuildSkewedHistogramDb(&db, seed0 + 1000 * t + 1, spec, &truth));
     }
     std::vector<Observation> obs;
     for (uint32_t c = 0; c < spec.domain; ++c) {
-      obs.push_back(Observe(&db, kind == AttackKind::kVolumeFrequency
-                                     ? HistogramProbe(c)
-                                     : JoinProbe(c)));
+      obs.push_back(Observe(&db, Probe(kind, c)));
       if (!obs.back().ok) {
         return Status::Internal("attack probe failed on candidate " +
                                 std::to_string(c));

@@ -905,6 +905,87 @@ TEST(LeakTest, WorstCaseVolumeIsTheAnchorsVisibleCount) {
   }
 }
 
+TEST(LeakTest, WorstCaseGroupedVolumeIsTheVisibleDistinctCount) {
+  // A statement grouping on visible anchor keys has at most one result row
+  // per distinct visible key tuple, so kWorstCase pads it to that count
+  // (the PC's vis-distinct message), clamped by LIMIT. A hidden key, or a
+  // key mixing a visible and a hidden column, keeps |Vis(anchor)|. The
+  // count is fleet-wide: a two-shard fleet pads to the same volume.
+  GhostDB oracle(Config());
+  BuildDb(&oracle, /*hidden_seed=*/111);
+  // Visible-only statements: answered exactly by the PC, padded nothing.
+  auto visible_rows = [&](const char* sql) -> uint64_t {
+    auto r = oracle.Query(sql);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? r->total_rows : 0;
+  };
+  const uint64_t vis = VisibleFactCount("Fact.v < 60");
+  const uint64_t distinct_vis =
+      visible_rows("SELECT DISTINCT Fact.v FROM Fact WHERE Fact.v < 60");
+  const uint64_t distinct_all =
+      visible_rows("SELECT DISTINCT Fact.v FROM Fact");
+  ASSERT_GT(distinct_vis, 0u);
+  ASSERT_LT(distinct_vis, vis);  // the rule tightens the bound
+  ASSERT_LT(distinct_all, 1000u);  // below the LIMIT below
+
+  struct Case {
+    const char* sql;
+    uint64_t volume;
+    bool distinct_bound;
+  };
+  const std::vector<Case> cases = {
+      {"SELECT Fact.v, COUNT(*) FROM Fact WHERE Fact.v < 60 AND "
+       "Fact.h < 30 GROUP BY Fact.v",
+       distinct_vis, true},
+      {"SELECT DISTINCT Fact.v FROM Fact WHERE Fact.v < 60 AND Fact.h < 30",
+       distinct_vis, true},
+      {"SELECT DISTINCT Fact.v FROM Fact WHERE Fact.v < 60 AND Fact.h < 30 "
+       "LIMIT 500",
+       distinct_vis, true},
+      {"SELECT DISTINCT Fact.v FROM Fact WHERE Fact.v < 60 AND Fact.h < 30 "
+       "LIMIT 7",
+       7, true},
+      {"SELECT Fact.v, MAX(Fact.h) FROM Fact WHERE Fact.h < 30 "
+       "GROUP BY Fact.v LIMIT 1000",
+       distinct_all, true},
+      // A hidden key, and a visible+hidden key: |Vis(Fact)|.
+      {"SELECT DISTINCT Fact.h FROM Fact WHERE Fact.v < 60 AND Fact.h < 30",
+       vis, false},
+      {"SELECT Fact.v, Fact.h, COUNT(*) FROM Fact WHERE Fact.v < 60 AND "
+       "Fact.h < 30 GROUP BY Fact.v, Fact.h",
+       vis, false},
+  };
+  for (uint32_t shards : {1u, 2u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    GhostDBConfig cfg = Config();
+    cfg.shard_count = shards;
+    cfg.exec.volume_padding = exec::VolumePadding::kWorstCase;
+    GhostDB db1(cfg), db2(cfg);
+    BuildDb(&db1, /*hidden_seed=*/111);
+    BuildDb(&db2, /*hidden_seed=*/999);
+    for (const Case& c : cases) {
+      SCOPED_TRACE(c.sql);
+      db1.device().channel().ClearTranscript();
+      db2.device().channel().ClearTranscript();
+      auto r1 = db1.Query(c.sql);
+      auto r2 = db2.Query(c.sql);
+      ASSERT_TRUE(r1.ok()) << r1.status().ToString();
+      ASSERT_TRUE(r2.ok()) << r2.status().ToString();
+      ExpectIdenticalTranscripts(db1.device().channel().transcript(),
+                                 db2.device().channel().transcript());
+      bool requested = false;
+      for (const ChannelMessage& m : db1.device().channel().transcript()) {
+        requested = requested || m.label == "vis-distinct:Fact";
+      }
+      EXPECT_EQ(requested, c.distinct_bound);
+      for (const auto* r : {&*r1, &*r2}) {
+        EXPECT_LE(r->total_rows, c.volume);
+        EXPECT_EQ(r->metrics.observed_volume, c.volume);
+      }
+    }
+  }
+}
+
 TEST(LeakTest, VisibleOnlyStatementsAreHiddenInvariantInEveryPaddingMode) {
   // A visible-only statement is answered by the PC: its transcript (query,
   // then one vis-result message) is a function of the visible data and

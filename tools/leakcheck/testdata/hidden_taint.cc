@@ -33,10 +33,12 @@ struct Image {
 
 struct PadContext {
   GHOSTDB_TRANSCRIPT_SINK uint64_t padding_row_bound = 0;
+  GHOSTDB_TRANSCRIPT_SINK uint64_t distinct_key_bound = 0;
 };
 
 uint64_t CountMatches(uint64_t upto);
 std::vector<uint32_t> ReceiveVisibleIds(uint32_t table);
+uint64_t ReceiveVisibleDistinct(uint32_t table);
 
 namespace exec {
 
@@ -88,6 +90,18 @@ void TightenHidden(PadContext* ctx, const Image& image) {
   uint64_t rows = image.visible_rows;
   uint64_t n = image.hidden_rows;
   ctx->padding_row_bound = std::min(rows, n);  // expect-finding: hidden-taint
+}
+
+// Negative: the grouped bound taken from the PC's vis-distinct message —
+// a count over visible key columns, so visible-derived.
+void BoundToVisibleKeys(PadContext* ctx) {
+  ctx->distinct_key_bound = ReceiveVisibleDistinct(0);
+}
+
+// Violation: the grouped bound taken from a hidden-derived group count.
+void BoundToHiddenGroups(PadContext* ctx, const Image& image) {
+  uint64_t groups = CountMatches(image.hidden_rows);
+  ctx->distinct_key_bound = groups;  // expect-finding: hidden-taint
 }
 
 }  // namespace exec
