@@ -211,15 +211,7 @@ Status GhostDB::Build() {
   }
   GHOSTDB_RETURN_NOT_OK(exec::ValidateExecConfig(config_.exec));
   GHOSTDB_RETURN_NOT_OK(device::ValidateFaultConfig(config_.fault_config));
-  // Effective width: the explicit ExecConfig override if set, else the
-  // database-wide knob. Stamp it back into the exec config so the planner
-  // and executor see one value.
-  if (config_.exec.worker_threads == 0) {
-    config_.exec.worker_threads = config_.worker_threads;
-  }
-  if (config_.exec.worker_threads > 1) {
-    pool_ = std::make_unique<exec::ThreadPool>(config_.exec.worker_threads);
-  }
+  pool_ = std::make_unique<exec::ThreadPool>(config_.worker_threads);
   if (!schema_.finalized()) {
     GHOSTDB_RETURN_NOT_OK(schema_.Finalize());
     staged_.clear();
@@ -265,8 +257,7 @@ Status GhostDB::Build() {
           std::make_unique<storage::PageAllocator>(&shard.device->flash());
     }
     shard.untrusted = std::make_unique<untrusted::UntrustedEngine>(
-        &schema_, &shard.device->channel());
-    shard.untrusted->set_pool(pool_.get());
+        &schema_, &shard.device->channel(), pool_.get());
     Loader loader(&schema_, shard.device.get(), shard.allocator.get(),
                   shard.untrusted.get(), indexed_attrs);
     GHOSTDB_ASSIGN_OR_RETURN(

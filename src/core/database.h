@@ -83,14 +83,15 @@ struct GhostDBConfig {
   /// attribute indexes. Id indexes are always built.
   std::optional<std::map<std::string, std::vector<std::string>>>
       indexed_attrs_by_name;
-  /// Width of the PC-side morsel worker pool (calling thread included):
-  /// 1 = fully serial (no threads spawned), N = N-way parallel visible
-  /// scans and projections (VisibleStore::SelectIds/Project), the pool's
-  /// only work; the key's operators and the relational tail run
-  /// single-threaded. Thread count never changes results or the channel
-  /// transcript — the leak sweep asserts it. Build() rejects 0 and absurd
-  /// values with InvalidArgument. The pool's workers are pinned
-  /// round-robin across cores (Linux; best-effort).
+  /// Width of the PC-side morsel worker pool (calling thread included),
+  /// the one width knob: 1 = fully serial (no threads spawned, every shard
+  /// runs inline), N = N-way parallel visible scans and projections
+  /// (VisibleStore::SelectIds/Project), the pool's only work; the key's
+  /// operators and the relational tail run single-threaded. Thread count
+  /// never changes results or the channel transcript — the leak sweep
+  /// asserts it. Build() rejects 0 and absurd values with
+  /// InvalidArgument. The pool's workers are pinned round-robin across
+  /// cores (Linux; best-effort).
   uint32_t worker_threads = 1;
   /// Execution knobs: the ablation and padding dials, the result row
   /// limit and the relational-tail budget (exec/operator.h).
@@ -249,7 +250,8 @@ class GhostDB {
   GhostDBConfig config_;
   catalog::Schema schema_;
   std::vector<TableData> staged_;
-  std::unique_ptr<exec::ThreadPool> pool_;  ///< outlives the shards' stacks
+  /// Sized by worker_threads at Build(); outlives the shards' stacks.
+  std::unique_ptr<exec::ThreadPool> pool_;
   /// The fleet, shard 0 first. Shard 0's device and allocator exist from
   /// construction; Build() adds the other devices and every shard's stack.
   std::vector<Shard> shards_;

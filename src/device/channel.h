@@ -78,7 +78,6 @@ class Channel {
   /// admission (and only then — the channel is exclusive to the admitted
   /// session until release).
   void set_current_session(int32_t session) { current_session_ = session; }
-  int32_t current_session() const { return current_session_; }
 
   /// Total bytes moved in `direction` since the transcript was cleared.
   uint64_t BytesMoved(Direction direction) const;

@@ -31,21 +31,12 @@ size_t ChannelArbiter::IndexOfLocked(int32_t session) const {
 }
 
 int32_t ChannelArbiter::PickNextLocked(
-    const std::vector<std::pair<int32_t, uint32_t>>& pending, bool count) {
+    const std::vector<std::pair<int32_t, uint32_t>>& pending) {
   assert(!pending.empty());
-  auto charge = [&](int32_t id) {
-    if (!count) return;
-    size_t i = IndexOfLocked(id);
-    if (i < sessions_.size()) sessions_[i].admissions += 1;
-    total_admissions_ += 1;
-  };
   // Work-conserving fast path: an uncontended request is admitted without
   // touching the DRR credit state (credit bookkeeping only matters for
   // choosing among competitors).
-  if (pending.size() == 1) {
-    charge(pending[0].first);
-    return pending[0].first;
-  }
+  if (pending.size() == 1) return pending[0].first;
   // Safety: if no pending session is registered the cycle scan could never
   // terminate; fall back to arrival order (still visible-only).
   bool any_registered = false;
@@ -55,10 +46,7 @@ int32_t ChannelArbiter::PickNextLocked(
       break;
     }
   }
-  if (sessions_.empty() || !any_registered) {
-    charge(pending[0].first);
-    return pending[0].first;
-  }
+  if (sessions_.empty() || !any_registered) return pending[0].first;
   // Deficit round-robin over the registration cycle: each visit earns one
   // credit; the first visited session whose credit covers its declared
   // weight wins. Weights are >= 1 and bounded by the query shape, so the
@@ -77,10 +65,6 @@ int32_t ChannelArbiter::PickNextLocked(
       uint32_t weight = std::max<uint32_t>(1, req->second);
       if (s.deficit >= weight) {
         s.deficit -= weight;
-        if (count) {
-          s.admissions += 1;
-          total_admissions_ += 1;
-        }
         cursor_ = (cursor_ + 1) % sessions_.size();
         return s.id;
       }
@@ -92,7 +76,7 @@ int32_t ChannelArbiter::PickNextLocked(
 int32_t ChannelArbiter::PickNext(
     const std::vector<std::pair<int32_t, uint32_t>>& pending) {
   std::lock_guard<std::mutex> lk(mu_);
-  return PickNextLocked(pending, /*count=*/false);
+  return PickNextLocked(pending);
 }
 
 void ChannelArbiter::TryGrantLocked() {
@@ -107,7 +91,7 @@ void ChannelArbiter::TryGrantLocked() {
     std::vector<std::pair<int32_t, uint32_t>> pending;
     pending.reserve(waiting_.size());
     for (const Waiter& w : waiting_) pending.emplace_back(w.session, w.weight);
-    pick = PickNextLocked(pending, /*count=*/false);
+    pick = PickNextLocked(pending);
   }
   // Among waiters of the picked session, grant the earliest request.
   size_t best = waiting_.size();
@@ -158,11 +142,6 @@ uint64_t ChannelArbiter::admissions(int32_t session) const {
 uint64_t ChannelArbiter::total_admissions() const {
   std::lock_guard<std::mutex> lk(mu_);
   return total_admissions_;
-}
-
-size_t ChannelArbiter::registered_sessions() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return sessions_.size();
 }
 
 }  // namespace ghostdb::device

@@ -82,7 +82,6 @@ class ChannelArbiter {
   uint64_t admissions(int32_t session) const;
   /// Total admissions across all sessions.
   uint64_t total_admissions() const;
-  size_t registered_sessions() const;
 
  private:
   struct SessionState {
@@ -99,7 +98,7 @@ class ChannelArbiter {
   };
 
   int32_t PickNextLocked(
-      const std::vector<std::pair<int32_t, uint32_t>>& pending, bool count);
+      const std::vector<std::pair<int32_t, uint32_t>>& pending);
   void TryGrantLocked();
   size_t IndexOfLocked(int32_t session) const;
 

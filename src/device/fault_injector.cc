@@ -183,7 +183,7 @@ Status FaultInjector::OnFlashOp(FaultSite site) {
     // the cost decomposition (and thus the transcript timing model) stays
     // deterministic.
     auto scope = clock_->Enter("fault-retry");
-    clock_->Advance(config_.retry_backoff << retries);
+    clock_->Advance(kRetryBackoff << retries);
     retries += 1;
     flash_retries_ += 1;
   }
@@ -207,7 +207,7 @@ void FaultInjector::MaybeStallChannel() {
   faults_injected_ += 1;
   channel_stalls_ += 1;
   auto scope = clock_->Enter("fault-stall");
-  clock_->Advance(config_.channel_stall);
+  clock_->Advance(kChannelStall);
 }
 
 bool FaultInjector::DrawShardReset() {

@@ -85,12 +85,13 @@ struct FaultConfig {
   /// Retries allowed per flash operation before a transient fault
   /// escalates to an error. Must be nonzero while retry_enabled.
   uint32_t flash_retry_budget = 3;
-  /// Base backoff before re-issuing a faulted flash operation; doubles per
-  /// retry. Charged to the "fault-retry" clock category.
-  SimNanos retry_backoff = 100 * kMicrosecond;
-  /// Simulated time one channel stall costs ("fault-stall" category).
-  SimNanos channel_stall = 500 * kMicrosecond;
 };
+
+/// Base backoff before re-issuing a faulted flash operation; doubles per
+/// retry. Charged to the "fault-retry" clock category.
+inline constexpr SimNanos kRetryBackoff = 100 * kMicrosecond;
+/// Simulated time one channel stall costs ("fault-stall" category).
+inline constexpr SimNanos kChannelStall = 500 * kMicrosecond;
 
 /// Rejects malformed schedules (probabilities outside [0, 1], a zero or
 /// absurd retry budget with retries enabled) with InvalidArgument. Called

@@ -33,8 +33,6 @@ class BloomFilter {
   void Insert(catalog::RowId id);
   bool MightContain(catalog::RowId id) const;
 
-  uint64_t bit_count() const { return m_bits_; }
-  uint32_t hash_count() const { return k_; }
   uint64_t inserted() const { return inserted_; }
   uint32_t buffers_used() const { return bits_.buffer_count(); }
 

@@ -58,12 +58,11 @@ EncodedRows MergeEncodedRowsBySeq(std::vector<EncodedRows> parts) {
 }
 
 int FindFanoutBoundary(const plan::PhysicalPlan& plan) {
-  for (size_t i = 0; i < plan.nodes.size(); ++i) {
-    if (plan.nodes[i].op == plan::PhysicalOp::kProject ||
-        plan.nodes[i].op == plan::PhysicalOp::kBruteForceProject ||
-        plan.nodes[i].op == plan::PhysicalOp::kVisResult) {
-      return static_cast<int>(i);
-    }
+  // Nodes are appended bottom-up, so the last boundary node is the one
+  // nearest the root (a visible-only plan's VisResult, not its
+  // VisProject).
+  for (int i = static_cast<int>(plan.nodes.size()) - 1; i >= 0; --i) {
+    if (plan::IsProjectionBoundary(plan.nodes[i].op)) return i;
   }
   return -1;
 }

@@ -72,8 +72,8 @@ struct GatherInput {
 EncodedRows MergeEncodedRowsBySeq(std::vector<EncodedRows> parts);
 
 /// The scatter/gather split point of `plan`: the node index of its
-/// projection (kProject / kBruteForceProject) or, in a visible-only plan,
-/// of its VisResult; -1 if it has none. Everything at or below the
+/// projection boundary nearest the root (plan::IsProjectionBoundary; in a
+/// visible-only plan, its VisResult); -1 if it has none. Everything at or below the
 /// boundary runs per shard; everything above it — grouping, sorting,
 /// limits, padding — runs once on the gather device over the seq-merged
 /// row stream, exactly as on a single device.

@@ -9,11 +9,6 @@
 namespace ghostdb::exec {
 
 Status ValidateExecConfig(const ExecConfig& config) {
-  if (config.worker_threads > 64) {
-    return Status::InvalidArgument(
-        "ExecConfig.worker_threads > 64: morsel shards would be smaller "
-        "than a cache line's worth of useful work");
-  }
   if (config.pad_spill_runs &&
       config.volume_padding == VolumePadding::kOff) {
     return Status::InvalidArgument(
@@ -216,21 +211,14 @@ Result<std::unique_ptr<Operator>> BuildNode(ExecContext* ctx,
   // everything below it already ran per shard, so it becomes a
   // GatherSourceOp over the seq-merged row stream. Untrusted's tail run
   // feeds its tail the same way, from the PC's projection rows.
-  if (ctx->gather_rows != nullptr &&
-      (node.op == plan::PhysicalOp::kProject ||
-       node.op == plan::PhysicalOp::kBruteForceProject ||
-       node.op == plan::PhysicalOp::kVisProject ||
-       node.op == plan::PhysicalOp::kVisResult)) {
+  if (ctx->gather_rows != nullptr && plan::IsProjectionBoundary(node.op)) {
     return std::unique_ptr<Operator>(std::make_unique<GatherSourceOp>(ctx));
   }
   // Every other operator but the tail's works on the key: a device-free
   // run may not instantiate one.
   switch (node.op) {
-    case plan::PhysicalOp::kAggregate:
-    case plan::PhysicalOp::kGroupAggregate:
-    case plan::PhysicalOp::kDistinct:
+    case plan::PhysicalOp::kHashGroup:
     case plan::PhysicalOp::kSort:
-    case plan::PhysicalOp::kTopKSort:
     case plan::PhysicalOp::kLimit:
       break;
     default:
@@ -280,21 +268,14 @@ Result<std::unique_ptr<Operator>> BuildNode(ExecContext* ctx,
     case plan::PhysicalOp::kBruteForceProject:
       op = std::make_unique<BruteForceProjectOp>(ctx);
       break;
-    case plan::PhysicalOp::kAggregate:
-    case plan::PhysicalOp::kGroupAggregate:
-    case plan::PhysicalOp::kDistinct:
-      // One grouping operator: the select items' agg markers decide keys
-      // versus aggregates (DISTINCT: all keys; whole-result: no keys).
+    case plan::PhysicalOp::kHashGroup:
       op = std::make_unique<HashGroupOp>(ctx);
       break;
     case plan::PhysicalOp::kSort:
-      op = std::make_unique<SortOp>(ctx, std::nullopt);
-      break;
-    case plan::PhysicalOp::kTopKSort:
       op = std::make_unique<SortOp>(ctx, node.limit);
       break;
     case plan::PhysicalOp::kLimit:
-      op = std::make_unique<LimitOp>(ctx, node.limit);
+      op = std::make_unique<LimitOp>(ctx, *node.limit);
       break;
     case plan::PhysicalOp::kVolumePad:
       op = std::make_unique<VolumePadOp>(ctx);

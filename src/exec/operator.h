@@ -99,12 +99,9 @@ struct ExecConfig {
   /// Past it the tail spills sorted runs to flash and streams the merge.
   /// Tests and benches set tiny values to force the spill paths.
   uint32_t sort_budget_buffers = 0;
-  /// Width of the morsel pool that shards the PC's visible scans
-  /// (VisibleStore::SelectIds/Project); the key's operators and the
-  /// relational tail run single-threaded. 0 = inherit the database-wide
-  /// GhostDBConfig::worker_threads (stamped by GhostDB::Build); nonzero
-  /// overrides it. Thread count never changes results or the channel
-  /// transcript.
+  /// Unread: the pool's width is GhostDBConfig::worker_threads alone. The
+  /// field stays only because the end-to-end benchmark still stamps it;
+  /// ROADMAP item 1 deletes it.
   uint32_t worker_threads = 0;
   /// Result-volume defense (see VolumePadding). Dummy rows are synthesized
   /// by a planner-emitted VolumePad root operator and stripped at the
@@ -117,9 +114,9 @@ struct ExecConfig {
   bool pad_spill_runs = false;
 };
 
-/// Rejects nonsensical knob combinations (worker_threads past the
-/// supported ceiling, spill-run padding without volume padding) with
-/// InvalidArgument instead of letting them silently misbehave downstream.
+/// Rejects nonsensical knob combinations (spill-run padding without volume
+/// padding) with InvalidArgument instead of letting them silently
+/// misbehave downstream.
 Status ValidateExecConfig(const ExecConfig& config);
 
 /// Observable per-query costs.
@@ -387,7 +384,6 @@ class Operator {
     children_.push_back(std::move(child));
   }
   Operator* child(size_t i = 0) const { return children_[i].get(); }
-  size_t child_count() const { return children_.size(); }
 
  protected:
   ExecContext* ctx_;

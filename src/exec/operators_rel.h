@@ -241,7 +241,7 @@ class HashGroupOp final : public Operator {
 
 /// \brief ORDER BY over select-list columns — keys compared in their
 /// encodings, ties keep anchor-id (arrival) order — optionally fused with
-/// `LIMIT k` (kTopKSort). k = 0 never pulls the child. When k fits the
+/// `LIMIT k` (a kSort node carrying k). k = 0 never pulls the child. When k fits the
 /// relational-tail budget the operator keeps a bounded k-row heap of
 /// encoded rows: O(n log k) compares, O(k) secure memory, no spill.
 /// Otherwise it is a blocking sort bounded by the budget — larger inputs

@@ -29,7 +29,6 @@ Status SJoinStage::Consume(catalog::RowId anchor_id) {
                   skt_row_.data() + slots_[i] * 4, 4);
     }
   }
-  rows_ += 1;
   return sink_(out_row_.data(), row_width_);
 }
 

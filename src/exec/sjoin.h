@@ -33,10 +33,6 @@ class SJoinStage {
 
   /// Output row width in bytes.
   uint32_t row_width() const { return row_width_; }
-  uint64_t rows_emitted() const { return rows_; }
-  uint64_t skt_pages_touched() const {
-    return reader_ ? reader_->pages_touched() : 0;
-  }
 
  private:
   std::optional<storage::FixedTableReader> reader_;
@@ -45,7 +41,6 @@ class SJoinStage {
   uint32_t row_width_;
   std::vector<uint8_t> skt_row_;
   std::vector<uint8_t> out_row_;
-  uint64_t rows_ = 0;
 };
 
 }  // namespace ghostdb::exec

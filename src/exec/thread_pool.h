@@ -1,9 +1,9 @@
 // A pinned worker pool for morsel-driven parallel execution.
 //
-// GhostDB owns one pool, sized by GhostDBConfig::worker_threads, and its
-// one user is the PC's visible scans (VisibleStore::SelectIds/Project,
-// reached through UntrustedEngine::set_pool); the key's operators and the
-// relational tail run single-threaded. Worker threads run *pure host-side
+// GhostDB always owns one pool, sized by GhostDBConfig::worker_threads,
+// and its one user is the PC's visible scans (VisibleStore::SelectIds and
+// Project, handed the pool through UntrustedEngine); the key's operators
+// and the relational tail run single-threaded. Worker threads run *pure host-side
 // value compute only*: they never touch the channel, the flash device, the
 // RAM manager, query metrics, or any other device state — all of that
 // stays on the calling thread. Work is dealt as contiguous shards of an

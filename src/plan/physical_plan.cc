@@ -14,17 +14,19 @@ std::string_view PhysicalOpName(PhysicalOp op) {
     case PhysicalOp::kPostSelect: return "PostSelect";
     case PhysicalOp::kProject: return "Project";
     case PhysicalOp::kBruteForceProject: return "BruteForceProject";
-    case PhysicalOp::kAggregate: return "Aggregate";
-    case PhysicalOp::kGroupAggregate: return "GroupAggregate";
-    case PhysicalOp::kDistinct: return "Distinct";
+    case PhysicalOp::kHashGroup: return "HashGroup";
     case PhysicalOp::kSort: return "Sort";
     case PhysicalOp::kLimit: return "Limit";
-    case PhysicalOp::kTopKSort: return "TopKSort";
     case PhysicalOp::kVolumePad: return "VolumePad";
     case PhysicalOp::kVisProject: return "VisProject";
     case PhysicalOp::kVisResult: return "VisResult";
   }
   return "?";
+}
+
+bool IsProjectionBoundary(PhysicalOp op) {
+  return op == PhysicalOp::kProject || op == PhysicalOp::kBruteForceProject ||
+         op == PhysicalOp::kVisProject || op == PhysicalOp::kVisResult;
 }
 
 namespace {
@@ -41,28 +43,19 @@ int AddNode(PhysicalPlan* plan, PhysicalOp op, int child) {
 /// Appends the relational tail of `query` over the projection `node`
 /// and returns the tail's top.
 int AddTail(const sql::BoundQuery& query, PhysicalPlan* plan, int node) {
-  // GROUP BY subsumes the whole-result Aggregate; which one runs is shape
-  // information (the clause is part of the visible query), like kTopKSort
-  // below.
-  if (query.grouped()) {
-    node = AddNode(plan, PhysicalOp::kGroupAggregate, node);
-  } else if (query.HasAggregates()) {
-    node = AddNode(plan, PhysicalOp::kAggregate, node);
+  // The binder admits at most one of GROUP BY, whole-result aggregates and
+  // DISTINCT, so one grouping node serves them all.
+  if (query.grouped() || query.HasAggregates() || query.distinct) {
+    node = AddNode(plan, PhysicalOp::kHashGroup, node);
   }
-  if (query.distinct) node = AddNode(plan, PhysicalOp::kDistinct, node);
-  if (!query.order_by.empty() && query.limit.has_value()) {
+  if (!query.order_by.empty()) {
     // Sort -> Limit k fuses into a bounded top-K heap. The decision keys
     // on shape only (both clauses present); the node carries k.
-    node = AddNode(plan, PhysicalOp::kTopKSort, node);
-    plan->nodes.back().limit = *query.limit;
-  } else {
-    if (!query.order_by.empty()) {
-      node = AddNode(plan, PhysicalOp::kSort, node);
-    }
-    if (query.limit.has_value()) {
-      node = AddNode(plan, PhysicalOp::kLimit, node);
-      plan->nodes.back().limit = *query.limit;
-    }
+    node = AddNode(plan, PhysicalOp::kSort, node);
+    plan->nodes.back().limit = query.limit;
+  } else if (query.limit.has_value()) {
+    node = AddNode(plan, PhysicalOp::kLimit, node);
+    plan->nodes.back().limit = query.limit;
   }
   return node;
 }
@@ -125,9 +118,9 @@ std::string PhysicalPlan::ToString(const catalog::Schema& schema) const {
     const PhysicalNode& node = nodes[idx];
     out << std::string(static_cast<size_t>(depth) * 2, ' ') << "-> "
         << PhysicalOpName(node.op);
-    if (node.op == PhysicalOp::kLimit) out << " " << node.limit;
-    if (node.op == PhysicalOp::kTopKSort) {
-      out << " " << node.limit << " (fused Sort+Limit)";
+    if (node.op == PhysicalOp::kLimit) out << " " << *node.limit;
+    if (node.op == PhysicalOp::kSort && node.limit.has_value()) {
+      out << " top " << *node.limit;
     }
     if (node.op == PhysicalOp::kVisSelect) {
       for (const auto& [t, strategy] : choice.vis) {
@@ -135,8 +128,8 @@ std::string PhysicalPlan::ToString(const catalog::Schema& schema) const {
             << VisStrategyName(strategy);
       }
     }
-    if (node.op == PhysicalOp::kProject ||
-        node.op == PhysicalOp::kBruteForceProject) {
+    // A visible-only plan has no projection algorithm to show.
+    if (IsProjectionBoundary(node.op) && !visible_only()) {
       out << " (" << ProjectAlgoName(choice.project) << ")";
     }
     if (node.on_untrusted) out << " [Untrusted]";

@@ -5,8 +5,7 @@
 //
 //   VisSelect -> BloomBuild -> Merge -> SJoin [-> PostSelect]
 //     -> Project | BruteForceProject
-//     [-> Aggregate | GroupAggregate | Distinct]
-//     [-> TopKSort | [-> Sort] [-> Limit]] [-> VolumePad]
+//     [-> HashGroup] [-> Sort [k] | [-> Sort] [-> Limit]] [-> VolumePad]
 //
 // A visible-only statement (sql::BoundQuery::TouchesHidden is false) is
 // lowered instead to
@@ -17,9 +16,9 @@
 // visible rows and runs the tail operators over them, and the key's one
 // operator receives the final rows as a `vis-result:<T>` message.
 //
-// Aggregate, GroupAggregate and Distinct all run as exec::HashGroupOp;
-// Sort and TopKSort (Sort -> Limit k, always fused) as exec::SortOp. The
-// kinds stay distinct for EXPLAIN.
+// Each tail operator is one node kind: HashGroup (whole-result aggregates,
+// GROUP BY and DISTINCT) runs as exec::HashGroupOp, Sort (with a fused
+// LIMIT k when the statement has one) as exec::SortOp.
 //
 // Nodes are stored flat (children by index) so plans are cheap to build and
 // copy. Everything in a PhysicalPlan derives from the query text and
@@ -28,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,8 +39,7 @@
 
 namespace ghostdb::plan {
 
-/// Physical operator kinds (the grouping and sort kinds share one
-/// exec-layer Operator class each).
+/// Physical operator kinds.
 enum class PhysicalOp : uint8_t {
   kVisSelect,          ///< serve Vis ids, apply per-table strategy prep
   kBloomBuild,         ///< BuildBF for (Cross)Post-Filter tables
@@ -49,12 +48,13 @@ enum class PhysicalOp : uint8_t {
   kPostSelect,         ///< exact Post-Select passes over F'
   kProject,            ///< section 4 Project (BF-filtered MJoin)
   kBruteForceProject,  ///< Figs 12-13 baseline
-  kAggregate,          ///< fold rows into aggregate values
-  kGroupAggregate,     ///< GROUP BY: per-group aggregate folding
-  kDistinct,           ///< drop duplicate rows (first occurrence wins)
-  kSort,               ///< ORDER BY over select-list columns
+  /// Aggregates, GROUP BY and DISTINCT: keys are the plain select items,
+  /// the rest aggregates (DISTINCT: all keys; whole-result: no keys).
+  kHashGroup,
+  /// ORDER BY over select-list columns; with `limit`, the fused
+  /// Sort -> Limit k (a bounded k-row heap).
+  kSort,
   kLimit,              ///< truncate the stream after N rows
-  kTopKSort,           ///< fused Sort -> Limit k: bounded k-row heap
   /// Volume defense root: forwards the stream, then emits dummy rows until
   /// the observed volume hits the padding mode's target (quantized or
   /// visible-worst-case). Dummies are stripped at the QueryResult boundary.
@@ -69,11 +69,19 @@ enum class PhysicalOp : uint8_t {
 
 std::string_view PhysicalOpName(PhysicalOp op);
 
+/// True for the kinds whose output is the statement's projected rows:
+/// kProject, kBruteForceProject, and a visible-only plan's kVisProject and
+/// kVisResult. A fleet splits a plan at the one nearest the root
+/// (exec::FindFanoutBoundary), and a gather or the PC's tail run feeds its
+/// rows in there.
+bool IsProjectionBoundary(PhysicalOp op);
+
 /// One node of the flat operator tree.
 struct PhysicalNode {
   PhysicalOp op;
   std::vector<int> children;  ///< indices into PhysicalPlan::nodes
-  uint64_t limit = 0;         ///< kLimit / kTopKSort: row cap
+  /// kLimit: the row cap; kSort: the fused LIMIT k, if any.
+  std::optional<uint64_t> limit;
   /// Runs on Untrusted (the nodes below a kVisResult), not on the key.
   bool on_untrusted = false;
 };
@@ -106,7 +114,7 @@ struct PhysicalPlan {
 
 /// Lowers `choice` into the operator tree for `query`. Pure function of the
 /// bound (visible) query and the choice. A Sort -> Limit k tail is always
-/// one fused TopKSort node — O(k) secure memory instead of a full
+/// one Sort node carrying k — O(k) secure memory instead of a full
 /// materialized sort when k fits the budget. The fusion keys on the
 /// *presence* of ORDER BY and LIMIT; the node carries k.
 ///

@@ -77,8 +77,6 @@ class RunWriter {
   /// the abandoned-run cleanup path after a failed spill.
   Status Abort();
 
-  uint64_t bytes_written() const { return bytes_; }
-
  private:
   Status FlushPage();
 

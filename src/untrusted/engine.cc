@@ -63,29 +63,29 @@ Result<VisPrefetch> UntrustedEngine::PrefetchVisible(
   if (!query.TouchesHidden(*schema_)) return prefetch;
   for (catalog::TableId t : query.tables) {
     // Vis id lists: requested by VisSelectOp for every table with visible
-    // predicates, regardless of strategy.
-    if (query.HasVisiblePredicateOn(t)) {
-      GHOSTDB_ASSIGN_OR_RETURN(
-          std::vector<catalog::RowId> ids,
-          store_.SelectIds(t, query.VisiblePredicatesOn(t), pool_));
-      // An EXPLAIN only ships the vis-counts, which read the list's size.
-      if (!query.explain) prefetch.id_messages.emplace(t, EncodeIds(ids));
-      prefetch.ids.emplace(t, std::move(ids));
-    }
-    if (query.explain) continue;
-    // Projection payloads: requested by the projection operators for every
-    // table whose visible columns appear in the SELECT list.
-    std::vector<catalog::ColumnId> cols =
-        query.ProjectedVisibleColumns(*schema_, t);
+    // predicates, regardless of strategy. Projection payloads: requested
+    // by the projection operators for every table whose visible columns
+    // appear in the SELECT list. One scan serves both. An EXPLAIN only
+    // ships the vis-counts, which read the id list's size: it keeps the
+    // list unencoded and projects nothing.
+    const std::vector<sql::BoundPredicate> predicates =
+        query.VisiblePredicatesOn(t);
+    std::vector<catalog::ColumnId> cols;
+    if (!query.explain) cols = query.ProjectedVisibleColumns(*schema_, t);
+    if (predicates.empty() && cols.empty()) continue;
+    GHOSTDB_ASSIGN_OR_RETURN(std::vector<catalog::RowId> ids,
+                             store_.SelectIds(t, predicates));
     if (!cols.empty()) {
-      GHOSTDB_ASSIGN_OR_RETURN(
-          ProjectionPayload payload,
-          store_.Project(t, query.VisiblePredicatesOn(t), cols, pool_));
+      GHOSTDB_ASSIGN_OR_RETURN(ProjectionPayload payload,
+                               store_.Project(t, ids, cols));
       prefetch.projection_messages.emplace(
           t, EncodeProjection(t, cols, payload));
       prefetch.projections.emplace(
           t, std::make_pair(std::move(cols), std::move(payload)));
     }
+    if (predicates.empty()) continue;
+    if (!query.explain) prefetch.id_messages.emplace(t, EncodeIds(ids));
+    prefetch.ids.emplace(t, std::move(ids));
   }
   return prefetch;
 }
@@ -93,10 +93,11 @@ Result<VisPrefetch> UntrustedEngine::PrefetchVisible(
 Result<ProjectionPayload> UntrustedEngine::ProjectStatement(
     const sql::BoundQuery& query) const {
   const catalog::TableId t = query.anchor;
+  GHOSTDB_ASSIGN_OR_RETURN(std::vector<catalog::RowId> ids,
+                           store_.SelectIds(t, query.VisiblePredicatesOn(t)));
   GHOSTDB_ASSIGN_OR_RETURN(
       ProjectionPayload payload,
-      store_.Project(t, query.VisiblePredicatesOn(t),
-                     query.ProjectedVisibleColumns(*schema_, t), pool_));
+      store_.Project(t, ids, query.ProjectedVisibleColumns(*schema_, t)));
   // Payload id headers are local; a sharded slice's rows merge with the
   // other shards' by global id.
   for (uint64_t r = 0; r < payload.rows; ++r) {

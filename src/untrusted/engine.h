@@ -66,17 +66,16 @@ device::WireLayout WireLayoutOf(const catalog::Schema& schema,
 /// \brief Untrusted's query-serving facade.
 class UntrustedEngine {
  public:
-  UntrustedEngine(const catalog::Schema* schema, device::Channel* channel)
-      : schema_(schema), channel_(channel), store_(schema) {}
+  /// `pool` (not null) shards the visible scans and projections. The PC
+  /// is "fast and free" in the paper's cost model; the pool makes it so in
+  /// wall-clock too. Workers touch only the visible partitions — never
+  /// the channel.
+  UntrustedEngine(const catalog::Schema* schema, device::Channel* channel,
+                  exec::ThreadPool* pool)
+      : schema_(schema), channel_(channel), store_(schema, pool) {}
 
   VisibleStore& store() { return store_; }
   const VisibleStore& store() const { return store_; }
-
-  /// Worker pool for sharding visible scans/projections (null = inline).
-  /// The PC is "fast and free" in the paper's cost model; the pool makes
-  /// it so in wall-clock too. Workers touch only the visible partitions —
-  /// never the channel.
-  void set_pool(exec::ThreadPool* pool) { pool_ = pool; }
 
   /// Secure announces the query (the only information that ever leaves the
   /// key). Charged as a Secure -> Untrusted transfer.
@@ -84,9 +83,10 @@ class UntrustedEngine {
 
   /// Evaluates every visible request `query` is certain to make (Vis id
   /// lists for tables with visible predicates; projection payloads for
-  /// tables whose visible columns are projected) and encodes their wire
-  /// messages; nothing for a visible-only statement, whose key requests
-  /// neither (ProjectStatement feeds the PC's own answer instead). An
+  /// tables whose visible columns are projected; one scan per table
+  /// serves both) and encodes their wire messages; nothing for a
+  /// visible-only statement, whose key requests neither
+  /// (ProjectStatement feeds the PC's own answer instead). An
   /// EXPLAIN only asks for vis-counts: its prefetch holds the id lists
   /// alone, unencoded. Pure read of the visible store and of the channel's
   /// configuration (format, throughput): safe to run on a session's thread
@@ -153,7 +153,6 @@ class UntrustedEngine {
   const catalog::Schema* schema_;
   device::Channel* channel_;
   VisibleStore store_;
-  exec::ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace ghostdb::untrusted

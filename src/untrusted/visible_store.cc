@@ -19,7 +19,9 @@ namespace {
 constexpr uint64_t kScanGrain = 4096;
 }  // namespace
 
-VisibleStore::VisibleStore(const catalog::Schema* schema) : schema_(schema) {
+VisibleStore::VisibleStore(const catalog::Schema* schema,
+                           exec::ThreadPool* pool)
+    : schema_(schema), pool_(pool) {
   size_t n = schema->table_count();
   partitions_.resize(n);
   row_counts_.assign(n, 0);
@@ -137,41 +139,36 @@ void VisibleStore::ScanRange(
 }
 
 Result<std::vector<RowId>> VisibleStore::SelectIds(
-    TableId table, const std::vector<sql::BoundPredicate>& predicates,
-    exec::ThreadPool* pool) const {
+    TableId table, const std::vector<sql::BoundPredicate>& predicates) const {
   for (const auto& p : predicates) {
     if (!p.on_id && (p.hidden || p.table != table)) {
       return Status::SecurityViolation(
           "untrusted asked to evaluate a hidden predicate");
     }
   }
-  uint64_t n = row_counts_[table];
-  if (pool != nullptr && pool->ShardCount(n, kScanGrain) > 1) {
-    // Contiguous shards concatenated in shard order: the id list (and so
-    // every downstream channel payload) is identical for every width.
-    uint32_t shards = pool->ShardCount(n, kScanGrain);
-    std::vector<std::vector<RowId>> parts(shards);
-    pool->ParallelShards(n, kScanGrain,
-                         [&](uint32_t s, uint64_t begin, uint64_t end) {
-                           ScanRange(table, predicates,
-                                     static_cast<RowId>(begin),
-                                     static_cast<RowId>(end), &parts[s]);
-                         });
-    std::vector<RowId> out;
-    size_t total = 0;
-    for (const auto& p : parts) total += p.size();
-    out.reserve(total);
-    for (const auto& p : parts) out.insert(out.end(), p.begin(), p.end());
-    return out;
+  // Contiguous shards concatenated in shard order: the id list (and so
+  // every downstream channel payload) is identical for every width.
+  const uint64_t n = row_counts_[table];
+  std::vector<std::vector<RowId>> parts(pool_->ShardCount(n, kScanGrain));
+  pool_->ParallelShards(n, kScanGrain,
+                        [&](uint32_t s, uint64_t begin, uint64_t end) {
+                          ScanRange(table, predicates,
+                                    static_cast<RowId>(begin),
+                                    static_cast<RowId>(end), &parts[s]);
+                        });
+  size_t total = 0;
+  for (const auto& p : parts) total += p.size();
+  std::vector<RowId> out = std::move(parts[0]);
+  out.reserve(total);
+  for (size_t s = 1; s < parts.size(); ++s) {
+    out.insert(out.end(), parts[s].begin(), parts[s].end());
   }
-  std::vector<RowId> out;
-  ScanRange(table, predicates, 0, static_cast<RowId>(n), &out);
   return out;
 }
 
 Result<ProjectionPayload> VisibleStore::Project(
-    TableId table, const std::vector<sql::BoundPredicate>& predicates,
-    const std::vector<ColumnId>& columns, exec::ThreadPool* pool) const {
+    TableId table, const std::vector<RowId>& ids,
+    const std::vector<ColumnId>& columns) const {
   const auto& cols = schema_->table(table).columns;
   ProjectionPayload payload;
   payload.row_width = 4;
@@ -182,8 +179,9 @@ Result<ProjectionPayload> VisibleStore::Project(
     }
     payload.row_width += cols[c].width;
   }
-  GHOSTDB_ASSIGN_OR_RETURN(std::vector<RowId> ids,
-                           SelectIds(table, predicates, pool));
+  if (!ids.empty() && ids.back() >= row_counts_[table]) {
+    return Status::OutOfRange("projected id out of range");
+  }
   payload.rows = ids.size();
   payload.bytes.resize(ids.size() * payload.row_width);
   const uint8_t* part = partitions_[table].data();
@@ -215,13 +213,9 @@ Result<ProjectionPayload> VisibleStore::Project(
       dst_off += cols[c].width;
     }
   };
-  if (pool != nullptr && pool->ShardCount(ids.size(), kScanGrain) > 1) {
-    // Shards write disjoint byte ranges of the payload; bytes are
-    // identical for every width.
-    pool->ParallelShards(ids.size(), kScanGrain, fill);
-  } else {
-    fill(0, 0, ids.size());
-  }
+  // Shards write disjoint byte ranges of the payload; bytes are identical
+  // for every width.
+  pool_->ParallelShards(ids.size(), kScanGrain, fill);
   return payload;
 }
 

@@ -35,7 +35,10 @@ struct ProjectionPayload {
 /// \brief In-memory store of the Visible partitions.
 class VisibleStore {
  public:
-  explicit VisibleStore(const catalog::Schema* schema);
+  /// `pool` (not null, outlives the store) shards every scan and gather:
+  /// contiguous row ranges, results in shard order, so the output is the
+  /// same for every width, and a width-1 pool runs them inline.
+  VisibleStore(const catalog::Schema* schema, exec::ThreadPool* pool);
 
   /// Installs the visible partition of `table`: `count` rows of packed
   /// visible columns (declaration order), row i belonging to id i.
@@ -55,26 +58,18 @@ class VisibleStore {
     return row_counts_[table];
   }
 
-  /// Ids (ascending) of rows satisfying every predicate. All predicates
-  /// must be on visible columns (or the id) of `table`. With `pool`, the
-  /// scan shards across workers (contiguous row ranges, results
-  /// concatenated in shard order — same ascending id list for every
-  /// width); the inner loops run the SIMD kernels over the packed rows
-  /// either way.
+  /// Ids (ascending) of rows satisfying every predicate (no predicates:
+  /// every row). All predicates must be on visible columns (or the id) of
+  /// `table`. The inner loops run the SIMD kernels over the packed rows.
   Result<std::vector<catalog::RowId>> SelectIds(
       catalog::TableId table,
-      const std::vector<sql::BoundPredicate>& predicates,
-      exec::ThreadPool* pool = nullptr) const;
+      const std::vector<sql::BoundPredicate>& predicates) const;
 
-  /// Packed [id | columns...] rows (ascending id) for rows satisfying the
-  /// predicates, carrying the requested visible columns. `pool` as in
-  /// SelectIds: the match scan and the cell gather both shard; the payload
-  /// bytes are identical for every width.
+  /// Packed [id | columns...] rows of `ids` (ascending, as SelectIds
+  /// returns them), carrying the requested visible columns.
   Result<ProjectionPayload> Project(
-      catalog::TableId table,
-      const std::vector<sql::BoundPredicate>& predicates,
-      const std::vector<catalog::ColumnId>& columns,
-      exec::ThreadPool* pool = nullptr) const;
+      catalog::TableId table, const std::vector<catalog::RowId>& ids,
+      const std::vector<catalog::ColumnId>& columns) const;
 
   /// The id an on_id predicate sees for `row`, and the id a sharded
   /// slice's rows merge by (global under sharding).
@@ -92,7 +87,7 @@ class VisibleStore {
 
  private:
   /// Appends the ids in [begin, end) matching every predicate to `out`
-  /// (the SIMD inner loop of SelectIds/Project; one shard's work).
+  /// (the SIMD inner loop of SelectIds; one shard's work).
   /// GHOSTDB_HOST_COMPUTE: runs on pool workers — leakcheck's purity rule
   /// bars it (and everything it calls) from device/clock/RAM state.
   GHOSTDB_HOST_COMPUTE void ScanRange(catalog::TableId table,
@@ -101,6 +96,7 @@ class VisibleStore {
                  std::vector<catalog::RowId>* out) const;
 
   const catalog::Schema* schema_;
+  exec::ThreadPool* pool_;
   std::vector<std::vector<uint8_t>> partitions_;  // per table, packed rows
   std::vector<uint64_t> row_counts_;
   // Per table: local→global id map (empty = identity; see SetGlobalIds).

@@ -137,7 +137,7 @@ TEST(FaultInjectionTest, TransientFlashFaultIsRetriedAndCharged) {
   EXPECT_EQ(r->metrics.faults_injected, 1u);
   auto it = r->metrics.categories.find("fault-retry");
   ASSERT_NE(it, r->metrics.categories.end());
-  EXPECT_GE(it->second, db->device().fault_injector().config().retry_backoff);
+  EXPECT_GE(it->second, device::kRetryBackoff);
 }
 
 TEST(FaultInjectionTest, PermanentFlashFaultFailsCleanlyAndStoreServes) {
@@ -242,7 +242,7 @@ TEST(FaultInjectionTest, ChannelStallCostsTimeButNotWire) {
   EXPECT_EQ(stalled->device().fault_injector().channel_stalls(), 1u);
   auto it = r1->metrics.categories.find("fault-stall");
   ASSERT_NE(it, r1->metrics.categories.end());
-  EXPECT_EQ(it->second, stalled->device().fault_injector().config().channel_stall);
+  EXPECT_EQ(it->second, device::kChannelStall);
 }
 
 // ---------------------------------------------------------------------------

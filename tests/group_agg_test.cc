@@ -351,7 +351,7 @@ TEST_F(GroupAggE2eTest, PlanShowsGroupAggregate) {
   auto explain = db_->Explain(
       "EXPLAIN SELECT Fact.v, COUNT(*) FROM Fact GROUP BY Fact.v");
   ASSERT_TRUE(explain.ok()) << explain.status().ToString();
-  EXPECT_NE(explain->find("GroupAggregate"), std::string::npos) << *explain;
+  EXPECT_NE(explain->find("HashGroup"), std::string::npos) << *explain;
   // Planned afresh each time: a repeat answers alike.
   const std::string sql =
       "SELECT Fact.v, SUM(Fact.h) FROM Fact WHERE Fact.h < 42 "

@@ -237,9 +237,8 @@ TEST_F(OperatorPipelineTest, ExplainShowsPipeline) {
       "ORDER BY T1.v LIMIT 4");
   ASSERT_TRUE(text.ok()) << text.status().ToString();
   EXPECT_NE(text->find("pipeline"), std::string::npos);
-  EXPECT_NE(text->find("Limit"), std::string::npos);
-  EXPECT_NE(text->find("Sort"), std::string::npos);
-  EXPECT_NE(text->find("Distinct"), std::string::npos);
+  EXPECT_NE(text->find("Sort top 4"), std::string::npos);
+  EXPECT_NE(text->find("HashGroup"), std::string::npos);
   EXPECT_NE(text->find("SJoin"), std::string::npos);
   EXPECT_NE(text->find("VisSelect"), std::string::npos);
 }
@@ -298,9 +297,8 @@ TEST_F(OperatorPipelineTest, ExplainShowsWhichNodesRunOnUntrusted) {
   EXPECT_NE(grouped->find("visible-only"), std::string::npos) << *grouped;
   EXPECT_NE(grouped->find("keyed by position"), std::string::npos);
   EXPECT_NE(grouped->find("-> VisResult\n"), std::string::npos) << *grouped;
-  EXPECT_NE(grouped->find("TopKSort 5 (fused Sort+Limit) [Untrusted]"),
-            std::string::npos);
-  EXPECT_NE(grouped->find("GroupAggregate [Untrusted]"), std::string::npos);
+  EXPECT_NE(grouped->find("Sort top 5 [Untrusted]"), std::string::npos);
+  EXPECT_NE(grouped->find("HashGroup [Untrusted]"), std::string::npos);
   EXPECT_NE(grouped->find("VisProject [Untrusted]"), std::string::npos);
   EXPECT_EQ(grouped->find("VisSelect"), std::string::npos);
   auto scan = db.Explain("SELECT T0.id, T0.v FROM T0 WHERE T0.v < 50 LIMIT 5");

@@ -37,7 +37,7 @@ class UntrustedTest : public ::testing::Test {
         false};
     EXPECT_TRUE(schema_.AddTable(def).ok());
     EXPECT_TRUE(schema_.Finalize().ok());
-    engine_ = std::make_unique<UntrustedEngine>(&schema_, &channel_);
+    engine_ = std::make_unique<UntrustedEngine>(&schema_, &channel_, &pool_);
     LoadPeople(engine_.get());
   }
 
@@ -76,6 +76,7 @@ class UntrustedTest : public ::testing::Test {
   SimClock clock_;
   device::Channel channel_;
   catalog::Schema schema_;
+  exec::ThreadPool pool_{1};
   std::unique_ptr<UntrustedEngine> engine_;
 };
 
@@ -114,8 +115,10 @@ TEST_F(UntrustedTest, SelectIdsAreSorted) {
 }
 
 TEST_F(UntrustedTest, ProjectionPayloadLayout) {
-  auto payload = engine_->store().Project(
-      0, {Pred(0, catalog::CompareOp::kEq, Value::Int32(25))}, {0, 1});
+  auto ids = engine_->store().SelectIds(
+      0, {Pred(0, catalog::CompareOp::kEq, Value::Int32(25))});
+  ASSERT_TRUE(ids.ok());
+  auto payload = engine_->store().Project(0, *ids, {0, 1});
   ASSERT_TRUE(payload.ok());
   EXPECT_EQ(payload->rows, 2u);
   EXPECT_EQ(payload->row_width, 4u + 4u + 8u);
@@ -125,6 +128,8 @@ TEST_F(UntrustedTest, ProjectionPayloadLayout) {
             Value::Int32(25));
   EXPECT_EQ(Value::Decode(payload->bytes.data() + 8, DataType::kString, 8),
             Value::String("City2"));
+  // An id past the partition is refused, never gathered.
+  EXPECT_TRUE(engine_->store().Project(0, {100}, {0}).status().IsOutOfRange());
 }
 
 TEST_F(UntrustedTest, HiddenColumnAccessRefused) {
@@ -195,7 +200,7 @@ TEST_F(UntrustedTest, EngineChargesChannelForServedData) {
   // The paper's raw format: 4 bytes per id.
   SimClock raw_clock;
   device::Channel raw_channel(&raw_clock, 1.5e6, device::WireFormat::kRaw);
-  UntrustedEngine raw_engine(&schema_, &raw_channel);
+  UntrustedEngine raw_engine(&schema_, &raw_channel, &pool_);
   LoadPeople(&raw_engine);
   auto raw_prefetch = raw_engine.PrefetchVisible(*bound);
   ASSERT_TRUE(raw_prefetch.ok());
@@ -252,7 +257,7 @@ TEST_F(UntrustedTest, ServedMessagesArePureFunctionsOfVisibleData) {
   // carried other traffic: each engine prepares on its own.
   SimClock clock2;
   device::Channel channel2(&clock2, 1.5e6);
-  UntrustedEngine engine2(&schema_, &channel2);
+  UntrustedEngine engine2(&schema_, &channel2, &pool_);
   LoadPeople(&engine2);
   engine2.ReceiveQuery("SELECT People.id FROM People");
   auto prefetch = engine_->PrefetchVisible(*bound);
