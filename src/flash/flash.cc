@@ -1,8 +1,11 @@
 #include "flash/flash.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <new>
 
 #include "crypto/chacha20.h"
 #include "device/fault_injector.h"
@@ -10,8 +13,21 @@
 namespace ghostdb::flash {
 
 namespace {
+
 constexpr uint32_t kUnmapped = std::numeric_limits<uint32_t>::max();
+
+// Derives a per-(physical page, epoch) nonce so rewrites never reuse
+// keystream.
+void PageNonce(uint32_t ppn, uint32_t epoch, uint8_t nonce[12]) {
+  std::memset(nonce, 0, 12);
+  for (int i = 0; i < 4; ++i) {
+    nonce[i] = static_cast<uint8_t>(ppn >> (8 * i));
+    nonce[4 + i] = static_cast<uint8_t>(epoch >> (8 * i));
+  }
+  nonce[8] = 0x67;  // domain separation tag "g"
 }
+
+}  // namespace
 
 FlashStats FlashStats::operator-(const FlashStats& rhs) const {
   FlashStats d;
@@ -28,8 +44,12 @@ FlashStats FlashStats::operator-(const FlashStats& rhs) const {
 enum class PageState : uint8_t { kFree, kValid, kDead };
 
 struct FlashDevice::Impl {
-  // Physical storage: one contiguous byte array, page-strided.
-  std::vector<uint8_t> cells;
+  // Host copy of the NAND cells, indexed by logical page: page `lpn` holds
+  // the bytes programmed at l2p[lpn]. An anonymous private mapping, so no
+  // byte is touched at construction and only pages ever written become
+  // resident; a rewrite lands on the bytes of the version it replaces.
+  uint8_t* cells = nullptr;
+  size_t cells_bytes = 0;
   std::vector<PageState> page_state;     // per physical page
   std::vector<uint32_t> l2p;             // logical -> physical (kUnmapped)
   std::vector<uint32_t> p2l;             // physical -> logical (kUnmapped)
@@ -42,8 +62,23 @@ struct FlashDevice::Impl {
   uint32_t total_blocks = 0;
   std::optional<std::array<uint8_t, 32>> cipher_key;
 
-  uint32_t PagesPerBlock(const FlashConfig& c) const {
-    return c.pages_per_block;
+  ~Impl() {
+    if (cells != nullptr) munmap(cells, cells_bytes);
+  }
+
+  uint8_t* Cell(uint32_t lpn, uint32_t page_size) const {
+    return cells + static_cast<uint64_t>(lpn) * page_size;
+  }
+
+  // XORs the keystream of physical page `ppn` at its current epoch over
+  // `len` bytes of that page starting at `offset` (encrypt and decrypt are
+  // the same operation). No-op without a key.
+  void Crypt(uint32_t ppn, uint8_t* data, uint32_t len,
+             uint32_t offset = 0) const {
+    if (!cipher_key.has_value()) return;
+    uint8_t nonce[12];
+    PageNonce(ppn, page_epoch[ppn], nonce);
+    crypto::ChaCha20(cipher_key->data(), nonce).Crypt(data, len, offset);
   }
 };
 
@@ -55,7 +90,14 @@ FlashDevice::FlashDevice(FlashConfig config, SimClock* clock)
   impl_->total_blocks = logical_blocks + config_.spare_blocks;
   uint64_t physical_pages =
       static_cast<uint64_t>(impl_->total_blocks) * config_.pages_per_block;
-  impl_->cells.assign(physical_pages * config_.page_size, 0);
+  impl_->cells_bytes =
+      static_cast<size_t>(config_.logical_pages) * config_.page_size;
+  if (impl_->cells_bytes > 0) {
+    void* cells = mmap(nullptr, impl_->cells_bytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (cells == MAP_FAILED) throw std::bad_alloc();
+    impl_->cells = static_cast<uint8_t*>(cells);
+  }
   impl_->page_state.assign(physical_pages, PageState::kFree);
   impl_->l2p.assign(config_.logical_pages, kUnmapped);
   impl_->p2l.assign(physical_pages, kUnmapped);
@@ -78,8 +120,7 @@ const uint8_t* FlashDevice::StoredPage(uint32_t lpn) const {
   if (lpn >= config_.logical_pages || impl_->l2p[lpn] == kUnmapped) {
     return nullptr;
   }
-  return impl_->cells.data() +
-         static_cast<uint64_t>(impl_->l2p[lpn]) * config_.page_size;
+  return impl_->Cell(lpn, config_.page_size);
 }
 
 uint32_t FlashDevice::max_block_erases() const {
@@ -95,21 +136,6 @@ uint32_t FlashDevice::live_pages() const {
   }
   return live;
 }
-
-namespace {
-
-// Derives a per-(physical page, epoch) nonce so rewrites never reuse
-// keystream.
-void PageNonce(uint32_t ppn, uint32_t epoch, uint8_t nonce[12]) {
-  std::memset(nonce, 0, 12);
-  for (int i = 0; i < 4; ++i) {
-    nonce[i] = static_cast<uint8_t>(ppn >> (8 * i));
-    nonce[4 + i] = static_cast<uint8_t>(epoch >> (8 * i));
-  }
-  nonce[8] = 0x67;  // domain separation tag "g"
-}
-
-}  // namespace
 
 Status FlashDevice::ReadPage(uint32_t lpn, uint8_t* dst, uint32_t offset,
                              uint32_t len) {
@@ -133,16 +159,9 @@ Status FlashDevice::ReadPage(uint32_t lpn, uint8_t* dst, uint32_t offset,
     std::memset(dst, 0, len);
     return Status::OK();
   }
-  std::memcpy(dst,
-              impl_->cells.data() +
-                  static_cast<uint64_t>(ppn) * config_.page_size + offset,
-              len);
-  if (impl_->cipher_key.has_value()) {
-    // Decrypt the needed slice only (the stream cipher gives random access).
-    uint8_t nonce[12];
-    PageNonce(ppn, impl_->page_epoch[ppn], nonce);
-    crypto::ChaCha20(impl_->cipher_key->data(), nonce).Crypt(dst, len, offset);
-  }
+  std::memcpy(dst, impl_->Cell(lpn, config_.page_size) + offset, len);
+  // Decrypt the needed slice only (the stream cipher gives random access).
+  impl_->Crypt(ppn, dst, len, offset);
   return Status::OK();
 }
 
@@ -189,36 +208,23 @@ Status FlashDevice::WritePage(uint32_t lpn, const uint8_t* src) {
           return Status::ResourceExhausted(
               "flash full: all blocks fully valid");
         }
-        // The victim's valid pages must move, but the frontier is full;
-        // erase the victim after relocating into... we need a destination.
-        // Classic chicken-and-egg is avoided by always keeping >= 1 spare
-        // block; relocate into the erased victim itself is impossible, so we
-        // first erase victim copies into a scratch list held in the
-        // controller's internal SRAM (page-at-a-time), which costs a read
-        // and a program per valid page.
-        std::vector<std::pair<uint32_t, std::vector<uint8_t>>> relocated;
+        // Relocate the victim's valid pages into the victim itself: the
+        // controller reads each into its data register, erases the block,
+        // and programs them back into its first slots, a read and a program
+        // per valid page. The host keeps a page's bytes at its logical page,
+        // so relocation only remaps; under at-rest encryption it re-keys
+        // each page from its old (ppn, epoch) to its new one.
+        std::vector<uint32_t> moved;  // logical pages, in victim order
         for (uint32_t i = 0; i < config_.pages_per_block; ++i) {
           uint32_t ppn = victim * config_.pages_per_block + i;
           if (impl_->page_state[ppn] != PageState::kValid) continue;
-          std::vector<uint8_t> data(config_.page_size);
-          // Controller-internal copy: page read into the data register.
           stats_.pages_read += 1;
           stats_.gc_page_copies += 1;
           clock_->Advance(config_.read_page_latency);
-          std::memcpy(data.data(),
-                      impl_->cells.data() +
-                          static_cast<uint64_t>(ppn) * config_.page_size,
-                      config_.page_size);
-          // Keep ciphertext as-is; epoch travels with the data.
-          relocated.emplace_back(
-              impl_->p2l[ppn],
-              std::move(data));
-          relocated.back().second.push_back(0);  // placeholder epoch marker
-          // Store epoch in the trailing 4 bytes of an extended buffer.
-          relocated.back().second.resize(config_.page_size + 4);
-          uint32_t epoch = impl_->page_epoch[ppn];
-          std::memcpy(relocated.back().second.data() + config_.page_size,
-                      &epoch, 4);
+          uint32_t logical = impl_->p2l[ppn];
+          impl_->Crypt(ppn, impl_->Cell(logical, config_.page_size),
+                       config_.page_size);
+          moved.push_back(logical);
         }
         // Erase the victim.
         for (uint32_t i = 0; i < config_.pages_per_block; ++i) {
@@ -230,16 +236,12 @@ Status FlashDevice::WritePage(uint32_t lpn, const uint8_t* src) {
         impl_->block_erases[victim] += 1;
         stats_.blocks_erased += 1;
         clock_->Advance(config_.erase_block_latency);
-        // Re-program relocated pages into the victim block itself.
         uint32_t slot = 0;
-        for (auto& [logical, data] : relocated) {
+        for (uint32_t logical : moved) {
           uint32_t ppn = victim * config_.pages_per_block + slot++;
-          std::memcpy(impl_->cells.data() +
-                          static_cast<uint64_t>(ppn) * config_.page_size,
-                      data.data(), config_.page_size);
-          uint32_t epoch;
-          std::memcpy(&epoch, data.data() + config_.page_size, 4);
-          impl_->page_epoch[ppn] = epoch;
+          impl_->page_epoch[ppn] += 1;
+          impl_->Crypt(ppn, impl_->Cell(logical, config_.page_size),
+                       config_.page_size);
           impl_->page_state[ppn] = PageState::kValid;
           impl_->p2l[ppn] = logical;
           impl_->l2p[logical] = ppn;
@@ -290,16 +292,10 @@ Status FlashDevice::WritePage(uint32_t lpn, const uint8_t* src) {
                   static_cast<SimNanos>(config_.page_size) *
                       config_.byte_transfer_latency);
 
-  uint8_t* cell =
-      impl_->cells.data() + static_cast<uint64_t>(ppn) * config_.page_size;
+  uint8_t* cell = impl_->Cell(lpn, config_.page_size);
   std::memcpy(cell, src, config_.page_size);
   impl_->page_epoch[ppn] += 1;
-  if (impl_->cipher_key.has_value()) {
-    uint8_t nonce[12];
-    PageNonce(ppn, impl_->page_epoch[ppn], nonce);
-    crypto::ChaCha20(impl_->cipher_key->data(), nonce)
-        .Crypt(cell, config_.page_size);
-  }
+  impl_->Crypt(ppn, cell, config_.page_size);
   impl_->page_state[ppn] = PageState::kValid;
   impl_->p2l[ppn] = lpn;
   impl_->l2p[lpn] = ppn;

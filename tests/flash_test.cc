@@ -1,6 +1,7 @@
 // Flash simulator tests: cost model exactness, FTL remapping, garbage
 // collection, wear leveling, at-rest encryption.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cstring>
 #include <vector>
@@ -200,6 +201,7 @@ TEST(FlashTest, TrimFreesLogicalPage) {
   EXPECT_EQ(dev.live_pages(), 1u);
   ASSERT_TRUE(dev.Trim(7).ok());
   EXPECT_EQ(dev.live_pages(), 0u);
+  EXPECT_EQ(dev.StoredPage(7), nullptr);
   EXPECT_EQ(dev.stats().trims, 1u);
   std::vector<uint8_t> back(2048, 0xFF);
   ASSERT_TRUE(dev.ReadFullPage(7, back.data()).ok());
@@ -227,6 +229,55 @@ TEST(FlashTest, GcCopiesAreCharged) {
   }
   EXPECT_GT(tight.stats().blocks_erased, 0u);
   EXPECT_GT(tight.stats().gc_page_copies, 0u);
+}
+
+TEST(FlashTest, EncryptedRelocatedPagesReadBack) {
+  // GcCopiesAreCharged's workload under a key: GC moves valid pages to new
+  // slots, so each must be re-encrypted under its new (ppn, epoch).
+  SimClock clock;
+  auto cfg = SmallConfig();
+  cfg.spare_blocks = 1;
+  cfg.cipher_key = std::array<uint8_t, 32>{{3, 1, 4, 1, 5}};
+  FlashDevice dev(cfg, &clock);
+  std::vector<uint8_t> seed_of(cfg.logical_pages);
+  for (uint32_t lpn = 0; lpn < cfg.logical_pages; ++lpn) {
+    seed_of[lpn] = static_cast<uint8_t>(lpn);
+    auto page = PatternPage(2048, seed_of[lpn]);
+    ASSERT_TRUE(dev.WritePage(lpn, page.data()).ok());
+  }
+  for (int round = 0; round < 40; ++round) {
+    for (uint32_t lpn = 0; lpn < 6; ++lpn) {
+      seed_of[lpn] = static_cast<uint8_t>(100 + round * 6 + lpn);
+      auto page = PatternPage(2048, seed_of[lpn]);
+      ASSERT_TRUE(dev.WritePage(lpn, page.data()).ok())
+          << "round " << round << " lpn " << lpn;
+    }
+  }
+  ASSERT_GT(dev.stats().gc_page_copies, 0u);
+  std::vector<uint8_t> back(2048);
+  for (uint32_t lpn = 0; lpn < cfg.logical_pages; ++lpn) {
+    ASSERT_TRUE(dev.ReadFullPage(lpn, back.data()).ok());
+    EXPECT_EQ(back, PatternPage(2048, seed_of[lpn])) << "lpn " << lpn;
+  }
+}
+
+TEST(FlashTest, ConstructionTouchesNoCells) {
+  // A default 256K-page device (512 MiB of cells) makes resident only its
+  // FTL tables and the pages actually written.
+  auto minor_faults = [] {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_minflt;
+  };
+  const long before = minor_faults();
+  SimClock clock;
+  FlashDevice dev(FlashConfig{}, &clock);
+  auto page = PatternPage(2048, 21);
+  ASSERT_TRUE(dev.WritePage(200000, page.data()).ok());
+  std::vector<uint8_t> back(2048);
+  ASSERT_TRUE(dev.ReadFullPage(200000, back.data()).ok());
+  EXPECT_EQ(back, page);
+  EXPECT_LT(minor_faults() - before, 4096);
 }
 
 TEST(FlashTest, WearLevelingSpreadsErases) {
