@@ -2,6 +2,7 @@
 // Every source exposes one-element lookahead (head) over ascending RowIds.
 #pragma once
 
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -28,7 +29,7 @@ class IdSource {
 /// communication buffer, costing no RAM buffers — paper section 3.4).
 class VectorIdSource final : public IdSource {
  public:
-  explicit VectorIdSource(std::vector<catalog::RowId> ids)
+  explicit VectorIdSource(std::vector<catalog::RowId>&& ids)
       : ids_(std::move(ids)) {}
   Status Prime() override { return Status::OK(); }
   bool valid() const override { return pos_ < ids_.size(); }
@@ -91,6 +92,49 @@ class IotaIdSource final : public IdSource {
  private:
   catalog::RowId n_;
   catalog::RowId next_ = 0;
+};
+
+/// The set bits of an id bitmap in RAM (the Merge's plan C): bit i of
+/// 64-bit word w is id 64 * w + i. Scanned word by word, skipping empty
+/// words; costs no I/O. `map` (`words` words) must outlive the source.
+class BitmapIdSource final : public IdSource {
+ public:
+  BitmapIdSource(const uint8_t* map, uint64_t words)
+      : map_(map), words_(words) {}
+  Status Prime() override {
+    word_ = words_ > 0 ? Word(0) : 0;
+    return Advance();
+  }
+  bool valid() const override { return valid_; }
+  catalog::RowId head() const override { return head_; }
+  Status Advance() override {
+    while (word_ == 0) {
+      if (index_ + 1 >= words_) {
+        valid_ = false;
+        return Status::OK();
+      }
+      word_ = Word(++index_);
+    }
+    head_ = static_cast<catalog::RowId>(
+        index_ * 64 + static_cast<uint64_t>(__builtin_ctzll(word_)));
+    word_ &= word_ - 1;
+    valid_ = true;
+    return Status::OK();
+  }
+
+ private:
+  uint64_t Word(uint64_t index) const {
+    uint64_t word;
+    std::memcpy(&word, map_ + index * 8, 8);
+    return word;
+  }
+
+  const uint8_t* map_;
+  uint64_t words_;
+  uint64_t index_ = 0;
+  uint64_t word_ = 0;  ///< bits of word `index_` not yet returned
+  catalog::RowId head_ = 0;
+  bool valid_ = false;
 };
 
 }  // namespace ghostdb::exec

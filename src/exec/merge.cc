@@ -1,7 +1,10 @@
 #include "exec/merge.h"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
+
+#include "common/coding.h"
 
 namespace ghostdb::exec {
 
@@ -9,18 +12,25 @@ using catalog::RowId;
 
 namespace {
 
-/// Extra partial loads reading `span` through `window`-byte windows costs
-/// over full-page loads: ceil(segment / window) - 1 per page segment.
-uint64_t ExtraWindowLoads(const StreamSpan& span, uint64_t window,
-                          uint64_t page) {
+/// Loads reading `span` through `window`-byte windows takes:
+/// ceil(segment / window) per page segment (a full-page window loads each
+/// segment once).
+uint64_t WindowLoads(const StreamSpan& span, uint64_t window, uint64_t page) {
   if (span.bytes == 0) return 0;
-  auto extra = [&](uint64_t segment) {
-    return (segment + window - 1) / window - 1;
+  auto loads = [&](uint64_t segment) {
+    return (segment + window - 1) / window;
   };
   uint64_t first = std::min(span.bytes, page - span.offset % page);
   uint64_t rest = span.bytes - first;
-  uint64_t loads = extra(first) + rest / page * extra(page);
-  if (rest % page != 0) loads += extra(rest % page);
+  uint64_t total = loads(first) + rest / page * loads(page);
+  if (rest % page != 0) total += loads(rest % page);
+  return total;
+}
+
+/// Page loads reading every span once through a full page.
+uint64_t PageLoads(const std::vector<StreamSpan>& spans, uint64_t page) {
+  uint64_t loads = 0;
+  for (const StreamSpan& span : spans) loads += WindowLoads(span, page, page);
   return loads;
 }
 
@@ -117,6 +127,53 @@ std::vector<StreamSpan> FlashSpans(const MergeGroup& group) {
   return spans;
 }
 
+/// Ids [begin, end) of one postings area.
+struct AreaRange {
+  const storage::RunRef* area;
+  uint64_t begin;
+  uint64_t end;
+};
+
+/// A group's sublists as plan C reads them: per postings area (in order of
+/// first appearance), sorted by offset, with adjacent or overlapping ranges
+/// coalesced, so a page segment several sublists share loads once.
+std::vector<AreaRange> CoalescedSublists(const MergeGroup& group) {
+  std::vector<const storage::RunRef*> areas;
+  std::vector<std::pair<size_t, AreaRange>> ranges;
+  for (const auto& [area, range] : group.sublists) {
+    if (range.count == 0) continue;
+    size_t rank = std::find(areas.begin(), areas.end(), area) - areas.begin();
+    if (rank == areas.size()) areas.push_back(area);
+    ranges.push_back({rank, {area, range.start,
+                             uint64_t{range.start} + range.count}});
+  }
+  std::sort(ranges.begin(), ranges.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first < b.first
+                              : a.second.begin < b.second.begin;
+  });
+  std::vector<AreaRange> out;
+  for (const auto& [rank, r] : ranges) {
+    if (!out.empty() && out.back().area == r.area &&
+        r.begin <= out.back().end) {
+      out.back().end = std::max(out.back().end, r.end);
+    } else {
+      out.push_back(r);
+    }
+  }
+  return out;
+}
+
+/// The byte spans plan C reads for a group: its coalesced sublists and its
+/// runs.
+std::vector<StreamSpan> BitmapSpans(const MergeGroup& group) {
+  std::vector<StreamSpan> spans;
+  for (const AreaRange& r : CoalescedSublists(group)) {
+    spans.push_back({r.begin * 4, (r.end - r.begin) * 4});
+  }
+  for (const auto& run : group.runs) spans.push_back({0, run.bytes});
+  return spans;
+}
+
 }  // namespace
 
 MergeAlternative ChooseMergeAlternative(
@@ -125,12 +182,12 @@ MergeAlternative ChooseMergeAlternative(
   uint64_t page = flash.page_size;
   SimNanos rewrite = flash.read_page_latency + flash.write_page_latency +
                      2 * page * flash.byte_transfer_latency;
-  MergeAlternative full{buffers, 0};
   MergeReduction full_plan = reduce(buffers);
-  if (full_plan.feasible && full_plan.pages_written == 0) return full;
-  SimNanos full_cost = full_plan.feasible
-                           ? full_plan.pages_written * rewrite
-                           : std::numeric_limits<SimNanos>::max();
+  MergeAlternative full{buffers, 0,
+                        full_plan.feasible
+                            ? full_plan.pages_written * rewrite
+                            : std::numeric_limits<SimNanos>::max()};
+  if (full.cost == 0) return full;
   size_t window_cap = buffers * page / kMinSpillWindowBytes;
   MergeReduction window_plan = reduce(window_cap);
   // At or under one stream per buffer the windows are whole pages: plan B
@@ -142,12 +199,12 @@ MergeAlternative ChooseMergeAlternative(
       (buffers * page / window_plan.streams.size()) & ~uint64_t{3};
   uint64_t loads = 0;
   for (const StreamSpan& span : window_plan.streams) {
-    loads += ExtraWindowLoads(span, window, page);
+    loads += WindowLoads(span, window, page) - WindowLoads(span, page, page);
   }
   SimNanos window_cost = window_plan.pages_written * rewrite +
                          loads * flash.read_page_latency;
-  if (window_cost < full_cost) {
-    return {window_cap, static_cast<uint32_t>(window)};
+  if (window_cost < full.cost) {
+    return {window_cap, static_cast<uint32_t>(window), window_cost};
   }
   return full;
 }
@@ -273,15 +330,13 @@ Status MergeExec::ReduceGroup(MergeGroup* group, size_t target_streams) {
 }
 
 MergeReduction MergeExec::ModelReduction(
-    const std::vector<MergeGroup>& groups, size_t stream_cap) const {
+    std::vector<std::vector<StreamSpan>> spans, size_t stream_cap) const {
   // ReduceGroup's I/O, replayed on stream sizes: pass 1 writes every id of
   // the group in sort-area chunks ((free - 2) buffers each); pass 2 merges
   // the first `fan_in` runs into one until the target is met.
   MergeReduction model;
   uint64_t page = device_->config().page_size;
   uint32_t free = ram_->free_buffers();
-  std::vector<std::vector<StreamSpan>> spans;
-  for (const auto& g : groups) spans.push_back(FlashSpans(g));
   auto reduce = [&](size_t gi, size_t target) -> Status {
     if (free < 3) return Status::ResourceExhausted("too few buffers");
     uint64_t bytes = 0;
@@ -311,7 +366,7 @@ MergeReduction MergeExec::ModelReduction(
   };
   model.feasible =
       ReduceFattestGroups(
-          groups.size(), stream_cap,
+          spans.size(), stream_cap,
           [&](size_t gi) { return spans[gi].size(); }, reduce)
           .ok();
   for (const auto& group_spans : spans) {
@@ -321,8 +376,55 @@ MergeReduction MergeExec::ModelReduction(
   return model;
 }
 
+Status MergeExec::BuildBitmap(MergeGroup* group, uint64_t universe,
+                              uint8_t* map, uint8_t* read_buf) {
+  auto set = [&](RowId id) -> Status {
+    if (id >= universe) {
+      return Status::Internal("merge: an id lies outside its table's rows");
+    }
+    uint8_t* at = map + uint64_t{id} / 64 * 8;
+    uint64_t word;
+    std::memcpy(&word, at, 8);
+    word |= uint64_t{1} << (id % 64);
+    std::memcpy(at, &word, 8);
+    return Status::OK();
+  };
+  // Each page segment of the coalesced sublists loads once; like
+  // storage::PostingCursor, only the bytes in range are transferred.
+  uint64_t ids_per_page = device_->config().page_size / 4;
+  for (const AreaRange& r : CoalescedSublists(*group)) {
+    for (uint64_t elem = r.begin; elem < r.end;) {
+      uint64_t in_page = elem % ids_per_page;
+      uint64_t count = std::min(r.end - elem, ids_per_page - in_page);
+      GHOSTDB_RETURN_NOT_OK(device_->ReadPage(
+          r.area->PageAt(static_cast<uint32_t>(elem / ids_per_page)),
+          read_buf, static_cast<uint32_t>(in_page * 4),
+          static_cast<uint32_t>(count * 4)));
+      for (uint64_t i = 0; i < count; ++i) {
+        GHOSTDB_RETURN_NOT_OK(set(DecodeFixed32(read_buf + i * 4)));
+      }
+      elem += count;
+    }
+  }
+  group->sublists.clear();
+  for (auto& run : group->runs) {
+    RunIdSource src(device_, run, read_buf);
+    GHOSTDB_RETURN_NOT_OK(src.Prime());
+    while (src.valid()) {
+      GHOSTDB_RETURN_NOT_OK(set(src.head()));
+      GHOSTDB_RETURN_NOT_OK(src.Advance());
+    }
+    GHOSTDB_RETURN_NOT_OK(storage::FreeRun(allocator_, run, "merge-tmp"));
+    run = storage::RunRef{};  // freed: Run()'s sweep must skip it
+  }
+  group->runs.clear();
+  stats_.bitmap_groups += 1;
+  return Status::OK();
+}
+
 Status MergeExec::StreamingMerge(
     std::vector<MergeGroup>& groups,
+    std::vector<std::unique_ptr<IdSource>> maps,
     const std::function<Status(RowId)>& sink, uint32_t usable_buffers,
     uint32_t window_bytes) {
   size_t total_streams = 0;
@@ -352,6 +454,7 @@ Status MergeExec::StreamingMerge(
   for (size_t gi = 0; gi < groups.size(); ++gi) {
     auto& g = groups[gi];
     std::vector<std::unique_ptr<IdSource>> sources;
+    if (maps[gi] != nullptr) sources.push_back(std::move(maps[gi]));
     for (const auto& [area, range] : g.sublists) {
       sources.push_back(std::make_unique<PostingIdSource>(
           device_, area, range, next_window(), window_bytes));
@@ -361,7 +464,8 @@ Status MergeExec::StreamingMerge(
           device_, run, next_window(), window_bytes));
     }
     if (g.has_ram_ids) {
-      sources.push_back(std::make_unique<VectorIdSource>(g.ram_ids));
+      sources.push_back(
+          std::make_unique<VectorIdSource>(std::move(g.ram_ids)));
     }
     if (g.has_iota) {
       sources.push_back(std::make_unique<IotaIdSource>(g.iota_n));
@@ -391,7 +495,7 @@ Status MergeExec::StreamingMerge(
   }
 }
 
-Status MergeExec::Run(std::vector<MergeGroup> groups,
+Status MergeExec::Run(std::vector<MergeGroup> groups, uint64_t universe,
                       const std::function<Status(RowId)>& sink,
                       uint32_t reserve_buffers) {
   if (groups.empty()) return Status::OK();
@@ -400,16 +504,90 @@ Status MergeExec::Run(std::vector<MergeGroup> groups,
     return Status::ResourceExhausted("merge has no usable RAM buffers");
   }
   uint32_t usable = ram_->free_buffers() - reserve_buffers;
-  MergeAlternative plan = ChooseMergeAlternative(
-      device_->config(), usable,
-      [&](size_t cap) { return ModelReduction(groups, cap); });
+  const flash::FlashConfig& flash = device_->config();
+
+  // Plan C candidates: groups of two or more flash streams, fattest first.
+  // Bitmapping the first k costs their coalesced page loads; the other
+  // groups' streams take plan A or B on the buffers the maps leave, and
+  // cost their own page loads plus that plan's rewrites and extra loads.
+  std::vector<size_t> fattest;
+  std::vector<std::vector<StreamSpan>> spans;
+  for (size_t gi = 0; gi < groups.size(); ++gi) {
+    if (groups[gi].FlashStreams() >= 2) fattest.push_back(gi);
+    spans.push_back(FlashSpans(groups[gi]));
+  }
+  std::stable_sort(fattest.begin(), fattest.end(), [&](size_t a, size_t b) {
+    return groups[a].FlashStreams() > groups[b].FlashStreams();
+  });
+  uint64_t map_words = (universe + 63) / 64;
+  uint64_t map_buffers =
+      (map_words * 8 + ram_->buffer_size() - 1) / ram_->buffer_size();
+  auto price = [&](size_t k, MergeAlternative* rest) {
+    std::vector<std::vector<StreamSpan>> left = spans;
+    uint64_t loads = 0;
+    for (size_t i = 0; i < k; ++i) {
+      left[fattest[i]].clear();
+      loads += PageLoads(BitmapSpans(groups[fattest[i]]), flash.page_size);
+    }
+    for (const auto& group_spans : left) {
+      loads += PageLoads(group_spans, flash.page_size);
+    }
+    *rest = ChooseMergeAlternative(
+        flash, usable - k * map_buffers,
+        [&](size_t cap) { return ModelReduction(left, cap); });
+    if (rest->cost == std::numeric_limits<SimNanos>::max()) return rest->cost;
+    return rest->cost + loads * flash.read_page_latency;
+  };
+  MergeAlternative plan;
+  SimNanos best = price(0, &plan);
+  size_t bitmapped = 0;
+  for (size_t k = 1; universe > 0 && k <= fattest.size() &&
+                     k * map_buffers + 1 <= usable;
+       ++k) {
+    MergeAlternative rest;
+    SimNanos cost = price(k, &rest);
+    if (cost < best) {
+      best = cost;
+      plan = rest;
+      bitmapped = k;
+    }
+  }
+  std::vector<bool> to_map(groups.size(), false);
+  for (size_t i = 0; i < bitmapped; ++i) to_map[fattest[i]] = true;
+
+  // Reductions first, with the maps' RAM still free (as priced).
   GHOSTDB_RETURN_NOT_OK(ReduceFattestGroups(
       groups.size(), plan.stream_cap,
-      [&](size_t gi) { return groups[gi].FlashStreams(); },
+      [&](size_t gi) { return to_map[gi] ? 0 : groups[gi].FlashStreams(); },
       [&](size_t gi, size_t allowance) {
         return ReduceGroup(&groups[gi], allowance);
       }));
-  return StreamingMerge(groups, sink, usable, plan.window_bytes);
+  device::RamGuard map_ram;  // outlives the BitmapIdSources over it
+  std::vector<std::unique_ptr<IdSource>> maps(groups.size());
+  if (bitmapped > 0) {
+    // The maps first, the read buffer after them: releasing it leaves the
+    // free buffers contiguous for the streams.
+    GHOSTDB_ASSIGN_OR_RETURN(
+        map_ram, device::RamGuard::Acquire(
+                     ram_, static_cast<uint32_t>(bitmapped * map_buffers),
+                     "merge-bitmap"));
+    GHOSTDB_ASSIGN_OR_RETURN(
+        device::RamGuard read_buf,
+        device::RamGuard::AcquireOne(ram_, "merge-bitmap-read"));
+    std::memset(map_ram.data(), 0, map_ram.size());
+    uint8_t* map = map_ram.data();
+    for (size_t gi = 0; gi < groups.size(); ++gi) {
+      if (!to_map[gi]) continue;
+      GHOSTDB_RETURN_NOT_OK(
+          BuildBitmap(&groups[gi], universe, map, read_buf.data()));
+      maps[gi] = std::make_unique<BitmapIdSource>(map, map_words);
+      map += map_buffers * ram_->buffer_size();
+    }
+  }
+  return StreamingMerge(
+      groups, std::move(maps), sink,
+      usable - static_cast<uint32_t>(bitmapped * map_buffers),
+      plan.window_bytes);
   }();
 
   // Consume input runs — reached on error paths too, so a faulted merge

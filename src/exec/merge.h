@@ -2,15 +2,20 @@
 //   (L1 ∩ L2 ∩ ... ∩ Lk)    where each Li = (Li1 ∪ Li2 ∪ ... ∪ Lij)
 // over sorted id (sub)lists, in bounded RAM.
 //
-// Every flash-resident sublist/run streams through RAM. When the streams
+// Every flash-resident sublist/run is read into RAM. When the streams
 // outnumber the buffers available, the paper gives Merge two alternatives:
-// a REDUCTION PHASE (alternative 1: load as many ids of one group as fit
-// in RAM, sort them, write them back as one sorted run, and repeat until
-// the streams fit) and SUB-BUFFER SPLITTING (alternative 2: stream every
-// list through a slice of a buffer, loading each page in several partial
-// reads). ChooseMergeAlternative prices both from the flash latencies and
-// picks the cheaper; MergeExec and the relational tail's sorter
-// (ExternalRowSorter) both follow it.
+// a REDUCTION PHASE (plan A: load as many ids of one group as fit in RAM,
+// sort them, write them back as one sorted run, and repeat until the
+// streams fit) and SUB-BUFFER SPLITTING (plan B: stream every list through
+// a slice of a buffer, loading each page in several partial reads).
+// ChooseMergeAlternative prices both from the flash latencies and picks the
+// cheaper; MergeExec and the relational tail's sorter (ExternalRowSorter)
+// both follow it. MergeExec has a third, the BITMAP UNION (plan C): when the
+// merge level's id universe [0, N) fits in RAM as an N-bit map, a group of
+// two or more flash streams is read once, page segment by page segment, into
+// the map — nothing is written and no page segment is loaded twice — and
+// the map joins the intersection as one sorted stream. MergeExec prices C
+// against A/B over the same page loads and takes it only when cheaper.
 #pragma once
 
 #include <functional>
@@ -74,6 +79,10 @@ struct MergeReduction {
 struct MergeAlternative {
   size_t stream_cap = 0;
   uint32_t window_bytes = 0;
+  /// What the pick costs over reading every stream once through a full
+  /// page: its rewrites plus its extra window loads. The largest SimNanos
+  /// when neither plan can run (too few buffers).
+  SimNanos cost = 0;
 };
 
 /// The paper's §3.4 choice for a merge of more sorted streams than its
@@ -87,6 +96,7 @@ struct MergeAlternative {
 /// each page segment of a stream's span, ceil(segment / w) - 1 — what
 /// storage::RunReader and storage::PostingCursor load. `reduce(cap)`
 /// describes the caller's reduction down to `cap` streams. Ties go to A.
+/// `buffers` may be 0 when no stream is left to read.
 MergeAlternative ChooseMergeAlternative(
     const flash::FlashConfig& flash, size_t buffers,
     const std::function<MergeReduction(size_t stream_cap)>& reduce);
@@ -100,6 +110,8 @@ struct MergeStats {
   /// Sub-buffer window the streaming phase read each flash stream
   /// through (0 = one full buffer per stream).
   uint32_t window_bytes = 0;
+  /// Groups unioned into an id bitmap (plan C) instead of streamed.
+  uint32_t bitmap_groups = 0;
 };
 
 /// \brief RAM-bounded n-ary intersection-of-unions over sorted id streams.
@@ -110,11 +122,18 @@ class MergeExec {
       : device_(device), ram_(ram), allocator_(allocator) {}
 
   /// Runs the merge; emits ascending, deduplicated ids that appear in every
-  /// group. `reserve_buffers` RAM buffers are left free for downstream
-  /// pipelined operators; the rest serve the streams, through full buffers
-  /// or sub-buffer windows as ChooseMergeAlternative picks. Groups'
-  /// temporary runs are freed.
-  Status Run(std::vector<MergeGroup> groups,
+  /// group. Every id of the groups lies in `universe` = [0, N), the row
+  /// count of the merge level's table (per-shard schema metadata, known to
+  /// the PC as well). `reserve_buffers` RAM buffers are left free for
+  /// downstream pipelined operators; the rest serve the groups: each group
+  /// of two or more flash streams may be unioned into an N-bit map (plan C)
+  /// while the maps fit beside one read buffer and the remaining groups'
+  /// needs, and the remaining streams go through full buffers or sub-buffer
+  /// windows as ChooseMergeAlternative picks. Of the feasible numbers of
+  /// maps (fattest groups first), the one with the cheapest page loads plus
+  /// rewrites wins; ties keep fewer maps. An id at or above N is Internal.
+  /// Groups' temporary runs are freed.
+  Status Run(std::vector<MergeGroup> groups, uint64_t universe,
              const std::function<Status(catalog::RowId)>& sink,
              uint32_t reserve_buffers = 0);
 
@@ -124,14 +143,23 @@ class MergeExec {
   /// Reduces `group` so it uses at most `target_streams` flash streams.
   Status ReduceGroup(MergeGroup* group, size_t target_streams);
 
-  /// What reducing `groups` to `stream_cap` streams would write and leave
-  /// (the dry run ChooseMergeAlternative prices).
-  MergeReduction ModelReduction(const std::vector<MergeGroup>& groups,
+  /// What reducing groups with these flash stream spans to `stream_cap`
+  /// streams would write and leave (the dry run ChooseMergeAlternative
+  /// prices).
+  MergeReduction ModelReduction(std::vector<std::vector<StreamSpan>> spans,
                                 size_t stream_cap) const;
 
+  /// Plan C for one group: unions its flash streams into the zeroed
+  /// `map` (at least `universe` bits) through `read_buf` (one buffer);
+  /// frees the group's runs and empties its flash streams.
+  Status BuildBitmap(MergeGroup* group, uint64_t universe, uint8_t* map,
+                     uint8_t* read_buf);
+
   /// Final streaming phase: one full buffer per flash stream
-  /// (`window_bytes` 0), or `usable_buffers` split into windows.
+  /// (`window_bytes` 0), or `usable_buffers` split into windows. `maps`
+  /// holds each group's bitmap, if it has one.
   Status StreamingMerge(std::vector<MergeGroup>& groups,
+                        std::vector<std::unique_ptr<IdSource>> maps,
                         const std::function<Status(catalog::RowId)>& sink,
                         uint32_t usable_buffers, uint32_t window_bytes);
 

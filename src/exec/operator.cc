@@ -164,6 +164,7 @@ void QueryMetrics::Accumulate(const QueryMetrics& other) {
   merge.ids_emitted += other.merge.ids_emitted;
   merge.peak_streams = std::max(merge.peak_streams, other.merge.peak_streams);
   merge.window_bytes = std::max(merge.window_bytes, other.merge.window_bytes);
+  merge.bitmap_groups += other.merge.bitmap_groups;
   bloom_fpr_estimate = std::max(bloom_fpr_estimate, other.bloom_fpr_estimate);
   sort_spill_runs += other.sort_spill_runs;
   sort_spill_pages += other.sort_spill_pages;

@@ -247,7 +247,7 @@ Status HiddenSelector::CrossIntersect(const VisTable& vt,
   MergeExec merge(&ctx_->flash(), &ctx_->ram(), ctx_->allocator);
   auto scope = ctx_->clock().Enter("merge");
   GHOSTDB_RETURN_NOT_OK(merge.Run(
-      std::move(groups),
+      std::move(groups), ctx_->store->tables[vt.table].row_count,
       [&](RowId id) {
         out->push_back(id);
         return Status::OK();
@@ -258,6 +258,7 @@ Status HiddenSelector::CrossIntersect(const VisTable& vt,
       merge.stats().reduction_ids_written;
   ctx_->metrics->merge.window_bytes = std::max(
       ctx_->metrics->merge.window_bytes, merge.stats().window_bytes);
+  ctx_->metrics->merge.bitmap_groups += merge.stats().bitmap_groups;
   return Status::OK();
 }
 
@@ -441,8 +442,10 @@ Status MergeOp::Drive(const std::function<Status(RowId)>& sink) {
   MergeExec merge(&ctx_->flash(), &ctx_->ram(), ctx_->allocator);
   {
     auto merge_scope = ctx_->clock().Enter("merge");
-    GHOSTDB_RETURN_NOT_OK(merge.Run(std::move(ctx_->pipeline.anchor_groups),
-                                    sink, /*reserve_buffers=*/0));
+    GHOSTDB_RETURN_NOT_OK(merge.Run(
+        std::move(ctx_->pipeline.anchor_groups),
+        ctx_->store->tables[ctx_->query->anchor].row_count, sink,
+        /*reserve_buffers=*/0));
   }
   ctx_->pipeline.anchor_groups.clear();
   MergeStats& stats = ctx_->metrics->merge;
@@ -453,6 +456,7 @@ Status MergeOp::Drive(const std::function<Status(RowId)>& sink) {
       std::max(stats.peak_streams, merge.stats().peak_streams);
   stats.window_bytes =
       std::max(stats.window_bytes, merge.stats().window_bytes);
+  stats.bitmap_groups += merge.stats().bitmap_groups;
   return Status::OK();
 }
 
@@ -539,6 +543,7 @@ Status SJoinOp::Open() {
     }));
   } else {
     GHOSTDB_RETURN_NOT_OK(merge_->Drive([&](RowId id) {
+      auto store_scope = clock.Enter("store");
       sj.rows += 1;
       uint8_t enc[4];
       EncodeFixed32(enc, id);

@@ -1,5 +1,6 @@
 // Operator tests: Bloom filter calibration, Merge (streaming, reduction,
-// sub-buffer windows, the rule choosing between them), id sources.
+// sub-buffer windows, the bitmap union, the rule choosing between them),
+// id sources.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,6 +8,7 @@
 
 #include "common/rng.h"
 #include "common/sim_clock.h"
+#include "device/fault_injector.h"
 #include "device/ram_manager.h"
 #include "exec/bloom.h"
 #include "exec/id_source.h"
@@ -21,6 +23,10 @@ namespace {
 
 using catalog::RowId;
 
+// An id universe whose bitmap (512 KiB, 256 buffers) cannot fit the 32 RAM
+// buffers: merges over it take plan A or B, never plan C.
+constexpr uint64_t kStreamingUniverse = uint64_t{1} << 22;
+
 class ExecTest : public ::testing::Test {
  protected:
   ExecTest() {
@@ -32,21 +38,23 @@ class ExecTest : public ::testing::Test {
   }
 
   // Writes a sorted id run to flash.
-  storage::RunRef MakeRun(const std::vector<RowId>& ids) {
+  storage::RunRef MakeRun(const std::vector<RowId>& ids,
+                          const std::string& tag = "t") {
     std::vector<uint8_t> buf(2048);
-    storage::RunWriter w(device_.get(), allocator_.get(), buf.data(), "t");
+    storage::RunWriter w(device_.get(), allocator_.get(), buf.data(), tag);
     for (RowId id : ids) EXPECT_TRUE(w.AppendU32(id).ok());
     auto ref = w.Finish();
     EXPECT_TRUE(ref.ok());
     return *ref;
   }
 
-  std::vector<RowId> RunMerge(std::vector<MergeGroup> groups,
+  std::vector<RowId> RunMerge(uint64_t universe,
+                              std::vector<MergeGroup> groups,
                               uint32_t reserve_buffers = 0) {
     MergeExec merge(device_.get(), ram_.get(), allocator_.get());
     std::vector<RowId> out;
     auto st = merge.Run(
-        std::move(groups),
+        std::move(groups), universe,
         [&](RowId id) {
           out.push_back(id);
           return Status::OK();
@@ -55,6 +63,11 @@ class ExecTest : public ::testing::Test {
     EXPECT_TRUE(st.ok()) << st.ToString();
     last_stats_ = merge.stats();
     return out;
+  }
+
+  int64_t TagPages(const std::string& tag) const {
+    auto it = allocator_->usage_by_tag().find(tag);
+    return it == allocator_->usage_by_tag().end() ? 0 : it->second;
   }
 
   SimClock clock_;
@@ -142,7 +155,7 @@ TEST_F(ExecTest, MergeSingleGroupUnion) {
   g.runs.push_back(MakeRun({2, 3, 6}));
   g.ram_ids = {5, 6, 10};
   g.has_ram_ids = true;
-  auto out = RunMerge({std::move(g)});
+  auto out = RunMerge(kStreamingUniverse, {std::move(g)});
   EXPECT_EQ(out, std::vector<RowId>({1, 2, 3, 5, 6, 7, 10}));
 }
 
@@ -150,7 +163,7 @@ TEST_F(ExecTest, MergeIntersectionOfGroups) {
   MergeGroup a, b;
   a.runs.push_back(MakeRun({1, 2, 3, 4, 5, 6}));
   b.runs.push_back(MakeRun({2, 4, 6, 8}));
-  auto out = RunMerge({std::move(a), std::move(b)});
+  auto out = RunMerge(kStreamingUniverse, {std::move(a), std::move(b)});
   EXPECT_EQ(out, std::vector<RowId>({2, 4, 6}));
 }
 
@@ -161,7 +174,7 @@ TEST_F(ExecTest, MergeIntersectionOfUnions) {
   b.runs.push_back(MakeRun({3, 5, 9}));
   b.ram_ids = {1};
   b.has_ram_ids = true;
-  auto out = RunMerge({std::move(a), std::move(b)});
+  auto out = RunMerge(kStreamingUniverse, {std::move(a), std::move(b)});
   EXPECT_EQ(out, std::vector<RowId>({1, 3, 5}));
 }
 
@@ -169,7 +182,7 @@ TEST_F(ExecTest, MergeEmptyGroupYieldsNothing) {
   MergeGroup a, b;
   a.runs.push_back(MakeRun({1, 2, 3}));
   // b empty.
-  auto out = RunMerge({std::move(a), std::move(b)});
+  auto out = RunMerge(kStreamingUniverse, {std::move(a), std::move(b)});
   EXPECT_TRUE(out.empty());
 }
 
@@ -178,7 +191,7 @@ TEST_F(ExecTest, MergeWithIota) {
   a.has_iota = true;
   a.iota_n = 100;
   b.runs.push_back(MakeRun({5, 50, 99, 150}));
-  auto out = RunMerge({std::move(a), std::move(b)});
+  auto out = RunMerge(kStreamingUniverse, {std::move(a), std::move(b)});
   EXPECT_EQ(out, std::vector<RowId>({5, 50, 99}));
 }
 
@@ -186,7 +199,7 @@ TEST_F(ExecTest, MergeDeduplicatesWithinGroup) {
   MergeGroup g;
   g.runs.push_back(MakeRun({1, 2, 2, 3}));
   g.runs.push_back(MakeRun({2, 3, 3}));
-  auto out = RunMerge({std::move(g)});
+  auto out = RunMerge(kStreamingUniverse, {std::move(g)});
   EXPECT_EQ(out, std::vector<RowId>({1, 2, 3}));
 }
 
@@ -206,7 +219,7 @@ TEST_F(ExecTest, MergeManySublistsTriggersReduction) {
     std::sort(ids.begin(), ids.end());
     g.runs.push_back(MakeRun(ids));
   }
-  auto out = RunMerge({std::move(g)});
+  auto out = RunMerge(kStreamingUniverse, {std::move(g)});
   EXPECT_EQ(out, std::vector<RowId>(expected.begin(), expected.end()));
   EXPECT_GT(last_stats_.reduction_rounds, 0u);
   EXPECT_GT(last_stats_.reduction_ids_written, 0u);
@@ -237,7 +250,7 @@ TEST_F(ExecTest, MergeReductionPreservesIntersection) {
   for (RowId id : filter) {
     if (a_union.count(id)) expected.push_back(id);
   }
-  auto out = RunMerge({std::move(a), std::move(b)});
+  auto out = RunMerge(kStreamingUniverse, {std::move(a), std::move(b)});
   EXPECT_EQ(out, expected);
 }
 
@@ -266,14 +279,15 @@ TEST_F(ExecTest, MergeRulePicksWindowsOrReductionOnSameIds) {
 
   MergeGroup first = make_group();
   uint64_t writes_before = device_->stats().pages_written;
-  auto windowed = RunMerge({std::move(first)});
+  auto windowed = RunMerge(kStreamingUniverse, {std::move(first)});
   EXPECT_EQ(device_->stats().pages_written - writes_before, 0u);
   EXPECT_EQ(last_stats_.window_bytes, 1092u);
   EXPECT_EQ(last_stats_.reduction_rounds, 0u);
 
   MergeGroup second = make_group();
   writes_before = device_->stats().pages_written;
-  auto reduced = RunMerge({std::move(second)}, /*reserve_buffers=*/30);
+  auto reduced = RunMerge(kStreamingUniverse, {std::move(second)},
+                          /*reserve_buffers=*/30);
   EXPECT_GT(device_->stats().pages_written - writes_before, 0u);
   EXPECT_EQ(last_stats_.window_bytes, 0u);
   EXPECT_EQ(last_stats_.reduction_rounds, 1u);
@@ -367,7 +381,7 @@ TEST_F(ExecTest, WideMergeOfPostingSublistsThroughWindows) {
   for (RowId id : sublist_union) {
     if (id % 3 == 0) expected.push_back(id);
   }
-  auto out = RunMerge({std::move(a), std::move(b)});
+  auto out = RunMerge(kStreamingUniverse, {std::move(a), std::move(b)});
   EXPECT_EQ(out, expected);
   EXPECT_EQ(last_stats_.reduction_rounds, 0u);
   EXPECT_EQ(last_stats_.peak_streams, 900u);
@@ -389,7 +403,7 @@ TEST_F(ExecTest, MergeRespectsReserveBuffers) {
   std::vector<MergeGroup> groups;
   groups.push_back(std::move(g));
   auto st = merge.Run(
-      std::move(groups),
+      std::move(groups), kStreamingUniverse,
       [&](RowId id) {
         out.push_back(id);
         return Status::OK();
@@ -411,7 +425,7 @@ TEST_F(ExecTest, MergeFreesTemporaryPages) {
     std::sort(ids.begin(), ids.end());
     g.runs.push_back(MakeRun(ids));
   }
-  RunMerge({std::move(g)});
+  RunMerge(kStreamingUniverse, {std::move(g)});
   // All merge-tmp pages must be back.
   auto it = allocator_->usage_by_tag().find("merge-tmp");
   if (it != allocator_->usage_by_tag().end()) {
@@ -426,8 +440,223 @@ TEST_F(ExecTest, MergeChargesMergeCategoryOnly) {
   g.runs.push_back(MakeRun({1, 2, 3}));
   auto scope = clock_.Enter("merge");
   SimNanos before = clock_.Category("merge");
-  RunMerge({std::move(g)});
+  RunMerge(kStreamingUniverse, {std::move(g)});
   EXPECT_GT(clock_.Category("merge"), before);
+}
+
+// --- Bitmap union (plan C) ---
+
+// One random merge input: up to three groups mixing climbing-index
+// sublists (laid out one after another in a postings area, sometimes with
+// gaps), temporary runs, an in-RAM list and the id universe itself.
+struct RandomMergeInput {
+  std::vector<std::vector<std::vector<RowId>>> sublists;  // per group
+  std::vector<std::vector<std::vector<RowId>>> runs;      // per group
+  std::vector<std::vector<RowId>> ram_ids;                // per group
+  std::vector<RowId> iota_n;                              // 0 = none
+  std::vector<std::vector<bool>> gap_before;              // per sublist
+};
+
+RandomMergeInput MakeRandomMergeInput(Rng& rng, RowId universe) {
+  RandomMergeInput in;
+  size_t groups = 1 + rng.Uniform(3);
+  auto sorted_ids = [&](size_t n) {
+    std::vector<RowId> ids;
+    for (size_t i = 0; i < n; ++i) {
+      ids.push_back(static_cast<RowId>(rng.Uniform(universe)));
+    }
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  };
+  for (size_t g = 0; g < groups; ++g) {
+    in.sublists.emplace_back();
+    in.gap_before.emplace_back();
+    in.runs.emplace_back();
+    size_t shape = rng.Uniform(4);
+    size_t sublists = shape == 0 ? 0 : shape == 1 ? 1 + rng.Uniform(40)
+                                                  : 200 + rng.Uniform(1000);
+    for (size_t i = 0; i < sublists; ++i) {
+      in.sublists.back().push_back(sorted_ids(1 + rng.Uniform(40)));
+      in.gap_before.back().push_back(rng.Uniform(4) == 0);
+    }
+    size_t runs = rng.Uniform(3) == 0 ? rng.Uniform(60) : 0;
+    for (size_t i = 0; i < runs; ++i) {
+      in.runs.back().push_back(sorted_ids(1 + rng.Uniform(700)));
+    }
+    std::vector<RowId> ram;
+    if (rng.Uniform(3) == 0) {
+      ram = sorted_ids(rng.Uniform(3000));
+      ram.erase(std::unique(ram.begin(), ram.end()), ram.end());
+    }
+    in.ram_ids.push_back(std::move(ram));
+    in.iota_n.push_back(rng.Uniform(5) == 0
+                            ? static_cast<RowId>(rng.Uniform(universe))
+                            : 0);
+  }
+  return in;
+}
+
+TEST_F(ExecTest, MergeBitmapUnionMatchesStreamingPlans) {
+  // The same random groups merged under a universe whose bitmap fits (2500
+  // bytes: 2 buffers) and under one whose bitmap cannot (plans A/B only)
+  // give the same ids; the bitmap union writes nothing and loads no more
+  // pages, and merges that reduce or window without it avoid that work.
+  constexpr RowId kUniverse = 20000;
+  Rng rng(17);
+  uint32_t bitmap_merges = 0;
+  uint32_t rewrites_avoided = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE(trial);
+    RandomMergeInput in = MakeRandomMergeInput(rng, kUniverse);
+    // Each group's sublists share one postings area.
+    std::vector<storage::RunRef> areas(in.sublists.size());
+    std::vector<std::vector<storage::PostingRange>> ranges(areas.size());
+    for (size_t g = 0; g < areas.size(); ++g) {
+      std::vector<RowId> area_ids;
+      for (size_t i = 0; i < in.sublists[g].size(); ++i) {
+        if (in.gap_before[g][i]) area_ids.push_back(0);  // unreferenced
+        ranges[g].push_back(
+            {static_cast<uint32_t>(area_ids.size()),
+             static_cast<uint32_t>(in.sublists[g][i].size())});
+        area_ids.insert(area_ids.end(), in.sublists[g][i].begin(),
+                        in.sublists[g][i].end());
+      }
+      if (!area_ids.empty()) areas[g] = MakeRun(area_ids);
+    }
+    int64_t area_pages = TagPages("t");
+    auto make_groups = [&]() {
+      std::vector<MergeGroup> groups(in.sublists.size());
+      for (size_t g = 0; g < groups.size(); ++g) {
+        for (const auto& range : ranges[g]) {
+          groups[g].sublists.push_back({&areas[g], range});
+        }
+        for (const auto& ids : in.runs[g]) {
+          groups[g].runs.push_back(MakeRun(ids));
+        }
+        if (!in.ram_ids[g].empty()) {
+          groups[g].ram_ids = in.ram_ids[g];
+          groups[g].has_ram_ids = true;
+        }
+        if (in.iota_n[g] > 0) {
+          groups[g].has_iota = true;
+          groups[g].iota_n = in.iota_n[g];
+        }
+      }
+      return groups;
+    };
+
+    std::vector<MergeGroup> wide_groups = make_groups();
+    flash::FlashStats before = device_->stats();
+    auto streamed = RunMerge(kStreamingUniverse, std::move(wide_groups));
+    flash::FlashStats streamed_io = device_->stats() - before;
+    EXPECT_EQ(last_stats_.bitmap_groups, 0u);
+
+    std::vector<MergeGroup> fit_groups = make_groups();
+    before = device_->stats();
+    auto bitmapped = RunMerge(kUniverse, std::move(fit_groups));
+    flash::FlashStats bitmap_io = device_->stats() - before;
+
+    EXPECT_EQ(bitmapped, streamed);
+    EXPECT_LE(bitmap_io.pages_read, streamed_io.pages_read);
+    EXPECT_LE(bitmap_io.pages_written, streamed_io.pages_written);
+    if (last_stats_.bitmap_groups > 0) {
+      bitmap_merges += 1;
+      EXPECT_EQ(bitmap_io.pages_written, 0u);
+      EXPECT_EQ(last_stats_.reduction_rounds, 0u);
+      if (streamed_io.pages_written > 0) rewrites_avoided += 1;
+    }
+    EXPECT_EQ(ram_->used_buffers(), 0u);
+    EXPECT_EQ(TagPages("t"), area_pages);  // every run freed, areas kept
+    for (auto& area : areas) {
+      if (!area.empty()) {
+        ASSERT_TRUE(storage::FreeRun(allocator_.get(), area, "t").ok());
+      }
+    }
+  }
+  EXPECT_GT(bitmap_merges, 10u);
+  EXPECT_GT(rewrites_avoided, 0u);
+}
+
+TEST_F(ExecTest, MergeBitmapOnlyWhenItSavesLoads) {
+  // Two full-page runs: one load per page either way — a tie, which stays
+  // with plan A. 40 adjacent 3-id sublists on one page: streaming loads the
+  // page 40 times, the bitmap once.
+  MergeGroup runs;
+  runs.runs.push_back(MakeRun(std::vector<RowId>(512, 7)));
+  runs.runs.push_back(MakeRun(std::vector<RowId>(512, 9)));
+  EXPECT_EQ(RunMerge(1000, {std::move(runs)}), std::vector<RowId>({7, 9}));
+  EXPECT_EQ(last_stats_.bitmap_groups, 0u);
+
+  std::vector<RowId> area_ids;
+  for (RowId i = 0; i < 40; ++i) {
+    area_ids.insert(area_ids.end(), {i, i + 40, i + 80});
+  }
+  storage::RunRef area = MakeRun(area_ids);
+  MergeGroup adjacent;
+  for (uint32_t i = 0; i < 40; ++i) {
+    adjacent.sublists.push_back({&area, {i * 3, 3}});
+  }
+  uint64_t reads_before = device_->stats().pages_read;
+  auto out = RunMerge(1000, {std::move(adjacent)});
+  EXPECT_EQ(last_stats_.bitmap_groups, 1u);
+  EXPECT_EQ(device_->stats().pages_read - reads_before, 1u);
+  std::vector<RowId> expected(120);
+  for (RowId id = 0; id < 120; ++id) expected[id] = id;
+  EXPECT_EQ(out, expected);
+}
+
+TEST_F(ExecTest, MergeBitmapReadFaultLeaksNothing) {
+  // 1100 one-id sublists (3 pages once coalesced) and 6 temporary runs:
+  // more streams than 64-byte windows serve, so the bitmap union beats a
+  // reduction. A read fault on the 6th load lands on the 3rd run: the
+  // merge returns it, and every run (read or not) and every buffer
+  // (map and read buffer) is back.
+  std::vector<RowId> area_ids;
+  for (RowId id = 0; id < 1100; ++id) area_ids.push_back(id * 7 % 1100);
+  storage::RunRef area = MakeRun(area_ids);
+  MergeGroup g;
+  for (uint32_t i = 0; i < 1100; ++i) g.sublists.push_back({&area, {i, 1}});
+  for (RowId r = 0; r < 6; ++r) {
+    g.runs.push_back(MakeRun({r, r + 1000}, "merge-tmp"));
+  }
+  ASSERT_EQ(TagPages("merge-tmp"), 6);
+  device::FaultInjector injector(device::FaultConfig{}, &clock_);
+  device_->set_fault_injector(&injector);
+  injector.ArmOnce(device::FaultSite::kFlashRead,
+                   device::FaultKind::kPermanent, /*after_draws=*/5);
+  MergeExec merge(device_.get(), ram_.get(), allocator_.get());
+  std::vector<MergeGroup> groups;
+  groups.push_back(std::move(g));
+  uint64_t writes_before = device_->stats().pages_written;
+  Status st = merge.Run(std::move(groups), 1100,
+                        [](RowId) { return Status::OK(); });
+  device_->set_fault_injector(nullptr);
+  EXPECT_TRUE(device::FaultInjector::IsInjectedFault(st)) << st.ToString();
+  EXPECT_EQ(device_->stats().pages_written, writes_before);  // no reduction
+  EXPECT_EQ(TagPages("merge-tmp"), 0);
+  EXPECT_EQ(ram_->used_buffers(), 0u);
+  EXPECT_EQ(merge.stats().ids_emitted, 0u);
+}
+
+TEST_F(ExecTest, MergeBitmapRejectsIdOutsideUniverse) {
+  // A sublist id at or above N is an Internal error, never a write past
+  // the map; the group's runs are still freed.
+  std::vector<RowId> area_ids(64);
+  for (RowId id = 0; id < 64; ++id) area_ids[id] = id;
+  area_ids[40] = 5000;  // out of range for a universe of 100
+  storage::RunRef area = MakeRun(area_ids);
+  MergeGroup g;
+  for (uint32_t i = 0; i < 32; ++i) g.sublists.push_back({&area, {i * 2, 2}});
+  g.runs.push_back(MakeRun({1, 2, 3}, "merge-tmp"));
+  MergeExec merge(device_.get(), ram_.get(), allocator_.get());
+  std::vector<MergeGroup> groups;
+  groups.push_back(std::move(g));
+  Status st = merge.Run(std::move(groups), 100,
+                        [](RowId) { return Status::OK(); });
+  EXPECT_TRUE(st.IsInternal()) << st.ToString();
+  EXPECT_EQ(merge.stats().bitmap_groups, 0u);
+  EXPECT_EQ(TagPages("merge-tmp"), 0);
+  EXPECT_EQ(ram_->used_buffers(), 0u);
 }
 
 }  // namespace
