@@ -1,9 +1,11 @@
 // Figure 9: Cross-Pre vs Cross-Post filtering on Query Q (sH = 0.1).
 // Measured shape (scale 0.05): Cross-Pre wins outright for selective
-// Visible selections and still wins at sV 0.1 (ratio 0.78) and 0.2 (0.97);
-// the crossover sits near sV 0.25, and past it Cross-Post is ahead by ~6%
-// (1.06 at sV 0.5). The planner's Cross rule follows this crossover
-// (plan/planner.cc), not the plain Pre/Post one of Fig 10.
+// Visible selections and still wins at sV 0.1 (ratio 0.44), 0.2 (0.68)
+// and 0.5 (0.98). SJoin reads only the SKT bytes of the anchor ids it
+// joins, which favours Cross-Pre's sparse ids; with whole-page SKT reads
+// the ratios were 0.78, 0.97 and 1.06, a crossover near sV 0.25. The
+// planner's Cross rule (plan/planner.cc) still follows that older
+// crossover, not the plain Pre/Post one of Fig 10.
 //   ./bench_fig09_crosspre_vs_crosspost [--scale S] [--json FILE]
 #include <chrono>
 #include <cstdio>
@@ -46,6 +48,6 @@ int main(int argc, char** argv) {
   }
   std::printf("\npaper: Cross-Pre better for selective Visible selections, "
               "worse past a crossover, by at most ~25%%; device model: "
-              "crossover between sV 0.2 and 0.5, not at 0.1\n");
+              "Cross-Pre ahead at every sV up to 0.5, nearly even there\n");
   return 0;
 }

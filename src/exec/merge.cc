@@ -176,6 +176,15 @@ std::vector<StreamSpan> BitmapSpans(const MergeGroup& group) {
 
 }  // namespace
 
+void MergeStats::Add(const MergeStats& other) {
+  reduction_rounds += other.reduction_rounds;
+  reduction_ids_written += other.reduction_ids_written;
+  ids_emitted += other.ids_emitted;
+  peak_streams = std::max(peak_streams, other.peak_streams);
+  window_bytes = std::max(window_bytes, other.window_bytes);
+  bitmap_groups += other.bitmap_groups;
+}
+
 MergeAlternative ChooseMergeAlternative(
     const flash::FlashConfig& flash, size_t buffers,
     const std::function<MergeReduction(size_t)>& reduce) {

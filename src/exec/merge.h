@@ -112,6 +112,11 @@ struct MergeStats {
   uint32_t window_bytes = 0;
   /// Groups unioned into an id bitmap (plan C) instead of streamed.
   uint32_t bitmap_groups = 0;
+
+  /// Folds another merge's stats into these: counters sum, peak_streams
+  /// and window_bytes take the max. The one place the field list is
+  /// walked.
+  void Add(const MergeStats& other);
 };
 
 /// \brief RAM-bounded n-ary intersection-of-unions over sorted id streams.

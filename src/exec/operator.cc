@@ -159,12 +159,7 @@ void QueryMetrics::Accumulate(const QueryMetrics& other) {
   qepsj_rows += other.qepsj_rows;
   result_rows += other.result_rows;
   peak_ram_buffers = std::max(peak_ram_buffers, other.peak_ram_buffers);
-  merge.reduction_rounds += other.merge.reduction_rounds;
-  merge.reduction_ids_written += other.merge.reduction_ids_written;
-  merge.ids_emitted += other.merge.ids_emitted;
-  merge.peak_streams = std::max(merge.peak_streams, other.merge.peak_streams);
-  merge.window_bytes = std::max(merge.window_bytes, other.merge.window_bytes);
-  merge.bitmap_groups += other.merge.bitmap_groups;
+  merge.Add(other.merge);
   bloom_fpr_estimate = std::max(bloom_fpr_estimate, other.bloom_fpr_estimate);
   sort_spill_runs += other.sort_spill_runs;
   sort_spill_pages += other.sort_spill_pages;

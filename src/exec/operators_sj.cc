@@ -253,12 +253,7 @@ Status HiddenSelector::CrossIntersect(const VisTable& vt,
         return Status::OK();
       },
       /*reserve_buffers=*/0));
-  ctx_->metrics->merge.reduction_rounds += merge.stats().reduction_rounds;
-  ctx_->metrics->merge.reduction_ids_written +=
-      merge.stats().reduction_ids_written;
-  ctx_->metrics->merge.window_bytes = std::max(
-      ctx_->metrics->merge.window_bytes, merge.stats().window_bytes);
-  ctx_->metrics->merge.bitmap_groups += merge.stats().bitmap_groups;
+  ctx_->metrics->merge.Add(merge.stats());
   return Status::OK();
 }
 
@@ -448,15 +443,7 @@ Status MergeOp::Drive(const std::function<Status(RowId)>& sink) {
         /*reserve_buffers=*/0));
   }
   ctx_->pipeline.anchor_groups.clear();
-  MergeStats& stats = ctx_->metrics->merge;
-  stats.ids_emitted += merge.stats().ids_emitted;
-  stats.reduction_rounds += merge.stats().reduction_rounds;
-  stats.reduction_ids_written += merge.stats().reduction_ids_written;
-  stats.peak_streams =
-      std::max(stats.peak_streams, merge.stats().peak_streams);
-  stats.window_bytes =
-      std::max(stats.window_bytes, merge.stats().window_bytes);
-  stats.bitmap_groups += merge.stats().bitmap_groups;
+  ctx_->metrics->merge.Add(merge.stats());
   return Status::OK();
 }
 
@@ -541,6 +528,8 @@ Status SJoinOp::Open() {
       auto sjoin_scope = clock.Enter("sjoin");
       return sjoin.Consume(id);
     }));
+    auto sjoin_scope = clock.Enter("sjoin");
+    GHOSTDB_RETURN_NOT_OK(sjoin.Finish());
   } else {
     GHOSTDB_RETURN_NOT_OK(merge_->Drive([&](RowId id) {
       auto store_scope = clock.Enter("store");

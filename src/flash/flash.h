@@ -50,7 +50,11 @@ struct FlashConfig {
 
 /// Counters exposed by the simulator; exact, not sampled.
 struct FlashStats {
-  uint64_t pages_read = 0;        ///< Page-to-register loads (incl. FTL's).
+  /// Page-to-register loads (incl. FTL's): one per ReadPage call, so a
+  /// reader that transfers several byte spans of one page (SJoin's span
+  /// reads) counts each span, while bytes_transferred counts only the
+  /// bytes those spans carry.
+  uint64_t pages_read = 0;
   uint64_t pages_written = 0;     ///< Page programs (incl. GC copies).
   uint64_t bytes_transferred = 0; ///< Register <-> RAM traffic in bytes.
   uint64_t blocks_erased = 0;

@@ -140,4 +140,56 @@ Result<FixedTableReader::Span> FixedTableReader::RowSpan(catalog::RowId row) {
   return span;
 }
 
+Status FixedTableReader::ReadRowsOnPage(uint32_t page,
+                                        const std::vector<uint64_t>& slots,
+                                        uint32_t col_begin, uint32_t col_end) {
+  if (col_begin >= col_end || col_end > ref_.row_width) {
+    return Status::InvalidArgument("column byte range outside the row");
+  }
+  // The highest set slot bounds every row asked for.
+  size_t top = slots.size();
+  while (top > 0 && slots[top - 1] == 0) --top;
+  if (top == 0) return Status::OK();
+  uint64_t last_slot = (top - 1) * 64 + (63 - __builtin_clzll(slots[top - 1]));
+  uint64_t last_row =
+      static_cast<uint64_t>(page) * ref_.rows_per_page + last_slot;
+  if (last_slot >= ref_.rows_per_page) {
+    return Status::InvalidArgument("slot past the page's rows");
+  }
+  if (last_row >= ref_.row_count) {
+    return Status::OutOfRange("row " + std::to_string(last_row) +
+                              " past end (" + std::to_string(ref_.row_count) +
+                              " rows)");
+  }
+  const flash::FlashConfig& cfg = device_->config();
+  const uint32_t lpn = ref_.run.PageAt(page);
+  // The cached page (if any) is about to be partially overwritten.
+  buffered_page_ = -1;
+  pages_touched_ += 1;
+  uint32_t span_begin = 0, span_end = 0;  // empty span: nothing pending
+  auto read_span = [&]() -> Status {
+    if (span_end == span_begin) return Status::OK();
+    return device_->ReadPage(lpn, buffer_ + span_begin, span_begin,
+                             span_end - span_begin);
+  };
+  for (size_t w = 0; w < top; ++w) {
+    for (uint64_t bits = slots[w]; bits != 0; bits &= bits - 1) {
+      uint32_t slot = static_cast<uint32_t>(w * 64 + __builtin_ctzll(bits));
+      uint32_t begin = slot * ref_.row_width + col_begin;
+      uint32_t end = slot * ref_.row_width + col_end;
+      if (span_end > span_begin &&
+          static_cast<SimNanos>(begin - span_end) *
+                  cfg.byte_transfer_latency <
+              cfg.read_page_latency) {
+        span_end = end;  // cheaper to transfer the gap than to reload
+        continue;
+      }
+      GHOSTDB_RETURN_NOT_OK(read_span());
+      span_begin = begin;
+      span_end = end;
+    }
+  }
+  return read_span();
+}
+
 }  // namespace ghostdb::storage

@@ -9,7 +9,8 @@
 //    table, sorted by id, read at projection time.
 //
 // Rows never straddle pages (rows_per_page = page_size / row_width), which
-// keeps random access to one page read.
+// keeps random access to one page read, and lets a reader that needs a few
+// rows of a page transfer only their bytes (FixedTableReader::ReadRowsOnPage).
 #pragma once
 
 #include <cstdint>
@@ -65,9 +66,11 @@ class FixedTableBuilder {
 
 /// \brief Random/sequential row reader with a single cached page buffer.
 ///
-/// Ascending access (the common case: inputs sorted on id) reads each
-/// touched page exactly once and skips pages with no requested rows — the
-/// paper's SJoin access pattern.
+/// Ascending ReadRow/RowSpan access (the common case: inputs sorted on id)
+/// reads each touched page exactly once, whole, and skips pages with no
+/// requested rows. ReadRowsOnPage is the page-batched alternative for
+/// sparse access (the paper's SJoin): it transfers only the needed rows'
+/// bytes, in as many spans as the device's cost model makes cheapest.
 class FixedTableReader {
  public:
   /// `buffer` is one device RAM buffer.
@@ -90,7 +93,20 @@ class FixedTableReader {
   /// ascending scan would.
   Result<Span> RowSpan(catalog::RowId row);
 
-  /// Number of distinct pages loaded so far.
+  /// Reads bytes [col_begin, col_end) of every row of page `page` whose slot
+  /// bit is set in `slots` (bit s of word s / 64 = row page * rows_per_page
+  /// + s), leaving each at its page offset in the buffer: slot s's bytes at
+  /// `buffer + s * row_width + col_begin`; other bytes are unspecified. Rows
+  /// are read in ascending spans, one ReadPage each: two neighbouring rows
+  /// share a span while transferring the gap between them costs less than
+  /// a new register load (gap bytes x byte_transfer_latency <
+  /// read_page_latency), so a page with every row set costs no more than a
+  /// full-page read. A set slot at or past row_count is OutOfRange before
+  /// anything is read.
+  Status ReadRowsOnPage(uint32_t page, const std::vector<uint64_t>& slots,
+                        uint32_t col_begin, uint32_t col_end);
+
+  /// Number of page loads so far (a ReadRowsOnPage call counts once).
   uint64_t pages_touched() const { return pages_touched_; }
 
  private:

@@ -1,6 +1,6 @@
 // Operator tests: Bloom filter calibration, Merge (streaming, reduction,
 // sub-buffer windows, the bitmap union, the rule choosing between them),
-// id sources.
+// id sources, the SJoin stage's span reads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,13 +8,17 @@
 
 #include "common/rng.h"
 #include "common/sim_clock.h"
+#include "common/coding.h"
 #include "device/fault_injector.h"
+#include "device/guards.h"
 #include "device/ram_manager.h"
 #include "exec/bloom.h"
 #include "exec/id_source.h"
 #include "exec/merge.h"
+#include "exec/sjoin.h"
 #include "flash/flash.h"
 #include "storage/btree.h"
+#include "storage/fixed_table.h"
 #include "storage/page_allocator.h"
 #include "storage/run.h"
 
@@ -444,6 +448,30 @@ TEST_F(ExecTest, MergeChargesMergeCategoryOnly) {
   EXPECT_GT(clock_.Category("merge"), before);
 }
 
+TEST_F(ExecTest, MergeStatsAddSumsCountersAndMaxesPeaks) {
+  MergeStats a;
+  a.reduction_rounds = 1;
+  a.reduction_ids_written = 10;
+  a.ids_emitted = 5;
+  a.peak_streams = 7;
+  a.window_bytes = 256;
+  a.bitmap_groups = 1;
+  MergeStats b;
+  b.reduction_rounds = 2;
+  b.reduction_ids_written = 3;
+  b.ids_emitted = 4;
+  b.peak_streams = 9;
+  b.window_bytes = 64;
+  b.bitmap_groups = 2;
+  a.Add(b);
+  EXPECT_EQ(a.reduction_rounds, 3u);
+  EXPECT_EQ(a.reduction_ids_written, 13u);
+  EXPECT_EQ(a.ids_emitted, 9u);
+  EXPECT_EQ(a.peak_streams, 9u);
+  EXPECT_EQ(a.window_bytes, 256u);
+  EXPECT_EQ(a.bitmap_groups, 3u);
+}
+
 // --- Bitmap union (plan C) ---
 
 // One random merge input: up to three groups mixing climbing-index
@@ -657,6 +685,157 @@ TEST_F(ExecTest, MergeBitmapRejectsIdOutsideUniverse) {
   EXPECT_EQ(merge.stats().bitmap_groups, 0u);
   EXPECT_EQ(TagPages("merge-tmp"), 0);
   EXPECT_EQ(ram_->used_buffers(), 0u);
+}
+
+// --- SJoin (span reads of the SKT) ---
+
+class SJoinTest : public ExecTest {
+ protected:
+  // An SKT of `rows` rows and `columns` 4-byte id columns, random ids.
+  storage::FixedTableRef BuildSkt(uint32_t rows, uint32_t columns,
+                                  uint64_t seed) {
+    std::vector<uint8_t> page(2048);
+    storage::FixedTableBuilder b(device_.get(), allocator_.get(), page.data(),
+                                 4 * columns, "skt");
+    Rng rng(seed);
+    std::vector<uint8_t> row(4 * columns);
+    for (uint32_t i = 0; i < rows; ++i) {
+      for (uint32_t c = 0; c < columns; ++c) {
+        EncodeFixed32(row.data() + 4 * c, static_cast<uint32_t>(rng.Next()));
+      }
+      EXPECT_TRUE(b.AppendRow(row.data()).ok());
+    }
+    auto ref = b.Finish();
+    EXPECT_TRUE(ref.ok());
+    return *ref;
+  }
+
+  // Runs the SJoin stage over `ids`, returning its concatenated output
+  // rows (and the status of the first failing call).
+  std::vector<uint8_t> RunSJoin(const storage::FixedTableRef& skt,
+                                const std::vector<uint32_t>& slots,
+                                const std::vector<RowId>& ids,
+                                Status* status) {
+    std::vector<uint8_t> out;
+    auto buf = device::RamGuard::AcquireOne(ram_.get(), "sjoin-skt");
+    EXPECT_TRUE(buf.ok());
+    SJoinStage sjoin(device_.get(), &skt, slots, buf->data(),
+                     [&](const uint8_t* row, uint32_t width) {
+                       out.insert(out.end(), row, row + width);
+                       return Status::OK();
+                     });
+    *status = Status::OK();
+    for (RowId id : ids) {
+      *status = sjoin.Consume(id);
+      if (!status->ok()) return out;
+    }
+    *status = sjoin.Finish();
+    return out;
+  }
+
+  // The same join through whole-page ReadRow, the path SJoin took before
+  // span reads.
+  std::vector<uint8_t> FullPageJoin(const storage::FixedTableRef& skt,
+                                    const std::vector<uint32_t>& slots,
+                                    const std::vector<RowId>& ids) {
+    std::vector<uint8_t> page(2048), row(skt.row_width), out;
+    storage::FixedTableReader reader(device_.get(), skt, page.data());
+    for (RowId id : ids) {
+      EXPECT_TRUE(reader.ReadRow(id, row.data()).ok());
+      uint8_t enc[4];
+      EncodeFixed32(enc, id);
+      out.insert(out.end(), enc, enc + 4);
+      for (uint32_t slot : slots) {
+        out.insert(out.end(), row.data() + 4 * slot,
+                   row.data() + 4 * slot + 4);
+      }
+    }
+    return out;
+  }
+};
+
+TEST_F(SJoinTest, SpanReadsMatchFullPageRowsAndCostNoMore) {
+  // Random ascending anchor id sets, from sparse to dense, and random
+  // column subsets in random order: the rows are byte-identical to the
+  // whole-page path's, and the span reads never cost more time.
+  const uint32_t rows = 128 * 20 + 37;  // 4 columns, 128 rows per page
+  storage::FixedTableRef skt = BuildSkt(rows, 4, 7);
+  Rng rng(99);
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    double density = std::vector<double>{0.002, 0.02, 0.1, 0.5, 1.0}[trial % 5];
+    std::vector<RowId> ids;
+    for (RowId id = 0; id < rows; ++id) {
+      if (rng.Chance(density)) ids.push_back(id);
+    }
+    std::vector<uint32_t> slots;
+    for (uint32_t c = 0; c < 4; ++c) {
+      if (rng.Chance(0.5)) slots.push_back(c);
+    }
+    if (slots.empty()) slots.push_back(static_cast<uint32_t>(rng.Uniform(4)));
+    for (size_t i = slots.size(); i > 1; --i) {
+      std::swap(slots[i - 1], slots[rng.Uniform(i)]);
+    }
+    SimNanos t0 = clock_.now();
+    std::vector<uint8_t> expected = FullPageJoin(skt, slots, ids);
+    SimNanos full_ns = clock_.now() - t0;
+    Status st;
+    t0 = clock_.now();
+    std::vector<uint8_t> got = RunSJoin(skt, slots, ids, &st);
+    SimNanos span_ns = clock_.now() - t0;
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(got, expected);
+    EXPECT_LE(span_ns, full_ns);
+    EXPECT_EQ(ram_->used_buffers(), 0u);
+  }
+}
+
+TEST_F(SJoinTest, OneRowPerPageTransfersOnlyTheReadColumns) {
+  // One anchor row on each of three pages, reading columns 1 and 2 of 4:
+  // three register loads of 8 bytes each.
+  storage::FixedTableRef skt = BuildSkt(128 * 3, 4, 3);
+  const auto& cfg = device_->config();
+  SimNanos t0 = clock_.now();
+  uint64_t bytes0 = device_->stats().bytes_transferred;
+  Status st;
+  std::vector<uint8_t> got = RunSJoin(skt, {2, 1}, {5, 128 + 90, 256}, &st);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(clock_.now() - t0,
+            3 * (cfg.read_page_latency + 8 * cfg.byte_transfer_latency));
+  EXPECT_EQ(device_->stats().bytes_transferred - bytes0, 24u);
+  EXPECT_EQ(got, FullPageJoin(skt, {2, 1}, {5, 128 + 90, 256}));
+}
+
+TEST_F(SJoinTest, ReadFaultOnASecondSpanEmitsNothingOfThatPage) {
+  // Slots 0 and 100 of a page are 1584 bytes apart: two spans each. Page
+  // 0's rows are emitted when page 1 starts; the fault hits page 1's
+  // second span (the 4th read), so none of page 1's rows reach the sink,
+  // and the SKT buffer is released.
+  storage::FixedTableRef skt = BuildSkt(128 * 3, 4, 5);
+  const std::vector<RowId> ids = {0, 100, 128, 228, 256};
+  device::FaultInjector injector(device::FaultConfig{}, &clock_);
+  device_->set_fault_injector(&injector);
+  injector.ArmOnce(device::FaultSite::kFlashRead,
+                   device::FaultKind::kPermanent, /*after_draws=*/3);
+  uint64_t pages0 = device_->stats().pages_read;
+  Status st;
+  std::vector<uint8_t> got = RunSJoin(skt, {0, 1, 2, 3}, ids, &st);
+  device_->set_fault_injector(nullptr);
+  EXPECT_TRUE(device::FaultInjector::IsInjectedFault(st)) << st.ToString();
+  EXPECT_EQ(device_->stats().pages_read - pages0, 3u);
+  EXPECT_EQ(got, FullPageJoin(skt, {0, 1, 2, 3}, {0, 100}));
+  EXPECT_EQ(ram_->used_buffers(), 0u);
+}
+
+TEST_F(SJoinTest, AnchorIdPastTheSktIsOutOfRange) {
+  storage::FixedTableRef skt = BuildSkt(200, 2, 1);
+  Status st;
+  RunSJoin(skt, {1}, {3, 199, 200}, &st);
+  EXPECT_TRUE(st.IsOutOfRange()) << st.ToString();
+  RunSJoin(skt, {1}, {3, 1000}, &st);
+  EXPECT_TRUE(st.IsOutOfRange()) << st.ToString();
+  RunSJoin(skt, {1}, {7, 7}, &st);
+  EXPECT_TRUE(st.IsInternal()) << st.ToString();  // ids must ascend
 }
 
 }  // namespace

@@ -271,6 +271,138 @@ TEST_F(StorageTest, FixedTableAscendingAccessReadsEachPageOnce) {
   EXPECT_EQ(r.pages_touched(), 10u);
 }
 
+// --- Page-batched span reads (FixedTableReader::ReadRowsOnPage) ---
+
+class SpanReadTest : public StorageTest {
+ protected:
+  // A table of `rows` rows of `width` bytes; byte j of row i is (i * 7 + j).
+  FixedTableRef Build(uint32_t width, uint32_t rows) {
+    FixedTableBuilder b(device_.get(), allocator_.get(), scratch_.data(),
+                        width, "skt");
+    std::vector<uint8_t> row(width);
+    for (uint32_t i = 0; i < rows; ++i) {
+      for (uint32_t j = 0; j < width; ++j) {
+        row[j] = static_cast<uint8_t>(i * 7 + j);
+      }
+      EXPECT_TRUE(b.AppendRow(row.data()).ok());
+    }
+    auto ref = b.Finish();
+    EXPECT_TRUE(ref.ok());
+    return *ref;
+  }
+
+  // A slot bitmask of a page of `rows_per_page` rows with `set` slots on.
+  static std::vector<uint64_t> Slots(uint32_t rows_per_page,
+                                     const std::vector<uint32_t>& set) {
+    std::vector<uint64_t> slots((rows_per_page + 63) / 64, 0);
+    for (uint32_t s : set) slots[s / 64] |= uint64_t{1} << (s % 64);
+    return slots;
+  }
+
+  const flash::FlashConfig& cfg() const { return device_->config(); }
+};
+
+TEST_F(SpanReadTest, OneRowChargesOnlyItsBytes) {
+  // One row of a page, 8 of its 16 bytes: one register load plus 8 bytes,
+  // not the 2048 a full-page read transfers.
+  FixedTableRef ref = Build(16, 128 * 3);
+  std::vector<uint8_t> buf(2048, 0);
+  FixedTableReader r(device_.get(), ref, buf.data());
+  SimNanos t0 = clock_.now();
+  uint64_t pages0 = device_->stats().pages_read;
+  ASSERT_TRUE(r.ReadRowsOnPage(1, Slots(128, {37}), 4, 12).ok());
+  EXPECT_EQ(clock_.now() - t0,
+            cfg().read_page_latency + 8 * cfg().byte_transfer_latency);
+  EXPECT_EQ(device_->stats().pages_read - pages0, 1u);
+  const uint32_t row = 128 + 37;
+  for (uint32_t j = 4; j < 12; ++j) {
+    EXPECT_EQ(buf[37 * 16 + j], static_cast<uint8_t>(row * 7 + j));
+  }
+  EXPECT_EQ(r.pages_touched(), 1u);
+}
+
+TEST_F(SpanReadTest, FullPageCostsNoMoreThanReadFullPage) {
+  FixedTableRef ref = Build(16, 128 * 2);
+  std::vector<uint32_t> all(128);
+  for (uint32_t s = 0; s < 128; ++s) all[s] = s;
+  std::vector<uint8_t> buf(2048, 0);
+  FixedTableReader r(device_.get(), ref, buf.data());
+  SimNanos t0 = clock_.now();
+  uint64_t pages0 = device_->stats().pages_read;
+  ASSERT_TRUE(r.ReadRowsOnPage(0, Slots(128, all), 0, 16).ok());
+  EXPECT_LE(clock_.now() - t0, cfg().read_page_latency +
+                                   cfg().page_size *
+                                       cfg().byte_transfer_latency);
+  EXPECT_EQ(device_->stats().pages_read - pages0, 1u);
+  for (uint32_t i = 0; i < 128 * 16; ++i) {
+    EXPECT_EQ(buf[i], static_cast<uint8_t>((i / 16) * 7 + i % 16)) << i;
+  }
+}
+
+TEST_F(SpanReadTest, GapBridgedJustUnderBreakEvenAndSplitJustOver) {
+  // One-byte rows, so the gap between two rows is the slots between them.
+  // At the break-even gap transferring it costs exactly one register load.
+  ASSERT_EQ(cfg().read_page_latency % cfg().byte_transfer_latency, 0u);
+  const uint32_t break_even = static_cast<uint32_t>(
+      cfg().read_page_latency / cfg().byte_transfer_latency);
+  ASSERT_LT(break_even + 2, cfg().page_size);
+  FixedTableRef ref = Build(1, cfg().page_size);
+  std::vector<uint8_t> buf(2048, 0);
+  FixedTableReader r(device_.get(), ref, buf.data());
+  const uint32_t rpp = ref.rows_per_page;
+  for (uint32_t gap : {break_even - 1, break_even + 1}) {
+    SCOPED_TRACE("gap " + std::to_string(gap));
+    SimNanos t0 = clock_.now();
+    uint64_t pages0 = device_->stats().pages_read;
+    uint64_t bytes0 = device_->stats().bytes_transferred;
+    ASSERT_TRUE(r.ReadRowsOnPage(0, Slots(rpp, {3, 3 + gap + 1}), 0, 1).ok());
+    bool bridged = gap < break_even;
+    EXPECT_EQ(device_->stats().pages_read - pages0, bridged ? 1u : 2u);
+    EXPECT_EQ(device_->stats().bytes_transferred - bytes0,
+              bridged ? gap + 2 : 2u);
+    EXPECT_EQ(clock_.now() - t0,
+              (bridged ? 1 : 2) * cfg().read_page_latency +
+                  (bridged ? gap + 2 : 2) * cfg().byte_transfer_latency);
+    EXPECT_EQ(buf[3], static_cast<uint8_t>(3 * 7));
+    EXPECT_EQ(buf[3 + gap + 1], static_cast<uint8_t>((3 + gap + 1) * 7));
+  }
+}
+
+TEST_F(SpanReadTest, RowsPastTheEndAreOutOfRange) {
+  // 200 rows of 16 bytes: page 1 holds rows 128..199, slots 0..71.
+  FixedTableRef ref = Build(16, 200);
+  std::vector<uint8_t> buf(2048, 0);
+  FixedTableReader r(device_.get(), ref, buf.data());
+  uint64_t pages0 = device_->stats().pages_read;
+  EXPECT_TRUE(r.ReadRowsOnPage(1, Slots(128, {3, 72}), 0, 4).IsOutOfRange());
+  EXPECT_TRUE(r.ReadRowsOnPage(2, Slots(128, {0}), 0, 4).IsOutOfRange());
+  EXPECT_EQ(device_->stats().pages_read, pages0);  // nothing was read
+  EXPECT_TRUE(r.ReadRowsOnPage(1, Slots(128, {71}), 0, 4).ok());
+  EXPECT_TRUE(r.ReadRowsOnPage(1, Slots(128, {71}), 4, 4).IsInvalidArgument());
+  EXPECT_TRUE(
+      r.ReadRowsOnPage(1, Slots(128, {71}), 0, 17).IsInvalidArgument());
+  // An empty mask reads nothing.
+  uint64_t pages1 = device_->stats().pages_read;
+  EXPECT_TRUE(r.ReadRowsOnPage(2, Slots(128, {}), 0, 4).ok());
+  EXPECT_EQ(device_->stats().pages_read, pages1);
+}
+
+TEST_F(SpanReadTest, RowReadAfterSpanReadReloadsThePage) {
+  // A span read leaves only the requested bytes in the buffer, so a
+  // ReadRow on the same page must not trust it as the cached page.
+  FixedTableRef ref = Build(16, 128);
+  std::vector<uint8_t> buf(2048, 0);
+  FixedTableReader r(device_.get(), ref, buf.data());
+  std::vector<uint8_t> row(16);
+  ASSERT_TRUE(r.ReadRow(5, row.data()).ok());
+  std::fill(buf.begin(), buf.end(), 0xEE);
+  ASSERT_TRUE(r.ReadRowsOnPage(0, Slots(128, {100}), 0, 4).ok());
+  ASSERT_TRUE(r.ReadRow(6, row.data()).ok());
+  for (uint32_t j = 0; j < 16; ++j) {
+    EXPECT_EQ(row[j], static_cast<uint8_t>(6 * 7 + j));
+  }
+}
+
 // --- B+-tree / climbing index ---
 
 struct CiEntry {

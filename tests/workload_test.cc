@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "core/database.h"
+#include "plan/strategy.h"
 #include "reference/oracle.h"
 #include "sql/parser.h"
 #include "workload/index_schemes.h"
@@ -62,6 +63,37 @@ TEST(SyntheticTest, QueryQRunsAndMatchesOracle) {
   auto got = db.Query(sql);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got->total_rows, expected->size());
+}
+
+TEST(SyntheticTest, CrossPreQueryQCountsBothMerges) {
+  // Cross-Pre on T1 runs two merges: the cross intersection of T1's Vis
+  // ids with the T12 predicate climbed to T1, then the anchor merge. The
+  // statement's merge stats sum both ids_emitted and take the larger
+  // peak_streams. The crossed statement below runs the first merge alone
+  // (Vis ids and the same climbed predicate, at T1); here one T12 key
+  // qualifies, so that merge streams one sublist rather than a bitmap.
+  SyntheticConfig wl;
+  wl.scale = 0.002;
+  core::GhostDB db(SyntheticDbConfig(wl));
+  ASSERT_TRUE(BuildSynthetic(&db, wl).ok());
+  auto t1 = db.schema().FindTable("T1");
+  ASSERT_TRUE(t1.ok());
+  plan::PlanChoice cross_pre, pre;
+  cross_pre.vis[*t1] = plan::VisStrategy::kCrossPreFilter;
+  pre.vis[*t1] = plan::VisStrategy::kPreFilter;
+  auto q = db.QueryWithPlan(QueryQ(0.5, 0.01), cross_pre);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  auto crossed = db.QueryWithPlan(
+      "SELECT T1.id FROM T1, T12 WHERE T1.fk12 = T12.id AND T1.v1 < " +
+          Dial(0.5).ToString() + " AND T12.h2 < " + Dial(0.01).ToString(),
+      pre);
+  ASSERT_TRUE(crossed.ok()) << crossed.status().ToString();
+  ASSERT_GT(crossed->metrics.merge.ids_emitted, 0u);
+  ASSERT_GT(crossed->metrics.merge.peak_streams, 0u);
+  EXPECT_EQ(q->metrics.merge.ids_emitted,
+            q->metrics.qepsj_rows + crossed->metrics.merge.ids_emitted);
+  EXPECT_GE(q->metrics.merge.peak_streams,
+            crossed->metrics.merge.peak_streams);
 }
 
 TEST(MedicalTest, ShapeMatchesPaper) {
